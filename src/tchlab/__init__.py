@@ -3,6 +3,8 @@ two-qubit conditional-sign gate on photonic qubits, single-photon walks that
 emulate a free massive particle, and optical selection of dark atomic
 states."""
 
+from types import ModuleType as _ModuleType
+
 from .basis import BasisState, HilbertSpace, NetworkConfig, enumerate_basis, state_index
 from .darkstates import (
     Classification,
@@ -89,4 +91,8 @@ from .walk import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -61,21 +61,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: TCHLAB_THREADS env var, else 1)",
+        help="accepted and validated, but has no effect: every command runs serially",
     )
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
+def _validate_threads(args) -> None:
+    """The thread settings select nothing; a malformed TCHLAB_THREADS stays a usage error."""
     env = os.environ.get("TCHLAB_THREADS", "").strip()
-    if env:
+    if args.threads is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             print(f"TCHLAB_THREADS is not an integer: {env!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE) from None
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,8 @@ def cmd_gate(args) -> int:
         q = np.zeros(4, dtype=complex)
         q[BASIS_LABELS.index(args.input)] = 1.0
 
-    rows = sweep(config, alphas, q=q, max_workers=_resolve_threads(args))
+    _validate_threads(args)
+    rows = sweep(config, alphas, q=q)
     sweep_path = write_csv(
         os.path.join(args.out_dir, "gate_sweep.csv"),
         ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"),
@@ -241,7 +240,7 @@ def _light_reference(n_atoms: int) -> np.ndarray:
     active."""
     state = triplet_state()
     if n_atoms > 2:
-        rest = singlet_product([(i, i + 1) for i in range(2, n_atoms, 2)])
+        rest = singlet_product([(i, i + 1) for i in range(0, n_atoms - 2, 2)])
         state = np.kron(state, rest)
     return state
 

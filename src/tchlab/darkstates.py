@@ -212,7 +212,7 @@ class EmissionReport:
     mean_emission_time: float  # censored at t_max
 
 
-def _atomic_excitation_count(psi_at: np.ndarray, n_atoms: int) -> int:
+def _atomic_excitation_count(psi_at: np.ndarray) -> int:
     counts = {
         bin(b).count("1")
         for b in range(len(psi_at))
@@ -225,7 +225,6 @@ def _atomic_excitation_count(psi_at: np.ndarray, n_atoms: int) -> int:
             "atomic state must have a definite excitation count "
             f"(found components with {sorted(counts)} excitations)"
         )
-    del n_atoms
     return counts.pop()
 
 
@@ -243,7 +242,7 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         raise ValueError("atomic state dimension must be 2**n_atoms")
     if abs(np.vdot(psi_at, psi_at).real - 1.0) > 1e-9:
         raise ValueError("atomic state must be normalized")
-    excitations = _atomic_excitation_count(psi_at, s)
+    excitations = _atomic_excitation_count(psi_at)
     sector = 1 + excitations
     # photons never exceed the total excitation count, so this cap is exact
     network = NetworkConfig(
@@ -378,7 +377,10 @@ def classify_dark(
     threshold = 0.5 * (dark_mean + light_mean)
     mean = float(observed.mean())
     se = float(observed.std(ddof=1)) / math.sqrt(n)
-    z = (mean - threshold) / se if se > 0.0 else math.inf * np.sign(mean - threshold)
+    if se > 0.0:
+        z = (mean - threshold) / se
+    else:  # identical samples: certain, unless they sit on the threshold
+        z = math.copysign(math.inf, mean - threshold) if mean != threshold else 0.0
     if mean == threshold:
         decision = "light"
     elif (mean < threshold) == (dark_mean < threshold):

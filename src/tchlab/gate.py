@@ -23,25 +23,25 @@ variant that flips |10> instead is exposed separately.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisState, HilbertSpace, NetworkConfig
 from .evolution import (
-    EvolutionSettings,
     StateVector,
+    apply_propagator,
     evolve_const,
-    evolve_pulsed,
+    pulsed_propagator,
     rabi_periods,
 )
 from .operators import (
     GaussianPulse,
     HopSpec,
-    OperatorMatrix,
     amplitude_for_area,
     build_tch,
     jump_operator,
@@ -55,10 +55,6 @@ PULSE_CUTOFF = 6.0  # envelope truncation, in sigmas; window width is twice this
 # ---------------------------------------------------------------------------
 # ideal 4x4 references
 # ---------------------------------------------------------------------------
-
-def pauli_x() -> np.ndarray:
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 
 def hadamard_matrix() -> np.ndarray:
     """The basis-change that conjugates a phase flip into a bit flip."""
@@ -209,9 +205,6 @@ class GateConfig:
             return self.dt
         return min(self.sigma / 50.0, self.tau1 / 200.0)
 
-    def settings(self) -> EvolutionSettings:
-        return EvolutionSettings(dt=self.resolved_dt, norm_tolerance=self.norm_tolerance)
-
     def network(self) -> NetworkConfig:
         return NetworkConfig(
             n_cavities=3,
@@ -325,30 +318,40 @@ def decode(psi: StateVector) -> np.ndarray:
 # running the gate
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _exchange_propagator(network: NetworkConfig, ev: ExchangeSegment, dt: float) -> np.ndarray:
+    """Propagator of one exchange segment on the register sector, shared
+    (read-only) by every run and both exchanges of a link that agree on
+    network, pulse and step."""
+    space = HilbertSpace(network, sector=2)
+    jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+    u = pulsed_propagator(build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt)
+    u.flags.writeable = False
+    return u
+
+
 def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
     """Evolve an encoded two-qubit state through the full schedule.
+
+    Each exchange applies a cached segment propagator to the carried state,
+    whose norm drift is checked against ``config.norm_tolerance``.
 
     ``instant_swaps`` replaces each Gaussian exchange by its zero-width
     limit, the exact quarter-cycle hop map exp(-i (pi/2) J); free segments
     are untouched.  Useful for separating timing error from pulse error.
     """
     space = gate_space(config)
-    schedule = cocsign_schedule(config)
     h0 = build_tch(space)
-    settings = config.settings()
-    jumps: dict[tuple[int, int], OperatorMatrix] = {}
     psi = encode(q, space)
-    for ev in schedule.events:
+    for ev in cocsign_schedule(config).events:
         if isinstance(ev, FreeSegment):
             psi = evolve_const(h0, psi, ev.duration)
-            continue
-        key = (ev.cavity_a, ev.cavity_b)
-        if key not in jumps:
-            jumps[key] = jump_operator(space, HopSpec(*key, amplitude=1.0))
-        if instant_swaps:
-            psi = evolve_const(jumps[key], psi, math.pi / 2.0)
+        elif instant_swaps:
+            jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+            psi = evolve_const(jump, psi, math.pi / 2.0)
         else:
-            psi = evolve_pulsed(h0, [(jumps[key], ev.pulse)], psi, 0.0, ev.duration, settings)
+            u = _exchange_propagator(config.network(), ev, config.resolved_dt)
+            psi = apply_propagator(u, psi, config.norm_tolerance)
     return psi
 
 
@@ -445,27 +448,16 @@ def aligned_modular_distance(psi, psi_id) -> float:
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_point(args):
-    config, alpha, sigma, n1, n2, q = args
-    cfg = dataclasses.replace(config, alpha=alpha, sigma=sigma, n1=n1, n2=n2)
-    psi = run_gate(q, cfg)
-    target = ideal_target_state(q, cfg)
-    d_tr = trace_distance(density(psi), density(target))
-    d_mod = modular_distance(psi, target)
-    return (alpha, sigma, n1, n2, d_tr, d_mod)
-
-
 def sweep(
     config: GateConfig,
     alphas,
     sigmas=None,
     pairs=None,
     q=None,
-    max_workers: int = 1,
 ) -> list[tuple[float, float, int, int, float, float]]:
     """Gate-error curves over pulse amplitude (and optionally width and
     resonance pair).  Returns rows (alpha, sigma, n1, n2, d_tr, d_mod) in
-    deterministic grid order regardless of worker count."""
+    grid order: pairs outermost, then widths, then amplitudes."""
     if q is None:
         q = uniform_superposition()
     q = _as_qubit_pair(q)
@@ -473,16 +465,17 @@ def sweep(
         sigmas = [config.sigma]
     if pairs is None:
         pairs = [(config.n1, config.n2)]
-    points = [
-        (config, float(alpha), float(sigma), int(n1), int(n2), q)
-        for n1, n2 in pairs
-        for sigma in sigmas
-        for alpha in alphas
-    ]
-    if max_workers <= 1:
-        return [_sweep_point(p) for p in points]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_sweep_point, points))
+    rows = []
+    for (n1, n2), sigma, alpha in itertools.product(pairs, sigmas, alphas):
+        cfg = dataclasses.replace(
+            config, alpha=float(alpha), sigma=float(sigma), n1=int(n1), n2=int(n2)
+        )
+        psi = run_gate(q, cfg)
+        target = ideal_target_state(q, cfg)
+        d_tr = trace_distance(density(psi), density(target))
+        d_mod = modular_distance(psi, target)
+        rows.append((cfg.alpha, cfg.sigma, cfg.n1, cfg.n2, d_tr, d_mod))
+    return rows
 
 
 # ---------------------------------------------------------------------------

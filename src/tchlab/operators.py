@@ -47,11 +47,6 @@ class OperatorMatrix:
             self._eig = (w, v)
         return self._eig
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.space is not self.space:
-            raise ValueError("operators live on different spaces")
-        return OperatorMatrix(self.space, self.matrix + other.matrix)
-
 
 @dataclass(frozen=True)
 class HopSpec:

@@ -4,11 +4,18 @@ These oracles build operators on the unprojected product space (one bosonic
 mode per cavity, one two-level system per atom) from Kronecker products of
 textbook single-site matrices, then cut out an excitation sector.  They share
 no code with the production builders beyond the basis-state labels used to
-align row order, so elementwise agreement is a real check."""
+align row order, so elementwise agreement is a real check.
+
+``rk4_pulsed_state`` is the reference for the pulsed route: it steps one
+state vector directly instead of integrating a propagator and applying it."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from tchlab.operators import pulse_value
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 ATOM_NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -106,3 +113,41 @@ def project_to_sector(full_matrix: np.ndarray, space) -> np.ndarray:
     """Cut the rows/columns of the production sector basis, in its order."""
     idx = [full_index(space.config, s.photons, s.atom_bits) for s in space.states]
     return full_matrix[np.ix_(idx, idx)]
+
+
+def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
+    """Fixed-step fourth-order integration of i dy/dt = (H0 + sum_k nu_k(t)
+    J_k) y on one state vector, with the step count and generator of the
+    production scheme.  Returns the final amplitudes and the magnitude of
+    the squared-norm change."""
+    n_steps = max(1, math.ceil((t_end - t_start) / dt))
+    dt = (t_end - t_start) / n_steps
+    base = h0.matrix
+
+    def generator(t: float) -> np.ndarray:
+        h = base
+        copied = False
+        for op, pulse in pulses:
+            v = pulse_value(pulse, t)
+            if v != 0.0:
+                if not copied:
+                    h = h.copy()
+                    copied = True
+                h += v * op.matrix
+        return h
+
+    y = np.asarray(amplitudes, dtype=complex).copy()
+    norm_in = float(np.vdot(y, y).real)
+    for step in range(n_steps):
+        t = t_start + step * dt
+        h_a = generator(t)
+        h_m = generator(t + 0.5 * dt)
+        h_b = generator(t + dt)
+        k1 = -1j * (h_a @ y)
+        k2 = -1j * (h_m @ (y + 0.5 * dt * k1))
+        k3 = -1j * (h_m @ (y + 0.5 * dt * k2))
+        k4 = -1j * (h_b @ (y + dt * k3))
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    norm_out = float(np.vdot(y, y).real)
+    return y, abs(norm_out - norm_in)

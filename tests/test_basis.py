@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import tchlab
 from tchlab import BasisState, HilbertSpace, NetworkConfig, enumerate_basis, state_index
 
 
@@ -80,6 +83,11 @@ def test_index_roundtrip_and_rejection():
         space.index_of(BasisState((1, 0, 0), (0, 0, 0)))  # wrong sector
     with pytest.raises(ValueError):
         space.index_of(BasisState((3, 0, 0), (0, 0, 0)))  # beyond truncation
+
+
+def test_package_exports_names_not_submodules():
+    assert "HilbertSpace" in tchlab.__all__
+    assert not [n for n in tchlab.__all__ if isinstance(getattr(tchlab, n), types.ModuleType)]
 
 
 def test_basis_state_str():

@@ -59,7 +59,7 @@ def test_gate_csv_round_trips_floats_exactly(gate_dir):
     _, rows = _read_csv(gate_dir / "gate_sweep.csv")
     config = GateConfig()
     alphas = [0.5 * config.resolved_alpha, 1.0 * config.resolved_alpha]
-    expected = sweep(config, alphas, q=uniform_superposition(), max_workers=1)
+    expected = sweep(config, alphas, q=uniform_superposition())
     assert len(rows) == len(expected)
     for row, exp in zip(rows, expected):
         for cell, value in zip(row, exp):
@@ -182,6 +182,18 @@ def test_dark_without_atoms_profiles_bare_decay(tmp_path):
     summary = json.loads((tmp_path / "dark_summary.json").read_text())
     assert summary["atoms"] == 0
     assert abs(summary["escape_probability"] + math.exp(-20.0) - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("atoms", [4, 6])
+def test_dark_larger_registers(tmp_path, atoms):
+    assert main(["dark", "--out-dir", str(tmp_path), "--atoms", str(atoms)]) == 0
+    summary = json.loads((tmp_path / "dark_summary.json").read_text())
+    assert summary["atoms"] == atoms
+    assert summary["dark_is_dark"] is True
+    assert summary["light_is_dark"] is False
+    assert summary["dark_absorption_residual"] < 1e-12
+    classify = json.loads((tmp_path / "classify.json").read_text())
+    assert classify["decision"] == "dark"
 
 
 def test_dark_rejects_odd_atom_counts(tmp_path, capsys):

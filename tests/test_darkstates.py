@@ -223,6 +223,15 @@ def test_maximal_detector_noise_destroys_significance():
     assert inconclusive >= 45
 
 
+def test_identical_samples_on_the_threshold_score_zero():
+    result = classify_dark([1.0, 1.0], dark_mean=0.0, light_mean=2.0, detector_error=0.0)
+    assert result.z_score == 0.0
+    assert result.decision == "light"  # an exact tie goes to "light"
+    off = classify_dark([0.5, 0.5], dark_mean=0.0, light_mean=2.0, detector_error=0.0)
+    assert off.z_score == -math.inf
+    assert off.decision == "dark"
+
+
 def test_classifier_validates_inputs(emission_reports):
     _, dark, _ = emission_reports
     samples = sample_emission_times(dark, 10, rng=np.random.default_rng(0))

@@ -173,6 +173,17 @@ def test_decay_route_exponential_and_guards():
         evolve_decay(h_eff, psi, -1.0)
 
 
+def test_equal_dimension_spaces_are_still_different():
+    jc, ring = jc_space(), two_cavity_space()
+    assert jc.dim == ring.dim == 2
+    psi = StateVector(ring, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError):
+        evolve_const(build_tc(jc, 0), psi, 1.0)
+    # an equal network rebuilt separately is the same space
+    same = StateVector(jc_space(), np.array([1.0, 0.0], dtype=complex))
+    assert abs(evolve_const(build_tc(jc, 0), same, 1.0).norm() - 1.0) < 1e-12
+
+
 def test_state_vector_validation():
     space = two_cavity_space()
     with pytest.raises(ValueError):

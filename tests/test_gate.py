@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from tchlab import (
     GateConfig,
+    HopSpec,
     NumericalDriftError,
+    StateVector,
     aligned_modular_distance,
+    build_tch,
     cnot_matrix,
     cocsign_matrix,
     cocsign_schedule,
@@ -15,11 +19,13 @@ from tchlab import (
     decode,
     density,
     encode,
+    evolve_const,
     find_resonance,
     gate_space,
     hadamard_matrix,
     ideal_cocsign,
     ideal_target_state,
+    jump_operator,
     min_transfer_time,
     modular_distance,
     rabi_periods,
@@ -31,7 +37,13 @@ from tchlab import (
     transfer_window_check,
     uniform_superposition,
 )
-from tchlab.gate import BASIS_LABELS, branch_phase, cocsign_alt_matrix, ideal_cocsign_alt
+from tchlab.gate import (
+    BASIS_LABELS,
+    FreeSegment,
+    branch_phase,
+    cocsign_alt_matrix,
+    ideal_cocsign_alt,
+)
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, (4, 6)
 
@@ -231,15 +243,70 @@ def test_gate_integrator_drift_guard():
         run_gate(uniform_superposition(), cfg)
 
 
+def _per_state_gate(q, config):
+    """The gate schedule with every exchange integrated on the carried state
+    itself; returns the final state and the largest per-exchange drift."""
+    space = gate_space(config)
+    h0 = build_tch(space)
+    psi = encode(q, space)
+    drift = 0.0
+    for ev in cocsign_schedule(config).events:
+        if isinstance(ev, FreeSegment):
+            psi = evolve_const(h0, psi, ev.duration)
+            continue
+        jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+        amps, d = oracles.rk4_pulsed_state(
+            h0, [(jump, ev.pulse)], psi.amplitudes, 0.0, ev.duration, config.resolved_dt
+        )
+        psi = StateVector(space, amps)
+        drift = max(drift, d)
+    return psi, drift
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(11)
+    random = rng.normal(size=4) + 1j * rng.normal(size=4)
+    inputs = {label: basis_vector(label) for label in BASIS_LABELS}
+    inputs["uniform"] = uniform_superposition()
+    inputs["random"] = random / np.linalg.norm(random)
+    return inputs
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 1.5, 3.0])
+def test_gate_matches_per_state_integration(scale):
+    cfg = dataclasses.replace(FAST_CONFIG, alpha=scale * FAST_CONFIG.resolved_alpha)
+    unguarded = dataclasses.replace(cfg, norm_tolerance=1.0)
+    for q in _reference_inputs().values():
+        ref, drift = _per_state_gate(q, cfg)
+        psi = run_gate(q, unguarded)
+        assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) < 1e-12
+        # the guard trips exactly where the per-state drift exceeds it
+        if drift > cfg.norm_tolerance:
+            with pytest.raises(NumericalDriftError):
+                run_gate(q, cfg)
+        else:
+            assert np.array_equal(run_gate(q, cfg).amplitudes, psi.amplitudes)
+
+
+def test_drift_guard_watches_the_carried_state():
+    # some propagator columns drift past 1e-8 at these amplitudes, but the
+    # uniform input does not carry them
+    a0 = FAST_CONFIG.resolved_alpha
+    for scale in (1.5, 3.0):
+        run_gate(uniform_superposition(), dataclasses.replace(FAST_CONFIG, alpha=scale * a0))
+    # |00> does carry a drifting component at three quarter-cycles
+    with pytest.raises(NumericalDriftError):
+        run_gate(basis_vector("00"), dataclasses.replace(FAST_CONFIG, alpha=3.0 * a0))
+
+
 def test_sweep_grid_and_thread_determinism():
     cfg = FAST_CONFIG
     a0 = cfg.resolved_alpha
     alphas = [0.9 * a0, a0, 1.1 * a0]
-    rows_serial = sweep(cfg, alphas)
-    rows_parallel = sweep(cfg, alphas, max_workers=4)
-    assert rows_serial == rows_parallel
-    assert [r[0] for r in rows_serial] == alphas
-    best = min(rows_serial, key=lambda r: r[5])
+    rows = sweep(cfg, alphas)
+    assert sweep(cfg, alphas) == rows
+    assert [r[0] for r in rows] == alphas
+    best = min(rows, key=lambda r: r[5])
     assert best[0] == a0
 
 
