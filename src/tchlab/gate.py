@@ -116,17 +116,12 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
     Ties prefer smaller n2, then smaller n1."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows = []
-    for n1 in range(1, n_max + 1):
-        for n2 in range(1, n_max + 1):
-            residual = abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
-            rows.append((n1, n2, residual))
-    rows.sort(key=lambda r: (r[2], r[1], r[0]))
-    if top is not None:
-        if top < 0:
-            raise ValueError("top must be non-negative")
-        rows = rows[:top]
-    return rows
+    if top is not None and top < 0:
+        raise ValueError("top must be non-negative")
+    n1, n2 = np.indices((n_max, n_max)).reshape(2, -1) + 1
+    residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
+    order = np.lexsort((n1, n2, residual))[:top]
+    return list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))
 
 
 def find_resonance(g: float, n_max: int) -> tuple[int, int, float]:

@@ -26,7 +26,8 @@ def format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (complex, np.complexfloating)):
         c = complex(value)
-        return f"{format_float(c.real)}{'+' if c.imag >= 0 else '-'}{format_float(abs(c.imag))}j"
+        imag = format_float(c.imag)  # carries its own sign, including -0
+        return f"{format_float(c.real)}{'' if imag.startswith('-') else '+'}{imag}j"
     return format_float(value)
 
 

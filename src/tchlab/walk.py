@@ -4,15 +4,15 @@ Positions are the N cavity labels mapped to x_q = q / sqrt(N), so the ring
 spans [0, sqrt(N)).  The discrete Fourier transform defines a momentum
 operator with the exact spectrum sqrt(N) (a/N - 1/2) for a = 0..N-1, and the
 free Hamiltonian is that momentum squared over twice the mass, diagonal in
-the same Fourier basis.  Reading the Hamiltonian's matrix elements row by
-row yields the hop amplitudes and phases a physical cavity chain would need
-in order to realize the particle.
+the same Fourier basis: it is circulant, and the walk runs on FFTs.  Reading
+its matrix elements row by row yields the hop amplitudes and phases a
+physical cavity chain would need in order to realize the particle.
 
 The momentum operator follows the half-shift-conjugated Fourier form
 A^-1 F D F^-1 A with A = diag(e^{i pi a}).  For even N that conjugation is a
 half-ring translation in Fourier space, so momentum and the free Hamiltonian
-commute exactly; odd N breaks the translation and the commutation with it.
-All pinned checks use even N.
+commute exactly; odd N breaks the translation and the commutation with it,
+so walks need even N.
 """
 
 from __future__ import annotations
@@ -52,13 +52,19 @@ def momentum_operator(n: int) -> np.ndarray:
     return (a_phase.conj()[:, None] * core) * a_phase[None, :]
 
 
-def free_hamiltonian(n: int, mass: float) -> np.ndarray:
-    """Kinetic energy p^2 / 2m, diagonal in the Fourier basis."""
+def _band_energies(n: int, mass: float) -> np.ndarray:
+    """p^2 / 2m over the momentum spectrum, in Fourier order."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    f = qft_matrix(n)
-    energies = momentum_values(n) ** 2 / (2.0 * mass)
-    return f @ (energies[:, None] * f.conj().T)
+    return momentum_values(n) ** 2 / (2.0 * mass)
+
+
+def free_hamiltonian(n: int, mass: float) -> np.ndarray:
+    """Kinetic energy p^2 / 2m, diagonal in the Fourier basis: the circulant
+    H[q, p] = c[(p - q) mod n] with first row c = ifft(band energies)."""
+    row = np.fft.ifft(_band_energies(n, mass))
+    q = np.arange(n)
+    return row[(q[None, :] - q[:, None]) % n]
 
 
 @dataclass
@@ -80,15 +86,15 @@ class CouplingNetwork:
     def distance_profile(self) -> list[tuple[int, int, float, float]]:
         """Per-separation aggregates (distance, count, mean amplitude,
         mean phase) over all hops."""
-        buckets: dict[int, list[tuple[float, float]]] = {}
-        for q, p, r, phi in self.hops:
-            buckets.setdefault(p - q, []).append((r, phi))
-        out = []
-        for d in sorted(buckets):
-            rs = [r for r, _ in buckets[d]]
-            phis = [phi for _, phi in buckets[d]]
-            out.append((d, len(rs), float(np.mean(rs)), float(np.mean(phis))))
-        return out
+        q, p, r, phi = np.array(self.hops, dtype=float).reshape(-1, 4).T
+        separation = (p - q).astype(np.intp)
+        counts = np.bincount(separation)
+        r_sums = np.bincount(separation, weights=r)
+        phi_sums = np.bincount(separation, weights=phi)
+        return [
+            (int(d), int(counts[d]), float(r_sums[d] / counts[d]), float(phi_sums[d] / counts[d]))
+            for d in np.flatnonzero(counts)
+        ]
 
 
 def coupling_network(h: np.ndarray, tol: float = 1e-12) -> CouplingNetwork:
@@ -99,12 +105,11 @@ def coupling_network(h: np.ndarray, tol: float = 1e-12) -> CouplingNetwork:
     if np.max(np.abs(h - h.conj().T)) > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
         raise ValueError("need a Hermitian matrix")
     n = h.shape[0]
-    hops = []
-    for q in range(n):
-        for p in range(q + 1, n):
-            r = abs(h[q, p])
-            if r > tol:
-                hops.append((q, p, float(r), float(np.angle(h[q, p]))))
+    q, p = np.triu_indices(n, k=1)
+    keep = np.abs(h[q, p]) > tol
+    q, p = q[keep], p[keep]
+    links = h[q, p]
+    hops = list(zip(q.tolist(), p.tolist(), np.abs(links).tolist(), np.angle(links).tolist()))
     return CouplingNetwork(n=n, diagonal=np.real(np.diag(h)).copy(), hops=hops)
 
 
@@ -172,6 +177,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.n_cavities < 2:
             raise ValueError("need at least two cavities")
+        if self.n_cavities % 2:
+            raise ValueError("need an even number of cavities (momentum must commute with H)")
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if self.origin is not None and not 0 <= self.origin < self.n_cavities:
@@ -221,38 +228,31 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
     origin = config.resolved_origin
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
 
-    h = free_hamiltonian(n, m)
-    w, v = np.linalg.eigh(h)
-    psi0 = np.zeros(n, dtype=complex)
-    psi0[origin] = 1.0
-    coef = v.conj().T @ psi0
+    # H = F diag(E) F^H with F[q, a] = exp(-2 pi i q a / n) / sqrt(n), so the
+    # photon leaving the origin is F exp(-i E t) F^H e_origin: one FFT per time
+    a = np.arange(n)
+    launch = np.exp(2j * np.pi * (a * origin % n) / n)
+    phases = np.exp(-1j * np.outer(times, _band_energies(n, m)))
+    amplitudes = np.fft.fft(phases * launch, axis=1) / n
+    # the momentum eigenvectors are the columns of A^-1 F, A = diag((-1)^a)
+    populations = math.sqrt(n) * np.abs(np.fft.ifft((-1.0) ** a * amplitudes, axis=1))
+    momentum_drift = float(np.max(np.abs(populations - populations[0])))
 
-    positions = np.arange(n) / math.sqrt(n)
+    positions = a / math.sqrt(n)
+    prob = np.abs(amplitudes) ** 2
+    norm_drift = float(np.max(np.abs(prob.sum(axis=1) - 1.0)))
+    mean = prob @ positions
+    variances = prob @ positions**2 - mean**2
+
     x0 = positions[origin]
     # exact alternating sign from centering the momentum band at zero
-    band_sign = np.exp(-1j * np.pi * (np.arange(n) - origin))
-
-    pw, pv = np.linalg.eigh(momentum_operator(n))
-    del pw  # populations are labeled by eigenvector column order
-
-    amplitudes = np.empty((len(times), n), dtype=complex)
+    band_sign = np.exp(-1j * np.pi * (a - origin))
     kernel = np.zeros((len(times), n), dtype=complex)
-    variances = np.empty(len(times))
-    populations = np.empty((len(times), n))
-    norm_drift = 0.0
     for i, t in enumerate(times):
-        amps = v @ (np.exp(-1j * w * t) * coef)
-        amplitudes[i] = amps
-        prob = np.abs(amps) ** 2
-        norm_drift = max(norm_drift, abs(float(prob.sum()) - 1.0))
-        mean = float(prob @ positions)
-        variances[i] = float(prob @ positions**2) - mean**2
-        populations[i] = np.abs(pv.conj().T @ amps)
         if t > 0.0:
             kernel[i] = band_sign * feynman_kernel(
                 positions - x0, t, 2.0 * math.pi**2 * m
             )
-    momentum_drift = float(np.max(np.abs(populations - populations[0])))
 
     return WalkResult(
         config=config,
@@ -264,7 +264,7 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
         momentum_populations=populations,
         momentum_drift=momentum_drift,
         norm_drift=norm_drift,
-        network=coupling_network(h),
+        network=coupling_network(free_hamiltonian(n, m)),
     )
 
 

@@ -7,15 +7,22 @@ no code with the production builders beyond the basis-state labels used to
 align row order, so elementwise agreement is a real check.
 
 ``rk4_pulsed_state`` is the reference for the pulsed route: it steps one
-state vector directly instead of integrating a propagator and applying it."""
+state vector directly instead of integrating a propagator and applying it.
+
+The walk references build the free Hamiltonian as the dense product
+F diag(E) F^H and propagate it by diagonalization (``dense_walk``); the
+loop references (``distance_profile_loop``, ``resonance_table_loop``) are
+the per-element forms the vectorized production code replaced."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from tchlab.operators import pulse_value
+from tchlab.walk import momentum_operator, momentum_values, qft_matrix
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 ATOM_NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -151,3 +158,75 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
 
     norm_out = float(np.vdot(y, y).real)
     return y, abs(norm_out - norm_in)
+
+
+def dense_free_hamiltonian(n: int, mass: float) -> np.ndarray:
+    """p^2 / 2m as the dense product F diag(E) F^H."""
+    f = qft_matrix(n)
+    energies = momentum_values(n) ** 2 / (2.0 * mass)
+    return f @ (energies[:, None] * f.conj().T)
+
+
+# Cached so that walks from several origins on one ring diagonalize once.
+@functools.lru_cache(maxsize=2)
+def _hamiltonian_eigensystem(n: int, mass: float):
+    return np.linalg.eigh(dense_free_hamiltonian(n, mass))
+
+
+@functools.lru_cache(maxsize=1)
+def _momentum_eigenvectors(n: int) -> np.ndarray:
+    return np.linalg.eigh(momentum_operator(n))[1]
+
+
+def dense_walk(config):
+    """The walk by dense diagonalization: eigh of the free Hamiltonian for
+    the amplitudes, eigh of the momentum operator for the populations.
+    Returns (amplitudes, momentum populations, variances), each with one
+    row per time sample."""
+    n = config.n_cavities
+    origin = config.resolved_origin
+    times = np.linspace(0.0, config.resolved_t_max, config.n_times)
+
+    w, v = _hamiltonian_eigensystem(n, config.mass)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[origin] = 1.0
+    coef = v.conj().T @ psi0
+    positions = np.arange(n) / math.sqrt(n)
+    pv = _momentum_eigenvectors(n)  # columns in ascending momentum
+
+    amplitudes = np.empty((len(times), n), dtype=complex)
+    variances = np.empty(len(times))
+    populations = np.empty((len(times), n))
+    for i, t in enumerate(times):
+        amps = v @ (np.exp(-1j * w * t) * coef)
+        amplitudes[i] = amps
+        prob = np.abs(amps) ** 2
+        mean = float(prob @ positions)
+        variances[i] = float(prob @ positions**2) - mean**2
+        populations[i] = np.abs(pv.conj().T @ amps)
+    return amplitudes, populations, variances
+
+
+def distance_profile_loop(hops):
+    """Per-separation (distance, count, mean amplitude, mean phase), one
+    bucket per separation."""
+    buckets: dict[int, list[tuple[float, float]]] = {}
+    for q, p, r, phi in hops:
+        buckets.setdefault(p - q, []).append((r, phi))
+    out = []
+    for d in sorted(buckets):
+        rs = [r for r, _ in buckets[d]]
+        phis = [phi for _, phi in buckets[d]]
+        out.append((d, len(rs), float(np.mean(rs)), float(np.mean(phis))))
+    return out
+
+
+def resonance_table_loop(n_max: int, top=None):
+    """Every (n1, n2, residual) as a tuple, sorted by (residual, n2, n1)."""
+    rows = []
+    for n1 in range(1, n_max + 1):
+        for n2 in range(1, n_max + 1):
+            residual = abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
+            rows.append((n1, n2, residual))
+    rows.sort(key=lambda r: (r[2], r[1], r[0]))
+    return rows if top is None else rows[:top]

@@ -125,6 +125,11 @@ def test_walk_runs_are_byte_identical(walk_dir, tmp_path):
         assert (walk_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def test_walk_rejects_odd_cavity_counts(tmp_path, capsys):
+    assert main(["walk", "--out-dir", str(tmp_path), "--n-cavities", "33"]) == 2
+    assert "even" in capsys.readouterr().err
+
+
 def test_dark_outputs_and_headers(dark_dir):
     header, rows = _read_csv(dark_dir / "emission_density.csv")
     assert header == ["time", "p_dark", "p_light", "s_dark", "s_light"]

@@ -104,6 +104,19 @@ def test_resonance_examples():
     assert abs(top3[2][2] - 0.026911934581185903) < 1e-12
 
 
+def test_resonance_table_matches_tuple_sort():
+    for n_max in [*range(1, 61), 200]:
+        for top in (None, 0, 1, 3, 50):
+            expected = oracles.resonance_table_loop(n_max, top)
+            assert resonance_table(n_max, top) == expected, (n_max, top)
+
+
+def test_resonance_table_at_benchmark_size():
+    rows = resonance_table(1000, 3)
+    assert rows == oracles.resonance_table_loop(1000, 3)
+    assert rows[0][:2] == (144, 204)
+
+
 def test_resonance_improves_with_larger_search():
     best = [find_resonance(1e-3, n_max)[2] for n_max in (5, 10, 20, 50, 100)]
     assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))

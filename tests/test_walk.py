@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dense_free_hamiltonian, dense_walk, distance_profile_loop
 
 from tchlab import (
     HilbertSpace,
@@ -69,6 +70,37 @@ def test_coupling_network_round_trip():
         coupling_network(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("n", [8, 64, 128, 1024])
+@pytest.mark.parametrize("mass", [1.0, 0.3])
+def test_free_hamiltonian_matches_dense_fourier_product(n, mass):
+    h = free_hamiltonian(n, mass)
+    assert np.max(np.abs(h - dense_free_hamiltonian(n, mass))) < 1e-10
+
+
+def _random_network_matrix(n, seed):
+    # Hermitian with a band of exact zeros, so some separations carry no hop
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 3] = 0.0
+    return h + h.conj().T
+
+
+@pytest.mark.parametrize(
+    "h",
+    [free_hamiltonian(64, 1.0), free_hamiltonian(16, 0.7), _random_network_matrix(12, 0),
+     np.eye(5)],
+    ids=["ring64", "ring16", "random", "no-hops"],
+)
+def test_distance_profile_matches_bucket_loop(h):
+    net = coupling_network(h)
+    profile = net.distance_profile()
+    reference = distance_profile_loop(net.hops)
+    assert [row[:2] for row in profile] == [row[:2] for row in reference]
+    for (_, _, r, phi), (_, _, r_ref, phi_ref) in zip(profile, reference):
+        assert abs(r - r_ref) < 1e-9
+        assert abs(phi - phi_ref) < 1e-9
+
+
 def test_network_realized_as_cavity_hamiltonian():
     # hop list + uniform cavity detuning reproduce the one-photon matrix
     n = 8
@@ -101,6 +133,8 @@ def test_walk_config_defaults_and_validation():
     assert cfg.resolved_t_max == 0.5
     with pytest.raises(ValueError):
         WalkConfig(n_cavities=1)
+    with pytest.raises(ValueError, match="even"):
+        WalkConfig(n_cavities=33)  # momentum would not commute with H
     with pytest.raises(ValueError):
         WalkConfig(mass=0.0)
     with pytest.raises(ValueError):
@@ -122,6 +156,25 @@ def test_simulated_walk_conserves_everything():
         np.abs(np.abs(result.amplitudes) - np.abs(result.amplitudes[:, mirror]))
     )
     assert refl < 1e-8
+
+
+# Default origin, an off-centre origin and a non-unit mass on each ring;
+# consecutive cases on one ring share the oracle's diagonalization.
+WALK_CASES = [
+    (n, origin, mass)
+    for n in (8, 64, 128, 1024)
+    for origin, mass in ((None, 1.0), (n // 8 + 1, 1.0), (None, 2.5))
+]
+
+
+@pytest.mark.parametrize("n, origin, mass", WALK_CASES)
+def test_walk_matches_dense_diagonalization(n, origin, mass):
+    config = WalkConfig(n_cavities=n, origin=origin, mass=mass, n_times=11)
+    result = simulate_walk(config)
+    amplitudes, populations, variances = dense_walk(config)
+    assert np.max(np.abs(result.amplitudes - amplitudes)) < 1e-12
+    assert np.max(np.abs(result.momentum_populations - populations)) < 1e-11
+    assert np.max(np.abs(result.variances - variances)) < 1e-11
 
 
 def test_ballistic_spreading_exponent():
