@@ -7,12 +7,14 @@ states by photon arrival times, and ``resonance`` ranks the Rabi-counter
 pairs the gate schedule relies on.
 
 Exit codes: 0 success, 2 usage error, 3 numerical drift beyond tolerance,
-4 classification attempted but statistically inconclusive (|z| < 3).
+4 classification attempted but statistically inconclusive (|z| < 3, or
+samples without spread, for which the z-score is written as null).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -308,6 +310,9 @@ def cmd_dark(args) -> int:
         rng=rng,
     )
 
+    # Samples of zero variance off the threshold score z = +-inf: no spread
+    # to measure significance by, so the run is inconclusive and z is null.
+    z_score = result.z_score if math.isfinite(result.z_score) else None
     dark_check = is_dark(dark_state, couplings)
     light_check = is_dark(light_state, couplings)
     write_json(
@@ -316,7 +321,7 @@ def cmd_dark(args) -> int:
             "truth": args.truth,
             "decision": result.decision,
             "correct": result.decision == args.truth,
-            "z_score": result.z_score,
+            "z_score": z_score,
             "n_trials": result.n_trials,
             "n_censored": result.n_censored,
             "sample_mean": result.sample_mean,
@@ -347,9 +352,15 @@ def cmd_dark(args) -> int:
             "light_mean_emission_time": light_report.mean_emission_time,
         },
     )
-    if abs(result.z_score) < 3.0:
+    if z_score is None:
         print(
-            f"inconclusive: |z| = {abs(result.z_score):.3g} < 3 "
+            f"inconclusive: all {args.n_trials} samples are equal, so z is undefined",
+            file=sys.stderr,
+        )
+        return EXIT_INCONCLUSIVE
+    if abs(z_score) < 3.0:
+        print(
+            f"inconclusive: |z| = {abs(z_score):.3g} < 3 "
             f"with {args.n_trials} trials",
             file=sys.stderr,
         )

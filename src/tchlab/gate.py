@@ -378,10 +378,14 @@ def ideal_target_state(q, config: GateConfig, instant_swaps: bool = False) -> St
     return target
 
 
-def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
+def branch_phase(
+    psi: StateVector, label: str, config: GateConfig, instant_swaps: bool = False
+) -> complex:
     """Phase of the surviving encoded component for a basis input, relative
     to the schedule's deterministic global phase.  Near +1 for inputs the
-    gate leaves alone, near -1 for the flipped branch."""
+    gate leaves alone, near -1 for the flipped branch.  Pass the
+    ``instant_swaps`` flag the state was run with: the schedule phase of
+    zero-width swaps omits the exchange durations."""
     if label not in BASIS_LABELS:
         raise ValueError(f"label must be one of {BASIS_LABELS}")
     x, y = int(label[0]), int(label[1])
@@ -389,7 +393,7 @@ def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
     overlap = complex(psi.amplitudes[idx])
     if abs(overlap) < 1e-9:
         raise ValueError("no surviving weight on the encoded branch")
-    return overlap / abs(overlap) / schedule_phase(config)
+    return overlap / abs(overlap) / schedule_phase(config, instant_swaps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Serialization helpers for experiment outputs.
 
 CSV cells carry 17 significant digits so doubles round-trip exactly; JSON
-summaries are sorted and restricted to plain types."""
+summaries are sorted, restricted to plain types and finite."""
 
 from __future__ import annotations
 
@@ -65,9 +65,12 @@ def jsonable(value):
 
 
 def write_json(path, payload) -> Path:
+    """Write ``payload`` as sorted JSON.  NaN and infinities are not JSON:
+    they raise ValueError before the file is opened, so no partial file is
+    left behind."""
+    text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path

@@ -9,6 +9,10 @@ align row order, so elementwise agreement is a real check.
 ``rk4_pulsed_state`` is the reference for the pulsed route: it steps one
 state vector directly instead of integrating a propagator and applying it.
 
+``dense_emission_survival`` is the reference for the lossy decay path: the
+matrix exponential of the full effective generator, stepped over the time
+grid on the whole sector.
+
 The walk references build the free Hamiltonian as the dense product
 F diag(E) F^H and propagate it by diagonalization (``dense_walk``); the
 loop references (``distance_profile_loop``, ``resonance_table_loop``) are
@@ -20,8 +24,10 @@ import functools
 import math
 
 import numpy as np
+import scipy.linalg
 
-from tchlab.operators import pulse_value
+from tchlab.basis import BasisState, HilbertSpace, NetworkConfig
+from tchlab.operators import build_tc, photon_number_operator, pulse_value
 from tchlab.walk import momentum_operator, momentum_values, qft_matrix
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -230,3 +236,39 @@ def resonance_table_loop(n_max: int, top=None):
             rows.append((n1, n2, residual))
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
     return rows if top is None else rows[:top]
+
+
+def dense_emission_survival(psi_at, config):
+    """Survival of the probe photon on the time grid of
+    ``emission_density``: expm of the unshifted effective generator on the
+    whole one-cavity sector, applied once per grid step.  Returns (times,
+    survival)."""
+    psi_at = np.asarray(psi_at, dtype=complex)
+    s = config.n_atoms
+    support = [b for b in range(2**s) if abs(psi_at[b]) > 0.0]
+    sector = 1 + bin(support[0]).count("1")
+    network = NetworkConfig(
+        n_cavities=1,
+        atoms_per_cavity=(s,),
+        couplings=config.couplings,
+        max_photons=sector,
+        omega=config.omega,
+    )
+    space = HilbertSpace(network, sector)
+    h_eff = (
+        build_tc(space, 0).matrix
+        - 0.5j * config.resolved_kappa * photon_number_operator(space, 0).matrix
+    )
+    amps = np.zeros(space.dim, dtype=complex)
+    for b in support:
+        bits = tuple((b >> (s - 1 - j)) & 1 for j in range(s))
+        amps[space.index_of(BasisState((1,), bits))] = psi_at[b]
+
+    times = np.linspace(0.0, config.resolved_t_max, config.n_times)
+    step = scipy.linalg.expm(-1j * h_eff * (times[1] - times[0]))
+    survival = np.empty(len(times))
+    for i in range(len(times)):
+        survival[i] = float(np.vdot(amps, amps).real)
+        if i + 1 < len(times):
+            amps = step @ amps
+    return times, survival

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tchlab
 from tchlab import GateConfig, sweep, uniform_superposition
 from tchlab.cli import main
 
@@ -177,6 +181,28 @@ def test_dark_few_trials_is_inconclusive(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().err
     classify = json.loads((tmp_path / "classify.json").read_text())
     assert abs(classify["z_score"]) < 3.0
+
+
+def test_dark_samples_without_spread_are_inconclusive(tmp_path, capsys):
+    # a 1-unit horizon censors every draw at t_max: zero variance off the
+    # threshold, where z would be infinite
+    args = ["dark", "--out-dir", str(tmp_path), "--atoms", "2", "--detector-error", "0",
+            "--n-trials", "5", "--t-max", "1", "--n-times", "101"]
+    assert main(args) == 4
+    assert "inconclusive" in capsys.readouterr().err
+    text = (tmp_path / "classify.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    classify = json.loads(text)
+    assert classify["z_score"] is None
+    assert classify["n_censored"] == 5
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    code = "import sys, tchlab.cli; sys.exit('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_dark_without_atoms_profiles_bare_decay(tmp_path):

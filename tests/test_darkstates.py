@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_emission_survival
 
 from tchlab import (
     DecayConfig,
@@ -158,6 +161,84 @@ def test_emission_probability_is_conserved(emission_reports):
     for report in (dark, light):
         total = report.escape_probability + report.survival[-1]
         assert abs(total - 1.0) < 1e-4
+
+
+def _mean_emission_time(times, survival):
+    density = -np.gradient(survival, times)
+    return float(np.trapezoid(times * density, times)) + times[-1] * float(survival[-1])
+
+
+def _assert_matches_dense(psi_at, cfg):
+    report = emission_density(psi_at, cfg)
+    times, survival = dense_emission_survival(psi_at, cfg)
+    assert np.array_equal(report.times, times)
+    assert np.max(np.abs(report.survival - survival)) < 1e-11
+    mean = _mean_emission_time(times, survival)
+    assert abs(report.mean_emission_time - mean) < 1e-10 * mean
+    return report
+
+
+def _adjacent_singlets(n_atoms):
+    return singlet_product([(i, i + 1) for i in range(0, n_atoms, 2)])
+
+
+@pytest.mark.parametrize("n_atoms", [2, 4, 6, 8, 10])
+def test_register_decay_runs_in_the_reached_subspace(n_atoms):
+    cfg = DecayConfig(couplings=(1e-3,) * n_atoms)
+    dark = _assert_matches_dense(_adjacent_singlets(n_atoms), cfg)
+    assert dark.basis_dim == 1
+    assert dark.closure_bound <= 1e-10
+    light_state = triplet_state()
+    if n_atoms > 2:
+        light_state = np.kron(light_state, _adjacent_singlets(n_atoms - 2))
+    light = _assert_matches_dense(light_state, cfg)
+    # the triplet reaches 3 states; in the 4-dim 2-atom sector that is more
+    # than a quarter, so the whole sector runs instead
+    assert light.basis_dim == (3 if n_atoms > 2 else 4)
+    assert light.closure_bound <= 1e-10
+
+
+def test_crossed_pairing_and_empty_register_match_dense_decay():
+    crossed_cfg = DecayConfig(couplings=(1e-3,) * 4)
+    crossed = _assert_matches_dense(singlet_product(((0, 2), (1, 3))), crossed_cfg)
+    assert crossed.basis_dim == 1
+    empty = _assert_matches_dense(np.ones(1, dtype=complex), DecayConfig(couplings=()))
+    assert empty.basis_dim == 1
+    assert empty.closure_bound == 0.0
+
+
+def test_generic_register_falls_back_to_the_whole_sector():
+    rng = np.random.default_rng(11)
+    cfg = DecayConfig(couplings=tuple(1e-3 * rng.uniform(0.5, 1.5, 10)))
+    psi = np.zeros(2**10, dtype=complex)
+    support = [b for b in range(2**10) if bin(b).count("1") == 5]
+    psi[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    psi /= np.linalg.norm(psi)
+    report = _assert_matches_dense(psi, cfg)
+    assert report.basis_dim == 848  # the identity basis of the sector
+    assert report.closure_bound == 0.0
+
+
+@st.composite
+def small_registers(draw):
+    n_atoms = draw(st.integers(0, 4))
+    couplings = draw(st.lists(st.floats(0.5e-3, 1.5e-3), min_size=n_atoms, max_size=n_atoms))
+    excitations = draw(st.integers(0, n_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = [b for b in range(2**n_atoms) if bin(b).count("1") == excitations]
+    psi = np.zeros(2**n_atoms, dtype=complex)
+    psi[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    return couplings, psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_registers())
+def test_survival_never_rises_and_balances_the_density(register):
+    couplings, psi = register
+    report = emission_density(psi, DecayConfig(couplings=tuple(couplings), kappa=1e-4))
+    assert np.all(np.diff(report.survival) <= 1e-14)
+    balance = float(np.trapezoid(report.density, report.times)) + float(report.survival[-1])
+    assert abs(balance - 1.0) < 1e-4
 
 
 def test_emission_density_rejects_bad_states():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tchlab import (
     BasisState,
@@ -171,6 +172,29 @@ def test_decay_route_exponential_and_guards():
         evolve_decay(gaining, psi, 1.0)
     with pytest.raises(ValueError):
         evolve_decay(h_eff, psi, -1.0)
+
+
+def test_decay_matches_the_dense_exponential_on_both_bases():
+    # four atoms, one photon plus two atomic excitations: a 15-dim sector
+    cfg = NetworkConfig(
+        n_cavities=1, atoms_per_cavity=(4,), couplings=(0.3, 0.3, 0.3, 0.3), max_photons=3
+    )
+    space = HilbertSpace(cfg, 3)
+    m = build_tc(space, 0).matrix - 0.125j * photon_number_operator(space, 0).matrix
+    h_eff = OperatorMatrix(space, m)
+    # singlets on (0, 1) and (2, 3), photon present: reaches only itself
+    singlets = {(0, 1, 0, 1): 0.5, (0, 1, 1, 0): -0.5, (1, 0, 0, 1): -0.5, (1, 0, 1, 0): 0.5}
+    dark = np.zeros(space.dim, dtype=complex)
+    for bits, amp in singlets.items():
+        dark[space.index_of(BasisState((1,), bits))] = amp
+    rng = np.random.default_rng(4)
+    generic = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    for amps in (dark, generic / np.linalg.norm(generic)):
+        psi = StateVector(space, amps)
+        for t in (0.0, 0.8, 30.0):
+            out = evolve_decay(h_eff, psi, t)
+            reference = scipy.linalg.expm(-1j * m * t) @ amps
+            assert np.max(np.abs(out.amplitudes - reference)) < 1e-10
 
 
 def test_equal_dimension_spaces_are_still_different():

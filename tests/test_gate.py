@@ -203,6 +203,15 @@ def test_instant_swap_branches_carry_conditional_sign():
         assert abs(out[k]) > 0.99
 
 
+def test_instant_swap_branch_phases_are_exact_signs():
+    cfg = FAST_CONFIG
+    signs = {"00": 1.0, "01": -1.0, "10": 1.0, "11": 1.0}
+    for label in BASIS_LABELS:
+        psi = run_gate(basis_vector(label), cfg, instant_swaps=True)
+        rel = branch_phase(psi, label, cfg, instant_swaps=True)
+        assert abs(rel - signs[label]) < 1e-9
+
+
 def test_instant_swap_error_tracks_resonance_residual():
     q = uniform_superposition()
     errors = []

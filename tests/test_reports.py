@@ -1,10 +1,11 @@
 import math
 import struct
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tchlab.reports import format_cell
+from tchlab.reports import format_cell, write_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -39,3 +40,11 @@ def test_integer_and_flag_cells_are_plain():
     assert format_cell(True) == "true"
     assert format_cell("label") == "label"
     assert math.isnan(float(format_cell(float("nan"))))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_rejects_non_finite_floats_before_writing(tmp_path, value):
+    path = tmp_path / "out" / "summary.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"ok": 1.0, "nested": [{"bad": value}]})
+    assert not path.exists()
