@@ -160,6 +160,21 @@ def _kernel_band(n: int, origin: int, t: float, mass: float) -> np.ndarray:
     return band
 
 
+def _grid_rows(result, values: np.ndarray):
+    """Rows (time, cavity, position, re, im, abs) of a (time x cavity) grid,
+    time-major.  hypot gives the modulus bit for bit as the scalar abs()."""
+    n_times, n = values.shape
+    v = values.ravel()
+    return zip(
+        np.repeat(result.times, n).tolist(),
+        np.tile(np.arange(n), n_times).tolist(),
+        np.tile(result.positions, n_times).tolist(),
+        v.real.tolist(),
+        v.imag.tolist(),
+        np.hypot(v.real, v.imag).tolist(),
+    )
+
+
 def cmd_walk(args) -> int:
     config = WalkConfig(
         n_cavities=args.n_cavities,
@@ -171,24 +186,15 @@ def cmd_walk(args) -> int:
     result = simulate_walk(config)
     exponent = ballistic_exponent(result.times, result.variances)
 
-    amp_rows = []
-    kernel_rows = []
-    for i, t in enumerate(result.times):
-        for q in range(config.n_cavities):
-            a = result.amplitudes[i, q]
-            k = result.kernel[i, q]
-            x = result.positions[q]
-            amp_rows.append((t, q, x, a.real, a.imag, abs(a)))
-            kernel_rows.append((t, q, x, k.real, k.imag, abs(k)))
     amp_path = write_csv(
         os.path.join(args.out_dir, "walk_amplitude.csv"),
         ("time", "cavity", "position", "re_amplitude", "im_amplitude", "abs_amplitude"),
-        amp_rows,
+        _grid_rows(result, result.amplitudes),
     )
     kernel_path = write_csv(
         os.path.join(args.out_dir, "kernel.csv"),
         ("time", "cavity", "position", "re_kernel", "im_kernel", "abs_kernel"),
-        kernel_rows,
+        _grid_rows(result, result.kernel),
     )
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
@@ -432,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--dt",
         type=float,
         default=None,
-        help="integrator step for exchange windows (default: sigma / 50)",
+        help="exchange-window integrator step (default: sigma / 50, less for strong pulses)",
     )
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("walk", help="single-photon spread on a cavity ring")
     _add_common(p)
-    p.add_argument("--n-cavities", type=int, default=128)
+    p.add_argument("--n-cavities", type=int, default=128, help="even, at least 2")
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--origin", type=int, default=None, help="start cavity (default: middle)")
     p.add_argument("--t-max", type=float, default=None, help="default: mass / 4, pre-wrap")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -145,7 +144,7 @@ class GateConfig:
     ``alpha = None`` selects the pulse-area rule: the Gaussian's integral is
     fixed to a quarter hop cycle (pi/2 in hbar = 1 units), which executes a
     complete photon swap.  ``dt = None`` selects the default integrator step
-    min(sigma/50, tau1/200).
+    min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
     """
 
     g: float = 1e-3
@@ -198,7 +197,8 @@ class GateConfig:
     def resolved_dt(self) -> float:
         if self.dt is not None:
             return self.dt
-        return min(self.sigma / 50.0, self.tau1 / 200.0)
+        strength = self.resolved_alpha / (2.0 * amplitude_for_area(math.pi / 2.0, self.sigma))
+        return min(self.sigma / 50.0, self.tau1 / 200.0) / max(1.0, strength)
 
     def network(self) -> NetworkConfig:
         return NetworkConfig(
@@ -448,27 +448,17 @@ def aligned_modular_distance(psi, psi_id) -> float:
 # ---------------------------------------------------------------------------
 
 def sweep(
-    config: GateConfig,
-    alphas,
-    sigmas=None,
-    pairs=None,
-    q=None,
+    config: GateConfig, alphas, q=None
 ) -> list[tuple[float, float, int, int, float, float]]:
-    """Gate-error curves over pulse amplitude (and optionally width and
-    resonance pair).  Returns rows (alpha, sigma, n1, n2, d_tr, d_mod) in
-    grid order: pairs outermost, then widths, then amplitudes."""
+    """Gate-error curve over pulse amplitude at the config's width and
+    resonance pair.  Returns one row (alpha, sigma, n1, n2, d_tr, d_mod) per
+    amplitude, in the order given."""
     if q is None:
         q = uniform_superposition()
     q = _as_qubit_pair(q)
-    if sigmas is None:
-        sigmas = [config.sigma]
-    if pairs is None:
-        pairs = [(config.n1, config.n2)]
     rows = []
-    for (n1, n2), sigma, alpha in itertools.product(pairs, sigmas, alphas):
-        cfg = dataclasses.replace(
-            config, alpha=float(alpha), sigma=float(sigma), n1=int(n1), n2=int(n2)
-        )
+    for alpha in alphas:
+        cfg = dataclasses.replace(config, alpha=float(alpha))
         psi = run_gate(q, cfg)
         target = ideal_target_state(q, cfg)
         d_tr = trace_distance(density(psi), density(target))

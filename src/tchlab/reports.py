@@ -18,6 +18,8 @@ def format_float(value) -> str:
 
 
 def format_cell(value) -> str:
+    if isinstance(value, float):  # includes np.float64
+        return format_float(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -37,8 +39,7 @@ def write_csv(path, header, rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerows([format_cell(v) for v in row] for row in rows)
     return path
 
 

@@ -70,27 +70,26 @@ def free_hamiltonian(n: int, mass: float) -> np.ndarray:
 @dataclass
 class CouplingNetwork:
     """Cavity-chain realization of a one-photon Hamiltonian: per-cavity
-    energies plus hop links (q, p, amplitude, phase) for q < p."""
+    energies plus a hop table of records (q, p, amplitude, phase), q < p."""
 
     n: int
     diagonal: np.ndarray
-    hops: list[tuple[int, int, float, float]]
+    hops: np.recarray
 
     def to_matrix(self) -> np.ndarray:
+        q, p = self.hops.q, self.hops.p
         m = np.diag(self.diagonal.astype(complex))
-        for q, p, r, phi in self.hops:
-            m[q, p] = r * np.exp(1j * phi)
-            m[p, q] = np.conj(m[q, p])
+        m[q, p] = self.hops.amplitude * np.exp(1j * self.hops.phase)
+        m[p, q] = np.conj(m[q, p])
         return m
 
     def distance_profile(self) -> list[tuple[int, int, float, float]]:
         """Per-separation aggregates (distance, count, mean amplitude,
         mean phase) over all hops."""
-        q, p, r, phi = np.array(self.hops, dtype=float).reshape(-1, 4).T
-        separation = (p - q).astype(np.intp)
+        separation = self.hops.p - self.hops.q
         counts = np.bincount(separation)
-        r_sums = np.bincount(separation, weights=r)
-        phi_sums = np.bincount(separation, weights=phi)
+        r_sums = np.bincount(separation, weights=self.hops.amplitude)
+        phi_sums = np.bincount(separation, weights=self.hops.phase)
         return [
             (int(d), int(counts[d]), float(r_sums[d] / counts[d]), float(phi_sums[d] / counts[d]))
             for d in np.flatnonzero(counts)
@@ -109,7 +108,7 @@ def coupling_network(h: np.ndarray, tol: float = 1e-12) -> CouplingNetwork:
     keep = np.abs(h[q, p]) > tol
     q, p = q[keep], p[keep]
     links = h[q, p]
-    hops = list(zip(q.tolist(), p.tolist(), np.abs(links).tolist(), np.angle(links).tolist()))
+    hops = np.rec.fromarrays([q, p, np.abs(links), np.angle(links)], names="q,p,amplitude,phase")
     return CouplingNetwork(n=n, diagonal=np.real(np.diag(h)).copy(), hops=hops)
 
 

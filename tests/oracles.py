@@ -15,11 +15,13 @@ grid on the whole sector.
 
 The walk references build the free Hamiltonian as the dense product
 F diag(E) F^H and propagate it by diagonalization (``dense_walk``); the
-loop references (``distance_profile_loop``, ``resonance_table_loop``) are
-the per-element forms the vectorized production code replaced."""
+loop references (``distance_profile_loop``, ``resonance_table_loop``,
+``walk_rows_loop``, ``write_csv_loop``) are the per-element forms the
+vectorized production code replaced."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 
@@ -28,6 +30,7 @@ import scipy.linalg
 
 from tchlab.basis import BasisState, HilbertSpace, NetworkConfig
 from tchlab.operators import build_tc, photon_number_operator, pulse_value
+from tchlab.reports import format_cell
 from tchlab.walk import momentum_operator, momentum_values, qft_matrix
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -225,6 +228,31 @@ def distance_profile_loop(hops):
         phis = [phi for _, phi in buckets[d]]
         out.append((d, len(rs), float(np.mean(rs)), float(np.mean(phis))))
     return out
+
+
+def walk_rows_loop(result):
+    """The walk CSV rows cell by cell: (time, cavity, position, re, im, abs)
+    tuples for the amplitudes and for the kernel, time-major."""
+    amp_rows = []
+    kernel_rows = []
+    for i, t in enumerate(result.times):
+        for q in range(result.config.n_cavities):
+            a = result.amplitudes[i, q]
+            k = result.kernel[i, q]
+            x = result.positions[q]
+            amp_rows.append((t, q, x, a.real, a.imag, abs(a)))
+            kernel_rows.append((t, q, x, k.real, k.imag, abs(k)))
+    return amp_rows, kernel_rows
+
+
+def write_csv_loop(path, header, rows):
+    """The CSV writer one row at a time, each cell through format_cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+    return path
 
 
 def resonance_table_loop(n_max: int, top=None):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import tchlab
-from tchlab import GateConfig, sweep, uniform_superposition
+from oracles import walk_rows_loop, write_csv_loop
+from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superposition
 from tchlab.cli import main
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
@@ -100,6 +101,13 @@ def test_gate_coarse_step_exits_with_drift_code(tmp_path, capsys):
     assert "drift" in capsys.readouterr().err.lower()
 
 
+def test_gate_default_step_follows_strong_pulses(tmp_path):
+    # at three area-rule amplitudes the default step shrinks enough for the
+    # carried |00> branch to stay inside the drift tolerance
+    assert main(["gate", "--out-dir", str(tmp_path), "--input", "00",
+                 "--alpha-scales", "3"]) == 0
+
+
 def test_walk_outputs_and_headers(walk_dir):
     header, rows = _read_csv(walk_dir / "walk_amplitude.csv")
     assert header == ["time", "cavity", "position", "re_amplitude",
@@ -127,6 +135,28 @@ def test_walk_runs_are_byte_identical(walk_dir, tmp_path):
     for name in ("walk_amplitude.csv", "kernel.csv", "network.csv",
                  "walk_summary.json"):
         assert (walk_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+WALK_CSV_CASES = [
+    (n, origin, mass)
+    for n in (8, 128)
+    for origin, mass in ((None, 1.0), (n // 8 + 1, 1.0), (None, 2.5))
+]
+
+
+@pytest.mark.parametrize("n, origin, mass", WALK_CSV_CASES)
+def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass):
+    args = ["walk", "--out-dir", str(tmp_path), "--n-cavities", str(n), "--mass", str(mass)]
+    if origin is not None:
+        args += ["--origin", str(origin)]
+    assert main(args) == 0
+    result = simulate_walk(WalkConfig(n_cavities=n, mass=mass, origin=origin))
+    amp_rows, kernel_rows = walk_rows_loop(result)
+    for name, values, rows in (("walk_amplitude.csv", "amplitude", amp_rows),
+                               ("kernel.csv", "kernel", kernel_rows)):
+        header = ("time", "cavity", "position", f"re_{values}", f"im_{values}", f"abs_{values}")
+        reference = write_csv_loop(tmp_path / f"loop_{name}", header, rows)
+        assert (tmp_path / name).read_bytes() == reference.read_bytes()
 
 
 def test_walk_rejects_odd_cavity_counts(tmp_path, capsys):

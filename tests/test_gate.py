@@ -316,9 +316,11 @@ def test_drift_guard_watches_the_carried_state():
     a0 = FAST_CONFIG.resolved_alpha
     for scale in (1.5, 3.0):
         run_gate(uniform_superposition(), dataclasses.replace(FAST_CONFIG, alpha=scale * a0))
-    # |00> does carry a drifting component at three quarter-cycles
+    # |00> does carry a drifting component at three quarter-cycles when the
+    # step is not shrunk for the strong pulse
+    coarse = dataclasses.replace(FAST_CONFIG, alpha=3.0 * a0, dt=FAST_CONFIG.sigma / 50.0)
     with pytest.raises(NumericalDriftError):
-        run_gate(basis_vector("00"), dataclasses.replace(FAST_CONFIG, alpha=3.0 * a0))
+        run_gate(basis_vector("00"), coarse)
 
 
 def test_sweep_grid_and_thread_determinism():

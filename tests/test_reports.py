@@ -1,13 +1,19 @@
+import csv
 import math
 import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tchlab.reports import format_cell, write_json
+from tchlab.reports import format_cell, write_csv, write_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# np.float64 is a float subclass; the writer must format it like a float
+cells = st.one_of(st.integers(), finite, finite.map(np.float64))
 
 
 def _bits(x: float) -> bytes:
@@ -33,6 +39,31 @@ def test_complex_cells_round_trip_bit_for_bit(re, im):
     parsed = complex(format_cell(complex(re, im)))
     assert _bits(parsed.real) == _bits(re)
     assert _bits(parsed.imag) == _bits(im)
+
+
+@given(st.lists(st.lists(cells, min_size=1, max_size=6), max_size=20))
+@example([[0, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308]])
+@example([[np.float64(-0.0), -7, 1.7976931348623157e308]])
+@example([])
+def test_csv_file_round_trips_every_cell(rows):
+    header = ["a", "b"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp) / "table.csv", header, rows)
+        data = path.read_bytes()
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(fh))
+    assert parsed[0] == header
+    assert len(parsed) == len(rows) + 1
+    for row, cells_back in zip(rows, parsed[1:]):
+        assert len(cells_back) == len(row)
+        for value, cell in zip(row, cells_back):
+            if isinstance(value, int):
+                assert int(cell) == value
+            else:
+                assert _bits(float(cell)) == _bits(value)
+    # every line, the header included, ends in \r\n and no bare \n appears
+    assert data.endswith(b"\r\n")
+    assert data.count(b"\n") == data.count(b"\r\n") == len(rows) + 1
 
 
 def test_integer_and_flag_cells_are_plain():

@@ -59,13 +59,25 @@ def test_odd_ring_breaks_the_commutation():
     assert np.max(np.abs(p @ h - h @ p)) > 1e-2
 
 
+def _random_network_matrix(n, seed):
+    # Hermitian with a band of exact zeros, so some separations carry no hop
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 3] = 0.0
+    return h + h.conj().T
+
+
 def test_coupling_network_round_trip():
-    h = free_hamiltonian(16, 0.7)
-    net = coupling_network(h)
-    assert np.max(np.abs(net.to_matrix() - h)) < 1e-12
-    assert all(q < p for q, p, _, _ in net.hops)
-    profile = net.distance_profile()
-    assert [d for d, _, _, _ in profile] == sorted({p - q for q, p, _, _ in net.hops})
+    # a ring, a random network with missing links, and one without hops
+    for h in (free_hamiltonian(16, 0.7), _random_network_matrix(12, 0), np.eye(5)):
+        net = coupling_network(h)
+        assert isinstance(net.hops, np.recarray)
+        assert net.hops.dtype.names == ("q", "p", "amplitude", "phase")
+        assert np.max(np.abs(net.to_matrix() - h)) < 1e-12
+        assert all(q < p for q, p, _, _ in net.hops)
+        profile = net.distance_profile()
+        assert [d for d, _, _, _ in profile] == sorted({p - q for q, p, _, _ in net.hops})
+        assert sum(count for _, count, _, _ in profile) == len(net.hops)
     with pytest.raises(ValueError):
         coupling_network(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
@@ -75,14 +87,6 @@ def test_coupling_network_round_trip():
 def test_free_hamiltonian_matches_dense_fourier_product(n, mass):
     h = free_hamiltonian(n, mass)
     assert np.max(np.abs(h - dense_free_hamiltonian(n, mass))) < 1e-10
-
-
-def _random_network_matrix(n, seed):
-    # Hermitian with a band of exact zeros, so some separations carry no hop
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 3] = 0.0
-    return h + h.conj().T
 
 
 @pytest.mark.parametrize(
