@@ -77,16 +77,13 @@ from .walk import (
     WalkConfig,
     WalkResult,
     ballistic_exponent,
-    cavity_basis_index,
     coupling_network,
-    embed_in_space,
     feynman_kernel,
     free_hamiltonian,
     momentum_operator,
     momentum_values,
     qft_matrix,
     simulate_walk,
-    walk_space,
 )
 
 __version__ = "0.1.0"

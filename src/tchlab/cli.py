@@ -59,23 +59,6 @@ def _float_list(text: str) -> list[float]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted and validated, but has no effect: every command runs serially",
-    )
-
-
-def _validate_threads(args) -> None:
-    """The thread settings select nothing; a malformed TCHLAB_THREADS stays a usage error."""
-    env = os.environ.get("TCHLAB_THREADS", "").strip()
-    if args.threads is None and env:
-        try:
-            int(env)
-        except ValueError:
-            print(f"TCHLAB_THREADS is not an integer: {env!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE) from None
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +82,6 @@ def cmd_gate(args) -> int:
         q = np.zeros(4, dtype=complex)
         q[BASIS_LABELS.index(args.input)] = 1.0
 
-    _validate_threads(args)
     rows = sweep(config, alphas, q=q)
     sweep_path = write_csv(
         os.path.join(args.out_dir, "gate_sweep.csv"),
@@ -199,7 +181,7 @@ def cmd_walk(args) -> int:
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
         ("separation", "n_links", "mean_amplitude", "mean_phase"),
-        result.network.distance_profile(),
+        result.network_profile,
     )
 
     n = config.n_cavities
@@ -227,7 +209,7 @@ def cmd_walk(args) -> int:
         "norm_drift": result.norm_drift,
         "reflection_residual": reflection_residual,
         "kernel_overlap_final": kernel_overlap,
-        "n_links": len(result.network.hops),
+        "n_links": sum(count for _, count, _, _ in result.network_profile),
         "files": {
             "amplitude": os.path.basename(amp_path),
             "kernel": os.path.basename(kernel_path),

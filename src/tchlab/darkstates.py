@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisState, HilbertSpace, NetworkConfig
-from .evolution import NumericalDriftError, _lossy_propagation
+from .evolution import NumericalDriftError, _lossy_propagation, _top_gain
 from .operators import OperatorMatrix, build_tc, photon_number_operator
 
 
@@ -267,8 +267,7 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         - 0.5j * kappa * photon_number_operator(space, 0).matrix
     )
 
-    gain = (h_eff - h_eff.conj().T) / 2j
-    if float(np.max(np.linalg.eigvalsh(gain))) > 1e-12 * max(1.0, kappa):
+    if _top_gain(h_eff) > 1e-12 * max(1.0, kappa):
         raise ValueError("effective generator has a growing direction")
 
     amps = np.zeros(space.dim, dtype=complex)

@@ -203,9 +203,8 @@ def evolve_decay(
     if t < 0.0:
         raise ValueError("decay evolution requires t >= 0")
     m = h_eff.matrix
-    gain = (m - m.conj().T) / 2j
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    top = float(np.max(np.linalg.eigvalsh(gain)))
+    top = _top_gain(m)
     if top > 1e-10 * scale:
         raise ValueError(
             f"anti-Hermitian part has a growing direction (max eigenvalue {top:.3e})"
@@ -219,6 +218,16 @@ def evolve_decay(
             f"squared norm grew by {norm_out - norm_in:.3e} under a lossy generator"
         )
     return StateVector(psi.space, amps)
+
+
+def _top_gain(m: np.ndarray) -> float:
+    """Largest eigenvalue of the anti-Hermitian part (m - m^H) / 2i, the
+    fastest rate at which m can grow a norm.  When that part has no nonzero
+    off-diagonal entry its eigenvalues are its diagonal, read directly."""
+    gain = (m - m.conj().T) / 2j
+    if np.count_nonzero(gain) == np.count_nonzero(gain.diagonal()):
+        return float(np.max(gain.diagonal().real))
+    return float(np.max(np.linalg.eigvalsh(gain)))
 
 
 # horizon * (next residual norm) at which the reachable basis counts as closed

@@ -4,9 +4,12 @@ Positions are the N cavity labels mapped to x_q = q / sqrt(N), so the ring
 spans [0, sqrt(N)).  The discrete Fourier transform defines a momentum
 operator with the exact spectrum sqrt(N) (a/N - 1/2) for a = 0..N-1, and the
 free Hamiltonian is that momentum squared over twice the mass, diagonal in
-the same Fourier basis: it is circulant, and the walk runs on FFTs.  Reading
-its matrix elements row by row yields the hop amplitudes and phases a
-physical cavity chain would need in order to realize the particle.
+the same Fourier basis: it is circulant, and the walk runs on FFTs.  Its
+matrix elements are the hop amplitudes and phases a physical cavity chain
+would need in order to realize the particle.  Being circulant, the matrix is
+fixed by its first row c = ifft(band energies): every hop at separation d has
+the value c[d], and the walk reads its distance profile from c alone, with
+exact row values as the per-separation means.
 
 The momentum operator follows the half-shift-conjugated Fourier form
 A^-1 F D F^-1 A with A = diag(e^{i pi a}).  For even N that conjugation is a
@@ -21,9 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .basis import BasisState, HilbertSpace, NetworkConfig
-from .operators import OperatorMatrix
 
 
 def qft_matrix(n: int) -> np.ndarray:
@@ -131,37 +131,6 @@ def feynman_kernel(x, t: float, mass: float, amplitude: float = 1.0, hbar: float
     return amplitude * t ** -0.5 * np.exp(1j * mass * x**2 / (hbar * t))
 
 
-def walk_space(n: int) -> HilbertSpace:
-    """One photon on n atomless cavities."""
-    cfg = NetworkConfig(
-        n_cavities=n,
-        atoms_per_cavity=(0,) * n,
-        couplings=(),
-        max_photons=1,
-        omega=1.0,
-    )
-    return HilbertSpace(cfg, sector=1)
-
-
-def cavity_basis_index(space: HilbertSpace, q: int) -> int:
-    """Basis index of the state with the photon in cavity q."""
-    photons = [0] * space.config.n_cavities
-    photons[q] = 1
-    return space.index_of(BasisState(tuple(photons), ()))
-
-
-def embed_in_space(space: HilbertSpace, matrix: np.ndarray) -> OperatorMatrix:
-    """Re-index a cavity-ordered one-photon matrix into a sector space."""
-    n = space.config.n_cavities
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (n, n) or space.dim != n:
-        raise ValueError("matrix shape must match the one-photon sector")
-    perm = [cavity_basis_index(space, q) for q in range(n)]
-    out = np.zeros_like(matrix)
-    out[np.ix_(perm, perm)] = matrix
-    return OperatorMatrix(space, out)
-
-
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk run parameters.  ``t_max = None`` picks mass/4, early enough
@@ -209,7 +178,8 @@ class WalkResult:
     momentum_populations: np.ndarray  # (n_times, N) magnitudes
     momentum_drift: float
     norm_drift: float
-    network: CouplingNetwork = field(repr=False)
+    # (separation, n_links, amplitude, phase) per hop distance of the ring
+    network_profile: list[tuple[int, int, float, float]] = field(repr=False)
 
 
 def simulate_walk(config: WalkConfig) -> WalkResult:
@@ -230,8 +200,9 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
     # H = F diag(E) F^H with F[q, a] = exp(-2 pi i q a / n) / sqrt(n), so the
     # photon leaving the origin is F exp(-i E t) F^H e_origin: one FFT per time
     a = np.arange(n)
+    energies = _band_energies(n, m)
     launch = np.exp(2j * np.pi * (a * origin % n) / n)
-    phases = np.exp(-1j * np.outer(times, _band_energies(n, m)))
+    phases = np.exp(-1j * np.outer(times, energies))
     amplitudes = np.fft.fft(phases * launch, axis=1) / n
     # the momentum eigenvectors are the columns of A^-1 F, A = diag((-1)^a)
     populations = math.sqrt(n) * np.abs(np.fft.ifft((-1.0) ** a * amplitudes, axis=1))
@@ -253,6 +224,15 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
                 positions - x0, t, 2.0 * math.pi**2 * m
             )
 
+    # the n - d hops at separation d all equal the first-row entry c[d];
+    # separations are kept under coupling_network's default tolerance
+    row = np.fft.ifft(energies)
+    sep = np.flatnonzero(np.abs(row[1:]) > 1e-12) + 1
+    links = row[sep]
+    profile = list(zip(
+        sep.tolist(), (n - sep).tolist(), np.abs(links).tolist(), np.angle(links).tolist()
+    ))
+
     return WalkResult(
         config=config,
         times=times,
@@ -263,7 +243,7 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
         momentum_populations=populations,
         momentum_drift=momentum_drift,
         norm_drift=norm_drift,
-        network=coupling_network(free_hamiltonian(n, m)),
+        network_profile=profile,
     )
 
 

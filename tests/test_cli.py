@@ -71,21 +71,6 @@ def test_gate_csv_round_trips_floats_exactly(gate_dir):
             assert float(cell) == float(value)
 
 
-def test_gate_thread_count_does_not_change_rows(gate_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("TCHLAB_THREADS", "2")
-    assert main(["gate", "--out-dir", str(tmp_path), *GATE_ARGS]) == 0
-    serial = (gate_dir / "gate_sweep.csv").read_bytes()
-    threaded = (tmp_path / "gate_sweep.csv").read_bytes()
-    assert serial == threaded
-
-
-def test_gate_rejects_malformed_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("TCHLAB_THREADS", "two")
-    with pytest.raises(SystemExit) as exc:
-        main(["gate", "--out-dir", str(tmp_path), *GATE_ARGS])
-    assert exc.value.code == 2
-
-
 def test_gate_basis_input_label(tmp_path):
     args = ["gate", "--out-dir", str(tmp_path), "--alpha-scales", "1.0",
             "--input", "01"]

@@ -23,6 +23,7 @@ from tchlab import (
     photon_number_operator,
     rabi_periods,
 )
+from tchlab.evolution import _top_gain
 
 
 def jc_space(g=1e-3, omega=1.0, sector=1):
@@ -172,6 +173,21 @@ def test_decay_route_exponential_and_guards():
         evolve_decay(gaining, psi, 1.0)
     with pytest.raises(ValueError):
         evolve_decay(h_eff, psi, -1.0)
+
+
+def test_decay_rejects_gain_hidden_off_the_diagonal():
+    # anti-Hermitian part [[-0.1, 0.5], [0.5, -0.1]]: a lossy-looking diagonal,
+    # but eigenvalues 0.4 and -0.6, so one direction grows
+    space = two_cavity_space()
+    gaining = OperatorMatrix(space, 1j * np.array([[-0.1, 0.5], [0.5, -0.1]]))
+    assert abs(_top_gain(gaining.matrix) - 0.4) < 1e-12
+    psi = StateVector(space, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="growing direction"):
+        evolve_decay(gaining, psi, 1.0)
+    # the same diagonal with no coupling is read off the diagonal and passes
+    lossy = OperatorMatrix(space, np.diag([-0.1j, -0.1j]))
+    assert _top_gain(lossy.matrix) == -0.1
+    assert abs(evolve_decay(lossy, psi, 1.0).norm() ** 2 - math.exp(-0.2)) < 1e-12
 
 
 def test_decay_matches_the_dense_exponential_on_both_bases():

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 from oracles import dense_free_hamiltonian, dense_walk, distance_profile_loop
 
+import tchlab.walk
 from tchlab import (
+    BasisState,
     HilbertSpace,
     HopSpec,
     NetworkConfig,
     WalkConfig,
     ballistic_exponent,
     build_tch,
-    cavity_basis_index,
     coupling_network,
-    embed_in_space,
     feynman_kernel,
     free_hamiltonian,
     momentum_operator,
     momentum_values,
     qft_matrix,
     simulate_walk,
-    walk_space,
 )
 
 
@@ -120,15 +119,38 @@ def test_network_realized_as_cavity_hamiltonian():
     )
     space = HilbertSpace(cfg, sector=1)
     assert space.dim == n
-    assert walk_space(n).dim == n
     hops = [HopSpec(q, p, amplitude=r, phase=phi) for q, p, r, phi in net.hops]
     produced = build_tch(space, hops).matrix
-    embedded = embed_in_space(space, h).matrix
+    # basis index of the photon in each cavity, to reorder h into the sector
+    perm = [space.index_of(BasisState(tuple(int(c == q) for c in range(n)), ()))
+            for q in range(n)]
+    embedded = np.zeros_like(h)
+    embedded[np.ix_(perm, perm)] = h
     assert np.max(np.abs(produced - embedded)) < 1e-12
-    # basis order maps cavities through cavity_basis_index
-    for q in range(n):
-        idx = cavity_basis_index(space, q)
-        assert space.states[idx].photons[q] == 1
+
+
+@pytest.mark.parametrize("n", [8, 64, 128, 1024])
+@pytest.mark.parametrize("mass", [1.0, 0.3, 2.5])
+def test_walk_profile_matches_the_dense_network_read(n, mass):
+    # read from the circulant's first row, against the N x N matrix's hop table
+    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=2)).network_profile
+    net = coupling_network(free_hamiltonian(n, mass))
+    reference = net.distance_profile()
+    assert [row[:2] for row in profile] == [row[:2] for row in reference]
+    assert sum(count for _, count, _, _ in profile) == len(net.hops)
+    for (_, _, r, phi), (_, _, r_ref, phi_ref) in zip(profile, reference):
+        assert abs(r - r_ref) < 1e-9
+        assert abs(phi - phi_ref) < 1e-9
+
+
+def test_walk_builds_no_dense_network(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_walk must not build the N x N network")
+
+    monkeypatch.setattr(tchlab.walk, "coupling_network", refuse)
+    monkeypatch.setattr(tchlab.walk, "free_hamiltonian", refuse)
+    result = simulate_walk(WalkConfig(n_cavities=64, n_times=3))
+    assert [row[0] for row in result.network_profile] == list(range(1, 64))
 
 
 def test_walk_config_defaults_and_validation():
