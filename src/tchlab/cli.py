@@ -14,6 +14,7 @@ samples without spread, for which the z-score is written as null).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -40,7 +41,7 @@ from .gate import (
     sweep,
     uniform_superposition,
 )
-from .reports import format_float, write_csv, write_json
+from .reports import format_column, format_float, write_csv, write_json
 from .walk import WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
@@ -143,18 +144,20 @@ def _kernel_band(n: int, origin: int, t: float, mass: float) -> np.ndarray:
 
 
 def _grid_rows(result, values: np.ndarray):
-    """Rows (time, cavity, position, re, im, abs) of a (time x cavity) grid,
-    time-major.  hypot gives the modulus bit for bit as the scalar abs()."""
-    n_times, n = values.shape
-    v = values.ravel()
-    return zip(
-        np.repeat(result.times, n).tolist(),
-        np.tile(np.arange(n), n_times).tolist(),
-        np.tile(result.positions, n_times).tolist(),
-        v.real.tolist(),
-        v.imag.tolist(),
-        np.hypot(v.real, v.imag).tolist(),
-    )
+    """Rows (time, cavity, position, re, im, abs) of a (time x cavity) grid
+    as str cells, time-major, one time sample at a time.  Each value is
+    formatted once; hypot gives the modulus bit for bit as the scalar abs()."""
+    cavities = [str(q) for q in range(values.shape[1])]
+    positions = format_column(result.positions)
+    for t, row in zip(format_column(result.times), values):
+        yield from zip(
+            itertools.repeat(t),
+            cavities,
+            positions,
+            format_column(row.real),
+            format_column(row.imag),
+            format_column(np.hypot(row.real, row.imag)),
+        )
 
 
 def cmd_walk(args) -> int:

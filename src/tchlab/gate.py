@@ -168,6 +168,8 @@ class GateConfig:
             raise ValueError("resonance counters must be positive integers")
         if self.max_photons < 2:
             raise ValueError("the register needs max_photons >= 2")
+        if self.dt is not None and not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError("integrator step dt must be a positive finite number")
         if self.sigma > self.tau1 / 10.0:
             warnings.warn(
                 "pulse sigma is not small against the Rabi period; "

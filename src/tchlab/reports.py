@@ -1,11 +1,14 @@
 """Serialization helpers for experiment outputs.
 
-CSV cells carry 17 significant digits so doubles round-trip exactly; JSON
-summaries are sorted, restricted to plain types and finite."""
+CSV cells carry 17 significant digits so doubles round-trip exactly.  CSV
+rows are streamed: each row is joined with ``,`` and ended with ``\r\n`` as
+it arrives, so a table is never held whole in memory.  No cell is quoted; a
+str cell that would need quoting (``,``, ``"``, ``\r`` or ``\n``) is refused
+with ValueError and no file is left behind.  JSON summaries are sorted,
+restricted to plain types and finite."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -15,6 +18,11 @@ import numpy as np
 def format_float(value) -> str:
     """Render a double with enough digits to reproduce it bit for bit."""
     return format(float(value), ".17g")
+
+
+def format_column(values) -> list[str]:
+    """``format_float`` of every element of a float array, as a list."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
 def format_cell(value) -> str:
@@ -33,13 +41,30 @@ def format_cell(value) -> str:
     return format_float(value)
 
 
+def _csv_line(row) -> str:
+    try:  # rows of preformatted str cells join without a per-cell step
+        line = ",".join(row)
+    except TypeError:
+        line = ",".join([format_cell(v) for v in row])
+    if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+        raise ValueError(f"CSV cell needs quoting, which the writer does not do: {row!r}")
+    return line + "\r\n"
+
+
 def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows``, consumed once by iteration.  str
+    cells are written as given, every other cell through ``format_cell``.  On
+    any failure the partial file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        writer.writerows([format_cell(v) for v in row] for row in rows)
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(_csv_line(tuple(header)))
+            fh.writelines(_csv_line(row) for row in rows)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -12,7 +12,8 @@ import pytest
 import tchlab
 from oracles import walk_rows_loop, write_csv_loop
 from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superposition
-from tchlab.cli import main
+from tchlab.cli import _light_reference, build_parser, main
+from tchlab.darkstates import DecayConfig, emission_density, singlet_product
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
 
@@ -86,6 +87,16 @@ def test_gate_coarse_step_exits_with_drift_code(tmp_path, capsys):
     assert "drift" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.01", "inf", "nan"])
+def test_gate_rejects_a_step_that_is_not_positive_and_finite(tmp_path, capsys, dt):
+    args = ["gate", "--out-dir", str(tmp_path), "--alpha-scales", "1.0", "--dt", dt]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "dt must be a positive finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gate_sweep.csv").exists()
+
+
 def test_gate_default_step_follows_strong_pulses(tmp_path):
     # at three area-rule amplitudes the default step shrinks enough for the
     # carried |00> branch to stay inside the drift tolerance
@@ -126,7 +137,7 @@ WALK_CSV_CASES = [
     (n, origin, mass)
     for n in (8, 128)
     for origin, mass in ((None, 1.0), (n // 8 + 1, 1.0), (None, 2.5))
-]
+] + [(1024, 700, 1.0)]  # the benchmark's walk-ring shape
 
 
 @pytest.mark.parametrize("n, origin, mass", WALK_CSV_CASES)
@@ -142,6 +153,24 @@ def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass):
         header = ("time", "cavity", "position", f"re_{values}", f"im_{values}", f"abs_{values}")
         reference = write_csv_loop(tmp_path / f"loop_{name}", header, rows)
         assert (tmp_path / name).read_bytes() == reference.read_bytes()
+
+
+def test_gate_and_dark_csvs_match_the_row_at_a_time_writer(dark_dir, tmp_path):
+    assert main(["gate", "--out-dir", str(tmp_path)]) == 0
+    config = GateConfig()
+    scales = build_parser().parse_args(["gate"]).alpha_scales
+    rows = sweep(config, [s * config.resolved_alpha for s in scales], q=uniform_superposition())
+    reference = write_csv_loop(tmp_path / "loop_gate_sweep.csv",
+                               ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"), rows)
+    assert (tmp_path / "gate_sweep.csv").read_bytes() == reference.read_bytes()
+
+    decay = DecayConfig(couplings=(1e-3, 1e-3))
+    dark = emission_density(singlet_product([(0, 1)]), decay)
+    light = emission_density(_light_reference(2), decay)
+    rows = zip(dark.times, dark.density, light.density, dark.survival, light.survival)
+    reference = write_csv_loop(tmp_path / "loop_emission_density.csv",
+                               ("time", "p_dark", "p_light", "s_dark", "s_light"), rows)
+    assert (dark_dir / "emission_density.csv").read_bytes() == reference.read_bytes()
 
 
 def test_walk_rejects_odd_cavity_counts(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tchlab import (
     BasisState,
@@ -24,6 +26,8 @@ from tchlab import (
     rabi_periods,
 )
 from tchlab.evolution import _top_gain
+
+from strategies import networks
 
 
 def jc_space(g=1e-3, omega=1.0, sector=1):
@@ -232,3 +236,14 @@ def test_state_vector_validation():
         EvolutionSettings(dt=0.0)
     with pytest.raises(ValueError):
         EvolutionSettings(dt=0.1, norm_tolerance=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
+def test_const_evolution_preserves_the_norm(network, t, seed):
+    space, hops = network
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi = StateVector(space, amps / np.linalg.norm(amps))
+    out = evolve_const(build_tch(space, hops), psi, t)
+    assert abs(out.norm() - 1.0) < 1e-12

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tchlab import (
@@ -40,6 +42,7 @@ from tchlab import (
 from tchlab.gate import (
     BASIS_LABELS,
     FreeSegment,
+    _exchange_propagator,
     branch_phase,
     cocsign_alt_matrix,
     ideal_cocsign_alt,
@@ -321,6 +324,24 @@ def test_drift_guard_watches_the_carried_state():
     coarse = dataclasses.replace(FAST_CONFIG, alpha=3.0 * a0, dt=FAST_CONFIG.sigma / 50.0)
     with pytest.raises(NumericalDriftError):
         run_gate(basis_vector("00"), coarse)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.25, 6.0), st.floats(0.2, 1.0))
+@example(1.0, FAST_CONFIG.sigma)
+def test_exchange_propagator_is_unitary_within_its_step_error(scale, sigma):
+    # RK4 is not unitary: for U = V + E with V unitary, |U^H U - 1| <= 2|E| + |E|^2,
+    # and |E| is about |U - U_fine| with a quarter step (4th order: E_fine ~ E / 256).
+    # Measured |U^H U - 1|_2: 9.5e-9 at the default gate and at most 5.8e-7 over
+    # this range (sigma = 1 at twice the area rule), 5-10% of the step bound.
+    area_rule = dataclasses.replace(FAST_CONFIG, sigma=sigma).resolved_alpha
+    cfg = dataclasses.replace(FAST_CONFIG, sigma=sigma, alpha=scale * area_rule)
+    ev = cocsign_schedule(cfg).events[0]  # the aux<->x link
+    u = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt)
+    u_fine = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt / 4.0)
+    defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
+    assert defect <= 2.02 * np.linalg.norm(u - u_fine, 2) + 1e-13
+    assert defect <= (1.5e-8 if (scale, sigma) == (1.0, FAST_CONFIG.sigma) else 1e-6)
 
 
 def test_sweep_grid_and_thread_determinism():

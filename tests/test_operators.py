@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tchlab import (
     BasisState,
@@ -21,6 +22,7 @@ from tchlab import (
 )
 
 import oracles
+from strategies import networks
 
 ORACLE_TOL = 1e-12
 
@@ -200,3 +202,24 @@ def test_coupling_strength_profile():
         coupling_strength(1.0, 0.0, 0.3, 0.5, 1.0)
     with pytest.raises(ValueError):
         coupling_strength(1.0, 1.0, 0.3, 2.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks())
+def test_builders_match_oracle_on_random_networks(network):
+    space, hops = network
+    cfg = space.config
+    full = sum((oracles.full_tc(cfg, c) for c in range(cfg.n_cavities)),
+               np.zeros_like(oracles.full_tc(cfg, 0)))
+    for cavity in range(cfg.n_cavities):
+        expected = oracles.project_to_sector(oracles.full_tc(cfg, cavity), space)
+        assert np.max(np.abs(build_tc(space, cavity).matrix - expected)) < ORACLE_TOL
+        expected = oracles.project_to_sector(oracles.full_photon_number(cfg, cavity), space)
+        assert np.max(np.abs(photon_number_operator(space, cavity).matrix - expected)) < ORACLE_TOL
+    for hop in hops:
+        hop_full = oracles.full_hop(cfg, hop.i, hop.j, hop.amplitude, hop.phase)
+        expected = oracles.project_to_sector(hop_full, space)
+        assert np.max(np.abs(jump_operator(space, hop).matrix - expected)) < ORACLE_TOL
+        full = full + hop_full
+    expected = oracles.project_to_sector(full, space)
+    assert np.max(np.abs(build_tch(space, hops).matrix - expected)) < ORACLE_TOL

@@ -79,3 +79,27 @@ def test_json_rejects_non_finite_floats_before_writing(tmp_path, value):
     with pytest.raises(ValueError):
         write_json(path, {"ok": 1.0, "nested": [{"bad": value}]})
     assert not path.exists()
+
+
+def test_csv_writer_consumes_a_one_pass_generator(tmp_path):
+    rows = ((i, i / 4.0) for i in range(3))
+    path = write_csv(tmp_path / "gen.csv", ("i", "x"), rows)
+    assert path.read_bytes() == b"i,x\r\n0,0\r\n1,0.25\r\n2,0.5\r\n"
+    assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+@pytest.mark.parametrize("where", ["header", "first row", "later row"])
+def test_csv_cell_that_needs_quoting_is_refused_without_a_file(tmp_path, char, where):
+    good, bad = (1, 2.0), ("x", f"y{char}z")
+    header = ("a", "b")
+    if where == "header":
+        header, rows = ("a", f"b{char}c"), [good]
+    elif where == "first row":
+        rows = [bad]
+    else:  # enough rows before it that some already reached the disk
+        rows = [good] * 5000 + [bad]
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(path, header, rows)
+    assert not path.exists()

@@ -1,11 +1,16 @@
 """The benchmark tracer wraps tchlab functions by name; every name it lists
-must still exist, or traced benchmark runs crash instead of a test failing."""
+must still exist, or traced benchmark runs crash instead of a test failing.
+Its CSV hook counts rows as the writer iterates them, so the writer must
+consume ``rows`` through the object it is handed."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from tchlab import WalkConfig, reports, simulate_walk
+from tchlab.cli import _grid_rows
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -17,7 +22,8 @@ def _load_tracer():
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TRACER = _load_tracer()
+TARGETS = TRACER.TARGETS
 
 
 @pytest.mark.parametrize(
@@ -30,3 +36,17 @@ def test_every_tracer_target_resolves(module_name, attr):
     assert callable(owner)
     if module_name.startswith("tchlab"):
         assert owner.__module__ == module_name
+
+
+def test_traced_csv_writer_counts_rows_and_bytes(tmp_path):
+    # the tracer swaps ``rows`` for a one-pass counter and reads the file
+    # size after the call; the writer must consume rows through it
+    tracer = TRACER.Tracer("contract")
+    write_csv = tracer.wrap("reports.write_csv", reports.write_csv, TRACER._csv_rows)
+    result = simulate_walk(WalkConfig(n_cavities=16, n_times=3))
+    header = ("time", "cavity", "position", "re", "im", "abs")
+    path = write_csv(tmp_path / "walk.csv", header, _grid_rows(result, result.amplitudes))
+    metrics = TRACER.layer_metrics(tracer.spans)
+    assert metrics["reports.write_csv.calls"] == 1
+    assert metrics["reports.rows"] == 3 * 16 == path.read_bytes().count(b"\r\n") - 1
+    assert metrics["reports.bytes_written"] == path.stat().st_size
