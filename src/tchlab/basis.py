@@ -12,6 +12,7 @@ photon numbers first (cavity 0, 1, ...), then atom bits (flat, cavity-major).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -49,16 +50,16 @@ class NetworkConfig:
             raise ValueError("atom counts must be non-negative")
         if self.max_photons < 1:
             raise ValueError("max_photons must be at least 1")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         if self.couplings is None:
             object.__setattr__(self, "couplings", (1.0,) * self.n_atoms)
         else:
             object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
         if len(self.couplings) != self.n_atoms:
             raise ValueError("couplings length must equal the total atom count")
-        if any(g <= 0.0 for g in self.couplings):
-            raise ValueError("couplings must be positive")
+        if not all(0.0 < g < math.inf for g in self.couplings):
+            raise ValueError("couplings must be positive and finite")
 
     @property
     def n_atoms(self) -> int:

@@ -41,7 +41,7 @@ from .gate import (
     sweep,
     uniform_superposition,
 )
-from .reports import format_column, format_float, write_csv, write_json
+from .reports import format_column, write_csv, write_json
 from .walk import WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def cmd_gate(args) -> int:
     sweep_path = write_csv(
         os.path.join(args.out_dir, "gate_sweep.csv"),
         ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"),
-        rows,
+        zip(*map(format_column, zip(*rows))),
     )
 
     phases = {}
@@ -184,7 +184,7 @@ def cmd_walk(args) -> int:
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
         ("separation", "n_links", "mean_amplitude", "mean_phase"),
-        result.network_profile,
+        zip(*map(format_column, zip(*result.network_profile))),
     )
 
     n = config.n_cavities
@@ -256,7 +256,7 @@ def cmd_dark(args) -> int:
         write_csv(
             os.path.join(args.out_dir, "emission_density.csv"),
             ("time", "density", "survival"),
-            zip(report.times, report.density, report.survival),
+            zip(*map(format_column, (report.times, report.density, report.survival))),
         )
         write_json(
             os.path.join(args.out_dir, "dark_summary.json"),
@@ -278,18 +278,6 @@ def cmd_dark(args) -> int:
     dark_report = emission_density(dark_state, config)
     light_report = emission_density(light_state, config)
 
-    write_csv(
-        os.path.join(args.out_dir, "emission_density.csv"),
-        ("time", "p_dark", "p_light", "s_dark", "s_light"),
-        zip(
-            dark_report.times,
-            dark_report.density,
-            light_report.density,
-            dark_report.survival,
-            light_report.survival,
-        ),
-    )
-
     rng = np.random.default_rng(args.seed)
     truth_report = dark_report if args.truth == "dark" else light_report
     samples = sample_emission_times(truth_report, args.n_trials, rng=rng)
@@ -306,6 +294,17 @@ def cmd_dark(args) -> int:
     z_score = result.z_score if math.isfinite(result.z_score) else None
     dark_check = is_dark(dark_state, couplings)
     light_check = is_dark(light_state, couplings)
+    write_csv(
+        os.path.join(args.out_dir, "emission_density.csv"),
+        ("time", "p_dark", "p_light", "s_dark", "s_light"),
+        zip(*map(format_column, (
+            dark_report.times,
+            dark_report.density,
+            light_report.density,
+            dark_report.survival,
+            light_report.survival,
+        ))),
+    )
     write_json(
         os.path.join(args.out_dir, "classify.json"),
         {
@@ -366,14 +365,17 @@ def cmd_dark(args) -> int:
 def cmd_resonance(args) -> int:
     rows = resonance_table(args.n_max, top=args.top)
     tau1, tau2 = rabi_periods(args.g)
+    table = [
+        {"n1": n1, "n2": n2, "residual": residual, "hold_duration": 2.0 * n2 * tau2}
+        for n1, n2, residual in rows
+    ]
     print(f"{'n1':>5} {'n2':>5} {'residual':>24} {'hold_duration':>24}")
-    table = []
-    for n1, n2, residual in rows:
-        duration = 2.0 * n2 * tau2
-        print(f"{n1:>5} {n2:>5} {format_float(residual):>24} {format_float(duration):>24}")
-        table.append(
-            {"n1": n1, "n2": n2, "residual": residual, "hold_duration": duration}
-        )
+    for row, residual, duration in zip(
+        table,
+        format_column([row["residual"] for row in table]),
+        format_column([row["hold_duration"] for row in table]),
+    ):
+        print(f"{row['n1']:>5} {row['n2']:>5} {residual:>24} {duration:>24}")
     summary = {
         "command": "resonance",
         "g": args.g,

@@ -174,12 +174,12 @@ class DecayConfig:
     t_max: float | None = None
 
     def __post_init__(self):
-        if self.kappa is not None and self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+        if self.kappa is not None and not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if self.n_times < 3:
             raise ValueError("need at least three time samples")
-        if self.t_max is not None and self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
 
     @property

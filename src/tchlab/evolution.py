@@ -66,10 +66,10 @@ class EvolutionSettings:
     norm_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.norm_tolerance <= 0.0:
-            raise ValueError("norm_tolerance must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 < self.norm_tolerance < math.inf:
+            raise ValueError("norm_tolerance must be positive and finite")
 
 
 def _check_same_space(op: OperatorMatrix, psi: StateVector) -> None:
@@ -80,8 +80,8 @@ def _check_same_space(op: OperatorMatrix, psi: StateVector) -> None:
 def rabi_periods(g: float, hbar: float = 1.0) -> tuple[float, float]:
     """Full vacuum-Rabi period pi*hbar/g of the one-excitation doublet and
     the sqrt(2)-shortened period of the two-excitation doublet."""
-    if g <= 0.0:
-        raise ValueError("coupling g must be positive")
+    if not 0.0 < g < math.inf:
+        raise ValueError("coupling g must be positive and finite")
     tau1 = math.pi * hbar / g
     return tau1, tau1 / math.sqrt(2.0)
 

@@ -153,22 +153,19 @@ class GateConfig:
     n1: int = 4
     n2: int = 6
     omega: float = 1.0
-    max_photons: int = 2
     dt: float | None = None
     norm_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError("coupling g must be positive")
-        if self.sigma <= 0.0:
-            raise ValueError("pulse sigma must be positive")
-        if self.alpha is not None and self.alpha < 0.0:
-            raise ValueError("pulse amplitude must be non-negative")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError("coupling g must be positive and finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("pulse sigma must be positive and finite")
+        if self.alpha is not None and not 0.0 <= self.alpha < math.inf:
+            raise ValueError("pulse amplitude alpha must be non-negative and finite")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("resonance counters must be positive integers")
-        if self.max_photons < 2:
-            raise ValueError("the register needs max_photons >= 2")
-        if self.dt is not None and not (self.dt > 0.0 and math.isfinite(self.dt)):
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValueError("integrator step dt must be a positive finite number")
         if self.sigma > self.tau1 / 10.0:
             warnings.warn(
@@ -207,7 +204,7 @@ class GateConfig:
             n_cavities=3,
             atoms_per_cavity=(1, 1, 1),
             couplings=(self.g, self.g, self.g),
-            max_photons=self.max_photons,
+            max_photons=2,  # the two-excitation sector holds at most two photons per cavity
             omega=self.omega,
         )
 

@@ -1,11 +1,14 @@
 """Serialization helpers for experiment outputs.
 
-CSV cells carry 17 significant digits so doubles round-trip exactly.  CSV
-rows are streamed: each row is joined with ``,`` and ended with ``\r\n`` as
-it arrives, so a table is never held whole in memory.  No cell is quoted; a
-str cell that would need quoting (``,``, ``"``, ``\r`` or ``\n``) is refused
-with ValueError and no file is left behind.  JSON summaries are sorted,
-restricted to plain types and finite."""
+Numbers reach a CSV file through one formatter, ``format_column``, which
+gives every element of a column 17 significant digits, so doubles round-trip
+exactly and integers below 2**53 print the digits of ``str``.  ``write_csv``
+takes str cells only; any other cell is a programming error and raises
+TypeError.  CSV rows are streamed: each row is joined with ``,`` and ended
+with ``\r\n`` as it arrives, so a table is never held whole in memory.  No
+cell is quoted; a cell that would need quoting (``,``, ``"``, ``\r`` or
+``\n``) is refused with ValueError.  On either refusal no file is left
+behind.  JSON summaries are sorted, restricted to plain types and finite."""
 
 from __future__ import annotations
 
@@ -15,46 +18,25 @@ from pathlib import Path
 import numpy as np
 
 
-def format_float(value) -> str:
-    """Render a double with enough digits to reproduce it bit for bit."""
-    return format(float(value), ".17g")
-
-
 def format_column(values) -> list[str]:
-    """``format_float`` of every element of a float array, as a list."""
+    """Every element of a numeric column with 17 significant digits, as a
+    list of str: bit-exact for doubles, the digits of ``str`` for integers
+    below 2**53."""
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
-def format_cell(value) -> str:
-    if isinstance(value, float):  # includes np.float64
-        return format_float(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        imag = format_float(c.imag)  # carries its own sign, including -0
-        return f"{format_float(c.real)}{'' if imag.startswith('-') else '+'}{imag}j"
-    return format_float(value)
-
-
 def _csv_line(row) -> str:
-    try:  # rows of preformatted str cells join without a per-cell step
-        line = ",".join(row)
-    except TypeError:
-        line = ",".join([format_cell(v) for v in row])
+    line = ",".join(row)
     if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
         raise ValueError(f"CSV cell needs quoting, which the writer does not do: {row!r}")
     return line + "\r\n"
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write ``header`` and then ``rows``, consumed once by iteration.  str
-    cells are written as given, every other cell through ``format_cell``.  On
-    any failure the partial file is removed."""
+    """Write ``header`` and then ``rows``, consumed once by iteration.  Every
+    cell must be a str (numbers go through ``format_column`` first); any
+    other cell raises TypeError.  On any failure the partial file is
+    removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", newline="")

@@ -147,12 +147,12 @@ class WalkConfig:
             raise ValueError("need at least two cavities")
         if self.n_cavities % 2:
             raise ValueError("need an even number of cavities (momentum must commute with H)")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
         if self.origin is not None and not 0 <= self.origin < self.n_cavities:
             raise ValueError("origin cavity out of range")
-        if self.t_max is not None and self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if self.n_times < 2:
             raise ValueError("need at least two time samples")
 

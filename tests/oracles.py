@@ -30,7 +30,6 @@ import scipy.linalg
 
 from tchlab.basis import BasisState, HilbertSpace, NetworkConfig
 from tchlab.operators import build_tc, photon_number_operator, pulse_value
-from tchlab.reports import format_cell
 from tchlab.walk import momentum_operator, momentum_values, qft_matrix
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -246,12 +245,17 @@ def walk_rows_loop(result):
 
 
 def write_csv_loop(path, header, rows):
-    """The CSV writer one row at a time, each cell through format_cell."""
+    """The CSV writer one row at a time through the csv module, formatting
+    each cell itself: integers with ``str``, everything else as a double
+    with 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+            writer.writerow([
+                str(v) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+                for v in row
+            ])
     return path
 
 

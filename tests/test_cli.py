@@ -153,6 +153,10 @@ def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass):
         header = ("time", "cavity", "position", f"re_{values}", f"im_{values}", f"abs_{values}")
         reference = write_csv_loop(tmp_path / f"loop_{name}", header, rows)
         assert (tmp_path / name).read_bytes() == reference.read_bytes()
+    reference = write_csv_loop(tmp_path / "loop_network.csv",
+                               ("separation", "n_links", "mean_amplitude", "mean_phase"),
+                               result.network_profile)
+    assert (tmp_path / "network.csv").read_bytes() == reference.read_bytes()
 
 
 def test_gate_and_dark_csvs_match_the_row_at_a_time_writer(dark_dir, tmp_path):
@@ -171,6 +175,43 @@ def test_gate_and_dark_csvs_match_the_row_at_a_time_writer(dark_dir, tmp_path):
     reference = write_csv_loop(tmp_path / "loop_emission_density.csv",
                                ("time", "p_dark", "p_light", "s_dark", "s_light"), rows)
     assert (dark_dir / "emission_density.csv").read_bytes() == reference.read_bytes()
+
+    assert main(["dark", "--out-dir", str(tmp_path / "bare"), "--atoms", "0"]) == 0
+    bare = emission_density(np.array([1.0 + 0.0j]), DecayConfig(couplings=()))
+    reference = write_csv_loop(tmp_path / "loop_bare.csv", ("time", "density", "survival"),
+                               zip(bare.times, bare.density, bare.survival))
+    assert (tmp_path / "bare" / "emission_density.csv").read_bytes() == reference.read_bytes()
+
+
+NON_FINITE_CASES = [
+    (["gate", "--alpha-scales", "inf"], "alpha"),
+    (["gate", "--sigma", "nan"], "sigma"),
+    (["gate", "--g", "nan"], "coupling g"),
+    (["gate", "--omega", "nan"], "omega"),
+    (["walk", "--mass", "inf"], "mass"),
+    (["walk", "--t-max", "inf"], "t_max"),
+    (["dark", "--kappa", "inf"], "kappa"),
+    (["dark", "--t-max", "nan"], "t_max"),
+    (["dark", "--omega", "nan"], "omega"),
+    (["resonance", "--g", "inf"], "coupling g"),
+]
+
+
+@pytest.mark.parametrize("args, name", NON_FINITE_CASES,
+                         ids=[" ".join(args) for args, _ in NON_FINITE_CASES])
+def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args, name):
+    assert main([*args, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be" in err and "finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["--n-trials", "0"], ["--detector-error", "nan"],
+                                  ["--detector-error", "2"]], ids=" ".join)
+def test_dark_writes_nothing_when_classification_fails(tmp_path, args):
+    assert main(["dark", "--out-dir", str(tmp_path), *args]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_walk_rejects_odd_cavity_counts(tmp_path, capsys):

@@ -238,6 +238,14 @@ def test_state_vector_validation():
         EvolutionSettings(dt=0.1, norm_tolerance=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"dt": math.nan}, {"dt": math.inf}, {"dt": 0.1, "norm_tolerance": math.nan}]
+)
+def test_settings_refuse_non_finite_values(kwargs):
+    with pytest.raises(ValueError, match="positive and finite"):
+        EvolutionSettings(**kwargs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(networks(), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
 def test_const_evolution_preserves_the_norm(network, t, seed):

@@ -163,8 +163,6 @@ def test_gate_config_validation():
         GateConfig(n1=0)
     with pytest.raises(ValueError):
         GateConfig(alpha=-1.0)
-    with pytest.raises(ValueError):
-        GateConfig(max_photons=1)
     with pytest.warns(UserWarning):
         GateConfig(g=1e-2, sigma=40.0)
 
