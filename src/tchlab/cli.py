@@ -52,9 +52,12 @@ EXIT_INCONCLUSIVE = 4
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

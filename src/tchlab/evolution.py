@@ -8,7 +8,12 @@ Three propagation routes, shared across the experiments:
 - ``evolve_pulsed``: Hermitian static part plus Gaussian-windowed hop pulses,
   integrated as a propagator with a classic fixed-step fourth-order one-step
   scheme (three generator evaluations per step: start, midpoint twice, end),
-  then applied to the state under a norm-drift check.
+  then applied to the state under a norm-drift check.  On a linear equation
+  each step is one matrix R = I + h/6 (K1 + 2 K2 + 2 K3 + K4), so the steps
+  are taken in blocks of at most ``_STEP_BLOCK``: every R of a block is
+  formed at once from stacked generators, and the block's R's are multiplied
+  in pairs into one product.  Memory is bounded by the block, whatever the
+  step.
 - ``evolve_decay``: non-Hermitian effective generator whose shrinking norm is
   the observable, never renormalized.  It shares one lossy propagator with
   ``darkstates.emission_density``: an orthonormal basis of the subspace the
@@ -132,6 +137,10 @@ def evolve_pulsed(
     return apply_propagator(u, psi, settings.norm_tolerance)
 
 
+# steps formed and multiplied together at once; bounds the step arrays for any dt
+_STEP_BLOCK = 256
+
+
 def pulsed_propagator(
     h0: OperatorMatrix,
     pulses,
@@ -142,31 +151,50 @@ def pulsed_propagator(
     """Propagator of i dU/dt = (H0 + sum_k nu_k(t) J_k) U from U = 1 over
     [t_start, t_end], in equal fourth-order steps no longer than dt.  A column
     no state carries may drift more than any carried state, so the drift
-    check belongs to ``apply_propagator``."""
+    check belongs to ``apply_propagator``.
+
+    The steps run in blocks of at most ``_STEP_BLOCK``.  For each block the
+    generators -i H(t) at every step's start, midpoint and end are stacked
+    (envelopes evaluated as arrays), every step matrix R comes from three
+    stacked matrix products, and the R's are multiplied in adjacent pairs
+    into the block product, which then left-multiplies the running U.  This
+    is the step-by-step scheme up to rounding; no array holds more than one
+    block of steps, for any dt."""
     n_steps = max(1, math.ceil((t_end - t_start) / dt))
-    dt = (t_end - t_start) / n_steps
-    base = h0.matrix
+    h = (t_end - t_start) / n_steps
+    eye = np.eye(h0.matrix.shape[0], dtype=complex)
+    base = -1j * h0.matrix
+    terms = [(-1j * op.matrix, pulse) for op, pulse in pulses]
 
-    def generator(t: float) -> np.ndarray:
-        h = base
-        for op, pulse in pulses:
-            v = pulse_value(pulse, t)
-            if v != 0.0:
-                h = h + v * op.matrix
-        return h
+    def generators(times: np.ndarray) -> np.ndarray:
+        """-i H(t) at each of the times, stacked."""
+        g = np.broadcast_to(base, (len(times),) + base.shape)
+        for term, pulse in terms:
+            g = g + pulse_value(pulse, times)[:, None, None] * term
+        return g
 
-    y = np.eye(base.shape[0], dtype=complex)
-    for step in range(n_steps):
-        t = t_start + step * dt
-        h_a = generator(t)
-        h_m = generator(t + 0.5 * dt)
-        h_b = generator(t + dt)
-        k1 = -1j * (h_a @ y)
-        k2 = -1j * (h_m @ (y + 0.5 * dt * k1))
-        k3 = -1j * (h_m @ (y + 0.5 * dt * k2))
-        k4 = -1j * (h_b @ (y + dt * k3))
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    u = eye
+    for first in range(0, n_steps, _STEP_BLOCK):
+        t = t_start + np.arange(first, min(first + _STEP_BLOCK, n_steps)) * h
+        # the step's end is t + h, not the next start: at a truncation edge
+        # the envelope jumps, so the two times must round as stepping does
+        a, m, b = generators(t), generators(t + 0.5 * h), generators(t + h)
+        # each step maps y to R y with R = I + h/6 (a + 2 K2 + 2 K3 + K4)
+        k2 = m @ (eye + 0.5 * h * a)
+        k3 = m @ (eye + 0.5 * h * k2)
+        k4 = b @ (eye + h * k3)
+        u = _ordered_product(eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4)) @ u
+    return u
+
+
+def _ordered_product(r: np.ndarray) -> np.ndarray:
+    """r[n-1] @ ... @ r[1] @ r[0] for a stack of n matrices, multiplied in
+    adjacent pairs level by level; an odd last matrix waits a level."""
+    while len(r) > 1:
+        n = len(r)
+        pairs = r[1::2] @ r[0 : n - 1 : 2]
+        r = np.concatenate([pairs, r[n - 1 :]]) if n % 2 else pairs
+    return r[0]
 
 
 def apply_propagator(u: np.ndarray, psi: StateVector, norm_tolerance: float) -> StateVector:

@@ -112,12 +112,24 @@ def ideal_cocsign_alt(q) -> np.ndarray:
 def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, float]]:
     """All (n1, n2) pairs up to n_max ranked by the timing mismatch
     |2 n2 / sqrt(2) - 2 n1 - 1/2|, in units of the one-excitation period.
-    Ties prefer smaller n2, then smaller n1."""
+    Ties prefer smaller n2, then smaller n1.  ``top`` keeps the first rows.
+
+    For a given n2 the mismatch grows with the distance of n1 from
+    n2 / sqrt(2) - 1/4, so only the ``top`` values of n1 nearest to it can
+    rank; with ``top`` given, just a window of 2 top + 1 of them per n2 is
+    ranked, O(n_max top) pairs instead of n_max^2."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if top is not None and top < 0:
         raise ValueError("top must be non-negative")
-    n1, n2 = np.indices((n_max, n_max)).reshape(2, -1) + 1
+    if top is None:
+        n1, n2 = np.indices((n_max, n_max)).reshape(2, -1) + 1
+    else:
+        width = min(2 * top + 1, n_max)
+        n2 = np.arange(1, n_max + 1)[:, None]
+        nearest = np.rint(n2 / math.sqrt(2.0) - 0.25).astype(np.int64)
+        n1 = np.clip(nearest - top, 1, n_max - width + 1) + np.arange(width)
+        n1, n2 = n1.ravel(), np.broadcast_to(n2, n1.shape).ravel()
     residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
     order = np.lexsort((n1, n2, residual))[:top]
     return list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))
@@ -127,8 +139,8 @@ def find_resonance(g: float, n_max: int) -> tuple[int, int, float]:
     """Best (n1, n2, residual) with both counters <= n_max.  The residual is
     in units of the one-excitation Rabi period, so it does not depend on g;
     g is validated because the pair is meaningless without a coupling."""
-    if g <= 0.0:
-        raise ValueError("coupling g must be positive")
+    if not 0.0 < g < math.inf:
+        raise ValueError("coupling g must be positive and finite")
     n1, n2, residual = resonance_table(n_max, top=1)[0]
     return n1, n2, residual
 
@@ -167,6 +179,8 @@ class GateConfig:
             raise ValueError("resonance counters must be positive integers")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValueError("integrator step dt must be a positive finite number")
+        if not 0.0 < self.norm_tolerance < math.inf:
+            raise ValueError("norm_tolerance must be positive and finite")
         if self.sigma > self.tau1 / 10.0:
             warnings.warn(
                 "pulse sigma is not small against the Rabi period; "
@@ -316,12 +330,42 @@ def decode(psi: StateVector) -> np.ndarray:
 def _exchange_propagator(network: NetworkConfig, ev: ExchangeSegment, dt: float) -> np.ndarray:
     """Propagator of one exchange segment on the register sector, shared
     (read-only) by every run and both exchanges of a link that agree on
-    network, pulse and step."""
+    network, pulse and step.
+
+    The aux<->y link is the aux<->x link seen through the x<->y swap of
+    basis labels, so it is read from that link's propagator by permuting
+    rows and columns rather than integrated again.  That needs the x and y
+    cavities to hold equal atoms with equal couplings; ValueError if not."""
     space = HilbertSpace(network, sector=2)
-    jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    u = pulsed_propagator(build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt)
+    if {ev.cavity_a, ev.cavity_b} == {AUX_CAVITY, Y_CAVITY}:
+        swap = _xy_swap(space)
+        x_link = dataclasses.replace(ev, cavity_a=AUX_CAVITY, cavity_b=X_CAVITY)
+        u = _exchange_propagator(network, x_link, dt)[np.ix_(swap, swap)]
+    else:
+        jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+        u = pulsed_propagator(build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt)
     u.flags.writeable = False
     return u
+
+
+def _xy_swap(space: HilbertSpace) -> np.ndarray:
+    """Index of each basis state's image under the exchange of the x and y
+    cavities with their atoms; ValueError when the network is not symmetric
+    under that exchange."""
+    cfg = space.config
+    x_atoms, y_atoms = cfg.atom_range(X_CAVITY), cfg.atom_range(Y_CAVITY)
+    if [cfg.couplings[j] for j in x_atoms] != [cfg.couplings[j] for j in y_atoms]:
+        raise ValueError("the x and y cavities need equal atoms and couplings to mirror a link")
+    atom_swap = list(range(cfg.n_atoms))
+    atom_swap[x_atoms.start : x_atoms.stop] = y_atoms
+    atom_swap[y_atoms.start : y_atoms.stop] = x_atoms
+    image = []
+    for state in space.states:
+        photons = list(state.photons)
+        photons[X_CAVITY], photons[Y_CAVITY] = photons[Y_CAVITY], photons[X_CAVITY]
+        bits = tuple(state.atom_bits[j] for j in atom_swap)
+        image.append(space.index_of(BasisState(tuple(photons), bits)))
+    return np.array(image)
 
 
 def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:

@@ -87,12 +87,13 @@ class GaussianPulse:
             raise ValueError("pulse cutoff must be positive")
 
 
-def pulse_value(pulse: GaussianPulse, t: float) -> float:
-    """Envelope value at time t (zero outside the truncation window)."""
-    dt = t - pulse.center
-    if abs(dt) > pulse.cutoff * pulse.sigma:
-        return 0.0
-    return pulse.amplitude * math.exp(-0.5 * (dt / pulse.sigma) ** 2)
+def pulse_value(pulse: GaussianPulse, t):
+    """Envelope value at time t, or at every time of an array t (zero
+    outside the truncation window)."""
+    offset = np.asarray(t, dtype=float) - pulse.center
+    inside = np.abs(offset) <= pulse.cutoff * pulse.sigma
+    values = np.where(inside, pulse.amplitude * np.exp(-0.5 * (offset / pulse.sigma) ** 2), 0.0)
+    return values[()]  # a scalar time gives a scalar
 
 
 def amplitude_for_area(area: float, sigma: float) -> float:

@@ -54,8 +54,8 @@ def momentum_operator(n: int) -> np.ndarray:
 
 def _band_energies(n: int, mass: float) -> np.ndarray:
     """p^2 / 2m over the momentum spectrum, in Fourier order."""
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
+    if not 0.0 < mass < math.inf:
+        raise ValueError("mass must be positive and finite")
     return momentum_values(n) ** 2 / (2.0 * mass)
 
 
@@ -123,10 +123,10 @@ def feynman_kernel(x, t: float, mass: float, amplitude: float = 1.0, hbar: float
     ``mass = 2 pi^2 m`` in this parametrization, times an exact alternating
     sign from centering the momentum band; ``simulate_walk`` stores that
     matched form."""
-    if t <= 0.0:
-        raise ValueError("the kernel is defined for t > 0 only")
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("the kernel is defined for positive finite t only")
+    if not 0.0 < mass < math.inf:
+        raise ValueError("mass must be positive and finite")
     x = np.asarray(x, dtype=float)
     return amplitude * t ** -0.5 * np.exp(1j * mass * x**2 / (hbar * t))
 

@@ -8,6 +8,8 @@ align row order, so elementwise agreement is a real check.
 
 ``rk4_pulsed_state`` is the reference for the pulsed route: it steps one
 state vector directly instead of integrating a propagator and applying it.
+``rk4_propagator_loop`` steps the propagator one step at a time, the
+reference for the block product that ``evolution.pulsed_propagator`` takes.
 
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
@@ -166,6 +168,36 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
 
     norm_out = float(np.vdot(y, y).real)
     return y, abs(norm_out - norm_in)
+
+
+def rk4_propagator_loop(h0, pulses, t_start, t_end, dt):
+    """The propagator of the same fourth-order scheme, stepped one step at a
+    time on the identity: the sequential form of the block product in
+    ``evolution.pulsed_propagator``."""
+    n_steps = max(1, math.ceil((t_end - t_start) / dt))
+    dt = (t_end - t_start) / n_steps
+    base = h0.matrix
+
+    def generator(t: float) -> np.ndarray:
+        h = base
+        for op, pulse in pulses:
+            v = pulse_value(pulse, t)
+            if v != 0.0:
+                h = h + v * op.matrix
+        return h
+
+    y = np.eye(base.shape[0], dtype=complex)
+    for step in range(n_steps):
+        t = t_start + step * dt
+        h_a = generator(t)
+        h_m = generator(t + 0.5 * dt)
+        h_b = generator(t + dt)
+        k1 = -1j * (h_a @ y)
+        k2 = -1j * (h_m @ (y + 0.5 * dt * k1))
+        k3 = -1j * (h_m @ (y + 0.5 * dt * k2))
+        k4 = -1j * (h_b @ (y + dt * k3))
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def dense_free_hamiltonian(n: int, mass: float) -> np.ndarray:

@@ -349,6 +349,16 @@ def test_bad_float_list_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("scales", ["", " ", ","])
+def test_empty_alpha_scales_is_a_usage_error(tmp_path, capsys, scales):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--out-dir", str(out), "--alpha-scales", scales])
+    assert exc.value.code == 2
+    assert "--alpha-scales" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_is_created(tmp_path):
     nested = tmp_path / "a" / "b"
     assert main(["resonance", "--out-dir", str(nested), "--n-max", "10"]) == 0

@@ -25,8 +25,10 @@ from tchlab import (
     photon_number_operator,
     rabi_periods,
 )
-from tchlab.evolution import _top_gain
+import tchlab.evolution
+from tchlab.evolution import _STEP_BLOCK, _top_gain, pulsed_propagator
 
+import oracles
 from strategies import networks
 
 
@@ -126,6 +128,55 @@ def test_pulsed_integrator_is_fourth_order():
     err_coarse = np.linalg.norm(run(600) - ref)
     err_fine = np.linalg.norm(run(1200) - ref)
     assert 12.0 < err_coarse / err_fine < 20.0
+
+
+def _register_terms():
+    """A two-excitation sector of three cavities with one static hop and two
+    pulsed hop terms, one of them complex."""
+    cfg = NetworkConfig(
+        n_cavities=3, atoms_per_cavity=(1, 1, 1), couplings=(0.3, 0.5, 0.4), max_photons=2
+    )
+    space = HilbertSpace(cfg, 2)
+    h0 = build_tch(space, [HopSpec(0, 1, amplitude=0.2, phase=0.3)])
+    j1 = jump_operator(space, HopSpec(0, 2, amplitude=1.0))
+    j2 = jump_operator(space, HopSpec(1, 2, amplitude=1.0, phase=0.7))
+    return h0, j1, j2
+
+
+# (t_start, pulses as (jump index, center, sigma, cutoff) with the center and
+# sigma in units of the interval): the interval starts at t_start and lasts
+# n_steps steps of 0.01
+BLOCK_CASES = {
+    "one pulse filling the interval": (0.0, [(0, 0.5, 1 / 12, 6.0)]),
+    "two pulses with different windows": (0.0, [(0, 0.5, 1 / 12, 6.0), (1, 0.3, 0.05, 4.0)]),
+    "window ending inside, late start": (1.5, [(1, 0.2, 0.1, 3.0)]),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("n_steps", [1, 601, 3 * _STEP_BLOCK + 1])
+def test_block_product_matches_the_step_loop(monkeypatch, n_steps, case):
+    t_start, shapes = BLOCK_CASES[case]
+    span = 0.01 * n_steps
+    h0, *jumps = _register_terms()
+    pulses = [
+        (jumps[k], GaussianPulse(amplitude=1.25, center=t_start + c * span,
+                                 sigma=s * span, cutoff=cut))
+        for k, c, s, cut in shapes
+    ]
+    dt = span / (n_steps - 0.5)  # n_steps equal steps, away from a rounding edge
+    blocks = []
+    ordered_product = tchlab.evolution._ordered_product
+
+    def recording(r):
+        blocks.append(len(r))
+        return ordered_product(r)
+
+    monkeypatch.setattr(tchlab.evolution, "_ordered_product", recording)
+    u = pulsed_propagator(h0, pulses, t_start, t_start + span, dt)
+    reference = oracles.rk4_propagator_loop(h0, pulses, t_start, t_start + span, dt)
+    assert np.max(np.abs(u - reference)) < 1e-12
+    assert sum(blocks) == n_steps and max(blocks) <= _STEP_BLOCK
 
 
 def test_zero_amplitude_pulse_matches_const_route():

@@ -10,6 +10,7 @@ import oracles
 from tchlab import (
     GateConfig,
     HopSpec,
+    NetworkConfig,
     NumericalDriftError,
     StateVector,
     aligned_modular_distance,
@@ -39,8 +40,11 @@ from tchlab import (
     transfer_window_check,
     uniform_superposition,
 )
+from tchlab.evolution import pulsed_propagator
 from tchlab.gate import (
+    AUX_CAVITY,
     BASIS_LABELS,
+    Y_CAVITY,
     FreeSegment,
     _exchange_propagator,
     branch_phase,
@@ -108,10 +112,11 @@ def test_resonance_examples():
 
 
 def test_resonance_table_matches_tuple_sort():
-    for n_max in [*range(1, 61), 200]:
-        for top in (None, 0, 1, 3, 50):
-            expected = oracles.resonance_table_loop(n_max, top)
-            assert resonance_table(n_max, top) == expected, (n_max, top)
+    for n_max in range(1, 201):
+        expected = oracles.resonance_table_loop(n_max)
+        assert resonance_table(n_max) == expected, n_max
+        for top in (0, 1, 2, 3, 5, 10, 50):
+            assert resonance_table(n_max, top) == expected[:top], (n_max, top)
 
 
 def test_resonance_table_at_benchmark_size():
@@ -133,6 +138,12 @@ def test_resonance_validation():
     assert resonance_table(5, top=0) == []
     with pytest.raises(ValueError):
         find_resonance(0.0, 10)
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf])
+def test_find_resonance_refuses_a_non_finite_coupling(g):
+    with pytest.raises(ValueError, match="positive and finite"):
+        find_resonance(g, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +176,13 @@ def test_gate_config_validation():
         GateConfig(alpha=-1.0)
     with pytest.warns(UserWarning):
         GateConfig(g=1e-2, sigma=40.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+def test_gate_config_refuses_a_drift_tolerance_not_positive_and_finite(tolerance):
+    # NaN compares false, so it would switch the drift guard off silently
+    with pytest.raises(ValueError, match="norm_tolerance must be positive and finite"):
+        GateConfig(norm_tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +358,32 @@ def test_exchange_propagator_is_unitary_within_its_step_error(scale, sigma):
     defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
     assert defect <= 2.02 * np.linalg.norm(u - u_fine, 2) + 1e-13
     assert defect <= (1.5e-8 if (scale, sigma) == (1.0, FAST_CONFIG.sigma) else 1e-6)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+def test_mirrored_y_link_matches_direct_integration(scale):
+    cfg = dataclasses.replace(FAST_CONFIG, alpha=scale * FAST_CONFIG.resolved_alpha)
+    ev = cocsign_schedule(cfg).events[2]
+    assert (ev.cavity_a, ev.cavity_b) == (AUX_CAVITY, Y_CAVITY)
+    space = gate_space(cfg)
+    jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+    direct = pulsed_propagator(
+        build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, cfg.resolved_dt
+    )
+    mirrored = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt)
+    assert np.max(np.abs(mirrored - direct)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "atoms, couplings",
+    [((1, 1, 1), (1e-3, 2e-3, 1e-3)), ((1, 2, 1), (1e-3, 1e-3, 1e-3, 1e-3))],
+    ids=["unequal coupling", "unequal atom count"],
+)
+def test_mirror_refuses_an_asymmetric_network(atoms, couplings):
+    network = NetworkConfig(n_cavities=3, atoms_per_cavity=atoms, couplings=couplings)
+    ev = cocsign_schedule(FAST_CONFIG).events[2]
+    with pytest.raises(ValueError, match="equal atoms and couplings"):
+        _exchange_propagator(network, ev, FAST_CONFIG.resolved_dt)
 
 
 def test_sweep_grid_and_thread_determinism():

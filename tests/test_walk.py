@@ -234,6 +234,16 @@ def test_kernel_domain_errors():
         feynman_kernel(np.zeros(3), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_kernel_and_band_refuse_non_finite_values(value):
+    with pytest.raises(ValueError, match="positive finite t"):
+        feynman_kernel(np.zeros(3), value, 1.0)
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        feynman_kernel(np.zeros(3), 1.0, value)
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        free_hamiltonian(8, value)  # the band energies check the mass
+
+
 def test_ballistic_exponent_needs_data():
     with pytest.raises(ValueError):
         ballistic_exponent([0.0], [0.0])
