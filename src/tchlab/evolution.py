@@ -12,8 +12,10 @@ Three propagation routes, shared across the experiments:
   each step is one matrix R = I + h/6 (K1 + 2 K2 + 2 K3 + K4), so the steps
   are taken in blocks of at most ``_STEP_BLOCK``: every R of a block is
   formed at once from stacked generators, and the block's R's are multiplied
-  in pairs into one product.  Memory is bounded by the block, whatever the
-  step.
+  in pairs into one product.  A block keeps about a dozen stacks of d x d
+  matrices, one per step, so it holds fewer steps on sectors wider than 32
+  states: each stack stays within ``_BLOCK_ENTRIES`` complex entries
+  (4 MiB), whatever the step and the sector.
 - ``evolve_decay``: non-Hermitian effective generator whose shrinking norm is
   the observable, never renormalized.  It shares one lossy propagator with
   ``darkstates.emission_density``: an orthonormal basis of the subspace the
@@ -137,8 +139,11 @@ def evolve_pulsed(
     return apply_propagator(u, psi, settings.norm_tolerance)
 
 
-# steps formed and multiplied together at once; bounds the step arrays for any dt
+# steps formed and multiplied together at once: at most _STEP_BLOCK, and on
+# sectors wider than 32 states few enough that one stack of step matrices
+# holds at most _BLOCK_ENTRIES complex entries, for any dt
 _STEP_BLOCK = 256
+_BLOCK_ENTRIES = _STEP_BLOCK * 32 * 32
 
 
 def pulsed_propagator(
@@ -153,16 +158,20 @@ def pulsed_propagator(
     no state carries may drift more than any carried state, so the drift
     check belongs to ``apply_propagator``.
 
-    The steps run in blocks of at most ``_STEP_BLOCK``.  For each block the
-    generators -i H(t) at every step's start, midpoint and end are stacked
-    (envelopes evaluated as arrays), every step matrix R comes from three
-    stacked matrix products, and the R's are multiplied in adjacent pairs
-    into the block product, which then left-multiplies the running U.  This
-    is the step-by-step scheme up to rounding; no array holds more than one
-    block of steps, for any dt."""
+    The steps run in blocks.  For each block the generators -i H(t) at
+    every step's start, midpoint and end are stacked (envelopes evaluated as
+    arrays), every step matrix R comes from three stacked matrix products,
+    and the R's are multiplied in adjacent pairs into the block product,
+    which then left-multiplies the running U.  This is the step-by-step
+    scheme up to rounding.  A block holds about a dozen live stacks of d x d
+    complex matrices, one per step, so it takes at most ``_STEP_BLOCK``
+    steps and at most ``_BLOCK_ENTRIES // d**2``: each stack stays within
+    4 MiB for any dt and any sector dimension d."""
     n_steps = max(1, math.ceil((t_end - t_start) / dt))
     h = (t_end - t_start) / n_steps
-    eye = np.eye(h0.matrix.shape[0], dtype=complex)
+    d = h0.matrix.shape[0]
+    block = max(1, min(_STEP_BLOCK, _BLOCK_ENTRIES // d**2))
+    eye = np.eye(d, dtype=complex)
     base = -1j * h0.matrix
     terms = [(-1j * op.matrix, pulse) for op, pulse in pulses]
 
@@ -174,8 +183,8 @@ def pulsed_propagator(
         return g
 
     u = eye
-    for first in range(0, n_steps, _STEP_BLOCK):
-        t = t_start + np.arange(first, min(first + _STEP_BLOCK, n_steps)) * h
+    for first in range(0, n_steps, block):
+        t = t_start + np.arange(first, min(first + block, n_steps)) * h
         # the step's end is t + h, not the next start: at a truncation edge
         # the envelope jumps, so the two times must round as stepping does
         a, m, b = generators(t), generators(t + 0.5 * h), generators(t + h)

@@ -116,20 +116,18 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
 
     For a given n2 the mismatch grows with the distance of n1 from
     n2 / sqrt(2) - 1/4, so only the ``top`` values of n1 nearest to it can
-    rank; with ``top`` given, just a window of 2 top + 1 of them per n2 is
-    ranked, O(n_max top) pairs instead of n_max^2."""
+    rank: just a window of 2 top + 1 of them per n2 is ranked, O(n_max top)
+    pairs instead of n_max^2.  Without ``top`` the window is all n_max
+    values, which is the full table."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if top is not None and top < 0:
         raise ValueError("top must be non-negative")
-    if top is None:
-        n1, n2 = np.indices((n_max, n_max)).reshape(2, -1) + 1
-    else:
-        width = min(2 * top + 1, n_max)
-        n2 = np.arange(1, n_max + 1)[:, None]
-        nearest = np.rint(n2 / math.sqrt(2.0) - 0.25).astype(np.int64)
-        n1 = np.clip(nearest - top, 1, n_max - width + 1) + np.arange(width)
-        n1, n2 = n1.ravel(), np.broadcast_to(n2, n1.shape).ravel()
+    width = n_max if top is None else min(2 * top + 1, n_max)
+    n2 = np.arange(1, n_max + 1)[:, None]
+    nearest = np.rint(n2 / math.sqrt(2.0) - 0.25).astype(np.int64)
+    n1 = np.clip(nearest - width // 2, 1, n_max - width + 1) + np.arange(width)
+    n1, n2 = n1.ravel(), np.broadcast_to(n2, n1.shape).ravel()
     residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
     order = np.lexsort((n1, n2, residual))[:top]
     return list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))

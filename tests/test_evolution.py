@@ -26,7 +26,7 @@ from tchlab import (
     rabi_periods,
 )
 import tchlab.evolution
-from tchlab.evolution import _STEP_BLOCK, _top_gain, pulsed_propagator
+from tchlab.evolution import _BLOCK_ENTRIES, _STEP_BLOCK, _top_gain, pulsed_propagator
 
 import oracles
 from strategies import networks
@@ -177,6 +177,39 @@ def test_block_product_matches_the_step_loop(monkeypatch, n_steps, case):
     reference = oracles.rk4_propagator_loop(h0, pulses, t_start, t_start + span, dt)
     assert np.max(np.abs(u - reference)) < 1e-12
     assert sum(blocks) == n_steps and max(blocks) <= _STEP_BLOCK
+
+
+def test_wide_sector_takes_shorter_blocks(monkeypatch):
+    """On an 84-state sector a block holds _BLOCK_ENTRIES // 84**2 = 37 steps,
+    so no stack of step matrices outgrows the entry budget."""
+    cfg = NetworkConfig(
+        n_cavities=4, atoms_per_cavity=(1, 1, 1, 1), couplings=(0.3, 0.5, 0.4, 0.2),
+        max_photons=2,
+    )
+    space = HilbertSpace(cfg, 3)
+    h0 = build_tch(space, [HopSpec(0, 1, amplitude=0.2, phase=0.3)])
+    pulses = [
+        (jump_operator(space, HopSpec(1, 2, amplitude=1.0)),
+         GaussianPulse(amplitude=1.25, center=0.6, sigma=0.1)),
+        (jump_operator(space, HopSpec(2, 3, amplitude=1.0, phase=0.7)),
+         GaussianPulse(amplitude=0.8, center=0.4, sigma=0.05, cutoff=4.0)),
+    ]
+    block = _BLOCK_ENTRIES // space.dim**2
+    n_steps = 3 * block + 1
+    dt = 1.2 / (n_steps - 0.5)
+    blocks = []
+    ordered_product = tchlab.evolution._ordered_product
+
+    def recording(r):
+        blocks.append(len(r))
+        return ordered_product(r)
+
+    monkeypatch.setattr(tchlab.evolution, "_ordered_product", recording)
+    u = pulsed_propagator(h0, pulses, 0.0, 1.2, dt)
+    reference = oracles.rk4_propagator_loop(h0, pulses, 0.0, 1.2, dt)
+    assert np.max(np.abs(u - reference)) < 1e-12
+    assert blocks == [block, block, block, 1]
+    assert block * space.dim**2 <= _BLOCK_ENTRIES < _STEP_BLOCK * space.dim**2
 
 
 def test_zero_amplitude_pulse_matches_const_route():
