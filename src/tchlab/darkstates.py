@@ -99,13 +99,13 @@ def collective_lowering(couplings) -> np.ndarray:
     """Matrix of sum_j g_j sigma_j^- on the atomic register."""
     couplings = tuple(float(g) for g in couplings)
     n = len(couplings)
-    dim = 2**n
-    op = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        for j in range(n):
-            bit = 1 << (n - 1 - j)
-            if b & bit:
-                op[b & ~bit, b] += couplings[j]
+    basis = np.arange(2**n)
+    op = np.zeros((2**n, 2**n), dtype=complex)
+    for j, g in enumerate(couplings):
+        bit = 1 << (n - 1 - j)
+        excited = basis[basis & bit != 0]
+        # each (excited ^ bit, excited) entry is distinct and met by one atom
+        op[excited ^ bit, excited] += g
     return op
 
 

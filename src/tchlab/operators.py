@@ -81,6 +81,9 @@ class GaussianPulse:
     cutoff: float = 6.0
 
     def __post_init__(self):
+        for name in ("amplitude", "center", "sigma", "cutoff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pulse {name} must be finite")
         if self.sigma <= 0.0:
             raise ValueError("pulse sigma must be positive")
         if self.cutoff <= 0.0:

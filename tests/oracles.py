@@ -13,7 +13,10 @@ reference for the block product that ``evolution.pulsed_propagator`` takes.
 
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
-grid on the whole sector.
+grid on the whole sector.  ``step_powers_loop`` steps one vector at a time,
+the reference for the doubling that ``evolution._step_powers`` does, and
+``collective_lowering_loop`` fills the collective lowering operator one
+entry at a time.
 
 The walk references build the free Hamiltonian as the dense product
 F diag(E) F^H and propagate it by diagonalization (``dense_walk``); the
@@ -336,3 +339,27 @@ def dense_emission_survival(psi_at, config):
         if i + 1 < len(times):
             amps = step @ amps
     return times, survival
+
+
+def step_powers_loop(step, coef, n_steps):
+    """Rows step^i coef for i = 0..n_steps, one matrix-vector step each."""
+    table = np.empty((n_steps + 1, len(coef)), dtype=complex)
+    table[0] = coef
+    for i in range(n_steps):
+        table[i + 1] = step @ table[i]
+    return table
+
+
+def collective_lowering_loop(couplings):
+    """sum_j g_j sigma_j^- on the atomic register (atom 0 the most
+    significant bit), one basis index and one atom at a time."""
+    couplings = tuple(float(g) for g in couplings)
+    n = len(couplings)
+    dim = 2**n
+    op = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        for j in range(n):
+            bit = 1 << (n - 1 - j)
+            if b & bit:
+                op[b & ~bit, b] += couplings[j]
+    return op

@@ -290,6 +290,32 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
     assert proc.returncode == 0
 
 
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    runs = [
+        [*args, "--out-dir", str(tmp_path / args[0])]
+        for args in (
+            ["dark", "--atoms", "2"],
+            ["walk", "--n-cavities", "32", "--n-times", "5"],
+            ["resonance", "--n-max", "60"],
+            ["gate", "--alpha-scales", "1.0"],
+        )
+    ]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from tchlab.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    code = main(args)\n"
+        "    if code:\n"
+        "        sys.exit(f'{args[0]} exited {code}')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dark_without_atoms_profiles_bare_decay(tmp_path):
     assert main(["dark", "--out-dir", str(tmp_path), "--atoms", "0"]) == 0
     header, rows = _read_csv(tmp_path / "emission_density.csv")

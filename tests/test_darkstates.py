@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_emission_survival
+from oracles import collective_lowering_loop, dense_emission_survival
 
 from tchlab import (
     DecayConfig,
@@ -102,6 +102,13 @@ def test_collective_lowering_matches_definition():
     expected[1] = gs[0]
     expected[2] = gs[1]
     assert np.max(np.abs(out - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("n_atoms", range(9))
+def test_collective_lowering_matches_the_entrywise_loop(n_atoms):
+    couplings = np.random.default_rng(n_atoms).uniform(0.1, 2.0, size=n_atoms)
+    op = collective_lowering(couplings)
+    assert np.array_equal(op, collective_lowering_loop(couplings))
 
 
 def test_is_dark_validates_input():

@@ -26,7 +26,16 @@ from tchlab import (
     rabi_periods,
 )
 import tchlab.evolution
-from tchlab.evolution import _BLOCK_ENTRIES, _STEP_BLOCK, _top_gain, pulsed_propagator
+from oracles import step_powers_loop
+from tchlab.evolution import (
+    _BLOCK_ENTRIES,
+    _STEP_BLOCK,
+    _expm,
+    _step_powers,
+    _top_gain,
+    apply_propagator,
+    pulsed_propagator,
+)
 
 import oracles
 from strategies import networks
@@ -299,6 +308,65 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
             out = evolve_decay(h_eff, psi, t)
             reference = scipy.linalg.expm(-1j * m * t) @ amps
             assert np.max(np.abs(out.amplitudes - reference)) < 1e-10
+
+
+def _generator(d, kind, norm, rng):
+    """-i H for a random Hermitian H, or -i H - L L^H / 2 for a dissipative
+    generator, scaled to the given 1-norm."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = -0.5j * (x + x.conj().T)
+    if kind == "dissipative":
+        y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = a - 0.5 * (y @ y.conj().T)
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 15, 50, 200])
+@pytest.mark.parametrize("kind", ["hermitian", "dissipative"])
+def test_pade_exponential_matches_scipy(d, kind):
+    rng = np.random.default_rng(d)
+    # norms below theta_13 take no squaring; 200 takes six
+    for norm in (1e-3, 0.1, 1.0, 5.0, 5.4, 30.0, 200.0):
+        a = _generator(d, kind, norm, rng)
+        reference = scipy.linalg.expm(a)
+        error = np.linalg.norm(_expm(a) - reference, 1) / np.linalg.norm(reference, 1)
+        assert error < 1e-12
+
+
+def test_pade_exponential_of_zero_is_the_identity():
+    for d in (1, 3, 20):
+        zero = np.zeros((d, d), dtype=complex)
+        assert np.array_equal(_expm(zero), np.eye(d))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pade_exponential_refuses_a_non_finite_block(bad):
+    a = np.zeros((3, 3), dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _expm(a)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 1023, 1024, 1025, 2000])
+def test_doubled_step_powers_match_sequential_stepping(n_steps):
+    rng = np.random.default_rng(n_steps)
+    step = _expm(_generator(6, "dissipative", 0.05, rng))
+    coef = rng.normal(size=6) + 1j * rng.normal(size=6)
+    coef /= np.linalg.norm(coef)
+    table = _step_powers(step, coef, n_steps)
+    assert table.shape == (n_steps + 1, 6)
+    assert np.max(np.abs(table - step_powers_loop(step, coef, n_steps))) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_propagator_fails_the_drift_check():
+    space = two_cavity_space()
+    psi = StateVector(space, np.array([1.0, 0.0], dtype=complex))
+    for bad in (math.nan, math.inf):
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = bad
+        with pytest.raises(NumericalDriftError):
+            apply_propagator(u, psi, 1e-8)
 
 
 def test_equal_dimension_spaces_are_still_different():

@@ -193,6 +193,14 @@ def test_pulse_envelope_and_area():
         amplitude_for_area(1.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["amplitude", "center", "sigma", "cutoff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pulse_refuses_non_finite_fields(field, value):
+    fields = {"amplitude": 1.25, "center": 3.0, "sigma": 0.5, "cutoff": 6.0, field: value}
+    with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
+        GaussianPulse(**fields)
+
+
 def test_coupling_strength_profile():
     g_mid = coupling_strength(omega=1.0, volume=2.0, dipole=0.3, position=0.5, length=1.0)
     assert abs(g_mid - math.sqrt(0.5) * 0.3) < 1e-15
