@@ -5,7 +5,7 @@ states."""
 
 from types import ModuleType as _ModuleType
 
-from .basis import BasisState, HilbertSpace, NetworkConfig, enumerate_basis, state_index
+from .basis import BasisState, HilbertSpace, NetworkConfig, enumerate_basis
 from .darkstates import (
     Classification,
     DarknessReport,

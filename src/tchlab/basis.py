@@ -8,12 +8,21 @@ across sectors by construction.
 
 Basis order is ascending lexicographic on the concatenated occupation tuple,
 photon numbers first (cavity 0, 1, ...), then atom bits (flat, cavity-major).
+
+``HilbertSpace`` holds the map between states and indices: ``occupations``
+lists the basis as rows (photon numbers, then atom bits), and ``rank`` maps
+rows back to indices by the combinatorial number system, one table lookup
+per slot.  A rank stays below the sector dimension where a mixed-radix key
+over many cavities would overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -70,15 +79,6 @@ class NetworkConfig:
         start = sum(self.atoms_per_cavity[:cavity])
         return range(start, start + self.atoms_per_cavity[cavity])
 
-    def atom_cavity(self, atom: int) -> int:
-        """Cavity that flat atom index ``atom`` belongs to."""
-        if not 0 <= atom < self.n_atoms:
-            raise ValueError(f"atom index {atom} out of range")
-        for cavity in range(self.n_cavities):
-            if atom in self.atom_range(cavity):
-                return cavity
-        raise AssertionError("unreachable")
-
     @property
     def max_sector(self) -> int:
         return self.n_cavities * self.max_photons + self.n_atoms
@@ -104,17 +104,21 @@ class BasisState:
         return f"|{ph};{at}>" if self.atom_bits else f"|{ph}>"
 
 
-def _occupations(caps, total):
-    # ascending lexicographic fill of slots with per-slot caps summing to total
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    rest = caps[1:]
-    rest_cap = sum(rest)
-    for v in range(max(0, total - rest_cap), min(caps[0], total) + 1):
-        for tail in _occupations(rest, total - v):
-            yield (v,) + tail
+def _below_table(caps: np.ndarray, sector: int) -> np.ndarray:
+    """``below[i, r, v]``: how many sector states precede a state holding v
+    at slot i with r excitations left for slots i.., among those that agree
+    with it before slot i.  Rows r that no sector state leaves at slot i are
+    zero, so no count exceeds the sector dimension and int64 cannot wrap."""
+    below = np.zeros((len(caps), sector + 1, caps.max() + 2), dtype=np.int64)
+    fill = np.zeros(sector + 1, dtype=np.int64)
+    fill[0] = 1  # the one filling of no slots
+    for i in range(len(caps) - 1, -1, -1):
+        for v in range(1, below.shape[2]):
+            below[i, :, v] = below[i, :, v - 1]
+            below[i, v - 1 :, v] += fill[: max(0, sector + 2 - v)]
+        fill = below[i, :, caps[i] + 1].copy()
+        fill[: max(0, sector - caps[:i].sum())] = 0
+    return below
 
 
 def enumerate_basis(config: NetworkConfig, sector: int) -> list[BasisState]:
@@ -123,47 +127,59 @@ def enumerate_basis(config: NetworkConfig, sector: int) -> list[BasisState]:
 
     Raises ValueError if no state satisfies the sector bound.
     """
-    caps = (config.max_photons,) * config.n_cavities + (1,) * config.n_atoms
-    n_cav = config.n_cavities
-    states = [
-        BasisState(t[:n_cav], t[n_cav:]) for t in _occupations(caps, sector)
-    ]
-    if not states:
-        raise ValueError(
-            f"sector {sector} is empty for this network "
-            f"(valid sectors are 0..{config.max_sector})"
-        )
-    return states
+    return HilbertSpace(config, sector).states
 
 
 class HilbertSpace:
-    """A single excitation sector of a cavity network, with index lookup."""
+    """A single excitation sector of a cavity network, its basis as occupation rows."""
 
     def __init__(self, config: NetworkConfig, sector: int):
         self.config = config
         self.sector = sector
-        self.states = enumerate_basis(config, sector)
-        self._index = {s: i for i, s in enumerate(self.states)}
+        self._caps = np.array((config.max_photons,) * config.n_cavities + (1,) * config.n_atoms)
+        if not 0 <= sector <= config.max_sector:
+            raise ValueError(
+                f"sector {sector} is empty for this network (valid sectors are 0..{config.max_sector})"
+            )
+        self._below = _below_table(self._caps, sector)
+        # unrank 0..dim-1: each slot takes the largest v whose count fits the index left
+        index, left = np.arange(self._below[0, sector, self._caps[0] + 1]), sector
+        self.occupations = np.empty((len(index), len(self._caps)), dtype=np.int64)
+        for i, cap in enumerate(self._caps):
+            v = np.count_nonzero(self._below[i, left, 1 : cap + 1] <= index[:, None], axis=1)
+            index, left = index - self._below[i, left, v], left - v
+            self.occupations[:, i] = v
+        self.occupations.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
+
+    @cached_property
+    def states(self) -> list[BasisState]:
+        n = self.config.n_cavities
+        return [BasisState(tuple(row[:n]), tuple(row[n:])) for row in self.occupations.tolist()]
+
+    def rank(self, rows) -> np.ndarray:
+        """Basis index of each occupation row (last axis laid out like a row
+        of ``occupations``).  The rows must be states of this sector;
+        ``index_of`` checks one state before ranking it."""
+        rows = np.asarray(rows)
+        left = self.sector - np.cumsum(rows, axis=-1) + rows
+        return self._below[np.arange(rows.shape[-1]), left, rows].sum(axis=-1)
 
     def index_of(self, state: BasisState) -> int:
         """Position of ``state`` in the basis; ValueError if it lies outside
         this sector (or violates the photon truncation)."""
-        try:
-            return self._index[state]
-        except KeyError:
-            raise ValueError(f"state {state} is not in sector {self.sector}") from None
+        row = np.array(state.photons + state.atom_bits)
+        shape_ok = len(state.photons) == self.config.n_cavities and row.shape == self._caps.shape
+        if not (shape_ok and row.dtype.kind == "i" and np.all((0 <= row) & (row <= self._caps))
+                and row.sum() == self.sector):
+            raise ValueError(f"state {state} is not in sector {self.sector}")
+        return int(self.rank(row))
 
     def __repr__(self) -> str:
         return (
             f"HilbertSpace(n_cavities={self.config.n_cavities}, "
             f"sector={self.sector}, dim={self.dim})"
         )
-
-
-def state_index(space: HilbertSpace, state: BasisState) -> int:
-    """Index of ``state`` in ``space``; ValueError if not in the sector."""
-    return space.index_of(state)

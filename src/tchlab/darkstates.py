@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisState, HilbertSpace, NetworkConfig
+from .basis import HilbertSpace, NetworkConfig
 from .evolution import NumericalDriftError, _lossy_propagation, _top_gain
 from .operators import OperatorMatrix, build_tc, photon_number_operator
 
@@ -270,11 +270,13 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     if _top_gain(h_eff) > 1e-12 * max(1.0, kappa):
         raise ValueError("effective generator has a growing direction")
 
+    support = np.flatnonzero(psi_at)
+    rows = np.ones((len(support), 1 + s), dtype=np.int64)
+    rows[:, 1:] = (support[:, None] >> np.arange(s - 1, -1, -1)) & 1
+    if np.any(rows.sum(axis=1) != sector):
+        raise ValueError(f"atomic state has components outside {excitations} excitations")
     amps = np.zeros(space.dim, dtype=complex)
-    for b in range(2**s):
-        if abs(psi_at[b]) > 0.0:
-            bits = tuple((b >> (s - 1 - j)) & 1 for j in range(s))
-            amps[space.index_of(BasisState((1,), bits))] = psi_at[b]
+    amps[space.rank(rows)] = psi_at[support]
 
     # On one cavity the diagonal of the TC block is exactly omega * sector.
     # Removing it changes only a global phase, and keeps the rounding floor

@@ -63,6 +63,8 @@ class StateVector:
                 f"amplitude shape {self.amplitudes.shape} does not match "
                 f"space dim {self.space.dim}"
             )
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError("amplitudes must be finite")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -216,7 +218,9 @@ def apply_propagator(u: np.ndarray, psi: StateVector, norm_tolerance: float) -> 
     y = u @ psi.amplitudes
     norm_in = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
     norm_out = float(np.vdot(y, y).real)
-    if not abs(norm_out - norm_in) <= norm_tolerance:  # NaN fails too
+    if not math.isfinite(norm_out):
+        raise NumericalDriftError(f"squared norm is not finite ({norm_out}) after the propagator")
+    if not abs(norm_out - norm_in) <= norm_tolerance:
         raise NumericalDriftError(
             f"squared norm drifted by {abs(norm_out - norm_in):.3e} "
             f"(tolerance {norm_tolerance:.3e}); reduce dt"
@@ -254,7 +258,7 @@ def evolve_decay(
     amps = _lossy_propagation(m, psi.amplitudes, t, 1).final
     norm_in = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
     norm_out = float(np.vdot(amps, amps).real)
-    if norm_out > norm_in + tol:
+    if not norm_out <= norm_in + tol:  # NaN fails too
         raise NumericalDriftError(
             f"squared norm grew by {norm_out - norm_in:.3e} under a lossy generator"
         )

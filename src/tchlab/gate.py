@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisState, HilbertSpace, NetworkConfig
+from .basis import HilbertSpace, NetworkConfig
 from .evolution import (
     StateVector,
     apply_propagator,
@@ -295,29 +295,26 @@ def gate_space(config: GateConfig) -> HilbertSpace:
     return HilbertSpace(config.network(), sector=2)
 
 
-def _embedded_basis_state(x: int, y: int) -> BasisState:
-    return BasisState(photons=(x, y, 0), atom_bits=(1 - x, 1 - y, 0))
+def _code_indices(space: HilbertSpace) -> np.ndarray:
+    """Basis index of each encoded |x,y>, photons (x, y, 0) next to atom bits
+    (1-x, 1-y, 0), in BASIS_LABELS order."""
+    if (space.config.atoms_per_cavity, space.sector) != ((1, 1, 1), 2):
+        raise ValueError("the register is the two-excitation sector of three one-atom cavities")
+    return space.rank([[x, y, 0, 1 - x, 1 - y, 0] for x, y in np.ndindex(2, 2)])
 
 
 def encode(q, space: HilbertSpace) -> StateVector:
     """Embed two-qubit amplitudes into the register sector."""
     q = _as_qubit_pair(q)
     amps = np.zeros(space.dim, dtype=complex)
-    for k, label in enumerate(BASIS_LABELS):
-        x, y = int(label[0]), int(label[1])
-        amps[space.index_of(_embedded_basis_state(x, y))] = q[k]
+    amps[_code_indices(space)] = q
     return StateVector(space, amps)
 
 
 def decode(psi: StateVector) -> np.ndarray:
     """Project a register state back onto the four encoded basis states.
     The result is not renormalized; missing weight is leakage."""
-    out = np.zeros(4, dtype=complex)
-    for k, label in enumerate(BASIS_LABELS):
-        x, y = int(label[0]), int(label[1])
-        idx = psi.space.index_of(_embedded_basis_state(x, y))
-        out[k] = psi.amplitudes[idx]
-    return out
+    return psi.amplitudes[_code_indices(psi.space)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +351,11 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
     x_atoms, y_atoms = cfg.atom_range(X_CAVITY), cfg.atom_range(Y_CAVITY)
     if [cfg.couplings[j] for j in x_atoms] != [cfg.couplings[j] for j in y_atoms]:
         raise ValueError("the x and y cavities need equal atoms and couplings to mirror a link")
-    atom_swap = list(range(cfg.n_atoms))
-    atom_swap[x_atoms.start : x_atoms.stop] = y_atoms
-    atom_swap[y_atoms.start : y_atoms.stop] = x_atoms
-    image = []
-    for state in space.states:
-        photons = list(state.photons)
-        photons[X_CAVITY], photons[Y_CAVITY] = photons[Y_CAVITY], photons[X_CAVITY]
-        bits = tuple(state.atom_bits[j] for j in atom_swap)
-        image.append(space.index_of(BasisState(tuple(photons), bits)))
-    return np.array(image)
+    x_slots = cfg.n_cavities + np.arange(x_atoms.start, x_atoms.stop)
+    y_slots = cfg.n_cavities + np.arange(y_atoms.start, y_atoms.stop)
+    columns = np.arange(cfg.n_cavities + cfg.n_atoms)
+    columns[np.r_[X_CAVITY, Y_CAVITY, x_slots, y_slots]] = np.r_[Y_CAVITY, X_CAVITY, y_slots, x_slots]
+    return space.rank(space.occupations[:, columns])
 
 
 def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
@@ -429,9 +421,7 @@ def branch_phase(
     zero-width swaps omits the exchange durations."""
     if label not in BASIS_LABELS:
         raise ValueError(f"label must be one of {BASIS_LABELS}")
-    x, y = int(label[0]), int(label[1])
-    idx = psi.space.index_of(_embedded_basis_state(x, y))
-    overlap = complex(psi.amplitudes[idx])
+    overlap = complex(decode(psi)[BASIS_LABELS.index(label)])
     if abs(overlap) < 1e-9:
         raise ValueError("no surviving weight on the encoded branch")
     return overlap / abs(overlap) / schedule_phase(config, instant_swaps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisState, HilbertSpace
+from .basis import HilbertSpace
 
 
 class OperatorMatrix:
@@ -137,24 +137,17 @@ def build_tc(space: HilbertSpace, cavity: int) -> OperatorMatrix:
     cfg = space.config
     if not 0 <= cavity < cfg.n_cavities:
         raise ValueError(f"cavity index {cavity} out of range")
-    atoms = list(cfg.atom_range(cavity))
+    atoms = np.arange(cfg.atom_range(cavity).start, cfg.atom_range(cavity).stop)
+    n, bits = space.occupations[:, cavity], space.occupations[:, cfg.n_cavities + atoms]
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    for s, state in enumerate(space.states):
-        n = state.photons[cavity]
-        local_exc = n + sum(state.atom_bits[j] for j in atoms)
-        h[s, s] += cfg.omega * local_exc
-        for j in atoms:
-            if state.atom_bits[j] != 1 or n + 1 > cfg.max_photons:
-                continue
-            photons = list(state.photons)
-            photons[cavity] = n + 1
-            bits = list(state.atom_bits)
-            bits[j] = 0
-            target = BasisState(tuple(photons), tuple(bits))
-            t = space.index_of(target)
-            g = cfg.couplings[j] * math.sqrt(n + 1)
-            h[t, s] += g
-            h[s, t] += g
+    h[np.diag_indices(space.dim)] = cfg.omega * (n + bits.sum(axis=1))
+    # each excited atom next to room for a photon: |n>|e_j> -> |n+1>|g_j>
+    s, k = np.nonzero((bits == 1) & (n < cfg.max_photons)[:, None])
+    target = space.occupations[s]
+    target[:, cavity] += 1
+    target[np.arange(len(s)), cfg.n_cavities + atoms[k]] = 0
+    t = space.rank(target)
+    h[t, s] = h[s, t] = np.array(cfg.couplings)[atoms[k]] * np.sqrt(n[s] + 1)
     return OperatorMatrix(space, h)
 
 
@@ -163,19 +156,15 @@ def _add_hop(h: np.ndarray, space: HilbertSpace, hop: HopSpec) -> None:
     if hop.i >= cfg.n_cavities or hop.j >= cfg.n_cavities:
         raise ValueError(f"hop {hop.pair} references a missing cavity")
     amp = hop.amplitude * np.exp(1j * hop.phase)
-    for s, state in enumerate(space.states):
-        nj = state.photons[hop.j]
-        ni = state.photons[hop.i]
-        if nj < 1 or ni + 1 > cfg.max_photons:
-            continue
-        photons = list(state.photons)
-        photons[hop.j] = nj - 1
-        photons[hop.i] = ni + 1
-        target = BasisState(tuple(photons), state.atom_bits)
-        t = space.index_of(target)
-        val = amp * math.sqrt(nj) * math.sqrt(ni + 1)
-        h[t, s] += val
-        h[s, t] += np.conj(val)
+    occ = space.occupations
+    s = np.flatnonzero((occ[:, hop.j] >= 1) & (occ[:, hop.i] < cfg.max_photons))
+    target = occ[s]
+    target[:, hop.j] -= 1
+    target[:, hop.i] += 1
+    t = space.rank(target)
+    val = amp * np.sqrt(occ[s, hop.j]) * np.sqrt(occ[s, hop.i] + 1)
+    h[t, s] += val
+    h[s, t] += np.conj(val)
 
 
 def build_tch(space: HilbertSpace, hops=()) -> OperatorMatrix:
@@ -211,5 +200,4 @@ def photon_number_operator(space: HilbertSpace, cavity: int) -> OperatorMatrix:
     """Diagonal photon-number operator of one cavity."""
     if not 0 <= cavity < space.config.n_cavities:
         raise ValueError(f"cavity index {cavity} out of range")
-    diag = np.array([s.photons[cavity] for s in space.states], dtype=float)
-    return OperatorMatrix(space, np.diag(diag).astype(complex))
+    return OperatorMatrix(space, np.diag(space.occupations[:, cavity].astype(complex)))

@@ -18,6 +18,13 @@ the reference for the doubling that ``evolution._step_powers`` does, and
 ``collective_lowering_loop`` fills the collective lowering operator one
 entry at a time.
 
+The sector-operator references are the entry-at-a-time loops that
+``HilbertSpace.rank`` replaced: ``occupations_loop`` enumerates a sector by
+recursion over the slots, ``build_tc_loop``, ``add_hop_loop`` (with
+``build_tch_loop`` and ``jump_operator_loop`` on top) and ``xy_swap_loop``
+build one ``BasisState`` per matrix entry and find its index in a dict over
+``space.states``, with no rank arithmetic.
+
 The walk references build the free Hamiltonian as the dense product
 F diag(E) F^H and propagate it by diagonalization (``dense_walk``); the
 loop references (``distance_profile_loop``, ``resonance_table_loop``,
@@ -133,6 +140,103 @@ def project_to_sector(full_matrix: np.ndarray, space) -> np.ndarray:
     """Cut the rows/columns of the production sector basis, in its order."""
     idx = [full_index(space.config, s.photons, s.atom_bits) for s in space.states]
     return full_matrix[np.ix_(idx, idx)]
+
+
+def occupations_loop(config, sector) -> list[tuple[int, ...]]:
+    """Every occupation tuple of the sector (photons, then atom bits) in
+    ascending lexicographic order, one recursive fill at a time."""
+    caps = (config.max_photons,) * config.n_cavities + (1,) * config.n_atoms
+
+    def fill(caps, total):
+        if not caps:
+            if total == 0:
+                yield ()
+            return
+        for v in range(max(0, total - sum(caps[1:])), min(caps[0], total) + 1):
+            for tail in fill(caps[1:], total - v):
+                yield (v,) + tail
+
+    return list(fill(caps, sector))
+
+
+def _state_index(space) -> dict:
+    return {s: i for i, s in enumerate(space.states)}
+
+
+def build_tc_loop(space, cavity: int) -> np.ndarray:
+    """``operators.build_tc`` one basis state and one atom at a time."""
+    cfg = space.config
+    index = _state_index(space)
+    atoms = list(cfg.atom_range(cavity))
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for s, state in enumerate(space.states):
+        n = state.photons[cavity]
+        local_exc = n + sum(state.atom_bits[j] for j in atoms)
+        h[s, s] += cfg.omega * local_exc
+        for j in atoms:
+            if state.atom_bits[j] != 1 or n + 1 > cfg.max_photons:
+                continue
+            photons = list(state.photons)
+            photons[cavity] = n + 1
+            bits = list(state.atom_bits)
+            bits[j] = 0
+            t = index[BasisState(tuple(photons), tuple(bits))]
+            g = cfg.couplings[j] * math.sqrt(n + 1)
+            h[t, s] += g
+            h[s, t] += g
+    return h
+
+
+def add_hop_loop(h: np.ndarray, space, hop) -> None:
+    """``operators._add_hop`` one basis state at a time."""
+    cfg = space.config
+    index = _state_index(space)
+    amp = hop.amplitude * np.exp(1j * hop.phase)
+    for s, state in enumerate(space.states):
+        nj = state.photons[hop.j]
+        ni = state.photons[hop.i]
+        if nj < 1 or ni + 1 > cfg.max_photons:
+            continue
+        photons = list(state.photons)
+        photons[hop.j] = nj - 1
+        photons[hop.i] = ni + 1
+        t = index[BasisState(tuple(photons), state.atom_bits)]
+        val = amp * math.sqrt(nj) * math.sqrt(ni + 1)
+        h[t, s] += val
+        h[s, t] += np.conj(val)
+
+
+def build_tch_loop(space, hops=()) -> np.ndarray:
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for cavity in range(space.config.n_cavities):
+        h += build_tc_loop(space, cavity)
+    for hop in hops:
+        add_hop_loop(h, space, hop)
+    return h
+
+
+def jump_operator_loop(space, hop) -> np.ndarray:
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    add_hop_loop(h, space, hop)
+    return h
+
+
+def xy_swap_loop(space, x: int, y: int) -> np.ndarray:
+    """Index of each basis state's image when cavities x and y trade their
+    photons and their (equally many) atoms."""
+    cfg = space.config
+    index = _state_index(space)
+    x_atoms, y_atoms = cfg.atom_range(x), cfg.atom_range(y)
+    atom_swap = list(range(cfg.n_atoms))
+    atom_swap[x_atoms.start : x_atoms.stop] = y_atoms
+    atom_swap[y_atoms.start : y_atoms.stop] = x_atoms
+    image = []
+    for state in space.states:
+        photons = list(state.photons)
+        photons[x], photons[y] = photons[y], photons[x]
+        bits = tuple(state.atom_bits[j] for j in atom_swap)
+        image.append(index[BasisState(tuple(photons), bits)])
+    return np.array(image)
 
 
 def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import collective_lowering_loop, dense_emission_survival
+from oracles import build_tc_loop, collective_lowering_loop, dense_emission_survival
 
 from tchlab import (
     DecayConfig,
+    HilbertSpace,
+    NetworkConfig,
+    build_tc,
     classify_dark,
     collective_lowering,
     emission_density,
@@ -16,6 +19,7 @@ from tchlab import (
     sample_emission_times,
     singlet_product,
     singlet_state,
+    photon_number_operator,
     three_level_lowering,
     triplet_state,
 )
@@ -109,6 +113,26 @@ def test_collective_lowering_matches_the_entrywise_loop(n_atoms):
     couplings = np.random.default_rng(n_atoms).uniform(0.1, 2.0, size=n_atoms)
     op = collective_lowering(couplings)
     assert np.array_equal(op, collective_lowering_loop(couplings))
+
+
+@pytest.mark.parametrize("n_atoms", range(2, 13))
+def test_decay_sector_blocks_equal_the_entrywise_loop(n_atoms):
+    # the sector a half-excited register decays in, as emission_density builds it
+    sector = 1 + n_atoms // 2
+    couplings = tuple(np.random.default_rng(n_atoms).uniform(0.5, 1.5, size=n_atoms))
+    network = NetworkConfig(1, (n_atoms,), couplings=couplings, max_photons=sector, omega=1.3)
+    space = HilbertSpace(network, sector)
+    assert np.array_equal(build_tc(space, 0).matrix, build_tc_loop(space, 0))
+    number = photon_number_operator(space, 0).matrix
+    assert np.array_equal(number, np.diag([float(s.photons[0]) for s in space.states]))
+
+
+def test_emission_density_refuses_a_stray_excitation_count():
+    # a component below the excitation-count threshold still has to fit the sector
+    psi = singlet_product(((0, 1), (2, 3))).astype(complex)
+    psi[0] = 1e-14
+    with pytest.raises(ValueError, match="outside 2 excitations"):
+        emission_density(psi, DecayConfig(couplings=(1.0,) * 4))
 
 
 def test_is_dark_validates_input():

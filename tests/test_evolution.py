@@ -365,8 +365,16 @@ def test_a_non_finite_propagator_fails_the_drift_check():
     for bad in (math.nan, math.inf):
         u = np.eye(2, dtype=complex)
         u[0, 0] = bad
-        with pytest.raises(NumericalDriftError):
+        with pytest.raises(NumericalDriftError, match="squared norm is not finite"):
             apply_propagator(u, psi, 1e-8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_state_vector_refuses_non_finite_amplitudes(bad):
+    # a NaN state would otherwise pass every norm check of the decay path
+    space = HilbertSpace(NetworkConfig(n_cavities=1, atoms_per_cavity=(2,), max_photons=1), 1)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(space, [bad, 0.0, 0.0])
 
 
 def test_equal_dimension_spaces_are_still_different():

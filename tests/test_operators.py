@@ -231,3 +231,16 @@ def test_builders_match_oracle_on_random_networks(network):
         full = full + hop_full
     expected = oracles.project_to_sector(full, space)
     assert np.max(np.abs(build_tch(space, hops).matrix - expected)) < ORACLE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_array_builders_equal_the_entrywise_loops(network):
+    space, hops = network
+    cfg = space.config
+    assert space.occupations.tolist() == [list(t) for t in oracles.occupations_loop(cfg, space.sector)]
+    for cavity in range(cfg.n_cavities):
+        assert np.array_equal(build_tc(space, cavity).matrix, oracles.build_tc_loop(space, cavity))
+    for hop in hops:
+        assert np.array_equal(jump_operator(space, hop).matrix, oracles.jump_operator_loop(space, hop))
+    assert np.array_equal(build_tch(space, hops).matrix, oracles.build_tch_loop(space, hops))
