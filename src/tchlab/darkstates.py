@@ -146,7 +146,7 @@ def is_dark(psi_at, couplings, tol: float = 1e-9) -> DarknessReport:
     n = len(couplings)
     if psi_at.shape != (2**n,):
         raise ValueError("atomic state dimension must be 2**n_atoms")
-    if abs(np.vdot(psi_at, psi_at).real - 1.0) > 1e-9:
+    if not abs(np.vdot(psi_at, psi_at).real - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("atomic state must be normalized")
     lowering = collective_lowering(couplings)
     absorption = float(np.linalg.norm(lowering.conj().T @ psi_at))
@@ -248,7 +248,7 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     s = config.n_atoms
     if psi_at.shape != (2**s,):
         raise ValueError("atomic state dimension must be 2**n_atoms")
-    if abs(np.vdot(psi_at, psi_at).real - 1.0) > 1e-9:
+    if not abs(np.vdot(psi_at, psi_at).real - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("atomic state must be normalized")
     excitations = _atomic_excitation_count(psi_at)
     sector = 1 + excitations

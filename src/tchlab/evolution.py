@@ -8,14 +8,17 @@ Three propagation routes, shared across the experiments:
 - ``evolve_pulsed``: Hermitian static part plus Gaussian-windowed hop pulses,
   integrated as a propagator with a classic fixed-step fourth-order one-step
   scheme (three generator evaluations per step: start, midpoint twice, end),
-  then applied to the state under a norm-drift check.  On a linear equation
-  each step is one matrix R = I + h/6 (K1 + 2 K2 + 2 K3 + K4), so the steps
-  are taken in blocks of at most ``_STEP_BLOCK``: every R of a block is
-  formed at once from stacked generators, and the block's R's are multiplied
-  in pairs into one product.  A block keeps about a dozen stacks of d x d
-  matrices, one per step, so it holds fewer steps on sectors wider than 32
-  states: each stack stays within ``_BLOCK_ENTRIES`` complex entries
-  (4 MiB), whatever the step and the sector.
+  then applied to the state under a norm-drift check.  The propagator comes
+  from ``pulsed_propagators``, which builds it at any number of pulse
+  scales s at once.  It splits the sector into the blocks that no
+  generator couples and integrates each on its own.  On a linear equation
+  each step is one matrix R(s), a polynomial of degree 4 in s whose
+  coefficients S_p are sums of words in -i H0 and the -i J_k; they are
+  formed for a chunk of steps at once by one matrix product per power,
+  independently of s, and each scale's R's are multiplied in pairs into one
+  product.  A chunk holds at most ``_STEP_BLOCK`` steps, and on wide blocks
+  few enough that its S_p stacks stay within ``_BLOCK_ENTRIES`` complex
+  entries (4 MiB), whatever the step and the sector.
 - ``evolve_decay``: non-Hermitian effective generator whose shrinking norm is
   the observable, never renormalized.  It shares one lossy propagator with
   ``darkstates.emission_density``: an orthonormal basis of the subspace the
@@ -140,65 +143,162 @@ def evolve_pulsed(
         if sigma_min is None:
             raise ValueError("settings are required when no pulses set a time scale")
         settings = EvolutionSettings(dt=sigma_min / 50.0)
-    u = pulsed_propagator(h0, pulses, t_start, t_end, settings.dt)
+    u = pulsed_propagators(h0, pulses, t_start, t_end, settings.dt, (1.0,))[0]
     return apply_propagator(u, psi, settings.norm_tolerance)
 
 
-# steps formed and multiplied together at once: at most _STEP_BLOCK, and on
-# sectors wider than 32 states few enough that one stack of step matrices
-# holds at most _BLOCK_ENTRIES complex entries, for any dt
+# steps expanded and multiplied together at once: at most _STEP_BLOCK, and
+# few enough that the stack of step matrices over the powers of the scale
+# holds at most _BLOCK_ENTRIES complex entries on the widest invariant block,
+# for any dt
 _STEP_BLOCK = 256
 _BLOCK_ENTRIES = _STEP_BLOCK * 32 * 32
 
+# One step of the scheme on y' = G(t) y, with a, m, b the generator at the
+# step's start, midpoint and end, is R = I + h/6 (a + 4m + b)
+# + h^2/6 (ma + mm + bm) + h^3/12 (mma + bmm) + h^4/24 bmma.  Each term is
+# (weight of h^len, evaluation times of its factors left to right, with
+# 0, 1, 2 = start, midpoint, end).
+_RK4_TERMS = (
+    (1.0, ()),
+    (1.0 / 6.0, (0,)), (4.0 / 6.0, (1,)), (1.0 / 6.0, (2,)),
+    (1.0 / 6.0, (1, 0)), (1.0 / 6.0, (1, 1)), (1.0 / 6.0, (2, 1)),
+    (1.0 / 12.0, (1, 1, 0)), (1.0 / 12.0, (2, 1, 1)),
+    (1.0 / 24.0, (2, 1, 1, 0)),
+)
+_MAX_WORD = 4
 
-def pulsed_propagator(
+
+def pulsed_propagators(
     h0: OperatorMatrix,
     pulses,
     t_start: float,
     t_end: float,
     dt: float,
+    scales,
 ) -> np.ndarray:
-    """Propagator of i dU/dt = (H0 + sum_k nu_k(t) J_k) U from U = 1 over
-    [t_start, t_end], in equal fourth-order steps no longer than dt.  A column
-    no state carries may drift more than any carried state, so the drift
-    check belongs to ``apply_propagator``.
+    """Propagators of i dU/dt = (H0 + s sum_k nu_k(t) J_k) U from U = 1 over
+    [t_start, t_end], one for each scale s of ``scales``, stacked in that
+    order, in equal fourth-order steps no longer than dt.  A column no state
+    carries may drift more than any carried state, so the drift check
+    belongs to ``apply_propagator``.
 
-    The steps run in blocks.  For each block the generators -i H(t) at
-    every step's start, midpoint and end are stacked (envelopes evaluated as
-    arrays), every step matrix R comes from three stacked matrix products,
-    and the R's are multiplied in adjacent pairs into the block product,
-    which then left-multiplies the running U.  This is the step-by-step
-    scheme up to rounding.  A block holds about a dozen live stacks of d x d
-    complex matrices, one per step, so it takes at most ``_STEP_BLOCK``
-    steps and at most ``_BLOCK_ENTRIES // d**2``: each stack stays within
-    4 MiB for any dt and any sector dimension d."""
+    The sector splits into the connected components of the joint nonzero
+    pattern of H0 and the J_k, which no generator couples, and each block is
+    integrated on its own; the entries between blocks are exact zeros.  On a
+    linear equation a step is a polynomial of degree 4 in the scale,
+    R(s) = sum_p s^p S_p, expanded over words of length at most 4 in the
+    letters -i H0 and -i J_k (``_RK4_TERMS``): each word's coefficient is an
+    array over the steps, built from h and the envelopes at each step's
+    start, midpoint and end, and the power p is its count of pulse letters.
+    The steps run in chunks.  For each chunk and block, every S_p stack is
+    one matrix product of the coefficients with the word matrices, which do
+    not depend on the scale; each scale then forms its R's as one
+    combination of those stacks and multiplies them in adjacent pairs into
+    the chunk product, which left-multiplies its running U.  This is the
+    step-by-step scheme up to rounding, and a scale's propagator does not
+    depend on the other scales of the call.  A chunk takes at most
+    ``_STEP_BLOCK`` steps, and few enough that its five S_p stacks together
+    hold at most ``_BLOCK_ENTRIES`` entries (4 MiB) on the widest block, in
+    one buffer every block reuses, for any dt.  The word table of a block of
+    b states holds sum_{l<=4} (1 + K)^l matrices of b x b for K pulses: 31
+    for one pulse."""
+    scales = [float(s) for s in scales]
     n_steps = max(1, math.ceil((t_end - t_start) / dt))
     h = (t_end - t_start) / n_steps
     d = h0.matrix.shape[0]
-    block = max(1, min(_STEP_BLOCK, _BLOCK_ENTRIES // d**2))
-    eye = np.eye(d, dtype=complex)
-    base = -1j * h0.matrix
-    terms = [(-1j * op.matrix, pulse) for op, pulse in pulses]
+    letters = np.stack([-1j * h0.matrix] + [-1j * op.matrix for op, _ in pulses])
+    words = _words(len(letters))
+    powers = np.count_nonzero(words > 0, axis=1)
+    n_powers = 1 + int(powers.max())
+    by_power = [np.flatnonzero(powers == p) for p in range(n_powers)]
+    blocks = _invariant_blocks(letters)
+    widest = max(map(len, blocks))
+    chunk = max(1, min(_STEP_BLOCK, _BLOCK_ENTRIES // (n_powers * widest**2)))
+    tables = []
+    for block in blocks:
+        table = _word_matrices(letters[:, block[:, None], block]).reshape(len(words), -1)
+        # real views: a real coefficient times a complex entry is two real
+        # products, so each S_p stack is one real matrix product
+        tables.append([table[w].view(float) for w in by_power])
+    u = [np.broadcast_to(np.eye(len(b), dtype=complex), (len(scales), len(b), len(b))).copy()
+         for b in blocks]
+    buffer = np.empty(n_powers * chunk * widest**2, dtype=complex)
+    for first in range(0, n_steps, chunk):
+        t = t_start + np.arange(first, min(first + chunk, n_steps)) * h
+        coef = _word_coefficients([pulse for _, pulse in pulses], t, h, words)
+        coef = [coef[:, w] for w in by_power]
+        for block, table, ub in zip(blocks, tables, u):
+            b = len(block)
+            stack = buffer[: n_powers * len(t) * b * b].reshape(n_powers, -1)
+            for p in range(n_powers):
+                np.matmul(coef[p], table[p], out=stack[p].view(float).reshape(len(t), 2 * b * b))
+            for i, s in enumerate(scales):
+                r = (s ** np.arange(n_powers)) @ stack
+                ub[i] = _ordered_product(r.reshape(len(t), b, b)) @ ub[i]
+    out = np.zeros((len(scales), d, d), dtype=complex)
+    for block, ub in zip(blocks, u):
+        out[:, block[:, None], block] = ub
+    return out
 
-    def generators(times: np.ndarray) -> np.ndarray:
-        """-i H(t) at each of the times, stacked."""
-        g = np.broadcast_to(base, (len(times),) + base.shape)
-        for term, pulse in terms:
-            g = g + pulse_value(pulse, times)[:, None, None] * term
-        return g
 
-    u = eye
-    for first in range(0, n_steps, block):
-        t = t_start + np.arange(first, min(first + block, n_steps)) * h
-        # the step's end is t + h, not the next start: at a truncation edge
-        # the envelope jumps, so the two times must round as stepping does
-        a, m, b = generators(t), generators(t + 0.5 * h), generators(t + h)
-        # each step maps y to R y with R = I + h/6 (a + 2 K2 + 2 K3 + K4)
-        k2 = m @ (eye + 0.5 * h * a)
-        k3 = m @ (eye + 0.5 * h * k2)
-        k4 = b @ (eye + h * k3)
-        u = _ordered_product(eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4)) @ u
-    return u
+def _invariant_blocks(matrices: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the joint nonzero pattern
+    of a stack of square matrices, ordered by their first index: each label
+    falls to the smallest label among its neighbours until none moves."""
+    linked = np.any(matrices != 0, axis=0)
+    linked |= linked.T
+    labels = np.arange(len(linked))
+    while True:
+        lowest = np.min(np.where(linked, labels, labels[:, None]), axis=1)
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+
+
+def _words(n_letters: int) -> np.ndarray:
+    """Every word of length 0 to _MAX_WORD over the letters 1..n_letters-1
+    and the static letter 0, shortest first and lexicographic within a
+    length, as rows of letters padded with -1 at the right."""
+    rows = [np.full((1, _MAX_WORD), -1)]
+    for length in range(1, _MAX_WORD + 1):
+        grid = np.indices((n_letters,) * length).reshape(length, -1).T
+        rows.append(np.pad(grid, ((0, 0), (0, _MAX_WORD - length)), constant_values=-1))
+    return np.concatenate(rows)
+
+
+def _word_matrices(letters: np.ndarray) -> np.ndarray:
+    """The product of each word of ``_words`` over a stack of letter
+    matrices, leftmost letter leftmost: each length is the letters times
+    every word one shorter."""
+    level = np.eye(letters.shape[1], dtype=complex)[None]
+    out = [level]
+    for _ in range(_MAX_WORD):
+        level = (letters[:, None] @ level[None]).reshape((-1,) + letters.shape[1:])
+        out.append(level)
+    return np.concatenate(out)
+
+
+def _word_coefficients(pulses, t: np.ndarray, h: float, words: np.ndarray) -> np.ndarray:
+    """Coefficient of each word in the step matrix of each step starting at
+    the times t: the sum over the ``_RK4_TERMS`` of the word's length of
+    weight * h^length times the envelope of each pulse letter at its
+    factor's time (the static letter counts 1)."""
+    # the step's end is t + h, not the next start: at a truncation edge
+    # the envelope jumps, so the two times must round as stepping does
+    values = np.ones((len(t), 3, 1 + len(pulses)))
+    for k, pulse in enumerate(pulses):
+        for tau, time in enumerate((t, t + 0.5 * h, t + h)):
+            values[:, tau, k + 1] = pulse_value(pulse, time)
+    lengths = np.count_nonzero(words >= 0, axis=1)
+    coef = np.zeros((len(t), len(words)))
+    for weight, times in _RK4_TERMS:
+        chosen = lengths == len(times)
+        # the envelope of each letter of each word at its factor's time
+        factors = values[:, np.array(times, dtype=int), words[chosen, : len(times)]]
+        coef[:, chosen] += weight * h ** len(times) * np.prod(factors, axis=2)
+    return coef
 
 
 def _ordered_product(r: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .evolution import (
     StateVector,
     apply_propagator,
     evolve_const,
-    pulsed_propagator,
+    pulsed_propagators,
     rabi_periods,
 )
 from .operators import (
@@ -85,7 +85,7 @@ def _as_qubit_pair(q) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if q.shape != (4,):
         raise ValueError("a two-qubit state needs exactly 4 amplitudes")
-    if abs(np.vdot(q, q).real - 1.0) > 1e-9:
+    if not abs(np.vdot(q, q).real - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("two-qubit amplitudes must be normalized")
     return q
 
@@ -322,23 +322,29 @@ def decode(psi: StateVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _exchange_propagator(network: NetworkConfig, ev: ExchangeSegment, dt: float) -> np.ndarray:
-    """Propagator of one exchange segment on the register sector, shared
-    (read-only) by every run and both exchanges of a link that agree on
-    network, pulse and step.
+def _exchange_propagator(
+    network: NetworkConfig, ev: ExchangeSegment, dt: float, amplitudes: tuple[float, ...]
+) -> np.ndarray:
+    """Propagators of one exchange segment on the register sector, one per
+    pulse amplitude, stacked in the order given; ``ev`` carries its pulse at
+    unit amplitude.  The stack is shared (read-only) by every run and both
+    exchanges of a link that agree on network, pulse shape, step and
+    amplitudes.
 
     The aux<->y link is the aux<->x link seen through the x<->y swap of
-    basis labels, so it is read from that link's propagator by permuting
+    basis labels, so it is read from that link's propagators by permuting
     rows and columns rather than integrated again.  That needs the x and y
     cavities to hold equal atoms with equal couplings; ValueError if not."""
     space = HilbertSpace(network, sector=2)
     if {ev.cavity_a, ev.cavity_b} == {AUX_CAVITY, Y_CAVITY}:
         swap = _xy_swap(space)
         x_link = dataclasses.replace(ev, cavity_a=AUX_CAVITY, cavity_b=X_CAVITY)
-        u = _exchange_propagator(network, x_link, dt)[np.ix_(swap, swap)]
+        u = _exchange_propagator(network, x_link, dt, amplitudes)[:, swap[:, None], swap]
     else:
         jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-        u = pulsed_propagator(build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt)
+        u = pulsed_propagators(
+            build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt, amplitudes
+        )
     u.flags.writeable = False
     return u
 
@@ -358,6 +364,35 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
     return space.rank(space.occupations[:, columns])
 
 
+def _exchange_links(config: GateConfig, dt: float, amplitudes: tuple[float, ...]) -> dict:
+    """Propagator stacks of the schedule's exchanges at each amplitude, in
+    steps of dt, keyed by the exchanged cavity pair."""
+    network = config.network()
+    links = {}
+    for ev in cocsign_schedule(config).events:
+        if isinstance(ev, ExchangeSegment):
+            unit = dataclasses.replace(ev, pulse=dataclasses.replace(ev.pulse, amplitude=1.0))
+            links[ev.cavity_a, ev.cavity_b] = _exchange_propagator(network, unit, dt, amplitudes)
+    return links
+
+
+def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVector:
+    """Carry a register state through the schedule: free segments exactly
+    under h0, each exchange by its propagator in ``links`` (keyed by the
+    exchanged cavity pair) under the norm-drift check against
+    ``config.norm_tolerance``, or by its zero-width limit when ``links`` is
+    None."""
+    for ev in cocsign_schedule(config).events:
+        if isinstance(ev, FreeSegment):
+            psi = evolve_const(h0, psi, ev.duration)
+        elif links is None:
+            jump = jump_operator(psi.space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+            psi = evolve_const(jump, psi, math.pi / 2.0)
+        else:
+            psi = apply_propagator(links[ev.cavity_a, ev.cavity_b], psi, config.norm_tolerance)
+    return psi
+
+
 def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
     """Evolve an encoded two-qubit state through the full schedule.
 
@@ -369,18 +404,11 @@ def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
     are untouched.  Useful for separating timing error from pulse error.
     """
     space = gate_space(config)
-    h0 = build_tch(space)
-    psi = encode(q, space)
-    for ev in cocsign_schedule(config).events:
-        if isinstance(ev, FreeSegment):
-            psi = evolve_const(h0, psi, ev.duration)
-        elif instant_swaps:
-            jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-            psi = evolve_const(jump, psi, math.pi / 2.0)
-        else:
-            u = _exchange_propagator(config.network(), ev, config.resolved_dt)
-            psi = apply_propagator(u, psi, config.norm_tolerance)
-    return psi
+    links = None
+    if not instant_swaps:
+        stacks = _exchange_links(config, config.resolved_dt, (config.resolved_alpha,))
+        links = {pair: u[0] for pair, u in stacks.items()}
+    return _run_schedule(encode(q, space), build_tch(space), config, links)
 
 
 def schedule_phase(config: GateConfig, instant_swaps: bool = False) -> complex:
@@ -487,14 +515,23 @@ def sweep(
     if q is None:
         q = uniform_superposition()
     q = _as_qubit_pair(q)
-    rows = []
-    for alpha in alphas:
-        cfg = dataclasses.replace(config, alpha=float(alpha))
-        psi = run_gate(q, cfg)
-        target = ideal_target_state(q, cfg)
-        d_tr = trace_distance(density(psi), density(target))
-        d_mod = modular_distance(psi, target)
-        rows.append((cfg.alpha, cfg.sigma, cfg.n1, cfg.n2, d_tr, d_mod))
+    configs = [dataclasses.replace(config, alpha=float(alpha)) for alpha in alphas]
+    space = gate_space(config)
+    h0 = build_tch(space)
+    psi0 = encode(q, space)
+    groups = {}  # the runs of each step size share one build of their links
+    for i, cfg in enumerate(configs):
+        groups.setdefault(cfg.resolved_dt, []).append(i)
+    rows = [None] * len(configs)
+    for dt, members in groups.items():
+        stacks = _exchange_links(config, dt, tuple(configs[i].alpha for i in members))
+        for k, i in enumerate(members):
+            cfg = configs[i]
+            psi = _run_schedule(psi0, h0, cfg, {pair: u[k] for pair, u in stacks.items()})
+            target = ideal_target_state(q, cfg)
+            d_tr = trace_distance(density(psi), density(target))
+            d_mod = modular_distance(psi, target)
+            rows[i] = (cfg.alpha, cfg.sigma, cfg.n1, cfg.n2, d_tr, d_mod)
     return rows
 
 

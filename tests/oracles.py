@@ -8,12 +8,17 @@ align row order, so elementwise agreement is a real check.
 
 ``rk4_pulsed_state`` is the reference for the pulsed route: it steps one
 state vector directly instead of integrating a propagator and applying it.
-``rk4_propagator_loop`` steps the propagator one step at a time, the
-reference for the block product that ``evolution.pulsed_propagator`` takes.
+``rk4_propagator_loop`` steps the propagator one step at a time, and
+``rk4_block_product`` forms every step matrix of a block of steps from
+stacked generators and multiplies them in adjacent pairs, on the whole
+sector and one amplitude at a time: the two references for the
+word expansion over invariant blocks that ``evolution.pulsed_propagators``
+takes.
 
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
-grid on the whole sector.  ``step_powers_loop`` steps one vector at a time,
+grid on the whole sector; the exponential is cached per configuration and
+sector, so the states of one register share it.  ``step_powers_loop`` steps one vector at a time,
 the reference for the doubling that ``evolution._step_powers`` does, and
 ``collective_lowering_loop`` fills the collective lowering operator one
 entry at a time.
@@ -279,8 +284,8 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
 
 def rk4_propagator_loop(h0, pulses, t_start, t_end, dt):
     """The propagator of the same fourth-order scheme, stepped one step at a
-    time on the identity: the sequential form of the block product in
-    ``evolution.pulsed_propagator``."""
+    time on the identity: the sequential form of
+    ``evolution.pulsed_propagators`` at one scale."""
     n_steps = max(1, math.ceil((t_end - t_start) / dt))
     dt = (t_end - t_start) / n_steps
     base = h0.matrix
@@ -305,6 +310,43 @@ def rk4_propagator_loop(h0, pulses, t_start, t_end, dt):
         k4 = -1j * (h_b @ (y + dt * k3))
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def rk4_block_product(h0, pulses, t_start, t_end, dt, block=256):
+    """The same fourth-order propagator in blocks of at most ``block``
+    steps: the generators at every step's start, midpoint and end are
+    stacked, each step matrix R = I + h/6 (a + 2 K2 + 2 K3 + K4) comes from
+    three stacked matrix products, and a block's R's are multiplied in
+    adjacent pairs into the block product."""
+    n_steps = max(1, math.ceil((t_end - t_start) / dt))
+    h = (t_end - t_start) / n_steps
+    d = h0.matrix.shape[0]
+    eye = np.eye(d, dtype=complex)
+    base = -1j * h0.matrix
+    terms = [(-1j * op.matrix, pulse) for op, pulse in pulses]
+
+    def generators(times):
+        g = np.broadcast_to(base, (len(times),) + base.shape)
+        for term, pulse in terms:
+            g = g + pulse_value(pulse, times)[:, None, None] * term
+        return g
+
+    def ordered_product(r):
+        while len(r) > 1:
+            n = len(r)
+            pairs = r[1::2] @ r[0 : n - 1 : 2]
+            r = np.concatenate([pairs, r[n - 1 :]]) if n % 2 else pairs
+        return r[0]
+
+    u = eye
+    for first in range(0, n_steps, block):
+        t = t_start + np.arange(first, min(first + block, n_steps)) * h
+        a, m, b = generators(t), generators(t + 0.5 * h), generators(t + h)
+        k2 = m @ (eye + 0.5 * h * a)
+        k3 = m @ (eye + 0.5 * h * k2)
+        k4 = b @ (eye + h * k3)
+        u = ordered_product(eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4)) @ u
+    return u
 
 
 def dense_free_hamiltonian(n: int, mass: float) -> np.ndarray:
@@ -418,9 +460,29 @@ def dense_emission_survival(psi_at, config):
     s = config.n_atoms
     support = [b for b in range(2**s) if abs(psi_at[b]) > 0.0]
     sector = 1 + bin(support[0]).count("1")
+    space, step = _dense_decay_step(config, sector)
+    amps = np.zeros(space.dim, dtype=complex)
+    for b in support:
+        bits = tuple((b >> (s - 1 - j)) & 1 for j in range(s))
+        amps[space.index_of(BasisState((1,), bits))] = psi_at[b]
+
+    times = np.linspace(0.0, config.resolved_t_max, config.n_times)
+    survival = np.empty(len(times))
+    for i in range(len(times)):
+        survival[i] = float(np.vdot(amps, amps).real)
+        if i + 1 < len(times):
+            amps = step @ amps
+    return times, survival
+
+
+# Cached so that the dark and light states of one register exponentiate once.
+@functools.lru_cache(maxsize=2)
+def _dense_decay_step(config, sector):
+    """The one-cavity sector and the expm of its effective generator over
+    one step of the ``emission_density`` grid."""
     network = NetworkConfig(
         n_cavities=1,
-        atoms_per_cavity=(s,),
+        atoms_per_cavity=(config.n_atoms,),
         couplings=config.couplings,
         max_photons=sector,
         omega=config.omega,
@@ -430,19 +492,8 @@ def dense_emission_survival(psi_at, config):
         build_tc(space, 0).matrix
         - 0.5j * config.resolved_kappa * photon_number_operator(space, 0).matrix
     )
-    amps = np.zeros(space.dim, dtype=complex)
-    for b in support:
-        bits = tuple((b >> (s - 1 - j)) & 1 for j in range(s))
-        amps[space.index_of(BasisState((1,), bits))] = psi_at[b]
-
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
-    step = scipy.linalg.expm(-1j * h_eff * (times[1] - times[0]))
-    survival = np.empty(len(times))
-    for i in range(len(times)):
-        survival[i] = float(np.vdot(amps, amps).real)
-        if i + 1 < len(times):
-            amps = step @ amps
-    return times, survival
+    return space, scipy.linalg.expm(-1j * h_eff * (times[1] - times[0]))
 
 
 def step_powers_loop(step, coef, n_steps):

@@ -279,6 +279,15 @@ def test_emission_density_rejects_bad_states():
         emission_density(np.array([1.0, 0.0, 0.0]), DecayConfig())
 
 
+def test_normalisation_checks_refuse_a_nan_amplitude():
+    psi = singlet_product(((0, 1),)).astype(complex)
+    psi[1] = np.nan
+    with pytest.raises(ValueError, match="normalized"):
+        emission_density(psi, DecayConfig())
+    with pytest.raises(ValueError, match="normalized"):
+        is_dark(psi, (1e-3, 1e-3))
+
+
 def test_sampling_is_deterministic(emission_reports):
     _, dark, _ = emission_reports
     a = sample_emission_times(dark, 100, rng=np.random.default_rng(3))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,14 +28,16 @@ from tchlab import (
 )
 import tchlab.evolution
 from oracles import step_powers_loop
+from tchlab.gate import GateConfig, cocsign_schedule, gate_space
 from tchlab.evolution import (
     _BLOCK_ENTRIES,
     _STEP_BLOCK,
     _expm,
+    _invariant_blocks,
     _step_powers,
     _top_gain,
     apply_propagator,
-    pulsed_propagator,
+    pulsed_propagators,
 )
 
 import oracles
@@ -162,6 +165,24 @@ BLOCK_CASES = {
 }
 
 
+def _record_chunks(monkeypatch):
+    """Length of every stack of step matrices that goes to _ordered_product."""
+    chunks = []
+    ordered_product = tchlab.evolution._ordered_product
+
+    def recording(r):
+        chunks.append(len(r))
+        return ordered_product(r)
+
+    monkeypatch.setattr(tchlab.evolution, "_ordered_product", recording)
+    return chunks
+
+
+def _block_sizes(h0, pulses):
+    matrices = np.stack([h0.matrix] + [op.matrix for op, _ in pulses])
+    return [len(b) for b in _invariant_blocks(matrices)]
+
+
 @pytest.mark.parametrize("case", BLOCK_CASES)
 @pytest.mark.parametrize("n_steps", [1, 601, 3 * _STEP_BLOCK + 1])
 def test_block_product_matches_the_step_loop(monkeypatch, n_steps, case):
@@ -174,23 +195,22 @@ def test_block_product_matches_the_step_loop(monkeypatch, n_steps, case):
         for k, c, s, cut in shapes
     ]
     dt = span / (n_steps - 0.5)  # n_steps equal steps, away from a rounding edge
-    blocks = []
-    ordered_product = tchlab.evolution._ordered_product
-
-    def recording(r):
-        blocks.append(len(r))
-        return ordered_product(r)
-
-    monkeypatch.setattr(tchlab.evolution, "_ordered_product", recording)
-    u = pulsed_propagator(h0, pulses, t_start, t_start + span, dt)
+    chunks = _record_chunks(monkeypatch)
+    u = pulsed_propagators(h0, pulses, t_start, t_start + span, dt, (1.0,))[0]
     reference = oracles.rk4_propagator_loop(h0, pulses, t_start, t_start + span, dt)
     assert np.max(np.abs(u - reference)) < 1e-12
-    assert sum(blocks) == n_steps and max(blocks) <= _STEP_BLOCK
+    # each chunk of steps runs once on every invariant block, and the stack
+    # of its five scale powers on the widest block fits the entry budget
+    sizes = _block_sizes(h0, pulses)
+    chunk = min(_STEP_BLOCK, _BLOCK_ENTRIES // (5 * max(sizes) ** 2))
+    lengths = [min(chunk, n_steps - first) for first in range(0, n_steps, chunk)]
+    assert chunks == [n for n in lengths for _ in sizes]
+    assert sum(chunks) == len(sizes) * n_steps and max(chunks) <= _STEP_BLOCK
 
 
-def test_wide_sector_takes_shorter_blocks(monkeypatch):
-    """On an 84-state sector a block holds _BLOCK_ENTRIES // 84**2 = 37 steps,
-    so no stack of step matrices outgrows the entry budget."""
+def _wide_sector_terms():
+    """An 84-state sector of four cavities with one static and two pulsed
+    hops, all one invariant block."""
     cfg = NetworkConfig(
         n_cavities=4, atoms_per_cavity=(1, 1, 1, 1), couplings=(0.3, 0.5, 0.4, 0.2),
         max_photons=2,
@@ -203,22 +223,116 @@ def test_wide_sector_takes_shorter_blocks(monkeypatch):
         (jump_operator(space, HopSpec(2, 3, amplitude=1.0, phase=0.7)),
          GaussianPulse(amplitude=0.8, center=0.4, sigma=0.05, cutoff=4.0)),
     ]
-    block = _BLOCK_ENTRIES // space.dim**2
+    return h0, pulses
+
+
+def test_wide_sector_takes_shorter_blocks(monkeypatch):
+    """On an 84-state block a chunk holds _BLOCK_ENTRIES // (5 * 84**2) = 7
+    steps, so the stack of its five scale powers stays within the entry
+    budget."""
+    h0, pulses = _wide_sector_terms()
+    dim = h0.matrix.shape[0]
+    assert _block_sizes(h0, pulses) == [dim] == [84]
+    block = _BLOCK_ENTRIES // (5 * dim**2)
     n_steps = 3 * block + 1
     dt = 1.2 / (n_steps - 0.5)
-    blocks = []
-    ordered_product = tchlab.evolution._ordered_product
-
-    def recording(r):
-        blocks.append(len(r))
-        return ordered_product(r)
-
-    monkeypatch.setattr(tchlab.evolution, "_ordered_product", recording)
-    u = pulsed_propagator(h0, pulses, 0.0, 1.2, dt)
+    chunks = _record_chunks(monkeypatch)
+    u = pulsed_propagators(h0, pulses, 0.0, 1.2, dt, (1.0,))[0]
     reference = oracles.rk4_propagator_loop(h0, pulses, 0.0, 1.2, dt)
     assert np.max(np.abs(u - reference)) < 1e-12
-    assert blocks == [block, block, block, 1]
-    assert block * space.dim**2 <= _BLOCK_ENTRIES < _STEP_BLOCK * space.dim**2
+    assert chunks == [block, block, block, 1]
+    assert 5 * block * dim**2 <= _BLOCK_ENTRIES < 5 * _STEP_BLOCK * dim**2
+
+
+def _gate_link_terms():
+    """The gate register's static part and its aux<->x exchange at unit
+    amplitude, with the area-rule amplitude and step."""
+    cfg = GateConfig()
+    ev = cocsign_schedule(cfg).events[0]
+    space = gate_space(cfg)
+    jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+    pulse = GaussianPulse(amplitude=1.0, center=ev.pulse.center, sigma=ev.pulse.sigma,
+                          cutoff=ev.pulse.cutoff)
+    return build_tch(space), [(jump, pulse)], ev.duration, cfg.resolved_alpha, cfg.resolved_dt
+
+
+def _scaled(pulses, s):
+    return [(op, GaussianPulse(amplitude=s * p.amplitude, center=p.center, sigma=p.sigma,
+                               cutoff=p.cutoff)) for op, p in pulses]
+
+
+# (h0, pulses, t_end, scales, dt): every case starts at 0
+def _reference_cases():
+    h0, pulses, window, alpha, dt = _gate_link_terms()
+    yield "gate register", (h0, pulses, window, [s * alpha for s in (0.0, 0.5, 1.0, 1.5, 3.0)], dt)
+    h0, *jumps = _register_terms()
+    pulses = [(jumps[0], GaussianPulse(amplitude=1.25, center=3.0, sigma=0.5)),
+              (jumps[1], GaussianPulse(amplitude=0.8, center=2.5, sigma=0.3, cutoff=4.0))]
+    yield "two complex pulses", (h0, pulses, 6.0, [0.5, 1.0, 2.0], 6.0 / 600.5)
+    h0, pulses = _wide_sector_terms()
+    yield "84-state sector", (h0, pulses, 1.2, [0.7, 1.0], 1.2 / 50.5)
+
+
+REFERENCE_CASES = dict(_reference_cases())
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_scaled_propagators_match_the_block_product_and_the_loop(case):
+    h0, pulses, t_end, scales, dt = REFERENCE_CASES[case]
+    u = pulsed_propagators(h0, pulses, 0.0, t_end, dt, scales)
+    assert u.shape == (len(scales),) + h0.matrix.shape
+    for s, us in zip(scales, u):
+        scaled = _scaled(pulses, s)
+        block = oracles.rk4_block_product(h0, scaled, 0.0, t_end, dt)
+        loop = oracles.rk4_propagator_loop(h0, scaled, 0.0, t_end, dt)
+        assert np.max(np.abs(us - block)) < 1e-12
+        assert np.max(np.abs(us - loop)) < 1e-12
+
+
+def test_a_propagator_built_in_a_batch_equals_it_built_alone():
+    h0, pulses, window, alpha, dt = _gate_link_terms()
+    scales = [s * alpha for s in (0.5, 1.0, 1.5)]
+    batch = pulsed_propagators(h0, pulses, 0.0, window, dt, scales)
+    for s, u in zip(scales, batch):
+        assert np.array_equal(u, pulsed_propagators(h0, pulses, 0.0, window, dt, (s,))[0])
+
+
+def test_the_exchange_splits_the_register_into_invariant_blocks():
+    # the aux<->x exchange keeps the y cavity's excitation count (0, 1 or 2)
+    h0, pulses, *_ = _gate_link_terms()
+    jump = pulses[0][0]
+    blocks = _invariant_blocks(np.stack([h0.matrix, jump.matrix]))
+    assert [len(b) for b in blocks] == [8, 8, 2]
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(18))
+    space = jump.space
+    y_count = space.occupations[:, 1] + space.occupations[:, 4]
+    for b in blocks:
+        assert len(set(y_count[b].tolist())) == 1
+    outside = np.ones((18, 18), dtype=bool)
+    for b in blocks:
+        outside[b[:, None], b] = False
+    u = pulsed_propagators(h0, pulses, 0.0, 1.0, 0.01, (1.0, 2.0))
+    assert np.all(u[:, outside] == 0.0)
+
+
+def test_a_long_segment_stays_within_the_entry_budget():
+    """A 60,000-step exchange (the gate at dt 1e-4): the chunks keep every
+    array over the steps within _BLOCK_ENTRIES complex entries, so the
+    build's peak allocation stays within one budget's worth of bytes."""
+    h0, pulses, window, alpha, dt = _gate_link_terms()
+    assert math.ceil(window / 1e-4) == 60_000
+    tracemalloc.start()
+    try:
+        u = pulsed_propagators(h0, pulses, 0.0, window, 1e-4, (alpha,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * _BLOCK_ENTRIES
+    # unitary up to 60,000 steps of rounding (measured 8.9e-12), and within
+    # the default step's own RK4 error of its link (measured 7.4e-8)
+    assert np.max(np.abs(u[0].conj().T @ u[0] - np.eye(18))) < 1e-10
+    coarse = pulsed_propagators(h0, pulses, 0.0, window, dt, (alpha,))
+    assert np.max(np.abs(u - coarse)) < 1e-7
 
 
 def test_zero_amplitude_pulse_matches_const_route():

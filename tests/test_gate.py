@@ -42,7 +42,7 @@ from tchlab import (
     transfer_window_check,
     uniform_superposition,
 )
-from tchlab.evolution import pulsed_propagator
+from tchlab.evolution import pulsed_propagators
 from tchlab.gate import (
     AUX_CAVITY,
     BASIS_LABELS,
@@ -57,6 +57,11 @@ from tchlab.gate import (
 )
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, (4, 6)
+
+
+def _unit(ev):
+    """An exchange segment with its pulse at unit amplitude."""
+    return dataclasses.replace(ev, pulse=dataclasses.replace(ev.pulse, amplitude=1.0))
 
 
 def basis_vector(label):
@@ -94,6 +99,8 @@ def test_ideal_application_and_input_checks():
         ideal_cocsign(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ideal_cocsign(np.array([1.0, 1.0, 0.0, 0.0]))  # not normalized
+    with pytest.raises(ValueError, match="normalized"):
+        ideal_cocsign(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +366,9 @@ def test_exchange_propagator_is_unitary_within_its_step_error(scale, sigma):
     # this range (sigma = 1 at twice the area rule), 5-10% of the step bound.
     area_rule = dataclasses.replace(FAST_CONFIG, sigma=sigma).resolved_alpha
     cfg = dataclasses.replace(FAST_CONFIG, sigma=sigma, alpha=scale * area_rule)
-    ev = cocsign_schedule(cfg).events[0]  # the aux<->x link
-    u = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt)
-    u_fine = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt / 4.0)
+    ev = _unit(cocsign_schedule(cfg).events[0])  # the aux<->x link
+    u = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt, (cfg.alpha,))[0]
+    u_fine = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt / 4.0, (cfg.alpha,))[0]
     defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
     assert defect <= 2.02 * np.linalg.norm(u - u_fine, 2) + 1e-13
     assert defect <= (1.5e-8 if (scale, sigma) == (1.0, FAST_CONFIG.sigma) else 1e-6)
@@ -374,10 +381,10 @@ def test_mirrored_y_link_matches_direct_integration(scale):
     assert (ev.cavity_a, ev.cavity_b) == (AUX_CAVITY, Y_CAVITY)
     space = gate_space(cfg)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    direct = pulsed_propagator(
-        build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, cfg.resolved_dt
-    )
-    mirrored = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt)
+    direct = pulsed_propagators(
+        build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, cfg.resolved_dt, (1.0,)
+    )[0]
+    mirrored = _exchange_propagator(cfg.network(), _unit(ev), cfg.resolved_dt, (cfg.alpha,))[0]
     assert np.max(np.abs(mirrored - direct)) < 1e-13
 
 
@@ -417,9 +424,9 @@ def test_encoding_refuses_a_foreign_space():
 )
 def test_mirror_refuses_an_asymmetric_network(atoms, couplings):
     network = NetworkConfig(n_cavities=3, atoms_per_cavity=atoms, couplings=couplings)
-    ev = cocsign_schedule(FAST_CONFIG).events[2]
+    ev = _unit(cocsign_schedule(FAST_CONFIG).events[2])
     with pytest.raises(ValueError, match="equal atoms and couplings"):
-        _exchange_propagator(network, ev, FAST_CONFIG.resolved_dt)
+        _exchange_propagator(network, ev, FAST_CONFIG.resolved_dt, (FAST_CONFIG.resolved_alpha,))
 
 
 def test_sweep_grid_and_thread_determinism():
