@@ -14,7 +14,6 @@ samples without spread, for which the z-score is written as null).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -41,7 +40,7 @@ from .gate import (
     sweep,
     uniform_superposition,
 )
-from .reports import format_column, write_csv, write_json
+from .reports import format_column, write_csv, write_grid_csv, write_json
 from .walk import WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
@@ -146,23 +145,6 @@ def _kernel_band(n: int, origin: int, t: float, mass: float) -> np.ndarray:
     return band
 
 
-def _grid_rows(result, values: np.ndarray):
-    """Rows (time, cavity, position, re, im, abs) of a (time x cavity) grid
-    as str cells, time-major, one time sample at a time.  Each value is
-    formatted once; hypot gives the modulus bit for bit as the scalar abs()."""
-    cavities = [str(q) for q in range(values.shape[1])]
-    positions = format_column(result.positions)
-    for t, row in zip(format_column(result.times), values):
-        yield from zip(
-            itertools.repeat(t),
-            cavities,
-            positions,
-            format_column(row.real),
-            format_column(row.imag),
-            format_column(np.hypot(row.real, row.imag)),
-        )
-
-
 def cmd_walk(args) -> int:
     config = WalkConfig(
         n_cavities=args.n_cavities,
@@ -174,15 +156,16 @@ def cmd_walk(args) -> int:
     result = simulate_walk(config)
     exponent = ballistic_exponent(result.times, result.variances)
 
-    amp_path = write_csv(
+    sites = list(zip(map(str, range(config.n_cavities)), format_column(result.positions)))
+    amp_path = write_grid_csv(
         os.path.join(args.out_dir, "walk_amplitude.csv"),
         ("time", "cavity", "position", "re_amplitude", "im_amplitude", "abs_amplitude"),
-        _grid_rows(result, result.amplitudes),
+        result.times, sites, result.amplitudes,
     )
-    kernel_path = write_csv(
+    kernel_path = write_grid_csv(
         os.path.join(args.out_dir, "kernel.csv"),
         ("time", "cavity", "position", "re_kernel", "im_kernel", "abs_kernel"),
-        _grid_rows(result, result.kernel),
+        result.times, sites, result.kernel,
     )
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),

@@ -518,7 +518,7 @@ def sweep(
     configs = [dataclasses.replace(config, alpha=float(alpha)) for alpha in alphas]
     space = gate_space(config)
     h0 = build_tch(space)
-    psi0 = encode(q, space)
+    psi0, ideal = encode(q, space), encode(ideal_cocsign(q), space).amplitudes
     groups = {}  # the runs of each step size share one build of their links
     for i, cfg in enumerate(configs):
         groups.setdefault(cfg.resolved_dt, []).append(i)
@@ -528,7 +528,7 @@ def sweep(
         for k, i in enumerate(members):
             cfg = configs[i]
             psi = _run_schedule(psi0, h0, cfg, {pair: u[k] for pair, u in stacks.items()})
-            target = ideal_target_state(q, cfg)
+            target = ideal * schedule_phase(cfg)  # as ideal_target_state, on one encoding
             d_tr = trace_distance(density(psi), density(target))
             d_mod = modular_distance(psi, target)
             rows[i] = (cfg.alpha, cfg.sigma, cfg.n1, cfg.n2, d_tr, d_mod)

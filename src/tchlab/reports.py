@@ -1,17 +1,16 @@
 """Serialization helpers for experiment outputs.
 
-Numbers reach a CSV file through one formatter, ``format_column``, which
-gives every element of a column 17 significant digits, so doubles round-trip
-exactly and integers below 2**53 print the digits of ``str``.  ``write_csv``
-takes str cells only; any other cell is a programming error and raises
-TypeError.  CSV rows are streamed: each row is joined with ``,`` and ended
-with ``\r\n`` as it arrives, so a table is never held whole in memory.  No
-cell is quoted; a cell that would need quoting (``,``, ``"``, ``\r`` or
-``\n``) is refused with ValueError.  On either refusal no file is left
+Every number reaches a CSV file with 17 significant digits, through
+``format_column`` or the ``%.17g`` template of ``write_grid_csv`` (the same
+conversion in CPython): doubles round-trip exactly and integers below 2**53
+print the digits of ``str``.  Tables are streamed.  No cell is quoted: a
+cell needing it (``,``, ``"``, ``\r``, ``\n``) or a row not as wide as the
+header raises ValueError, a non-str cell TypeError, and no file is left
 behind.  JSON summaries are sorted, restricted to plain types and finite."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -25,29 +24,47 @@ def format_column(values) -> list[str]:
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _csv_line(row) -> str:
-    line = ",".join(row)
-    if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
-        raise ValueError(f"CSV cell needs quoting, which the writer does not do: {row!r}")
-    return line + "\r\n"
-
-
-def write_csv(path, header, rows) -> Path:
-    """Write ``header`` and then ``rows``, consumed once by iteration.  Every
-    cell must be a str (numbers go through ``format_column`` first); any
-    other cell raises TypeError.  On any failure the partial file is
-    removed."""
+def _write_blocks(path, header, blocks) -> Path:
+    """Write the header, then each (text, n_rows) block: n_rows lines of as
+    many unquoted cells as the header.  Counts only add up, so checking a
+    block refuses what checking each row would.  On failure, no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", newline="")
     try:
         with fh:
-            fh.write(_csv_line(tuple(header)))
-            fh.writelines(_csv_line(row) for row in rows)
+            for text, n in itertools.chain([(",".join(header) + "\r\n", 1)], blocks):
+                if (text.count(",") != n * (len(header) - 1) or '"' in text
+                        or text.count("\r") != n or text.count("\n") != n):
+                    raise ValueError(f"CSV cell needs quoting or row is ragged: {text[:200]!r}")
+                fh.write(text)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows``, consumed once by iteration.  Every
+    cell must be a str (numbers go through ``format_column`` first); any
+    other cell raises TypeError.  A row of another width than the header
+    counts as no row, which the check refuses."""
+    return _write_blocks(path, header, (
+        (",".join(row) + "\r\n", int(len(row) == len(header))) for row in rows))
+
+
+def write_grid_csv(path, header, times, sites, values) -> Path:
+    """Rows (time, *site cells, re, im, abs) of a complex (time x site) grid,
+    time-major, from numeric times and the str cells of each site, baked into
+    one row template that each time sample fills with one ``%`` call."""
+    template = "".join("%s," + ",".join(c).replace("%", "%%") + ",%.17g,%.17g,%.17g\r\n" for c in sites)
+
+    def block(t, z):
+        cells = [t] * (4 * len(z))
+        cells[1::4], cells[2::4] = z.real.tolist(), z.imag.tolist()
+        cells[3::4] = np.hypot(z.real, z.imag).tolist()
+        return template % tuple(cells), len(z)
+    return _write_blocks(path, header, map(block, format_column(times), values))
 
 
 def jsonable(value):

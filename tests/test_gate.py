@@ -438,6 +438,14 @@ def test_sweep_grid_and_thread_determinism():
     assert [r[0] for r in rows] == alphas
     best = min(rows, key=lambda r: r[5])
     assert best[0] == a0
+    # a one-amplitude sweep equals run_gate against ideal_target_state, bit
+    # for bit (in a larger batch the carried state may round differently)
+    q = uniform_superposition()
+    for alpha in alphas:
+        c = dataclasses.replace(cfg, alpha=alpha)
+        psi, target = run_gate(q, c), ideal_target_state(q, c)
+        distances = (trace_distance(density(psi), density(target)), modular_distance(psi, target))
+        assert sweep(cfg, [alpha], q=q)[0][4:] == distances
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tchlab.reports import format_column, write_csv, write_json
+from oracles import write_csv_loop
+from tchlab.reports import format_column, write_csv, write_grid_csv, write_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # integers are exact as doubles up to 2**53; np.float64 must format like a float
@@ -32,13 +33,28 @@ def test_float_cells_round_trip_bit_for_bit(x):
         assert _bits(float(format_column(column)[0])) == _bits(x)
 
 
-@given(st.lists(st.lists(cells, min_size=1, max_size=6), max_size=20))
+@given(finite)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_percent_and_format_give_the_same_17_digits(x):
+    # write_grid_csv fills a %.17g template, format_column calls format():
+    # both must print every double alike for the tables to agree
+    assert "%.17g" % x == format(x, ".17g")
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(cells, min_size=width, max_size=width), max_size=20)))
 @example([[0, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308]])
 @example([[np.float64(-0.0), -7, 1.7976931348623157e308]])
 @example([[2**53, -(2**53), 2**53 - 1]])
 @example([])
 def test_csv_file_round_trips_every_cell(rows):
-    header = ["a", "b"]
+    header = [f"c{j}" for j in range(len(rows[0]))] if rows else ["a", "b"]
     with tempfile.TemporaryDirectory() as tmp:
         path = write_csv(Path(tmp) / "table.csv", header, map(format_column, rows))
         data = path.read_bytes()
@@ -98,4 +114,87 @@ def test_csv_cell_that_is_not_str_is_refused_without_a_file(tmp_path, cell, wher
     path = tmp_path / "table.csv"
     with pytest.raises(TypeError):
         write_csv(path, ("a", "b"), rows)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    [("1", "2", "3"), ("4",)],  # wider, then narrower than the header
+    [("1", "2")] * 5000 + [("3",)],
+    [("x,y",)],  # one cell holding the missing comma
+])
+def test_csv_row_not_as_wide_as_the_header_is_refused_without_a_file(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", "b"), rows)
+    assert not path.exists()
+
+
+GRID_HEADER = ("time", "cavity", "position", "re", "im", "abs")
+# signed zeros, subnormals and the extremes next to ordinary values
+grid_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    finite,
+)
+
+
+@st.composite
+def grids(draw):
+    n_sites, n_times = draw(st.integers(2, 16)), draw(st.integers(2, 5))
+    entries = st.lists(grid_entries, min_size=n_sites * n_times, max_size=n_sites * n_times)
+    re = np.array(draw(entries)).reshape(n_times, n_sites)
+    im = np.array(draw(entries)).reshape(n_times, n_sites)
+    times = np.array(draw(st.lists(grid_entries, min_size=n_times, max_size=n_times)))
+    positions = np.array(draw(st.lists(grid_entries, min_size=n_sites, max_size=n_sites)))
+    return times, positions, re + 1j * im
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # |z| of the extremes is inf
+@given(grids())
+@example((np.array([0.0, -0.0]), np.array([-0.0, 5e-324]),
+          np.array([[-0.0 - 0.0j, 5e-324 + 1j], [-5e-324j, -0.0 + 5e-324j]])))
+def test_grid_writer_matches_the_per_cell_writer(grid):
+    times, positions, values = grid
+    with tempfile.TemporaryDirectory() as tmp:
+        sites = list(zip(map(str, range(values.shape[1])), format_column(positions)))
+        path = write_grid_csv(Path(tmp) / "grid.csv", GRID_HEADER, times, sites, values)
+        rows = [(t, q, x, z.real, z.imag, abs(z))
+                for t, row in zip(times, values) for q, (x, z) in enumerate(zip(positions, row))]
+        reference = write_csv_loop(Path(tmp) / "loop.csv", GRID_HEADER, rows)
+        assert path.read_bytes() == reference.read_bytes()
+
+
+def test_grid_writer_keeps_a_percent_sign_in_a_site_cell(tmp_path):
+    path = write_grid_csv(tmp_path / "grid.csv", ("t", "site", "re", "im", "abs"),
+                          [0.5], [("5%",), ("%s",)], np.array([1, complex(0, -2)])[None])
+    assert path.read_bytes() == b"t,site,re,im,abs\r\n0.5,5%,1,0,1\r\n0.5,%s,0,-2,2\r\n"
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+@pytest.mark.parametrize("site", [0, 7])
+def test_grid_site_cell_that_needs_quoting_is_refused_without_a_file(tmp_path, char, site):
+    sites = [(str(q), f"x{char}y" if q == site else "1") for q in range(8)]
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="quoting"):
+        write_grid_csv(path, GRID_HEADER, np.arange(3.0), sites, np.ones((3, 8), complex))
+    assert not path.exists()
+
+
+def test_grid_writer_removes_the_partial_file_when_the_stream_fails(tmp_path):
+    sites = [(str(q), str(q)) for q in range(64)]
+
+    def values():  # enough blocks to reach the disk before the failure
+        yield from np.ones((50, 64), complex)
+        raise RuntimeError("stream broke")
+
+    path = tmp_path / "grid.csv"
+    with pytest.raises(RuntimeError, match="stream broke"):
+        write_grid_csv(path, GRID_HEADER, np.arange(60.0), sites, values())
+    assert not path.exists()
+
+
+def test_grid_with_fewer_sites_than_columns_is_refused_without_a_file(tmp_path):
+    path = tmp_path / "grid.csv"
+    with pytest.raises(TypeError):
+        write_grid_csv(path, GRID_HEADER, [0.0], [("0", "0")], np.ones((1, 2), complex))
     assert not path.exists()

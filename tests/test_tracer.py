@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from tchlab import WalkConfig, reports, simulate_walk
-from tchlab.cli import _grid_rows
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,9 +43,10 @@ def test_traced_csv_writer_counts_rows_and_bytes(tmp_path):
     tracer = TRACER.Tracer("contract")
     write_csv = tracer.wrap("reports.write_csv", reports.write_csv, TRACER._csv_rows)
     result = simulate_walk(WalkConfig(n_cavities=16, n_times=3))
-    header = ("time", "cavity", "position", "re", "im", "abs")
-    path = write_csv(tmp_path / "walk.csv", header, _grid_rows(result, result.amplitudes))
+    header = ("separation", "n_links", "mean_amplitude", "mean_phase")
+    rows = zip(*map(reports.format_column, zip(*result.network_profile)))  # as ``tchlab walk``
+    path = write_csv(tmp_path / "network.csv", header, rows)
     metrics = TRACER.layer_metrics(tracer.spans)
     assert metrics["reports.write_csv.calls"] == 1
-    assert metrics["reports.rows"] == 3 * 16 == path.read_bytes().count(b"\r\n") - 1
+    assert metrics["reports.rows"] == 16 - 1 == path.read_bytes().count(b"\r\n") - 1
     assert metrics["reports.bytes_written"] == path.stat().st_size
