@@ -13,7 +13,6 @@ from .darkstates import (
     EmissionReport,
     EmissionSamples,
     classify_dark,
-    collective_lowering,
     emission_density,
     is_dark,
     multi_singlet_d3,

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import HilbertSpace, NetworkConfig
-from .evolution import NumericalDriftError, _lossy_propagation, _top_gain
-from .operators import OperatorMatrix, build_tc, photon_number_operator
+from .evolution import NumericalDriftError, _lossy_propagation
+from .operators import _tc_terms
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +95,6 @@ def multi_singlet_d3() -> np.ndarray:
 # darkness check
 # ---------------------------------------------------------------------------
 
-def collective_lowering(couplings) -> np.ndarray:
-    """Matrix of sum_j g_j sigma_j^- on the atomic register."""
-    couplings = tuple(float(g) for g in couplings)
-    n = len(couplings)
-    basis = np.arange(2**n)
-    op = np.zeros((2**n, 2**n), dtype=complex)
-    for j, g in enumerate(couplings):
-        bit = 1 << (n - 1 - j)
-        excited = basis[basis & bit != 0]
-        # each (excited ^ bit, excited) entry is distinct and met by one atom
-        op[excited ^ bit, excited] += g
-    return op
-
-
 def three_level_lowering(upper: int, lower: int, n_atoms: int = 3) -> np.ndarray:
     """Collective lowering sum_j |lower><upper|_j on a register of three-level
     atoms, for checking darkness of qutrit states such as the antisymmetric
@@ -148,9 +134,18 @@ def is_dark(psi_at, couplings, tol: float = 1e-9) -> DarknessReport:
         raise ValueError("atomic state dimension must be 2**n_atoms")
     if not abs(np.vdot(psi_at, psi_at).real - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("atomic state must be normalized")
-    lowering = collective_lowering(couplings)
-    absorption = float(np.linalg.norm(lowering.conj().T @ psi_at))
-    emission = float(np.linalg.norm(lowering @ psi_at))
+    # L = sum_j g_j sigma_j^- and L^dag, applied by bit arithmetic: atom j
+    # moves each ground index to ground | bit (raising) and back (lowering)
+    raised = np.zeros_like(psi_at)
+    lowered = np.zeros_like(psi_at)
+    index = np.arange(2**n)
+    for j, g in enumerate(couplings):
+        bit = 1 << (n - 1 - j)
+        ground = index[index & bit == 0]
+        raised[ground | bit] += float(g) * psi_at[ground]
+        lowered[ground] += float(g) * psi_at[ground | bit]
+    absorption = float(np.linalg.norm(raised))
+    emission = float(np.linalg.norm(lowered))
     return DarknessReport(absorption < tol, absorption, emission)
 
 
@@ -214,11 +209,7 @@ class EmissionReport:
 
 
 def _atomic_excitation_count(psi_at: np.ndarray) -> int:
-    counts = {
-        bin(b).count("1")
-        for b in range(len(psi_at))
-        if abs(psi_at[b]) > 1e-12
-    }
+    counts = {bin(b).count("1") for b in np.flatnonzero(np.abs(psi_at) > 1e-12).tolist()}
     if not counts:
         raise ValueError("atomic state must not vanish")
     if len(counts) > 1:
@@ -238,7 +229,11 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     reference, grown until the observation horizon times the next residual
     norm is at most 1e-10, so S is exact within 2e-10.  A state that reaches
     more than a quarter of the sector runs on the full sector instead.  The
-    report records the basis dimension and the closure bound.
+    report records the basis dimension and the closure bound.  The reached
+    subspace is built from products of the generator with a vector, taken
+    from the TC block's exchange pairs and the diagonal photon loss, so no
+    sector matrix is formed; only the whole-sector fallback builds the
+    generator as a dense matrix of dim^2 complex entries.
 
     The density comes from centered differences of S; a grid too coarse to
     keep p non-negative (beyond -1e-6) raises NumericalDriftError, as does a
@@ -262,28 +257,39 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     )
     space = HilbertSpace(network, sector)
     kappa = config.resolved_kappa
-    h_eff = (
-        build_tc(space, 0).matrix
-        - 0.5j * kappa * photon_number_operator(space, 0).matrix
-    )
-
-    if _top_gain(h_eff) > 1e-12 * max(1.0, kappa):
-        raise ValueError("effective generator has a growing direction")
-
-    support = np.flatnonzero(psi_at)
-    rows = np.ones((len(support), 1 + s), dtype=np.int64)
-    rows[:, 1:] = (support[:, None] >> np.arange(s - 1, -1, -1)) & 1
-    if np.any(rows.sum(axis=1) != sector):
-        raise ValueError(f"atomic state has components outside {excitations} excitations")
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[space.rank(rows)] = psi_at[support]
-
     # On one cavity the diagonal of the TC block is exactly omega * sector.
     # Removing it changes only a global phase, and keeps the rounding floor
-    # of omega out of the residual that closes the reachable basis.
-    h_eff[np.diag_indices(space.dim)] -= config.omega * sector
+    # of omega out of the residual that closes the reachable basis; the
+    # photon loss -i kappa/2 n is all that stays on the diagonal.
+    diagonal, rows, cols, values = _tc_terms(space, 0)
+    loss = (diagonal - config.omega * sector) - 0.5j * kappa * space.occupations[:, 0]
+    # The exchange values are real and enter in symmetric pairs, so they add
+    # nothing to the anti-Hermitian part of the generator: that part is
+    # diagonal, and its eigenvalues are loss.imag.
+    if float(np.max(loss.imag)) > 1e-12 * max(1.0, kappa):
+        raise ValueError("effective generator has a growing direction")
+
+    def generator_times(v):
+        out = loss * v
+        np.add.at(out, rows, values * v[cols])
+        np.add.at(out, cols, values * v[rows])
+        return out
+
+    def generator():  # dense, only for a state that falls back to the whole sector
+        h = np.diag(loss)
+        h[rows, cols] = h[cols, rows] = values
+        return h
+
+    support = np.flatnonzero(psi_at)
+    occupations = np.ones((len(support), 1 + s), dtype=np.int64)
+    occupations[:, 1:] = (support[:, None] >> np.arange(s - 1, -1, -1)) & 1
+    if np.any(occupations.sum(axis=1) != sector):
+        raise ValueError(f"atomic state has components outside {excitations} excitations")
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[space.rank(occupations)] = psi_at[support]
+
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
-    run = _lossy_propagation(h_eff, amps, times[1] - times[0], len(times) - 1)
+    run = _lossy_propagation(generator_times, generator, amps, times[1] - times[0], len(times) - 1)
     survival = run.survival
 
     density = -np.gradient(survival, times)

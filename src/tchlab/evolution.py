@@ -32,7 +32,10 @@ Three propagation routes, shared across the experiments:
   squared each round, so about log2(n) matrix products replace n steps.  A
   basis that would outgrow a quarter of the sector is replaced by the
   identity, so the same exponential-and-doubling code runs on the full
-  matrix.  It is numpy only: the package never loads scipy.
+  matrix.  The basis needs only products of the generator with a vector,
+  so the emission study passes its generator matrix-free and forms the
+  dense matrix only on that fallback.  It is numpy only: the package never
+  loads scipy.
 
 All times are in units with hbar = 1.
 """
@@ -355,7 +358,7 @@ def evolve_decay(
             f"anti-Hermitian part has a growing direction (max eigenvalue {top:.3e})"
         )
     tol = settings.norm_tolerance if settings is not None else 1e-8
-    amps = _lossy_propagation(m, psi.amplitudes, t, 1).final
+    amps = _lossy_propagation(m.__matmul__, lambda: m, psi.amplitudes, t, 1).final
     norm_in = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
     norm_out = float(np.vdot(amps, amps).real)
     if not norm_out <= norm_in + tol:  # NaN fails too
@@ -388,20 +391,25 @@ class _LossyRun(NamedTuple):
     closure_bound: float  # horizon * residual; 0 on the identity basis
 
 
-def _reachable_basis(m: np.ndarray, psi0: np.ndarray, horizon: float):
-    """Orthonormal columns Q spanning the Krylov space of m and psi0, with
-    m Q and the closure bound; None when Q would grow past a quarter of the
-    space (or psi0 vanishes), where the identity basis is cheaper."""
+def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
+    """Orthonormal columns Q spanning the Krylov space of the generator and
+    psi0, with the generator times Q and the closure bound; ``apply`` maps
+    a vector to its product with the generator.  None when Q would grow
+    past a quarter of the space (or psi0 vanishes), where the identity
+    basis is cheaper."""
     dim = len(psi0)
     limit = dim // 4
     beta = float(np.linalg.norm(psi0))
     if limit == 0 or beta == 0.0:
         return None
-    q = np.empty((dim, limit), dtype=complex, order="F")  # contiguous columns
-    images = np.empty((dim, limit), dtype=complex)
+    # column-major, so that a column is contiguous and writing it touches
+    # only its own pages; the buffers double when full, so they hold at most
+    # twice the columns the basis reaches, never dim x limit up front
+    q = np.empty((dim, min(limit, 8)), dtype=complex, order="F")
+    images = np.empty_like(q)
     q[:, 0] = psi0 / beta
     for k in range(1, limit + 1):
-        w = m @ q[:, k - 1]
+        w = apply(q[:, k - 1])
         images[:, k - 1] = w
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
             w = w - q[:, :k] @ (q[:, :k].conj().T @ w)
@@ -409,13 +417,25 @@ def _reachable_basis(m: np.ndarray, psi0: np.ndarray, horizon: float):
         if horizon * residual <= _CLOSURE_TOLERANCE:
             return q[:, :k], images[:, :k], horizon * residual
         if k < limit:
+            if k == q.shape[1]:
+                q, images = (_widened(a, min(limit, 2 * k)) for a in (q, images))
             q[:, k] = w / residual
     return None
 
 
-def _lossy_propagation(m: np.ndarray, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
+def _widened(a: np.ndarray, width: int) -> np.ndarray:
+    """A column-major copy of a with room for ``width`` columns."""
+    out = np.empty((len(a), width), dtype=a.dtype, order="F")
+    out[:, : a.shape[1]] = a
+    return out
+
+
+def _lossy_propagation(apply, dense, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
     """Step exp(-i m dt) psi0 over n_steps equal steps inside the subspace
-    psi0 reaches, recording the squared norm at every grid time.
+    psi0 reaches, recording the squared norm at every grid time.  The
+    generator m enters as ``apply``, its product with a vector, and as
+    ``dense``, a function returning it as a matrix, called only when the
+    propagation falls back to the whole space.
 
     With Q the reachable basis and m Q = Q B + r e_k^T, Duhamel's formula
     bounds the amplitude error of Q exp(-i B t) Q^H psi0 by t |r| |psi0| when
@@ -423,9 +443,9 @@ def _lossy_propagation(m: np.ndarray, psi0: np.ndarray, dt: float, n_steps: int)
     n_steps * dt is at most ``_CLOSURE_TOLERANCE`` per unit norm.  The step
     exp(-i B dt) is the Pade exponential ``_expm`` and the grid is filled by
     ``_step_powers``, both numpy only.  Callers check dissipativity."""
-    reach = _reachable_basis(m, psi0, dt * n_steps)
+    reach = _reachable_basis(apply, psi0, dt * n_steps)
     if reach is None:
-        block, coef, bound = m, psi0, 0.0
+        block, coef, bound = dense(), psi0, 0.0
     else:
         q, images, bound = reach
         block = q.conj().T @ images

@@ -339,7 +339,11 @@ def _exchange_propagator(
     if {ev.cavity_a, ev.cavity_b} == {AUX_CAVITY, Y_CAVITY}:
         swap = _xy_swap(space)
         x_link = dataclasses.replace(ev, cavity_a=AUX_CAVITY, cavity_b=X_CAVITY)
-        u = _exchange_propagator(network, x_link, dt, amplitudes)[:, swap[:, None], swap]
+        # C-contiguous like the integrated stacks, so that every slice u[k]
+        # has one memory layout and applying it rounds the same way
+        u = np.ascontiguousarray(
+            _exchange_propagator(network, x_link, dt, amplitudes)[:, swap[:, None], swap]
+        )
     else:
         jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
         u = pulsed_propagators(

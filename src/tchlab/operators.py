@@ -125,6 +125,29 @@ def coupling_strength(
     return math.sqrt(hbar * omega / volume) * dipole * math.sin(math.pi * position / length)
 
 
+def _tc_terms(space: HilbertSpace, cavity: int):
+    """One cavity's TC block as (diagonal, rows, cols, values): the real
+    diagonal omega * (photon number + excited atoms in the cavity), and the
+    exchange elements values[k] at (rows[k], cols[k]) and at (cols[k],
+    rows[k]), each pair met once.  Rows are the states |n+1>|g_j> and
+    columns the states |n>|e_j> they come from, values g_j sqrt(n+1), all
+    real; pairs pushed past the photon truncation are dropped (both
+    directions)."""
+    cfg = space.config
+    if not 0 <= cavity < cfg.n_cavities:
+        raise ValueError(f"cavity index {cavity} out of range")
+    atoms = np.arange(cfg.atom_range(cavity).start, cfg.atom_range(cavity).stop)
+    n, bits = space.occupations[:, cavity], space.occupations[:, cfg.n_cavities + atoms]
+    diagonal = cfg.omega * (n + bits.sum(axis=1))
+    # each excited atom next to room for a photon: |n>|e_j> -> |n+1>|g_j>
+    s, k = np.nonzero((bits == 1) & (n < cfg.max_photons)[:, None])
+    target = space.occupations[s]
+    target[:, cavity] += 1
+    target[np.arange(len(s)), cfg.n_cavities + atoms[k]] = 0
+    values = np.array(cfg.couplings)[atoms[k]] * np.sqrt(n[s] + 1)
+    return diagonal, space.rank(target), s, values
+
+
 def build_tc(space: HilbertSpace, cavity: int) -> OperatorMatrix:
     """Single-cavity block: omega * (photon number + excited atoms in the
     cavity) plus the excitation exchange a^dag sigma_j^- * g_j + h.c. for
@@ -134,20 +157,10 @@ def build_tc(space: HilbertSpace, cavity: int) -> OperatorMatrix:
     pairs pushed past the photon truncation are dropped (both directions,
     so the output stays Hermitian).
     """
-    cfg = space.config
-    if not 0 <= cavity < cfg.n_cavities:
-        raise ValueError(f"cavity index {cavity} out of range")
-    atoms = np.arange(cfg.atom_range(cavity).start, cfg.atom_range(cavity).stop)
-    n, bits = space.occupations[:, cavity], space.occupations[:, cfg.n_cavities + atoms]
+    diagonal, rows, cols, values = _tc_terms(space, cavity)
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    h[np.diag_indices(space.dim)] = cfg.omega * (n + bits.sum(axis=1))
-    # each excited atom next to room for a photon: |n>|e_j> -> |n+1>|g_j>
-    s, k = np.nonzero((bits == 1) & (n < cfg.max_photons)[:, None])
-    target = space.occupations[s]
-    target[:, cavity] += 1
-    target[np.arange(len(s)), cfg.n_cavities + atoms[k]] = 0
-    t = space.rank(target)
-    h[t, s] = h[s, t] = np.array(cfg.couplings)[atoms[k]] * np.sqrt(n[s] + 1)
+    h[np.diag_indices(space.dim)] = diagonal
+    h[rows, cols] = h[cols, rows] = values
     return OperatorMatrix(space, h)
 
 

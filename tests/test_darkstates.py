@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_tc_loop, collective_lowering_loop, dense_emission_survival
+from oracles import (
+    build_tc_loop,
+    collective_lowering,
+    collective_lowering_loop,
+    dense_emission_survival,
+)
 
 from tchlab import (
     DecayConfig,
@@ -12,7 +18,6 @@ from tchlab import (
     NetworkConfig,
     build_tc,
     classify_dark,
-    collective_lowering,
     emission_density,
     is_dark,
     multi_singlet_d3,
@@ -113,6 +118,21 @@ def test_collective_lowering_matches_the_entrywise_loop(n_atoms):
     couplings = np.random.default_rng(n_atoms).uniform(0.1, 2.0, size=n_atoms)
     op = collective_lowering(couplings)
     assert np.array_equal(op, collective_lowering_loop(couplings))
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 11))
+def test_is_dark_matches_the_dense_lowering_product(n_atoms):
+    rng = np.random.default_rng(100 + n_atoms)
+    couplings = tuple(rng.uniform(0.5, 1.5, size=n_atoms))
+    psi = rng.normal(size=2**n_atoms) + 1j * rng.normal(size=2**n_atoms)
+    psi /= np.linalg.norm(psi)
+    lowering = collective_lowering_loop(couplings)
+    absorption = np.linalg.norm(lowering.conj().T @ psi)
+    emission = np.linalg.norm(lowering @ psi)
+    report = is_dark(psi, couplings)
+    # n products of order one per entry, summed in another order
+    assert abs(report.absorption_residual - absorption) <= 1e-14 * absorption
+    assert abs(report.emission_residual - emission) <= 1e-14 * emission
 
 
 @pytest.mark.parametrize("n_atoms", range(2, 13))
@@ -229,6 +249,24 @@ def test_register_decay_runs_in_the_reached_subspace(n_atoms):
     assert light.closure_bound <= 1e-10
 
 
+@pytest.mark.parametrize("bright", [False, True], ids=["singlet", "bright"])
+def test_fourteen_atom_decay_builds_no_sector_matrix(bright):
+    # the 14-atom decay sector holds 12,911 states: one dense complex matrix
+    # on it would take 12,911^2 * 16 bytes, about 2.7 GB
+    psi = _adjacent_singlets(14)
+    if bright:
+        psi = np.kron(triplet_state(), _adjacent_singlets(12))
+    tracemalloc.start()
+    try:
+        report = emission_density(psi, DecayConfig(couplings=(1e-3,) * 14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.basis_dim == (3 if bright else 1)
+    assert report.closure_bound <= 1e-10
+    assert peak < 128 * 2**20
+
+
 def test_crossed_pairing_and_empty_register_match_dense_decay():
     crossed_cfg = DecayConfig(couplings=(1e-3,) * 4)
     crossed = _assert_matches_dense(singlet_product(((0, 2), (1, 3))), crossed_cfg)
@@ -236,6 +274,17 @@ def test_crossed_pairing_and_empty_register_match_dense_decay():
     empty = _assert_matches_dense(np.ones(1, dtype=complex), DecayConfig(couplings=()))
     assert empty.basis_dim == 1
     assert empty.closure_bound == 0.0
+
+
+def test_a_basis_wider_than_its_first_buffer_matches_dense_decay():
+    # the 7-excitation Dicke state of 8 equal atoms reaches |n>|D(8 - n)>
+    # for n = 0..8: 9 states, past the 8 columns the basis buffers start
+    # with, in a sector of 256
+    psi = np.array([1.0 if bin(b).count("1") == 7 else 0.0 for b in range(2**8)], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    report = _assert_matches_dense(psi, DecayConfig(couplings=(1e-3,) * 8))
+    assert report.basis_dim == 9
+    assert report.closure_bound <= 1e-10
 
 
 def test_generic_register_falls_back_to_the_whole_sector():

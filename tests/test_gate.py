@@ -439,13 +439,28 @@ def test_sweep_grid_and_thread_determinism():
     best = min(rows, key=lambda r: r[5])
     assert best[0] == a0
     # a one-amplitude sweep equals run_gate against ideal_target_state, bit
-    # for bit (in a larger batch the carried state may round differently)
+    # for bit
     q = uniform_superposition()
     for alpha in alphas:
         c = dataclasses.replace(cfg, alpha=alpha)
         psi, target = run_gate(q, c), ideal_target_state(q, c)
         distances = (trace_distance(density(psi), density(target)), modular_distance(psi, target))
         assert sweep(cfg, [alpha], q=q)[0][4:] == distances
+
+
+def test_sweep_rows_do_not_depend_on_their_companions():
+    # every link slice u[k] is applied with one memory layout, so a row is
+    # the same bits whichever other amplitudes share its build
+    cfg = FAST_CONFIG
+    a = cfg.resolved_alpha
+    alone = sweep(cfg, [a])[0]
+    for alphas in (
+        [0.9 * a, a],
+        [0.5 * a, 0.9 * a, a, 1.1 * a, 1.5 * a],
+        [0.25 * a, 0.5 * a, 0.75 * a, a, 1.25 * a, 1.5 * a, 2.0 * a],
+    ):
+        assert sweep(cfg, alphas)[alphas.index(a)] == alone
+    assert sweep(cfg, [0.9 * a, a, 1.1 * a])[0] == sweep(cfg, [0.9 * a])[0]
 
 
 # ---------------------------------------------------------------------------
