@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import HilbertSpace, NetworkConfig
 from .evolution import NumericalDriftError, _lossy_propagation
-from .operators import _tc_terms
+from .operators import build_tc
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,18 @@ def is_dark(psi_at, couplings, tol: float = 1e-9) -> DarknessReport:
         raise ValueError("atomic state dimension must be 2**n_atoms")
     if not abs(np.vdot(psi_at, psi_at).real - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("atomic state must be normalized")
-    # L = sum_j g_j sigma_j^- and L^dag, applied by bit arithmetic: atom j
-    # moves each ground index to ground | bit (raising) and back (lowering)
+    lowered, raised = _collective_products(psi_at, couplings)
+    absorption = float(np.linalg.norm(raised))
+    emission = float(np.linalg.norm(lowered))
+    return DarknessReport(absorption < tol, absorption, emission)
+
+
+def _collective_products(psi_at: np.ndarray, couplings):
+    """(L psi, L^dag psi) for L = sum_j g_j sigma_j^- (atom 0 the most
+    significant bit), by bit arithmetic over the register index: atom j
+    moves each ground index to ground | bit (raising) and back (lowering).
+    Rows are register indices, so psi may also be a matrix of columns."""
+    n = len(couplings)
     raised = np.zeros_like(psi_at)
     lowered = np.zeros_like(psi_at)
     index = np.arange(2**n)
@@ -144,9 +154,7 @@ def is_dark(psi_at, couplings, tol: float = 1e-9) -> DarknessReport:
         ground = index[index & bit == 0]
         raised[ground | bit] += float(g) * psi_at[ground]
         lowered[ground] += float(g) * psi_at[ground | bit]
-    absorption = float(np.linalg.norm(raised))
-    emission = float(np.linalg.norm(lowered))
-    return DarknessReport(absorption < tol, absorption, emission)
+    return lowered, raised
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +269,9 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     # Removing it changes only a global phase, and keeps the rounding floor
     # of omega out of the residual that closes the reachable basis; the
     # photon loss -i kappa/2 n is all that stays on the diagonal.
-    diagonal, rows, cols, values = _tc_terms(space, 0)
-    loss = (diagonal - config.omega * sector) - 0.5j * kappa * space.occupations[:, 0]
+    block = build_tc(space, 0)
+    rows, cols, values = block.rows, block.cols, block.values
+    loss = (block.diagonal - config.omega * sector) - 0.5j * kappa * space.occupations[:, 0]
     # The exchange values are real and enter in symmetric pairs, so they add
     # nothing to the anti-Hermitian part of the generator: that part is
     # diagonal, and its eigenvalues are loss.imag.
@@ -276,8 +285,8 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         return out
 
     def generator():  # dense, only for a state that falls back to the whole sector
-        h = np.diag(loss)
-        h[rows, cols] = h[cols, rows] = values
+        h = block.matrix  # the block is not used after this
+        h[np.diag_indices(space.dim)] = loss
         return h
 
     support = np.flatnonzero(psi_at)

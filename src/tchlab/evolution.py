@@ -403,10 +403,9 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
     if limit == 0 or beta == 0.0:
         return None
     # column-major, so that a column is contiguous and writing it touches
-    # only its own pages; the buffers double when full, so they hold at most
-    # twice the columns the basis reaches, never dim x limit up front
-    q = np.empty((dim, min(limit, 8)), dtype=complex, order="F")
-    images = np.empty_like(q)
+    # only its own pages: the columns the basis never reaches stay unmapped
+    q = np.empty((dim, limit), dtype=complex, order="F")
+    images = np.empty((dim, limit), dtype=complex, order="F")
     q[:, 0] = psi0 / beta
     for k in range(1, limit + 1):
         w = apply(q[:, k - 1])
@@ -417,17 +416,8 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
         if horizon * residual <= _CLOSURE_TOLERANCE:
             return q[:, :k], images[:, :k], horizon * residual
         if k < limit:
-            if k == q.shape[1]:
-                q, images = (_widened(a, min(limit, 2 * k)) for a in (q, images))
             q[:, k] = w / residual
     return None
-
-
-def _widened(a: np.ndarray, width: int) -> np.ndarray:
-    """A column-major copy of a with room for ``width`` columns."""
-    out = np.empty((len(a), width), dtype=a.dtype, order="F")
-    out[:, : a.shape[1]] = a
-    return out
 
 
 def _lossy_propagation(apply, dense, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:

@@ -3,12 +3,14 @@
 Per-cavity physics: a shared-frequency mode exchanging excitations with its
 atoms through a collective coupling (each atom enters with its own strength
 g_j).  Between cavities, photons hop with a complex amplitude.  All builders
-return dense complex matrices restricted to one excitation sector; matrix
-elements carry the usual sqrt(n) bosonic enhancements.
+return dense complex matrices restricted to one excitation sector (the
+single-cavity block scatters its matrix on first use); matrix elements
+carry the usual sqrt(n) bosonic enhancements.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,14 +127,36 @@ def coupling_strength(
     return math.sqrt(hbar * omega / volume) * dipole * math.sin(math.pi * position / length)
 
 
-def _tc_terms(space: HilbertSpace, cavity: int):
-    """One cavity's TC block as (diagonal, rows, cols, values): the real
-    diagonal omega * (photon number + excited atoms in the cavity), and the
-    exchange elements values[k] at (rows[k], cols[k]) and at (cols[k],
-    rows[k]), each pair met once.  Rows are the states |n+1>|g_j> and
-    columns the states |n>|e_j> they come from, values g_j sqrt(n+1), all
-    real; pairs pushed past the photon truncation are dropped (both
-    directions)."""
+class TCBlock(OperatorMatrix):
+    """One cavity's TC block as ``build_tc`` returns it: the real diagonal
+    and the exchange elements values[k] at (rows[k], cols[k]) and at
+    (cols[k], rows[k]), each pair met once.  ``matrix`` scatters them into
+    the dense operator on first use, so a caller that applies the block
+    through its pairs never forms a dim x dim matrix."""
+
+    def __init__(self, space: HilbertSpace, diagonal, rows, cols, values):
+        self.space = space
+        self.diagonal, self.rows, self.cols, self.values = diagonal, rows, cols, values
+        self._eig = None
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        h = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        h[np.diag_indices(self.space.dim)] = self.diagonal
+        h[self.rows, self.cols] = h[self.cols, self.rows] = self.values
+        return h
+
+
+def build_tc(space: HilbertSpace, cavity: int) -> TCBlock:
+    """Single-cavity block: omega * (photon number + excited atoms in the
+    cavity) plus the excitation exchange a^dag sigma_j^- * g_j + h.c. for
+    every atom j in the cavity.
+
+    Exchange elements between |n>|e_j> and |n+1>|g_j> are g_j sqrt(n+1),
+    all real: rows are the states |n+1>|g_j>, columns the states |n>|e_j>
+    they come from.  Pairs pushed past the photon truncation are dropped
+    (both directions, so the output stays Hermitian).
+    """
     cfg = space.config
     if not 0 <= cavity < cfg.n_cavities:
         raise ValueError(f"cavity index {cavity} out of range")
@@ -145,23 +169,7 @@ def _tc_terms(space: HilbertSpace, cavity: int):
     target[:, cavity] += 1
     target[np.arange(len(s)), cfg.n_cavities + atoms[k]] = 0
     values = np.array(cfg.couplings)[atoms[k]] * np.sqrt(n[s] + 1)
-    return diagonal, space.rank(target), s, values
-
-
-def build_tc(space: HilbertSpace, cavity: int) -> OperatorMatrix:
-    """Single-cavity block: omega * (photon number + excited atoms in the
-    cavity) plus the excitation exchange a^dag sigma_j^- * g_j + h.c. for
-    every atom j in the cavity.
-
-    Exchange elements between |n>|e_j> and |n+1>|g_j> are g_j sqrt(n+1);
-    pairs pushed past the photon truncation are dropped (both directions,
-    so the output stays Hermitian).
-    """
-    diagonal, rows, cols, values = _tc_terms(space, cavity)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    h[np.diag_indices(space.dim)] = diagonal
-    h[rows, cols] = h[cols, rows] = values
-    return OperatorMatrix(space, h)
+    return TCBlock(space, diagonal, space.rank(target), s, values)
 
 
 def _add_hop(h: np.ndarray, space: HilbertSpace, hop: HopSpec) -> None:

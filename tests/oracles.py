@@ -21,8 +21,8 @@ grid on the whole sector; the exponential is cached per configuration and
 sector, so the states of one register share it.  ``step_powers_loop`` steps one vector at a time,
 the reference for the doubling that ``evolution._step_powers`` does, and
 ``collective_lowering_loop`` fills the collective lowering operator one
-entry at a time; ``collective_lowering`` builds the same matrix one atom at
-a time, the dense reference for the matrix-free ``darkstates.is_dark``.
+entry at a time, the dense reference for the matrix-free
+``darkstates.is_dark``.
 
 The sector-operator references are the entry-at-a-time loops that
 ``HilbertSpace.rank`` replaced: ``occupations_loop`` enumerates a sector by
@@ -520,17 +520,3 @@ def collective_lowering_loop(couplings):
                 op[b & ~bit, b] += couplings[j]
     return op
 
-
-def collective_lowering(couplings):
-    """sum_j g_j sigma_j^- on the atomic register (atom 0 the most
-    significant bit), one atom at a time over every excited index."""
-    couplings = tuple(float(g) for g in couplings)
-    n = len(couplings)
-    basis = np.arange(2**n)
-    op = np.zeros((2**n, 2**n), dtype=complex)
-    for j, g in enumerate(couplings):
-        bit = 1 << (n - 1 - j)
-        excited = basis[basis & bit != 0]
-        # each (excited ^ bit, excited) entry is distinct and met by one atom
-        op[excited ^ bit, excited] += g
-    return op

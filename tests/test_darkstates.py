@@ -1,17 +1,16 @@
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (
-    build_tc_loop,
-    collective_lowering,
-    collective_lowering_loop,
-    dense_emission_survival,
-)
+from oracles import build_tc_loop, collective_lowering_loop, dense_emission_survival
 
+import tchlab
 from tchlab import (
     DecayConfig,
     HilbertSpace,
@@ -28,6 +27,7 @@ from tchlab import (
     three_level_lowering,
     triplet_state,
 )
+from tchlab.darkstates import _collective_products
 
 
 def test_singlet_has_zero_absorption():
@@ -102,7 +102,7 @@ def test_three_level_lowering_validates_levels():
 
 def test_collective_lowering_matches_definition():
     gs = (0.5, 0.25)
-    op = collective_lowering(gs)
+    op = collective_lowering_loop(gs)
     # acting on |11> gives g1|01> + g2|10>
     psi = np.zeros(4)
     psi[3] = 1.0
@@ -116,8 +116,12 @@ def test_collective_lowering_matches_definition():
 @pytest.mark.parametrize("n_atoms", range(9))
 def test_collective_lowering_matches_the_entrywise_loop(n_atoms):
     couplings = np.random.default_rng(n_atoms).uniform(0.1, 2.0, size=n_atoms)
-    op = collective_lowering(couplings)
-    assert np.array_equal(op, collective_lowering_loop(couplings))
+    # applied to every basis vector at once, is_dark's bit arithmetic gives
+    # the lowering matrix and its transpose, each entry one coupling
+    lowering, raising = _collective_products(np.eye(2**n_atoms, dtype=complex), couplings)
+    expected = collective_lowering_loop(couplings)
+    assert np.array_equal(lowering, expected)
+    assert np.array_equal(raising, expected.T)
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 11))
@@ -249,22 +253,32 @@ def test_register_decay_runs_in_the_reached_subspace(n_atoms):
     assert light.closure_bound <= 1e-10
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 @pytest.mark.parametrize("bright", [False, True], ids=["singlet", "bright"])
 def test_fourteen_atom_decay_builds_no_sector_matrix(bright):
     # the 14-atom decay sector holds 12,911 states: one dense complex matrix
-    # on it would take 12,911^2 * 16 bytes, about 2.7 GB
-    psi = _adjacent_singlets(14)
-    if bright:
-        psi = np.kron(triplet_state(), _adjacent_singlets(12))
-    tracemalloc.start()
-    try:
-        report = emission_density(psi, DecayConfig(couplings=(1e-3,) * 14))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.basis_dim == (3 if bright else 1)
-    assert report.closure_bound <= 1e-10
-    assert peak < 128 * 2**20
+    # on it would take 12,911^2 * 16 bytes, about 2.7 GB.  The decay runs in
+    # a fresh process, which reads its own peak resident size (VmHWM, in kB;
+    # ru_maxrss would also count this process's size at the fork).
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    state = "np.kron(triplet_state(), singlets(12))" if bright else "singlets(14)"
+    code = (
+        "import numpy as np\n"
+        "from tchlab import DecayConfig, emission_density, singlet_product, triplet_state\n"
+        "def singlets(n):\n"
+        "    return singlet_product([(i, i + 1) for i in range(0, n, 2)])\n"
+        f"report = emission_density({state}, DecayConfig(couplings=(1e-3,) * 14))\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
+        "print(report.basis_dim, report.closure_bound, status)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    basis_dim, closure_bound, peak_kb = proc.stdout.split()
+    assert int(basis_dim) == (3 if bright else 1)
+    assert float(closure_bound) <= 1e-10
+    assert int(peak_kb) < 256 * 1024
 
 
 def test_crossed_pairing_and_empty_register_match_dense_decay():
@@ -274,17 +288,6 @@ def test_crossed_pairing_and_empty_register_match_dense_decay():
     empty = _assert_matches_dense(np.ones(1, dtype=complex), DecayConfig(couplings=()))
     assert empty.basis_dim == 1
     assert empty.closure_bound == 0.0
-
-
-def test_a_basis_wider_than_its_first_buffer_matches_dense_decay():
-    # the 7-excitation Dicke state of 8 equal atoms reaches |n>|D(8 - n)>
-    # for n = 0..8: 9 states, past the 8 columns the basis buffers start
-    # with, in a sector of 256
-    psi = np.array([1.0 if bin(b).count("1") == 7 else 0.0 for b in range(2**8)], dtype=complex)
-    psi /= np.linalg.norm(psi)
-    report = _assert_matches_dense(psi, DecayConfig(couplings=(1e-3,) * 8))
-    assert report.basis_dim == 9
-    assert report.closure_bound <= 1e-10
 
 
 def test_generic_register_falls_back_to_the_whole_sector():
