@@ -18,7 +18,11 @@ Three propagation routes, shared across the experiments:
   independently of s, and each scale's R's are multiplied in pairs into one
   product.  A chunk holds at most ``_STEP_BLOCK`` steps, and on wide blocks
   few enough that its S_p stacks stay within ``_BLOCK_ENTRIES`` complex
-  entries (4 MiB), whatever the step and the sector.
+  entries (4 MiB), whatever the step and the sector.  A time-symmetric
+  segment (real symmetric letters, every pulse centred, a mirror-symmetric
+  zero pattern of the envelopes) integrates only its first half: with
+  those, step n-1-k is the transpose of step k, so the second half's
+  product is the transpose of the first's.
 - ``evolve_decay``: non-Hermitian effective generator whose shrinking norm is
   the observable, never renormalized.  It shares one lossy propagator with
   ``darkstates.emission_density``: an orthonormal basis of the subspace the
@@ -205,7 +209,21 @@ def pulsed_propagators(
     hold at most ``_BLOCK_ENTRIES`` entries (4 MiB) on the widest block, in
     one buffer every block reuses, for any dt.  The word table of a block of
     b states holds sum_{l<=4} (1 + K)^l matrices of b x b for K pulses: 31
-    for one pulse."""
+    for one pulse.
+
+    Time symmetry halves the steps.  Transposing a step reverses each word,
+    and ``_RK4_TERMS`` is closed under reversing a word while swapping its
+    start and end times, so step n-1-k is the transpose of step k when
+    three conditions hold: every letter equals its transpose (real
+    symmetric H0 and J_k); every pulse is centred on the segment,
+    ``center == 0.5 * (t_start + t_end)``; and each envelope is zero at the
+    step starts, midpoints and ends exactly where it is zero at their
+    mirror images, so that no truncation edge rounds inside the window at
+    one end and outside at the other.  Then with V_k the product of the
+    first k steps, U = V_{n//2}^T V_{ceil(n/2)}: only the first ceil(n/2)
+    steps run, the product after n // 2 of them is kept, and for odd n the
+    middle step runs on its own.  This is exact up to rounding.  Any other
+    segment runs all n steps."""
     scales = [float(s) for s in scales]
     n_steps = max(1, math.ceil((t_end - t_start) / dt))
     h = (t_end - t_start) / n_steps
@@ -226,9 +244,18 @@ def pulsed_propagators(
         tables.append([table[w].view(float) for w in by_power])
     u = [np.broadcast_to(np.eye(len(b), dtype=complex), (len(scales), len(b), len(b))).copy()
          for b in blocks]
+    # a time-symmetric segment runs its first ceil(n/2) steps, keeping the
+    # product after n // 2 of them, whose transpose is the rest
+    half = n_steps // 2
+    mirror = half > 0 and _time_symmetric(letters, pulses, t_start, t_end, h, n_steps)
+    stop = n_steps - half if mirror else n_steps
+    bounds = {*range(0, stop, chunk), stop}
+    if mirror:
+        bounds.add(half)
+    bounds = sorted(bounds)
     buffer = np.empty(n_powers * chunk * widest**2, dtype=complex)
-    for first in range(0, n_steps, chunk):
-        t = t_start + np.arange(first, min(first + chunk, n_steps)) * h
+    for first, last in zip(bounds, bounds[1:]):
+        t = t_start + np.arange(first, last) * h
         coef = _word_coefficients([pulse for _, pulse in pulses], t, h, words)
         coef = [coef[:, w] for w in by_power]
         for block, table, ub in zip(blocks, tables, u):
@@ -239,10 +266,34 @@ def pulsed_propagators(
             for i, s in enumerate(scales):
                 r = (s ** np.arange(n_powers)) @ stack
                 ub[i] = _ordered_product(r.reshape(len(t), b, b)) @ ub[i]
+        if mirror and last == half:
+            first_half = [ub.copy() for ub in u]
+    if mirror:
+        u = [np.swapaxes(v, 1, 2) @ ub for v, ub in zip(first_half, u)]
     out = np.zeros((len(scales), d, d), dtype=complex)
     for block, ub in zip(blocks, u):
         out[:, block[:, None], block] = ub
     return out
+
+
+def _time_symmetric(letters: np.ndarray, pulses, t_start: float, t_end: float,
+                    h: float, n_steps: int) -> bool:
+    """Whether step n-1-k of the scheme is the transpose of step k up to
+    rounding: every letter equals its transpose, every pulse is centred on
+    the segment, and each envelope is zero at a step's start, midpoint or
+    end exactly where it is zero at the mirrored step's end, midpoint or
+    start.  The last condition keeps a truncation edge that rounds inside
+    the window at one end and outside at the other on the full path."""
+    if not np.array_equal(letters, letters.transpose(0, 2, 1)):
+        return False
+    t = t_start + np.arange(n_steps) * h
+    for _, pulse in pulses:
+        if pulse.center != 0.5 * (t_start + t_end):
+            return False
+        zero = np.stack([pulse_value(pulse, time) == 0.0 for time in (t, t + 0.5 * h, t + h)])
+        if not np.array_equal(zero, zero[::-1, ::-1]):
+            return False
+    return True
 
 
 def _invariant_blocks(matrices: np.ndarray) -> list[np.ndarray]:
@@ -257,7 +308,10 @@ def _invariant_blocks(matrices: np.ndarray) -> list[np.ndarray]:
         if np.array_equal(lowest, labels):
             break
         labels = lowest
-    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    # each component's label is its smallest index, its root (np.unique
+    # would load numpy.ma)
+    roots = np.flatnonzero(labels == np.arange(len(labels)))
+    return [np.flatnonzero(labels == root) for root in roots]
 
 
 def _words(n_letters: int) -> np.ndarray:

@@ -10,7 +10,6 @@ behind.  JSON summaries are sorted, restricted to plain types and finite."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -24,20 +23,26 @@ def format_column(values) -> list[str]:
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
+def _plain(text: str, n: int, width: int) -> str:
+    """``text`` if it is n lines of ``width`` unquoted cells, else ValueError.
+    Counts only add up, so checking a block refuses what checking each row
+    would."""
+    if (text.count(",") != n * (width - 1) or '"' in text
+            or text.count("\r") != n or text.count("\n") != n):
+        raise ValueError(f"CSV cell needs quoting or row is ragged: {text[:200]!r}")
+    return text
+
+
 def _write_blocks(path, header, blocks) -> Path:
-    """Write the header, then each (text, n_rows) block: n_rows lines of as
-    many unquoted cells as the header.  Counts only add up, so checking a
-    block refuses what checking each row would.  On failure, no file."""
+    """Write the checked header, then each block of rows, already checked.
+    On failure, no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", newline="")
     try:
         with fh:
-            for text, n in itertools.chain([(",".join(header) + "\r\n", 1)], blocks):
-                if (text.count(",") != n * (len(header) - 1) or '"' in text
-                        or text.count("\r") != n or text.count("\n") != n):
-                    raise ValueError(f"CSV cell needs quoting or row is ragged: {text[:200]!r}")
-                fh.write(text)
+            fh.write(_plain(",".join(header) + "\r\n", 1, len(header)))
+            fh.writelines(blocks)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -50,21 +55,27 @@ def write_csv(path, header, rows) -> Path:
     other cell raises TypeError.  A row of another width than the header
     counts as no row, which the check refuses."""
     return _write_blocks(path, header, (
-        (",".join(row) + "\r\n", int(len(row) == len(header))) for row in rows))
+        _plain(",".join(row) + "\r\n", int(len(row) == len(header)), len(header))
+        for row in rows))
 
 
 def write_grid_csv(path, header, times, sites, values) -> Path:
     """Rows (time, *site cells, re, im, abs) of a complex (time x site) grid,
     time-major, from numeric times and the str cells of each site, baked into
-    one row template that each time sample fills with one ``%`` call."""
+    one row template that each time sample fills with one ``%`` call.  The
+    times and the ``%.17g`` numbers never need quoting, so only the template
+    is checked, once, before the file is opened."""
     template = "".join("%s," + ",".join(c).replace("%", "%%") + ",%.17g,%.17g,%.17g\r\n" for c in sites)
+    stamps = format_column(times)
+    if stamps:  # with no time sample there is no row to refuse
+        _plain(template, len(sites), len(header))
 
     def block(t, z):
         cells = [t] * (4 * len(z))
         cells[1::4], cells[2::4] = z.real.tolist(), z.imag.tolist()
         cells[3::4] = np.hypot(z.real, z.imag).tolist()
-        return template % tuple(cells), len(z)
-    return _write_blocks(path, header, map(block, format_column(times), values))
+        return template % tuple(cells)
+    return _write_blocks(path, header, map(block, stamps, values))
 
 
 def jsonable(value):

@@ -290,6 +290,18 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
     assert proc.returncode == 0
 
 
+def test_a_gate_run_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs a first run about 14 ms and 1.2 MB to import
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    args = ["gate", "--alpha-scales", "1.0", "--out-dir", str(tmp_path)]
+    code = ("import sys; from tchlab.cli import main\n"
+            f"sys.exit(main({args!r}) or 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
+    assert (tmp_path / "gate_summary.json").is_file()
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes every scipy import fail
     src = str(Path(tchlab.__file__).resolve().parent.parent)

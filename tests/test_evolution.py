@@ -31,6 +31,7 @@ from oracles import step_powers_loop
 from tchlab.gate import GateConfig, cocsign_schedule, gate_space
 from tchlab.evolution import (
     _BLOCK_ENTRIES,
+    _RK4_TERMS,
     _STEP_BLOCK,
     _expm,
     _invariant_blocks,
@@ -287,6 +288,61 @@ def test_scaled_propagators_match_the_block_product_and_the_loop(case):
         loop = oracles.rk4_propagator_loop(h0, scaled, 0.0, t_end, dt)
         assert np.max(np.abs(us - block)) < 1e-12
         assert np.max(np.abs(us - loop)) < 1e-12
+
+
+def test_rk4_terms_are_closed_under_the_mirror_map():
+    # transposing a step reverses each word, and the mirrored step reads its
+    # start where the step reads its end
+    mirrored = {(w, tuple(2 - tau for tau in reversed(times))) for w, times in _RK4_TERMS}
+    assert mirrored == set(_RK4_TERMS)
+
+
+@pytest.mark.parametrize("n_steps", [600, 601])
+def test_a_time_symmetric_segment_runs_half_its_steps(monkeypatch, n_steps):
+    """Real symmetric letters and a centred pulse whose zero pattern is
+    mirror-symmetric: the second half is the transpose of the first, so only
+    ceil(n/2) steps run on each block, the middle one on its own for odd n."""
+    h0, pulses, window, alpha, _ = _gate_link_terms()
+    dt = window / (n_steps - 0.5)
+    chunks = _record_chunks(monkeypatch)
+    u = pulsed_propagators(h0, pulses, 0.0, window, dt, (0.5 * alpha, alpha))
+    for s, us in zip((0.5 * alpha, alpha), u):
+        reference = oracles.rk4_propagator_loop(h0, _scaled(pulses, s), 0.0, window, dt)
+        assert np.max(np.abs(us - reference)) < 1e-12
+    sizes = _block_sizes(h0, pulses)
+    assert sum(chunks) == 2 * len(sizes) * ((n_steps + 1) // 2)
+    if n_steps % 2:
+        assert chunks[-2 * len(sizes):] == [1] * (2 * len(sizes))
+
+
+def _asymmetric_segments():
+    h0, pulses, window, alpha, dt = _gate_link_terms()
+    (jump, pulse), = pulses
+    # nonzero over the whole segment, so only its centre breaks the symmetry
+    off_centre = GaussianPulse(amplitude=1.0, center=pulse.center + 0.25, sigma=pulse.sigma,
+                               cutoff=20.0)
+    yield "off-centre pulse", (h0, [(jump, off_centre)], window, alpha, dt)
+    h0, jump, _ = _register_terms()  # a complex static hop: -i H0 is not symmetric
+    centred = GaussianPulse(amplitude=1.0, center=3.0, sigma=0.5)
+    yield "complex hop phase", (h0, [(jump, centred)], 6.0, 1.25, 0.01)
+    # the alpha x 3 step of the gate: the window's start rounds inside the
+    # truncation edge and its end outside
+    strong = GateConfig(alpha=3.0 * GateConfig().resolved_alpha)
+    h0, pulses, window, *_ = _gate_link_terms()
+    yield "alpha x 3 truncation edge", (h0, pulses, window, strong.alpha, strong.resolved_dt)
+
+
+ASYMMETRIC_SEGMENTS = dict(_asymmetric_segments())
+
+
+@pytest.mark.parametrize("case", ASYMMETRIC_SEGMENTS)
+def test_a_segment_that_is_not_time_symmetric_runs_every_step(monkeypatch, case):
+    h0, pulses, t_end, s, dt = ASYMMETRIC_SEGMENTS[case]
+    chunks = _record_chunks(monkeypatch)
+    u = pulsed_propagators(h0, pulses, 0.0, t_end, dt, (s,))[0]
+    reference = oracles.rk4_propagator_loop(h0, _scaled(pulses, s), 0.0, t_end, dt)
+    assert np.max(np.abs(u - reference)) < 1e-12
+    assert sum(chunks) == len(_block_sizes(h0, pulses)) * math.ceil(t_end / dt)
 
 
 def test_a_propagator_built_in_a_batch_equals_it_built_alone():
