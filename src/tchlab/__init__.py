@@ -5,7 +5,7 @@ states."""
 
 from types import ModuleType as _ModuleType
 
-from .basis import BasisState, HilbertSpace, NetworkConfig, enumerate_basis
+from .basis import HilbertSpace, NetworkConfig
 from .darkstates import (
     Classification,
     DarknessReport,
@@ -15,11 +15,8 @@ from .darkstates import (
     classify_dark,
     emission_density,
     is_dark,
-    multi_singlet_d3,
     sample_emission_times,
     singlet_product,
-    singlet_state,
-    three_level_lowering,
     triplet_state,
 )
 from .evolution import (
@@ -27,7 +24,6 @@ from .evolution import (
     NumericalDriftError,
     StateVector,
     evolve_const,
-    evolve_decay,
     evolve_pulsed,
     rabi_periods,
 )
@@ -35,18 +31,14 @@ from .gate import (
     GateConfig,
     PulseSchedule,
     TransferWindow,
-    aligned_modular_distance,
     branch_phase,
-    cnot_matrix,
     cocsign_matrix,
     cocsign_schedule,
-    csign_matrix,
     decode,
     density,
     encode,
     find_resonance,
     gate_space,
-    hadamard_matrix,
     ideal_cocsign,
     ideal_target_state,
     min_transfer_time,
@@ -66,7 +58,6 @@ from .operators import (
     amplitude_for_area,
     build_tc,
     build_tch,
-    coupling_strength,
     jump_operator,
     photon_number_operator,
     pulse_value,
@@ -78,10 +69,7 @@ from .walk import (
     ballistic_exponent,
     coupling_network,
     feynman_kernel,
-    free_hamiltonian,
-    momentum_operator,
     momentum_values,
-    qft_matrix,
     simulate_walk,
 )
 

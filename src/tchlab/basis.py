@@ -13,14 +13,15 @@ photon numbers first (cavity 0, 1, ...), then atom bits (flat, cavity-major).
 lists the basis as rows (photon numbers, then atom bits), and ``rank`` maps
 rows back to indices by the combinatorial number system, one table lookup
 per slot.  A rank stays below the sector dimension where a mixed-radix key
-over many cavities would overflow.
+over many cavities would overflow.  A basis state is nothing but its row:
+the builders move excitations between the columns of ``occupations`` and
+rank the results, so no per-state object is ever made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,26 +85,6 @@ class NetworkConfig:
         return self.n_cavities * self.max_photons + self.n_atoms
 
 
-@dataclass(frozen=True, order=True)
-class BasisState:
-    """One occupation-number basis state: photon numbers plus atom bits."""
-
-    photons: tuple[int, ...]
-    atom_bits: tuple[int, ...]
-
-    @property
-    def total_excitations(self) -> int:
-        return sum(self.photons) + sum(self.atom_bits)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self.photons + self.atom_bits
-
-    def __str__(self) -> str:
-        ph = ",".join(str(n) for n in self.photons)
-        at = "".join(str(b) for b in self.atom_bits)
-        return f"|{ph};{at}>" if self.atom_bits else f"|{ph}>"
-
-
 def _below_table(caps: np.ndarray, sector: int) -> np.ndarray:
     """``below[i, r, v]``: how many sector states precede a state holding v
     at slot i with r excitations left for slots i.., among those that agree
@@ -119,15 +100,6 @@ def _below_table(caps: np.ndarray, sector: int) -> np.ndarray:
         fill = below[i, :, caps[i] + 1].copy()
         fill[: max(0, sector - caps[:i].sum())] = 0
     return below
-
-
-def enumerate_basis(config: NetworkConfig, sector: int) -> list[BasisState]:
-    """All basis states with ``total_excitations == sector``, in ascending
-    lexicographic order of the concatenated occupation tuple.
-
-    Raises ValueError if no state satisfies the sector bound.
-    """
-    return HilbertSpace(config, sector).states
 
 
 class HilbertSpace:
@@ -155,28 +127,14 @@ class HilbertSpace:
     def dim(self) -> int:
         return len(self.occupations)
 
-    @cached_property
-    def states(self) -> list[BasisState]:
-        n = self.config.n_cavities
-        return [BasisState(tuple(row[:n]), tuple(row[n:])) for row in self.occupations.tolist()]
-
     def rank(self, rows) -> np.ndarray:
         """Basis index of each occupation row (last axis laid out like a row
-        of ``occupations``).  The rows must be states of this sector;
-        ``index_of`` checks one state before ranking it."""
+        of ``occupations``).  The rows must be states of this sector: no row
+        is checked, so each caller builds only rows that keep the excitation
+        count and the photon truncation."""
         rows = np.asarray(rows)
         left = self.sector - np.cumsum(rows, axis=-1) + rows
         return self._below[np.arange(rows.shape[-1]), left, rows].sum(axis=-1)
-
-    def index_of(self, state: BasisState) -> int:
-        """Position of ``state`` in the basis; ValueError if it lies outside
-        this sector (or violates the photon truncation)."""
-        row = np.array(state.photons + state.atom_bits)
-        shape_ok = len(state.photons) == self.config.n_cavities and row.shape == self._caps.shape
-        if not (shape_ok and row.dtype.kind == "i" and np.all((0 <= row) & (row <= self._caps))
-                and row.sum() == self.sector):
-            raise ValueError(f"state {state} is not in sector {self.sector}")
-        return int(self.rank(row))
 
     def __repr__(self) -> str:
         return (

@@ -32,14 +32,6 @@ from .operators import build_tc
 # state constructors
 # ---------------------------------------------------------------------------
 
-def singlet_state() -> np.ndarray:
-    """Two-atom singlet (|01> - |10>) / sqrt(2)."""
-    s = np.zeros(4, dtype=complex)
-    s[1] = 1.0 / math.sqrt(2.0)
-    s[2] = -1.0 / math.sqrt(2.0)
-    return s
-
-
 def triplet_state() -> np.ndarray:
     """Two-atom symmetric one-excitation state (|01> + |10>) / sqrt(2)."""
     t = np.zeros(4, dtype=complex)
@@ -77,43 +69,9 @@ def singlet_product(pairing) -> np.ndarray:
     return amps
 
 
-def multi_singlet_d3() -> np.ndarray:
-    """Completely antisymmetric state of three three-level atoms,
-    (1/sqrt(6)) sum over permutations of the levels with alternating sign.
-    Basis index of levels (l0, l1, l2) is 9 l0 + 3 l1 + l2."""
-    amps = np.zeros(27, dtype=complex)
-    for perm in itertools.permutations(range(3)):
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-        )
-        sign = -1.0 if inversions % 2 else 1.0
-        amps[9 * perm[0] + 3 * perm[1] + perm[2]] = sign / math.sqrt(6.0)
-    return amps
-
-
 # ---------------------------------------------------------------------------
 # darkness check
 # ---------------------------------------------------------------------------
-
-def three_level_lowering(upper: int, lower: int, n_atoms: int = 3) -> np.ndarray:
-    """Collective lowering sum_j |lower><upper|_j on a register of three-level
-    atoms, for checking darkness of qutrit states such as the antisymmetric
-    triple.  Basis index is the base-3 expansion of the levels, atom 0 most
-    significant."""
-    if not 0 <= lower < upper <= 2:
-        raise ValueError("need levels 0 <= lower < upper <= 2")
-    dim = 3**n_atoms
-    op = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        digits = b
-        for j in range(n_atoms - 1, -1, -1):
-            level = digits % 3
-            digits //= 3
-            if level == upper:
-                place = 3 ** (n_atoms - 1 - j)
-                op[b - (upper - lower) * place, b] += 1.0
-    return op
-
 
 class DarknessReport(NamedTuple):
     is_dark: bool
@@ -216,18 +174,6 @@ class EmissionReport:
     closure_bound: float  # amplitude error bound of that basis; 0 on fallback
 
 
-def _atomic_excitation_count(psi_at: np.ndarray) -> int:
-    counts = {bin(b).count("1") for b in np.flatnonzero(np.abs(psi_at) > 1e-12).tolist()}
-    if not counts:
-        raise ValueError("atomic state must not vanish")
-    if len(counts) > 1:
-        raise ValueError(
-            "atomic state must have a definite excitation count "
-            f"(found components with {sorted(counts)} excitations)"
-        )
-    return counts.pop()
-
-
 def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     """Evolve photon + atomic state under the lossy cavity and tabulate the
     survival probability S(t) and emission density p(t) = -dS/dt.
@@ -253,8 +199,14 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         raise ValueError("atomic state dimension must be 2**n_atoms")
     if not abs(np.vdot(psi_at, psi_at).real - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("atomic state must be normalized")
-    excitations = _atomic_excitation_count(psi_at)
+    # the largest component fixes the sector, and every component must lie in it
+    excitations = bin(int(np.argmax(np.abs(psi_at)))).count("1")
     sector = 1 + excitations
+    support = np.flatnonzero(psi_at)
+    occupations = np.ones((len(support), 1 + s), dtype=np.int64)
+    occupations[:, 1:] = (support[:, None] >> np.arange(s - 1, -1, -1)) & 1
+    if np.any(occupations.sum(axis=1) != sector):
+        raise ValueError(f"atomic state has components outside {excitations} excitations")
     # photons never exceed the total excitation count, so this cap is exact
     network = NetworkConfig(
         n_cavities=1,
@@ -289,11 +241,6 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         h[np.diag_indices(space.dim)] = loss
         return h
 
-    support = np.flatnonzero(psi_at)
-    occupations = np.ones((len(support), 1 + s), dtype=np.int64)
-    occupations[:, 1:] = (support[:, None] >> np.arange(s - 1, -1, -1)) & 1
-    if np.any(occupations.sum(axis=1) != sector):
-        raise ValueError(f"atomic state has components outside {excitations} excitations")
     amps = np.zeros(space.dim, dtype=complex)
     amps[space.rank(occupations)] = psi_at[support]
 

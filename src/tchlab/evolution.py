@@ -23,23 +23,26 @@ Three propagation routes, shared across the experiments:
   zero pattern of the envelopes) integrates only its first half: with
   those, step n-1-k is the transpose of step k, so the second half's
   product is the transpose of the first's.
-- ``evolve_decay``: non-Hermitian effective generator whose shrinking norm is
-  the observable, never renormalized.  It shares one lossy propagator with
-  ``darkstates.emission_density``: an orthonormal basis of the subspace the
-  initial state reaches (Arnoldi, two-pass Gram-Schmidt), grown until the
-  horizon times the next residual norm is at most 1e-10, which bounds the
-  amplitude error per unit initial norm by that product for a dissipative
-  generator.  One step over the uniform grid is the matrix exponential of
-  the projected block, by scaling and squaring with the [13/13] Pade
-  approximant (``_expm``), and the grid is filled by doubling: the states at
-  steps [k, 2k) are those at [0, k) times the k-th step power, which is
-  squared each round, so about log2(n) matrix products replace n steps.  A
-  basis that would outgrow a quarter of the sector is replaced by the
-  identity, so the same exponential-and-doubling code runs on the full
-  matrix.  The basis needs only products of the generator with a vector,
-  so the emission study passes its generator matrix-free and forms the
-  dense matrix only on that fallback.  It is numpy only: the package never
-  loads scipy.
+- ``_lossy_propagation``: non-Hermitian effective generator whose shrinking
+  norm, never renormalized, is the survival curve that
+  ``darkstates.emission_density`` reads.  It runs in an orthonormal basis of
+  the subspace the initial state reaches (Arnoldi, two-pass Gram-Schmidt),
+  grown until the horizon times the next residual norm is at most 1e-10,
+  which bounds the amplitude error per unit initial norm by that product
+  for a dissipative generator.  One step over the uniform grid is the
+  matrix exponential of the projected block, by scaling and squaring with
+  the [13/13] Pade approximant (``_expm``), and the grid is filled by
+  doubling: the states at steps [k, 2k) are those at [0, k) times the k-th
+  step power, which is squared each round, so about log2(n) matrix products
+  replace n steps.  A basis that would outgrow a quarter of the sector is
+  replaced by the identity, so the same exponential-and-doubling code runs
+  on the full matrix.  The basis needs only products of the generator with
+  a vector, so the emission study passes its generator matrix-free and
+  forms the dense matrix only on that fallback.  Every sum over the sector
+  runs in numpy's own loops rather than BLAS, whose dot products split a
+  long vector across threads and round by the thread count, so the survival
+  curve has the same bytes at any thread count.  It is numpy only: the
+  package never loads scipy.
 
 All times are in units with hbar = 1.
 """
@@ -385,53 +388,6 @@ def apply_propagator(u: np.ndarray, psi: StateVector, norm_tolerance: float) -> 
     return StateVector(psi.space, y)
 
 
-def evolve_decay(
-    h_eff: OperatorMatrix,
-    psi: StateVector,
-    t: float,
-    settings: EvolutionSettings | None = None,
-) -> StateVector:
-    """Propagate exp(-i H_eff t) |psi> for a lossy effective generator,
-    without renormalizing: the decreasing squared norm is the survival
-    probability.
-
-    The anti-Hermitian part of H_eff must be dissipative (negative
-    semidefinite); a gaining generator is rejected, and any norm increase
-    beyond tolerance raises NumericalDriftError.  The propagation runs in the
-    subspace psi reaches (see the module docstring), exact within an
-    amplitude error of 1e-10 times the norm of psi.
-    """
-    _check_same_space(h_eff, psi)
-    if t < 0.0:
-        raise ValueError("decay evolution requires t >= 0")
-    m = h_eff.matrix
-    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    top = _top_gain(m)
-    if top > 1e-10 * scale:
-        raise ValueError(
-            f"anti-Hermitian part has a growing direction (max eigenvalue {top:.3e})"
-        )
-    tol = settings.norm_tolerance if settings is not None else 1e-8
-    amps = _lossy_propagation(m.__matmul__, lambda: m, psi.amplitudes, t, 1).final
-    norm_in = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-    norm_out = float(np.vdot(amps, amps).real)
-    if not norm_out <= norm_in + tol:  # NaN fails too
-        raise NumericalDriftError(
-            f"squared norm grew by {norm_out - norm_in:.3e} under a lossy generator"
-        )
-    return StateVector(psi.space, amps)
-
-
-def _top_gain(m: np.ndarray) -> float:
-    """Largest eigenvalue of the anti-Hermitian part (m - m^H) / 2i, the
-    fastest rate at which m can grow a norm.  When that part has no nonzero
-    off-diagonal entry its eigenvalues are its diagonal, read directly."""
-    gain = (m - m.conj().T) / 2j
-    if np.count_nonzero(gain) == np.count_nonzero(gain.diagonal()):
-        return float(np.max(gain.diagonal().real))
-    return float(np.max(np.linalg.eigvalsh(gain)))
-
-
 # horizon * (next residual norm) at which the reachable basis counts as closed
 _CLOSURE_TOLERANCE = 1e-10
 
@@ -440,9 +396,20 @@ class _LossyRun(NamedTuple):
     """Result of ``_lossy_propagation``."""
 
     survival: np.ndarray  # squared norm at each of the n_steps + 1 grid times
-    final: np.ndarray  # amplitudes at the last grid time
     basis_dim: int  # dimension of the basis the propagation ran in
     closure_bound: float  # horizon * residual; 0 on the identity basis
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a complex vector, summed in numpy's einsum loop, not BLAS."""
+    return math.sqrt(float(np.einsum("i,i->", v.real, v.real) + np.einsum("i,i->", v.imag, v.imag)))
+
+
+def _adjoint_times(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """q^H v for a vector or matrix v, summed in numpy's einsum loop, not
+    BLAS: each term conj(q) v is exactly the conjugate of q conj(v), so the
+    conjugate of q^T conj(v) needs no conjugated copy of q."""
+    return np.einsum("ij,i...->j...", q, v.conj()).conj()
 
 
 def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
@@ -453,7 +420,7 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
     basis is cheaper."""
     dim = len(psi0)
     limit = dim // 4
-    beta = float(np.linalg.norm(psi0))
+    beta = _norm(psi0)
     if limit == 0 or beta == 0.0:
         return None
     # column-major, so that a column is contiguous and writing it touches
@@ -465,8 +432,8 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
         w = apply(q[:, k - 1])
         images[:, k - 1] = w
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            w = w - q[:, :k] @ (q[:, :k].conj().T @ w)
-        residual = float(np.linalg.norm(w))
+            w = w - q[:, :k] @ _adjoint_times(q[:, :k], w)
+        residual = _norm(w)
         if horizon * residual <= _CLOSURE_TOLERANCE:
             return q[:, :k], images[:, :k], horizon * residual
         if k < limit:
@@ -492,12 +459,11 @@ def _lossy_propagation(apply, dense, psi0: np.ndarray, dt: float, n_steps: int) 
         block, coef, bound = dense(), psi0, 0.0
     else:
         q, images, bound = reach
-        block = q.conj().T @ images
-        coef = q.conj().T @ psi0
+        block = _adjoint_times(q, images)
+        coef = _adjoint_times(q, psi0)
     table = _step_powers(_expm(-1j * block * dt), coef, n_steps)
     survival = np.sum(table.real**2 + table.imag**2, axis=1)
-    final = table[-1] if reach is None else q @ table[-1]
-    return _LossyRun(survival, final, len(coef), bound)
+    return _LossyRun(survival, len(coef), bound)
 
 
 def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:

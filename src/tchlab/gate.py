@@ -16,8 +16,7 @@ is chosen so that 2*n2 two-excitation periods come as close as possible to
 intrinsic error and shrinks as better pairs are allowed.
 
 With the sign convention used here the ideal action is
-|x,y> -> (-1)^((x XOR 1) AND y) |x,y>, i.e. only |01> changes sign; the
-variant that flips |10> instead is exposed separately.
+|x,y> -> (-1)^((x XOR 1) AND y) |x,y>, i.e. only |01> changes sign.
 """
 
 from __future__ import annotations
@@ -52,33 +51,12 @@ PULSE_CUTOFF = 6.0  # envelope truncation, in sigmas; window width is twice this
 
 
 # ---------------------------------------------------------------------------
-# ideal 4x4 references
+# the ideal gate
 # ---------------------------------------------------------------------------
-
-def hadamard_matrix() -> np.ndarray:
-    """The basis-change that conjugates a phase flip into a bit flip."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def csign_matrix() -> np.ndarray:
-    return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
-def cnot_matrix() -> np.ndarray:
-    """Controlled NOT, first qubit controls."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[1, 1] = m[2, 3] = m[3, 2] = 1.0
-    return m
-
 
 def cocsign_matrix() -> np.ndarray:
     """Sign flip on |01> only: phase (-1)^((x XOR 1) AND y)."""
     return np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)
-
-
-def cocsign_alt_matrix() -> np.ndarray:
-    """The mirrored convention, sign flip on |10>: (-1)^(x AND (y XOR 1))."""
-    return np.diag([1.0, 1.0, -1.0, 1.0]).astype(complex)
 
 
 def _as_qubit_pair(q) -> np.ndarray:
@@ -98,11 +76,6 @@ def uniform_superposition() -> np.ndarray:
 def ideal_cocsign(q) -> np.ndarray:
     """Apply the ideal gate (sign flip on |01>) to a two-qubit state."""
     return cocsign_matrix() @ _as_qubit_pair(q)
-
-
-def ideal_cocsign_alt(q) -> np.ndarray:
-    """Apply the mirrored-convention gate (sign flip on |10>)."""
-    return cocsign_alt_matrix() @ _as_qubit_pair(q)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +469,6 @@ def modular_distance(psi, psi_id) -> float:
         raise ValueError("modular distance needs states of equal dimension")
     d = a - b
     return float(np.vdot(d, d).real)
-
-
-def aligned_modular_distance(psi, psi_id) -> float:
-    """Squared amplitude distance minimized over a global phase."""
-    a, b = _amps(psi), _amps(psi_id)
-    if a.shape != b.shape:
-        raise ValueError("modular distance needs states of equal dimension")
-    return float(np.vdot(a, a).real + np.vdot(b, b).real - 2.0 * abs(np.vdot(b, a)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,25 +108,6 @@ def amplitude_for_area(area: float, sigma: float) -> float:
     return area / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def coupling_strength(
-    omega: float,
-    volume: float,
-    dipole: float,
-    position: float,
-    length: float,
-    hbar: float = 1.0,
-) -> float:
-    """Atom-field coupling sqrt(hbar omega / V) * d * sin(pi x / L) for an
-    atom at ``position`` inside a cavity of mode length ``length``."""
-    if volume <= 0.0:
-        raise ValueError("mode volume must be positive")
-    if length <= 0.0:
-        raise ValueError("cavity length must be positive")
-    if not 0.0 <= position <= length:
-        raise ValueError(f"position {position} outside the cavity [0, {length}]")
-    return math.sqrt(hbar * omega / volume) * dipole * math.sin(math.pi * position / length)
-
-
 class TCBlock(OperatorMatrix):
     """One cavity's TC block as ``build_tc`` returns it: the real diagonal
     and the exchange elements values[k] at (rows[k], cols[k]) and at

@@ -15,7 +15,8 @@ The momentum operator follows the half-shift-conjugated Fourier form
 A^-1 F D F^-1 A with A = diag(e^{i pi a}).  For even N that conjugation is a
 half-ring translation in Fourier space, so momentum and the free Hamiltonian
 commute exactly; odd N breaks the translation and the commutation with it,
-so walks need even N.
+so walks need even N.  The walk forms neither operator as an N x N matrix:
+their dense forms are the references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,45 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def qft_matrix(n: int) -> np.ndarray:
-    """Unitary with elements exp(-2 pi i a c / n) / sqrt(n)."""
-    if n < 2:
-        raise ValueError("need at least two sites")
-    a = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(a, a) / n) / math.sqrt(n)
-
-
 def momentum_values(n: int) -> np.ndarray:
     """The exact momentum spectrum sqrt(n) * (a/n - 1/2), a = 0..n-1."""
     if n < 2:
         raise ValueError("need at least two sites")
     a = np.arange(n)
     return math.sqrt(n) * (a / n - 0.5)
-
-
-def momentum_operator(n: int) -> np.ndarray:
-    """Discrete momentum: A^-1 F diag(sqrt(n)(a/n - 1/2)) F^-1 A with
-    A = diag(e^{i pi a}).  Hermitian with the spectrum of momentum_values."""
-    f = qft_matrix(n)
-    a_phase = np.exp(1j * np.pi * np.arange(n))
-    d = momentum_values(n)
-    core = f @ (d[:, None] * f.conj().T)
-    return (a_phase.conj()[:, None] * core) * a_phase[None, :]
-
-
-def _band_energies(n: int, mass: float) -> np.ndarray:
-    """p^2 / 2m over the momentum spectrum, in Fourier order."""
-    if not 0.0 < mass < math.inf:
-        raise ValueError("mass must be positive and finite")
-    return momentum_values(n) ** 2 / (2.0 * mass)
-
-
-def free_hamiltonian(n: int, mass: float) -> np.ndarray:
-    """Kinetic energy p^2 / 2m, diagonal in the Fourier basis: the circulant
-    H[q, p] = c[(p - q) mod n] with first row c = ifft(band energies)."""
-    row = np.fft.ifft(_band_energies(n, mass))
-    q = np.arange(n)
-    return row[(q[None, :] - q[:, None]) % n]
 
 
 @dataclass
@@ -200,7 +168,7 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
     # H = F diag(E) F^H with F[q, a] = exp(-2 pi i q a / n) / sqrt(n), so the
     # photon leaving the origin is F exp(-i E t) F^H e_origin: one FFT per time
     a = np.arange(n)
-    energies = _band_energies(n, m)
+    energies = momentum_values(n) ** 2 / (2.0 * m)  # p^2 / 2m, in Fourier order
     launch = np.exp(2j * np.pi * (a * origin % n) / n)
     phases = np.exp(-1j * np.outer(times, energies))
     amplitudes = np.fft.fft(phases * launch, axis=1) / n

@@ -26,16 +26,19 @@ entry at a time, the dense reference for the matrix-free
 
 The sector-operator references are the entry-at-a-time loops that
 ``HilbertSpace.rank`` replaced: ``occupations_loop`` enumerates a sector by
-recursion over the slots, ``build_tc_loop``, ``add_hop_loop`` (with
+recursion over the slots, and ``build_tc_loop``, ``add_hop_loop`` (with
 ``build_tch_loop`` and ``jump_operator_loop`` on top) and ``xy_swap_loop``
-build one ``BasisState`` per matrix entry and find its index in a dict over
-``space.states``, with no rank arithmetic.
+build one occupation tuple per matrix entry and find its index in
+``state_index``, a dict over the rows of ``space.occupations``, with no rank
+arithmetic.  Tests that pick a basis state by hand look it up there too.
 
-The walk references build the free Hamiltonian as the dense product
-F diag(E) F^H and propagate it by diagonalization (``dense_walk``); the
-loop references (``distance_profile_loop``, ``resonance_table_loop``,
-``walk_rows_loop``, ``write_csv_loop``) are the per-element forms the
-vectorized production code replaced."""
+The walk references are the dense Fourier and momentum operators
+(``qft_matrix``, ``momentum_operator``), the free Hamiltonian as the dense
+product F diag(E) F^H (``dense_free_hamiltonian``) and the walk propagated
+by diagonalization (``dense_walk``); the loop references
+(``distance_profile_loop``, ``resonance_table_loop``, ``walk_rows_loop``,
+``write_csv_loop``) are the per-element forms the vectorized production
+code replaced."""
 
 from __future__ import annotations
 
@@ -46,9 +49,9 @@ import math
 import numpy as np
 import scipy.linalg
 
-from tchlab.basis import BasisState, HilbertSpace, NetworkConfig
+from tchlab.basis import HilbertSpace, NetworkConfig
 from tchlab.operators import build_tc, photon_number_operator, pulse_value
-from tchlab.walk import momentum_operator, momentum_values, qft_matrix
+from tchlab.walk import momentum_values
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 ATOM_NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -144,7 +147,8 @@ def full_photon_number(config, cavity: int) -> np.ndarray:
 
 def project_to_sector(full_matrix: np.ndarray, space) -> np.ndarray:
     """Cut the rows/columns of the production sector basis, in its order."""
-    idx = [full_index(space.config, s.photons, s.atom_bits) for s in space.states]
+    n = space.config.n_cavities
+    idx = [full_index(space.config, row[:n], row[n:]) for row in space.occupations.tolist()]
     return full_matrix[np.ix_(idx, idx)]
 
 
@@ -165,28 +169,30 @@ def occupations_loop(config, sector) -> list[tuple[int, ...]]:
     return list(fill(caps, sector))
 
 
-def _state_index(space) -> dict:
-    return {s: i for i, s in enumerate(space.states)}
+def state_index(space) -> dict[tuple[int, ...], int]:
+    """Basis index of each occupation tuple of the sector (photon numbers,
+    then atom bits), in basis order."""
+    return {tuple(row): i for i, row in enumerate(space.occupations.tolist())}
 
 
 def build_tc_loop(space, cavity: int) -> np.ndarray:
     """``operators.build_tc`` one basis state and one atom at a time."""
     cfg = space.config
-    index = _state_index(space)
+    index = state_index(space)
     atoms = list(cfg.atom_range(cavity))
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    for s, state in enumerate(space.states):
-        n = state.photons[cavity]
-        local_exc = n + sum(state.atom_bits[j] for j in atoms)
+    for state, s in index.items():
+        n = state[cavity]
+        bits = state[cfg.n_cavities :]
+        local_exc = n + sum(bits[j] for j in atoms)
         h[s, s] += cfg.omega * local_exc
         for j in atoms:
-            if state.atom_bits[j] != 1 or n + 1 > cfg.max_photons:
+            if bits[j] != 1 or n + 1 > cfg.max_photons:
                 continue
-            photons = list(state.photons)
-            photons[cavity] = n + 1
-            bits = list(state.atom_bits)
-            bits[j] = 0
-            t = index[BasisState(tuple(photons), tuple(bits))]
+            target = list(state)
+            target[cavity] = n + 1
+            target[cfg.n_cavities + j] = 0
+            t = index[tuple(target)]
             g = cfg.couplings[j] * math.sqrt(n + 1)
             h[t, s] += g
             h[s, t] += g
@@ -196,17 +202,17 @@ def build_tc_loop(space, cavity: int) -> np.ndarray:
 def add_hop_loop(h: np.ndarray, space, hop) -> None:
     """``operators._add_hop`` one basis state at a time."""
     cfg = space.config
-    index = _state_index(space)
+    index = state_index(space)
     amp = hop.amplitude * np.exp(1j * hop.phase)
-    for s, state in enumerate(space.states):
-        nj = state.photons[hop.j]
-        ni = state.photons[hop.i]
+    for state, s in index.items():
+        nj = state[hop.j]
+        ni = state[hop.i]
         if nj < 1 or ni + 1 > cfg.max_photons:
             continue
-        photons = list(state.photons)
-        photons[hop.j] = nj - 1
-        photons[hop.i] = ni + 1
-        t = index[BasisState(tuple(photons), state.atom_bits)]
+        target = list(state)
+        target[hop.j] = nj - 1
+        target[hop.i] = ni + 1
+        t = index[tuple(target)]
         val = amp * math.sqrt(nj) * math.sqrt(ni + 1)
         h[t, s] += val
         h[s, t] += np.conj(val)
@@ -231,17 +237,17 @@ def xy_swap_loop(space, x: int, y: int) -> np.ndarray:
     """Index of each basis state's image when cavities x and y trade their
     photons and their (equally many) atoms."""
     cfg = space.config
-    index = _state_index(space)
+    index = state_index(space)
     x_atoms, y_atoms = cfg.atom_range(x), cfg.atom_range(y)
     atom_swap = list(range(cfg.n_atoms))
     atom_swap[x_atoms.start : x_atoms.stop] = y_atoms
     atom_swap[y_atoms.start : y_atoms.stop] = x_atoms
     image = []
-    for state in space.states:
-        photons = list(state.photons)
+    for state in index:
+        photons = list(state[: cfg.n_cavities])
         photons[x], photons[y] = photons[y], photons[x]
-        bits = tuple(state.atom_bits[j] for j in atom_swap)
-        image.append(index[BasisState(tuple(photons), bits)])
+        bits = tuple(state[cfg.n_cavities + j] for j in atom_swap)
+        image.append(index[tuple(photons) + bits])
     return np.array(image)
 
 
@@ -348,6 +354,21 @@ def rk4_block_product(h0, pulses, t_start, t_end, dt, block=256):
         k4 = b @ (eye + h * k3)
         u = ordered_product(eye + (h / 6.0) * (a + 2.0 * k2 + 2.0 * k3 + k4)) @ u
     return u
+
+
+def qft_matrix(n: int) -> np.ndarray:
+    """Unitary with elements exp(-2 pi i a c / n) / sqrt(n)."""
+    a = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(a, a) / n) / math.sqrt(n)
+
+
+def momentum_operator(n: int) -> np.ndarray:
+    """Discrete momentum: A^-1 F diag(sqrt(n)(a/n - 1/2)) F^-1 A with
+    A = diag(e^{i pi a}).  Hermitian with the spectrum of momentum_values."""
+    f = qft_matrix(n)
+    a_phase = np.exp(1j * np.pi * np.arange(n))
+    core = f @ (momentum_values(n)[:, None] * f.conj().T)
+    return (a_phase.conj()[:, None] * core) * a_phase[None, :]
 
 
 def dense_free_hamiltonian(n: int, mass: float) -> np.ndarray:
@@ -462,10 +483,11 @@ def dense_emission_survival(psi_at, config):
     support = [b for b in range(2**s) if abs(psi_at[b]) > 0.0]
     sector = 1 + bin(support[0]).count("1")
     space, step = _dense_decay_step(config, sector)
+    index = state_index(space)
     amps = np.zeros(space.dim, dtype=complex)
     for b in support:
         bits = tuple((b >> (s - 1 - j)) & 1 for j in range(s))
-        amps[space.index_of(BasisState((1,), bits))] = psi_at[b]
+        amps[index[(1,) + bits]] = psi_at[b]
 
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
     survival = np.empty(len(times))

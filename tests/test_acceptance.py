@@ -12,7 +12,6 @@ import numpy as np
 
 import oracles
 from tchlab import (
-    BasisState,
     DecayConfig,
     GateConfig,
     HilbertSpace,
@@ -32,15 +31,13 @@ from tchlab import (
     jump_operator,
     min_transfer_time,
     modular_distance,
-    momentum_operator,
     momentum_values,
     photon_number_operator,
-    qft_matrix,
     rabi_periods,
     run_gate,
     sample_emission_times,
     simulate_walk,
-    singlet_state,
+    singlet_product,
     trace_distance,
     transfer_window_check,
     triplet_state,
@@ -71,9 +68,9 @@ def test_exchange_periods_return_and_swap_exactly():
     err_full = float(np.linalg.norm(returned.amplitudes + amps))
 
     atom = np.zeros(2, dtype=complex)
-    atom[space.index_of(BasisState((0,), (1,)))] = 1.0
+    atom[oracles.state_index(space)[(0, 1)]] = 1.0
     photon = np.zeros(2, dtype=complex)
-    photon[space.index_of(BasisState((1,), (0,)))] = 1.0
+    photon[oracles.state_index(space)[(1, 0)]] = 1.0
     half = evolve_const(h, StateVector(space, atom), tau1 / 2.0)
     err_half = float(np.linalg.norm(half.amplitudes - (-1j) * photon))
 
@@ -160,11 +157,11 @@ def test_lattice_walk_contract():
     unitarity = 0.0
     spectrum = 0.0
     for n in (2, 8, 64):
-        f = qft_matrix(n)
+        f = oracles.qft_matrix(n)
         unitarity = max(
             unitarity, float(np.max(np.abs(f @ f.conj().T - np.eye(n))))
         )
-        w = np.sort(np.linalg.eigvalsh(momentum_operator(n)))
+        w = np.sort(np.linalg.eigvalsh(oracles.momentum_operator(n)))
         spectrum = max(
             spectrum, float(np.max(np.abs(w - np.sort(momentum_values(n)))))
         )
@@ -197,7 +194,7 @@ def test_lattice_walk_contract():
 def test_dark_state_selection_contract():
     start = time.perf_counter()
     cfg = DecayConfig()
-    dark = emission_density(singlet_state(), cfg)
+    dark = emission_density(singlet_product([(0, 1)]), cfg)
     light = emission_density(triplet_state(), cfg)
     kappa = cfg.resolved_kappa
     analytic = kappa * np.exp(-kappa * dark.times)

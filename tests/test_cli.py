@@ -328,6 +328,33 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS dot product may split a long vector across threads and round
+    # by the thread count; the 14-atom register's decay sector holds 12,911
+    # states, long enough to be split
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    procs = []
+    for threads in ("1", "2"):
+        runs = [
+            [*args, "--out-dir", str(tmp_path / threads / args[0])]
+            for args in (["dark", "--atoms", "14"], ["gate"], ["walk", "--n-cavities", "1024"])
+        ]
+        code = ("import sys; from tchlab.cli import main\n"
+                f"sys.exit(max(main(args) for args in {runs!r}))")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        procs.append(subprocess.Popen([sys.executable, "-c", code], env=env,
+                                      stderr=subprocess.PIPE, text=True))
+    for proc in procs:  # the two interpreters run side by side
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    one, two = (sorted(p.relative_to(tmp_path / t) for p in (tmp_path / t).rglob("*.*"))
+                for t in ("1", "2"))
+    assert one == two and len(one) == 3 + 2 + 4
+    for name in one:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_dark_without_atoms_profiles_bare_decay(tmp_path):
     assert main(["dark", "--out-dir", str(tmp_path), "--atoms", "0"]) == 0
     header, rows = _read_csv(tmp_path / "emission_density.csv")

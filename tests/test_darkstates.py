@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_tc_loop, collective_lowering_loop, dense_emission_survival
+from oracles import (
+    build_tc_loop,
+    collective_lowering_loop,
+    dense_emission_survival,
+    occupations_loop,
+)
 
 import tchlab
 from tchlab import (
@@ -19,19 +24,16 @@ from tchlab import (
     classify_dark,
     emission_density,
     is_dark,
-    multi_singlet_d3,
     sample_emission_times,
     singlet_product,
-    singlet_state,
     photon_number_operator,
-    three_level_lowering,
     triplet_state,
 )
 from tchlab.darkstates import _collective_products
 
 
 def test_singlet_has_zero_absorption():
-    report = is_dark(singlet_state(), (1e-3, 1e-3))
+    report = is_dark(singlet_product([(0, 1)]), (1e-3, 1e-3))
     assert report.is_dark
     assert report.absorption_residual < 1e-12
 
@@ -45,7 +47,7 @@ def test_triplet_absorbs_at_collective_rate():
 
 def test_unequal_couplings_relight_the_singlet():
     g1, g2 = 1.0e-3, 1.3e-3
-    report = is_dark(singlet_state(), (g1, g2))
+    report = is_dark(singlet_product([(0, 1)]), (g1, g2))
     assert not report.is_dark
     assert abs(report.absorption_residual - abs(g1 - g2) / math.sqrt(2.0)) < 1e-15
 
@@ -56,9 +58,9 @@ def test_singlet_invariant_under_shared_rotation():
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(z)
     uu = np.kron(u, u)
-    rotated = uu @ singlet_state()
+    rotated = uu @ singlet_product([(0, 1)])
     det = np.linalg.det(u)
-    assert np.max(np.abs(rotated - det * singlet_state())) < 1e-12
+    assert np.max(np.abs(rotated - det * singlet_product([(0, 1)]))) < 1e-12
     assert is_dark(rotated, (1e-3, 1e-3)).is_dark
 
 
@@ -81,23 +83,6 @@ def test_singlet_product_rejects_bad_pairings():
         singlet_product(((0, 1), (2, 4)))  # gap in coverage
     with pytest.raises(ValueError):
         singlet_product(((0, 0),))  # self-pairing
-
-
-def test_three_level_singlet_is_annihilated_exactly():
-    psi = multi_singlet_d3()
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    for upper, lower in ((1, 0), (2, 1), (2, 0)):
-        op = three_level_lowering(upper, lower)
-        assert np.max(np.abs(op @ psi)) == 0.0
-
-
-def test_three_level_lowering_validates_levels():
-    with pytest.raises(ValueError):
-        three_level_lowering(0, 1)
-    with pytest.raises(ValueError):
-        three_level_lowering(3, 0)
-    with pytest.raises(ValueError):
-        three_level_lowering(1, -1)
 
 
 def test_collective_lowering_matches_definition():
@@ -148,7 +133,7 @@ def test_decay_sector_blocks_equal_the_entrywise_loop(n_atoms):
     space = HilbertSpace(network, sector)
     assert np.array_equal(build_tc(space, 0).matrix, build_tc_loop(space, 0))
     number = photon_number_operator(space, 0).matrix
-    assert np.array_equal(number, np.diag([float(s.photons[0]) for s in space.states]))
+    assert np.array_equal(number, np.diag([float(row[0]) for row in occupations_loop(network, sector)]))
 
 
 def test_emission_density_refuses_a_stray_excitation_count():
@@ -157,13 +142,19 @@ def test_emission_density_refuses_a_stray_excitation_count():
     psi[0] = 1e-14
     with pytest.raises(ValueError, match="outside 2 excitations"):
         emission_density(psi, DecayConfig(couplings=(1.0,) * 4))
+    # an equal-weight mix of two and one excitations: the first largest
+    # component, |0011>, fixes the sector, and |0100> lies outside it
+    mix = np.zeros(16, dtype=complex)
+    mix[[0b0011, 0b0100]] = 1.0 / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="outside 2 excitations"):
+        emission_density(mix, DecayConfig(couplings=(1.0,) * 4))
 
 
 def test_is_dark_validates_input():
     with pytest.raises(ValueError):
         is_dark(np.zeros(4), (1e-3, 1e-3))  # unnormalized
     with pytest.raises(ValueError):
-        is_dark(singlet_state(), (1e-3,) * 3)  # dimension mismatch
+        is_dark(singlet_product([(0, 1)]), (1e-3,) * 3)  # dimension mismatch
 
 
 def test_decay_config_defaults():
@@ -181,7 +172,7 @@ def test_decay_config_defaults():
 @pytest.fixture(scope="module")
 def emission_reports():
     cfg = DecayConfig(n_times=801)
-    dark = emission_density(singlet_state(), cfg)
+    dark = emission_density(singlet_product([(0, 1)]), cfg)
     light = emission_density(triplet_state(), cfg)
     return cfg, dark, light
 
@@ -352,7 +343,7 @@ def test_sampling_is_deterministic(emission_reports):
 
 def test_short_windows_censor_draws():
     cfg = DecayConfig(t_max=5000.0, n_times=501)
-    report = emission_density(singlet_state(), cfg)
+    report = emission_density(singlet_product([(0, 1)]), cfg)
     samples = sample_emission_times(report, 500, rng=np.random.default_rng(5))
     assert samples.n_censored > 0
     assert np.all(samples.times <= cfg.resolved_t_max)

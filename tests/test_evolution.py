@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tchlab import (
-    BasisState,
     EvolutionSettings,
     GaussianPulse,
     HilbertSpace,
     HopSpec,
     NetworkConfig,
     NumericalDriftError,
-    OperatorMatrix,
     StateVector,
     build_tc,
     build_tch,
     evolve_const,
-    evolve_decay,
     evolve_pulsed,
     jump_operator,
     photon_number_operator,
@@ -35,8 +32,8 @@ from tchlab.evolution import (
     _STEP_BLOCK,
     _expm,
     _invariant_blocks,
+    _lossy_propagation,
     _step_powers,
-    _top_gain,
     apply_propagator,
     pulsed_propagators,
 )
@@ -94,10 +91,10 @@ def test_half_rabi_period_swaps_photon_and_atom():
     h = build_tc(space, 0)
     tau1, _ = rabi_periods(1e-3)
     excited_atom = np.zeros(space.dim, dtype=complex)
-    excited_atom[space.index_of(BasisState((0,), (1,)))] = 1.0
+    excited_atom[oracles.state_index(space)[(0, 1)]] = 1.0
     out = evolve_const(h, StateVector(space, excited_atom), tau1 / 2.0)
     photon = np.zeros(space.dim, dtype=complex)
-    photon[space.index_of(BasisState((1,), (0,)))] = 1.0
+    photon[oracles.state_index(space)[(1, 0)]] = 1.0
     assert np.linalg.norm(out.amplitudes - (-1j) * photon) < 1e-8
 
 
@@ -113,10 +110,10 @@ def test_pulsed_swap_amplitude_and_phase():
     window = 12.0 * sigma
     pulse = GaussianPulse(amplitude=amp, center=window / 2.0, sigma=sigma)
     start = np.zeros(space.dim, dtype=complex)
-    start[space.index_of(BasisState((0, 1), ()))] = 1.0
+    start[oracles.state_index(space)[(0, 1)]] = 1.0
     out = evolve_pulsed(h0, [(jump, pulse)], StateVector(space, start), 0.0, window)
     target = np.zeros(space.dim, dtype=complex)
-    target[space.index_of(BasisState((1, 0), ()))] = -1j * np.exp(-1j * window)
+    target[oracles.state_index(space)[(1, 0)]] = -1j * np.exp(-1j * window)
     assert np.linalg.norm(out.amplitudes - target) < 1e-6
 
     # doubled area completes the cycle: the photon returns negated
@@ -425,38 +422,6 @@ def test_pulsed_route_guards():
         evolve_pulsed(h0, [(jump, pulse)], psi, 0.0, 6.0, coarse)
 
 
-def test_decay_route_exponential_and_guards():
-    cfg = NetworkConfig(n_cavities=1, atoms_per_cavity=(0,), max_photons=1, omega=1.0)
-    space = HilbertSpace(cfg, 1)
-    kappa = 0.25
-    n_op = photon_number_operator(space, 0)
-    h_eff = OperatorMatrix(space, (1.0 - 0.5j * kappa) * n_op.matrix)
-    psi = StateVector(space, np.array([1.0], dtype=complex))
-    for t in (0.0, 0.8, 3.0):
-        out = evolve_decay(h_eff, psi, t)
-        assert abs(out.norm() ** 2 - math.exp(-kappa * t)) < 1e-12
-    gaining = OperatorMatrix(space, (1.0 + 0.5j * kappa) * n_op.matrix)
-    with pytest.raises(ValueError):
-        evolve_decay(gaining, psi, 1.0)
-    with pytest.raises(ValueError):
-        evolve_decay(h_eff, psi, -1.0)
-
-
-def test_decay_rejects_gain_hidden_off_the_diagonal():
-    # anti-Hermitian part [[-0.1, 0.5], [0.5, -0.1]]: a lossy-looking diagonal,
-    # but eigenvalues 0.4 and -0.6, so one direction grows
-    space = two_cavity_space()
-    gaining = OperatorMatrix(space, 1j * np.array([[-0.1, 0.5], [0.5, -0.1]]))
-    assert abs(_top_gain(gaining.matrix) - 0.4) < 1e-12
-    psi = StateVector(space, np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError, match="growing direction"):
-        evolve_decay(gaining, psi, 1.0)
-    # the same diagonal with no coupling is read off the diagonal and passes
-    lossy = OperatorMatrix(space, np.diag([-0.1j, -0.1j]))
-    assert _top_gain(lossy.matrix) == -0.1
-    assert abs(evolve_decay(lossy, psi, 1.0).norm() ** 2 - math.exp(-0.2)) < 1e-12
-
-
 def test_decay_matches_the_dense_exponential_on_both_bases():
     # four atoms, one photon plus two atomic excitations: a 15-dim sector
     cfg = NetworkConfig(
@@ -464,20 +429,22 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
     )
     space = HilbertSpace(cfg, 3)
     m = build_tc(space, 0).matrix - 0.125j * photon_number_operator(space, 0).matrix
-    h_eff = OperatorMatrix(space, m)
+    index = oracles.state_index(space)
     # singlets on (0, 1) and (2, 3), photon present: reaches only itself
     singlets = {(0, 1, 0, 1): 0.5, (0, 1, 1, 0): -0.5, (1, 0, 0, 1): -0.5, (1, 0, 1, 0): 0.5}
     dark = np.zeros(space.dim, dtype=complex)
     for bits, amp in singlets.items():
-        dark[space.index_of(BasisState((1,), bits))] = amp
+        dark[index[(1,) + bits]] = amp
     rng = np.random.default_rng(4)
     generic = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    for amps in (dark, generic / np.linalg.norm(generic)):
-        psi = StateVector(space, amps)
-        for t in (0.0, 0.8, 30.0):
-            out = evolve_decay(h_eff, psi, t)
-            reference = scipy.linalg.expm(-1j * m * t) @ amps
-            assert np.max(np.abs(out.amplitudes - reference)) < 1e-10
+    # the generic state reaches more than a quarter of the sector: identity basis
+    for amps, basis_dim in ((dark, 1), (generic / np.linalg.norm(generic), space.dim)):
+        for t, n_steps in ((0.8, 1), (30.0, 1), (30.0, 60)):
+            run = _lossy_propagation(m.__matmul__, lambda: m, amps, t / n_steps, n_steps)
+            assert run.basis_dim == basis_dim
+            table = step_powers_loop(scipy.linalg.expm(-1j * m * t / n_steps), amps, n_steps)
+            reference = np.sum(np.abs(table) ** 2, axis=1)
+            assert np.max(np.abs(run.survival - reference)) < 1e-10
 
 
 def _generator(d, kind, norm, rng):

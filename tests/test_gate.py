@@ -8,26 +8,21 @@ from hypothesis import strategies as st
 
 import oracles
 from tchlab import (
-    BasisState,
     GateConfig,
     HilbertSpace,
     HopSpec,
     NetworkConfig,
     NumericalDriftError,
     StateVector,
-    aligned_modular_distance,
     build_tch,
-    cnot_matrix,
     cocsign_matrix,
     cocsign_schedule,
-    csign_matrix,
     decode,
     density,
     encode,
     evolve_const,
     find_resonance,
     gate_space,
-    hadamard_matrix,
     ideal_cocsign,
     ideal_target_state,
     jump_operator,
@@ -52,8 +47,6 @@ from tchlab.gate import (
     _exchange_propagator,
     _xy_swap,
     branch_phase,
-    cocsign_alt_matrix,
-    ideal_cocsign_alt,
 )
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, (4, 6)
@@ -76,25 +69,14 @@ def basis_vector(label):
 
 def test_conditional_sign_conventions():
     assert np.array_equal(np.diag(cocsign_matrix()), [1, -1, 1, 1])
-    assert np.array_equal(np.diag(cocsign_alt_matrix()), [1, 1, -1, 1])
-    assert np.array_equal(np.diag(csign_matrix()), [1, 1, 1, -1])
     m = cocsign_matrix()
     assert np.array_equal(m @ m, np.eye(4))
-
-
-def test_cnot_factorization():
-    h2 = np.kron(np.eye(2), hadamard_matrix())
-    assert np.max(np.abs(h2 @ csign_matrix() @ h2 - cnot_matrix())) < 1e-12
-    expected = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    assert np.max(np.abs(cnot_matrix() - expected)) < 1e-12
 
 
 def test_ideal_application_and_input_checks():
     q = uniform_superposition()
     out = ideal_cocsign(q)
     assert np.allclose(out, np.array([1, -1, 1, 1]) / 2.0)
-    out_alt = ideal_cocsign_alt(q)
-    assert np.allclose(out_alt, np.array([1, 1, -1, 1]) / 2.0)
     with pytest.raises(ValueError):
         ideal_cocsign(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
@@ -252,7 +234,9 @@ def test_instant_swap_error_tracks_resonance_residual():
         cfg = dataclasses.replace(FAST_CONFIG, n1=n1, n2=n2)
         psi = run_gate(q, cfg, instant_swaps=True)
         target = ideal_target_state(q, cfg, instant_swaps=True)
-        errors.append(aligned_modular_distance(psi, target))
+        a, b = psi.amplitudes, target.amplitudes
+        # squared distance minimized over a global phase
+        errors.append(float(np.vdot(a, a).real + np.vdot(b, b).real - 2.0 * abs(np.vdot(b, a))))
     # residual order is (45,64) < (4,6) < (16,23); errors must follow
     assert errors[0] < errors[1] < errors[2]
     assert errors[2] < 0.05
@@ -398,7 +382,7 @@ def test_register_operators_equal_the_entrywise_loops():
     for label in BASIS_LABELS:
         x, y = int(label[0]), int(label[1])
         q = basis_vector(label)
-        index = space.index_of(BasisState((x, y, 0), (1 - x, 1 - y, 0)))
+        index = oracles.state_index(space)[(x, y, 0, 1 - x, 1 - y, 0)]
         assert encode(q, space).amplitudes[index] == 1.0
         assert np.array_equal(decode(encode(q, space)), q)
 
@@ -474,8 +458,6 @@ def test_distances_on_known_pairs():
     # global sign: invisible to trace distance, maximal for the raw metric
     assert trace_distance(density(psi), density(-psi)) < 1e-12
     assert abs(modular_distance(psi, -psi) - 4.0) < 1e-12
-    assert aligned_modular_distance(psi, -psi) < 1e-12
-    assert aligned_modular_distance(psi, np.exp(0.7j) * psi) < 1e-12
     # orthogonal pure states sit at the maximal trace distance
     e0 = np.zeros(6, dtype=complex)
     e0[0] = 1.0

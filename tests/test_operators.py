@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from tchlab import (
-    BasisState,
     GaussianPulse,
     HilbertSpace,
     HopSpec,
@@ -14,11 +13,10 @@ from tchlab import (
     amplitude_for_area,
     build_tc,
     build_tch,
-    coupling_strength,
     jump_operator,
     photon_number_operator,
     pulse_value,
-    singlet_state,
+    singlet_product,
 )
 
 import oracles
@@ -144,11 +142,12 @@ def test_singlet_does_not_couple():
     space = HilbertSpace(cfg, 1)
     h = build_tc(space, 0).matrix
     amps = np.zeros(space.dim, dtype=complex)
-    singlet = singlet_state()
-    amps[space.index_of(BasisState((0,), (0, 1)))] = singlet[1]
-    amps[space.index_of(BasisState((0,), (1, 0)))] = singlet[2]
+    singlet = singlet_product([(0, 1)])
+    index = oracles.state_index(space)
+    amps[index[(0, 0, 1)]] = singlet[1]
+    amps[index[(0, 1, 0)]] = singlet[2]
     out = h @ amps
-    photon_idx = space.index_of(BasisState((1,), (0, 0)))
+    photon_idx = index[(1, 0, 0)]
     assert abs(out[photon_idx]) < 1e-15
 
 
@@ -199,17 +198,6 @@ def test_pulse_refuses_non_finite_fields(field, value):
     fields = {"amplitude": 1.25, "center": 3.0, "sigma": 0.5, "cutoff": 6.0, field: value}
     with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
         GaussianPulse(**fields)
-
-
-def test_coupling_strength_profile():
-    g_mid = coupling_strength(omega=1.0, volume=2.0, dipole=0.3, position=0.5, length=1.0)
-    assert abs(g_mid - math.sqrt(0.5) * 0.3) < 1e-15
-    assert coupling_strength(1.0, 2.0, 0.3, 0.0, 1.0) == 0.0
-    assert abs(coupling_strength(1.0, 2.0, 0.3, 1.0, 1.0)) < 1e-16
-    with pytest.raises(ValueError):
-        coupling_strength(1.0, 0.0, 0.3, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        coupling_strength(1.0, 1.0, 0.3, 2.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None)

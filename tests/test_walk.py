@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dense_free_hamiltonian, dense_walk, distance_profile_loop
+from oracles import (
+    dense_free_hamiltonian,
+    dense_walk,
+    distance_profile_loop,
+    momentum_operator,
+    qft_matrix,
+    state_index,
+)
 
 import tchlab.walk
 from tchlab import (
-    BasisState,
     HilbertSpace,
     HopSpec,
     NetworkConfig,
@@ -15,10 +21,7 @@ from tchlab import (
     build_tch,
     coupling_network,
     feynman_kernel,
-    free_hamiltonian,
-    momentum_operator,
     momentum_values,
-    qft_matrix,
     simulate_walk,
 )
 
@@ -47,14 +50,14 @@ def test_momentum_spectrum_is_exact(n):
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_momentum_commutes_with_generator_for_even_n(n):
     p = momentum_operator(n)
-    h = free_hamiltonian(n, 1.0)
+    h = dense_free_hamiltonian(n, 1.0)
     assert np.max(np.abs(p @ h - h @ p)) < 1e-10
 
 
 def test_odd_ring_breaks_the_commutation():
     # the band-centering shift is a clean translation only for even rings
     p = momentum_operator(9)
-    h = free_hamiltonian(9, 1.0)
+    h = dense_free_hamiltonian(9, 1.0)
     assert np.max(np.abs(p @ h - h @ p)) > 1e-2
 
 
@@ -68,7 +71,7 @@ def _random_network_matrix(n, seed):
 
 def test_coupling_network_round_trip():
     # a ring, a random network with missing links, and one without hops
-    for h in (free_hamiltonian(16, 0.7), _random_network_matrix(12, 0), np.eye(5)):
+    for h in (dense_free_hamiltonian(16, 0.7), _random_network_matrix(12, 0), np.eye(5)):
         net = coupling_network(h)
         assert isinstance(net.hops, np.recarray)
         assert net.hops.dtype.names == ("q", "p", "amplitude", "phase")
@@ -84,14 +87,25 @@ def test_coupling_network_round_trip():
 @pytest.mark.parametrize("n", [8, 64, 128, 1024])
 @pytest.mark.parametrize("mass", [1.0, 0.3])
 def test_free_hamiltonian_matches_dense_fourier_product(n, mass):
-    h = free_hamiltonian(n, mass)
-    assert np.max(np.abs(h - dense_free_hamiltonian(n, mass))) < 1e-10
+    # the walk's free Hamiltonian is the circulant of its hop profile: every
+    # entry at separation d = (p - q) mod n of the dense product is c[d]
+    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=2)).network_profile
+    row = np.zeros(n, dtype=complex)
+    for d, count, r, phi in profile:
+        assert count == n - d
+        row[d] = r * np.exp(1j * phi)
+    h = dense_free_hamiltonian(n, mass)
+    q = np.arange(n)
+    circulant = row[(q[None, :] - q[:, None]) % n]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    assert np.max(np.abs(h - circulant)[off_diagonal]) < 1e-10
+    assert np.max(np.abs(h.diagonal() - h[0, 0])) < 1e-10
 
 
 @pytest.mark.parametrize(
     "h",
-    [free_hamiltonian(64, 1.0), free_hamiltonian(16, 0.7), _random_network_matrix(12, 0),
-     np.eye(5)],
+    [dense_free_hamiltonian(64, 1.0), dense_free_hamiltonian(16, 0.7),
+     _random_network_matrix(12, 0), np.eye(5)],
     ids=["ring64", "ring16", "random", "no-hops"],
 )
 def test_distance_profile_matches_bucket_loop(h):
@@ -107,7 +121,7 @@ def test_distance_profile_matches_bucket_loop(h):
 def test_network_realized_as_cavity_hamiltonian():
     # hop list + uniform cavity detuning reproduce the one-photon matrix
     n = 8
-    h = free_hamiltonian(n, 1.0)
+    h = dense_free_hamiltonian(n, 1.0)
     net = coupling_network(h)
     diag = net.diagonal
     assert np.max(np.abs(diag - diag[0])) < 1e-12  # circulant: constant diagonal
@@ -122,8 +136,8 @@ def test_network_realized_as_cavity_hamiltonian():
     hops = [HopSpec(q, p, amplitude=r, phase=phi) for q, p, r, phi in net.hops]
     produced = build_tch(space, hops).matrix
     # basis index of the photon in each cavity, to reorder h into the sector
-    perm = [space.index_of(BasisState(tuple(int(c == q) for c in range(n)), ()))
-            for q in range(n)]
+    index = state_index(space)
+    perm = [index[tuple(int(c == q) for c in range(n))] for q in range(n)]
     embedded = np.zeros_like(h)
     embedded[np.ix_(perm, perm)] = h
     assert np.max(np.abs(produced - embedded)) < 1e-12
@@ -134,7 +148,7 @@ def test_network_realized_as_cavity_hamiltonian():
 def test_walk_profile_matches_the_dense_network_read(n, mass):
     # read from the circulant's first row, against the N x N matrix's hop table
     profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=2)).network_profile
-    net = coupling_network(free_hamiltonian(n, mass))
+    net = coupling_network(dense_free_hamiltonian(n, mass))
     reference = net.distance_profile()
     assert [row[:2] for row in profile] == [row[:2] for row in reference]
     assert sum(count for _, count, _, _ in profile) == len(net.hops)
@@ -148,7 +162,6 @@ def test_walk_builds_no_dense_network(monkeypatch):
         raise AssertionError("simulate_walk must not build the N x N network")
 
     monkeypatch.setattr(tchlab.walk, "coupling_network", refuse)
-    monkeypatch.setattr(tchlab.walk, "free_hamiltonian", refuse)
     result = simulate_walk(WalkConfig(n_cavities=64, n_times=3))
     assert [row[0] for row in result.network_profile] == list(range(1, 64))
 
@@ -241,7 +254,7 @@ def test_kernel_and_band_refuse_non_finite_values(value):
     with pytest.raises(ValueError, match="mass must be positive and finite"):
         feynman_kernel(np.zeros(3), 1.0, value)
     with pytest.raises(ValueError, match="mass must be positive and finite"):
-        free_hamiltonian(8, value)  # the band energies check the mass
+        WalkConfig(n_cavities=8, mass=value)  # the walk checks the mass before the band
 
 
 def test_ballistic_exponent_needs_data():
