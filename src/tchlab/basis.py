@@ -129,10 +129,11 @@ class HilbertSpace:
 
     def rank(self, rows) -> np.ndarray:
         """Basis index of each occupation row (last axis laid out like a row
-        of ``occupations``).  The rows must be states of this sector: no row
-        is checked, so each caller builds only rows that keep the excitation
-        count and the photon truncation."""
+        of ``occupations``); ValueError unless every row is a state of this
+        sector, each slot within 0 and its photon or atom cap."""
         rows = np.asarray(rows)
+        if np.any(rows < 0) or np.any(rows > self._caps) or np.any(rows.sum(axis=-1) != self.sector):
+            raise ValueError(f"occupation rows outside sector {self.sector} or its caps")
         left = self.sector - np.cumsum(rows, axis=-1) + rows
         return self._below[np.arange(rows.shape[-1]), left, rows].sum(axis=-1)
 

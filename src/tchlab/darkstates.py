@@ -170,24 +170,21 @@ class EmissionReport:
     density: np.ndarray
     escape_probability: float
     mean_emission_time: float  # censored at t_max
-    basis_dim: int  # dimension of the basis the decay ran in (the sector's on fallback)
-    closure_bound: float  # amplitude error bound of that basis; 0 on fallback
+    basis_dim: int  # dimension of the widest basis a decay span ran in
+    closure_bound: float  # sum of the spans' amplitude error bounds
 
 
 def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     """Evolve photon + atomic state under the lossy cavity and tabulate the
     survival probability S(t) and emission density p(t) = -dS/dt.
 
-    The decay runs in the subspace the initial state reaches under the lossy
-    generator: one dimension for a singlet product, three for the triplet
-    reference, grown until the observation horizon times the next residual
-    norm is at most 1e-10, so S is exact within 2e-10.  A state that reaches
-    more than a quarter of the sector runs on the full sector instead.  The
-    report records the basis dimension and the closure bound.  The reached
-    subspace is built from products of the generator with a vector, taken
-    from the TC block's exchange pairs and the diagonal photon loss, so no
-    sector matrix is formed; only the whole-sector fallback builds the
-    generator as a dense matrix of dim^2 complex entries.
+    The decay runs in restarted Krylov spans under the lossy generator,
+    applied through the TC block's exchange pairs and the diagonal photon
+    loss, so no sector matrix is formed.  A singlet product reaches one
+    dimension and the triplet reference three, and either covers the
+    horizon in one span.  The spans' error bounds sum to at most 1e-10 per
+    unit amplitude, so S is exact within 2e-10.  The report records the
+    widest basis and that sum.
 
     The density comes from centered differences of S; a grid too coarse to
     keep p non-negative (beyond -1e-6) raises NumericalDriftError, as does a
@@ -236,16 +233,11 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         np.add.at(out, cols, values * v[rows])
         return out
 
-    def generator():  # dense, only for a state that falls back to the whole sector
-        h = block.matrix  # the block is not used after this
-        h[np.diag_indices(space.dim)] = loss
-        return h
-
     amps = np.zeros(space.dim, dtype=complex)
     amps[space.rank(occupations)] = psi_at[support]
 
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
-    run = _lossy_propagation(generator_times, generator, amps, times[1] - times[0], len(times) - 1)
+    run = _lossy_propagation(generator_times, amps, times[1] - times[0], len(times) - 1)
     survival = run.survival
 
     density = -np.gradient(survival, times)

@@ -25,24 +25,15 @@ Three propagation routes, shared across the experiments:
   product is the transpose of the first's.
 - ``_lossy_propagation``: non-Hermitian effective generator whose shrinking
   norm, never renormalized, is the survival curve that
-  ``darkstates.emission_density`` reads.  It runs in an orthonormal basis of
-  the subspace the initial state reaches (Arnoldi, two-pass Gram-Schmidt),
-  grown until the horizon times the next residual norm is at most 1e-10,
-  which bounds the amplitude error per unit initial norm by that product
-  for a dissipative generator.  One step over the uniform grid is the
-  matrix exponential of the projected block, by scaling and squaring with
-  the [13/13] Pade approximant (``_expm``), and the grid is filled by
-  doubling: the states at steps [k, 2k) are those at [0, k) times the k-th
-  step power, which is squared each round, so about log2(n) matrix products
-  replace n steps.  A basis that would outgrow a quarter of the sector is
-  replaced by the identity, so the same exponential-and-doubling code runs
-  on the full matrix.  The basis needs only products of the generator with
-  a vector, so the emission study passes its generator matrix-free and
-  forms the dense matrix only on that fallback.  Every sum over the sector
-  runs in numpy's own loops rather than BLAS, whose dot products split a
-  long vector across threads and round by the thread count, so the survival
-  curve has the same bytes at any thread count.  It is numpy only: the
-  package never loads scipy.
+  ``darkstates.emission_density`` reads.  It needs only products of the
+  generator with a vector: restarted Krylov spans (Saad 1992; Hochbruck and
+  Lubich 1997), each stepping the Pade exponential (``_expm``) of its
+  projected block over the grid by doubling step powers.  A basis that
+  closes covers the whole grid in one span.  Every sum over the sector in
+  a basis, its block and its start coefficients runs in numpy's own loops
+  rather than BLAS, whose dot products split a long vector across threads
+  and round by the thread count, so a closed basis gives the same bytes at
+  any thread count.  It is numpy only: the package never loads scipy.
 
 All times are in units with hbar = 1.
 """
@@ -388,16 +379,18 @@ def apply_propagator(u: np.ndarray, psi: StateVector, norm_tolerance: float) -> 
     return StateVector(psi.space, y)
 
 
-# horizon * (next residual norm) at which the reachable basis counts as closed
+# amplitude error per unit initial norm a decay may spend over its horizon
 _CLOSURE_TOLERANCE = 1e-10
+# columns a span's basis may hold, doubled while a span fits not one grid step
+_BASIS_CAP = 60
 
 
 class _LossyRun(NamedTuple):
     """Result of ``_lossy_propagation``."""
 
     survival: np.ndarray  # squared norm at each of the n_steps + 1 grid times
-    basis_dim: int  # dimension of the basis the propagation ran in
-    closure_bound: float  # horizon * residual; 0 on the identity basis
+    basis_dim: int  # dimension of the widest basis a span ran in
+    closure_bound: float  # sum of the spans' amplitude error bounds
 
 
 def _norm(v: np.ndarray) -> float:
@@ -412,58 +405,70 @@ def _adjoint_times(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,i...->j...", q, v.conj()).conj()
 
 
-def _reachable_basis(apply, psi0: np.ndarray, horizon: float):
-    """Orthonormal columns Q spanning the Krylov space of the generator and
-    psi0, with the generator times Q and the closure bound; ``apply`` maps
-    a vector to its product with the generator.  None when Q would grow
-    past a quarter of the space (or psi0 vanishes), where the identity
-    basis is cheaper."""
+def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
+    """At most ``cap`` orthonormal columns Q of the Krylov space of the
+    generator and psi0, the generator times Q, the norm of r in
+    m Q = Q B + r e_k^T, and whether Q closed: horizon * |r| within
+    ``_CLOSURE_TOLERANCE``, or Q spanning the space (r is then rounding).
+    ``apply`` maps a vector to its product with the generator."""
     dim = len(psi0)
-    limit = dim // 4
-    beta = _norm(psi0)
-    if limit == 0 or beta == 0.0:
-        return None
+    cap = min(cap, dim)
     # column-major, so that a column is contiguous and writing it touches
     # only its own pages: the columns the basis never reaches stay unmapped
-    q = np.empty((dim, limit), dtype=complex, order="F")
-    images = np.empty((dim, limit), dtype=complex, order="F")
-    q[:, 0] = psi0 / beta
-    for k in range(1, limit + 1):
+    q = np.empty((dim, cap), dtype=complex, order="F")
+    images = np.empty((dim, cap), dtype=complex, order="F")
+    q[:, 0] = psi0 / _norm(psi0)
+    for k in range(1, cap + 1):
         w = apply(q[:, k - 1])
         images[:, k - 1] = w
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
             w = w - q[:, :k] @ _adjoint_times(q[:, :k], w)
         residual = _norm(w)
-        if horizon * residual <= _CLOSURE_TOLERANCE:
-            return q[:, :k], images[:, :k], horizon * residual
-        if k < limit:
-            q[:, k] = w / residual
-    return None
+        closed = horizon * residual <= _CLOSURE_TOLERANCE or k == dim
+        if closed or k == cap:
+            return q[:, :k], images[:, :k], residual, closed
+        q[:, k] = w / residual
 
 
-def _lossy_propagation(apply, dense, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
-    """Step exp(-i m dt) psi0 over n_steps equal steps inside the subspace
-    psi0 reaches, recording the squared norm at every grid time.  The
-    generator m enters as ``apply``, its product with a vector, and as
-    ``dense``, a function returning it as a matrix, called only when the
-    propagation falls back to the whole space.
-
-    With Q the reachable basis and m Q = Q B + r e_k^T, Duhamel's formula
-    bounds the amplitude error of Q exp(-i B t) Q^H psi0 by t |r| |psi0| when
-    m is dissipative; the basis grows until that bound over the horizon
-    n_steps * dt is at most ``_CLOSURE_TOLERANCE`` per unit norm.  The step
-    exp(-i B dt) is the Pade exponential ``_expm`` and the grid is filled by
-    ``_step_powers``, both numpy only.  Callers check dissipativity."""
-    reach = _reachable_basis(apply, psi0, dt * n_steps)
-    if reach is None:
-        block, coef, bound = dense(), psi0, 0.0
-    else:
-        q, images, bound = reach
+def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
+    """Step exp(-i m dt) psi0 over n_steps equal steps in restarted Krylov
+    spans, recording the squared norm at every grid time; ``apply`` maps a
+    vector to its product with the generator m, which callers check is
+    dissipative.  Each span builds the basis Q of its start state and steps
+    exp(-i B dt) of the projected block over the grid left.  With
+    m Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude error
+    by |r| times the integral of the last coefficient |c_k|, summed on the
+    grid; a span runs while that bound per unit initial norm keeps within
+    the share of ``_CLOSURE_TOLERANCE`` its steps take of the n_steps, and
+    the next restarts from Q c.  A closed basis covers the rest with the
+    bound |r| times the time left.  A basis that fits not one step doubles
+    its cap; one spanning the space closes, so the loop ends."""
+    horizon = dt * n_steps
+    scale = _norm(psi0)
+    survival = np.empty(n_steps + 1)
+    psi, start, cap, basis_dim, bound = psi0, 0, _BASIS_CAP, 0, 0.0
+    while True:
+        q, images, residual, closed = _reachable_basis(apply, psi, horizon, cap)
         block = _adjoint_times(q, images)
-        coef = _adjoint_times(q, psi0)
-    table = _step_powers(_expm(-1j * block * dt), coef, n_steps)
-    survival = np.sum(table.real**2 + table.imag**2, axis=1)
-    return _LossyRun(survival, len(coef), bound)
+        coef = _adjoint_times(q, psi)
+        table = _step_powers(_expm(-1j * block * dt), coef, n_steps - start)
+        if closed:
+            stop, span_bound = n_steps - start, (n_steps - start) * dt * residual
+        else:
+            drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
+            within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
+            stop = len(within) if within.all() else int(np.argmin(within))
+            if stop == 0:
+                cap *= 2
+                continue
+            span_bound = float(drift[stop - 1])
+        table = table[: stop + 1]
+        survival[start : start + stop + 1] = np.sum(table.real**2 + table.imag**2, axis=1)
+        basis_dim, bound = max(basis_dim, len(coef)), bound + span_bound
+        start += stop
+        if start == n_steps:
+            return _LossyRun(survival, basis_dim, bound)
+        psi = q @ table[stop]
 
 
 def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:

@@ -112,8 +112,8 @@ class TCBlock(OperatorMatrix):
     """One cavity's TC block as ``build_tc`` returns it: the real diagonal
     and the exchange elements values[k] at (rows[k], cols[k]) and at
     (cols[k], rows[k]), each pair met once.  ``matrix`` scatters them into
-    the dense operator on first use, so a caller that applies the block
-    through its pairs never forms a dim x dim matrix."""
+    the dense operator on first use; the emission study applies the block
+    through its pairs and never forms the dim x dim matrix."""
 
     def __init__(self, space: HilbertSpace, diagonal, rows, cols, values):
         self.space = space

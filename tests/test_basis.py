@@ -92,6 +92,21 @@ def test_occupations_rank_back_to_their_indices():
         assert np.array_equal(space.rank(space.occupations), np.arange(space.dim))
 
 
+@pytest.mark.parametrize("row", [
+    (1, 0, 0, 0, 0, 0),  # one excitation short of the sector
+    (3, 0, 0, 0, 0, 0),  # past the photon cap, and one too many
+    (2, 1, 0, -1, 0, 0),  # a negative atom
+    (0, 0, 0, 2, 0, 0),  # past the atom cap
+])
+def test_rank_refuses_rows_outside_the_sector(row):
+    # the gate register: three one-atom cavities, two excitations, 18 states
+    space = HilbertSpace(NetworkConfig(n_cavities=3, atoms_per_cavity=(1, 1, 1)), 2)
+    with pytest.raises(ValueError):
+        space.rank(row)
+    with pytest.raises(ValueError):
+        space.rank([space.occupations[0], row])
+
+
 def test_package_exports_names_not_submodules():
     assert "HilbertSpace" in tchlab.__all__
     assert not [n for n in tchlab.__all__ if isinstance(getattr(tchlab, n), types.ModuleType)]

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from oracles import (
 )
 
 import tchlab
+import tchlab.evolution as evolution
 from tchlab import (
     DecayConfig,
     HilbertSpace,
@@ -238,35 +240,40 @@ def test_register_decay_runs_in_the_reached_subspace(n_atoms):
     if n_atoms > 2:
         light_state = np.kron(light_state, _adjacent_singlets(n_atoms - 2))
     light = _assert_matches_dense(light_state, cfg)
-    # the triplet reaches 3 states; in the 4-dim 2-atom sector that is more
-    # than a quarter, so the whole sector runs instead
-    assert light.basis_dim == (3 if n_atoms > 2 else 4)
+    assert light.basis_dim == 3  # the triplet reaches 3 states, even in the 4-dim 2-atom sector
     assert light.closure_bound <= 1e-10
+
+
+def _fresh_process_run(body):
+    """The words ``body`` prints, run in a fresh process that then prints
+    its own peak resident size (VmHWM, in kB; ru_maxrss would also count
+    this process's size at the fork)."""
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    code = body + (
+        "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
+        "print(status)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 @pytest.mark.parametrize("bright", [False, True], ids=["singlet", "bright"])
 def test_fourteen_atom_decay_builds_no_sector_matrix(bright):
     # the 14-atom decay sector holds 12,911 states: one dense complex matrix
-    # on it would take 12,911^2 * 16 bytes, about 2.7 GB.  The decay runs in
-    # a fresh process, which reads its own peak resident size (VmHWM, in kB;
-    # ru_maxrss would also count this process's size at the fork).
-    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    # on it would take 12,911^2 * 16 bytes, about 2.7 GB
     state = "np.kron(triplet_state(), singlets(12))" if bright else "singlets(14)"
-    code = (
+    basis_dim, closure_bound, peak_kb = _fresh_process_run(
         "import numpy as np\n"
         "from tchlab import DecayConfig, emission_density, singlet_product, triplet_state\n"
         "def singlets(n):\n"
         "    return singlet_product([(i, i + 1) for i in range(0, n, 2)])\n"
         f"report = emission_density({state}, DecayConfig(couplings=(1e-3,) * 14))\n"
-        "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
-        "print(report.basis_dim, report.closure_bound, status)\n"
+        "print(report.basis_dim, report.closure_bound)\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    basis_dim, closure_bound, peak_kb = proc.stdout.split()
     assert int(basis_dim) == (3 if bright else 1)
     assert float(closure_bound) <= 1e-10
     assert int(peak_kb) < 256 * 1024
@@ -281,16 +288,66 @@ def test_crossed_pairing_and_empty_register_match_dense_decay():
     assert empty.closure_bound == 0.0
 
 
-def test_generic_register_falls_back_to_the_whole_sector():
+def _generic_register(n_atoms, **grid):
+    """A register of random couplings with half its atoms excited in a
+    random superposition, which reaches the whole decay sector, and its
+    decay settings with ``grid`` passed on."""
     rng = np.random.default_rng(11)
-    cfg = DecayConfig(couplings=tuple(1e-3 * rng.uniform(0.5, 1.5, 10)))
-    psi = np.zeros(2**10, dtype=complex)
-    support = [b for b in range(2**10) if bin(b).count("1") == 5]
+    cfg = DecayConfig(couplings=tuple(1e-3 * rng.uniform(0.5, 1.5, n_atoms)), **grid)
+    psi = np.zeros(2**n_atoms, dtype=complex)
+    support = [b for b in range(2**n_atoms) if bin(b).count("1") == n_atoms // 2]
     psi[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-    psi /= np.linalg.norm(psi)
-    report = _assert_matches_dense(psi, cfg)
-    assert report.basis_dim == 848  # the identity basis of the sector
-    assert report.closure_bound == 0.0
+    return psi / np.linalg.norm(psi), cfg
+
+
+def test_generic_register_decays_in_restarted_krylov_spans():
+    # the 848-state sector runs in spans of at most 60 Krylov vectors
+    report = _assert_matches_dense(*_generic_register(10))
+    assert report.basis_dim <= 60
+    assert report.closure_bound <= 1e-10
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_generic_twelve_atom_decay_runs_in_two_spans():
+    # one dense complex matrix on the 3,302-state sector takes 174 MB, and a
+    # dense matrix exponential holds about a dozen of them
+    spans, basis_dim, closure_bound, peak_kb = _fresh_process_run(
+        "import numpy as np\n"
+        "import tchlab.evolution as evolution\n"
+        "from tchlab import DecayConfig, emission_density\n"
+        "builds = []\n"
+        "reachable = evolution._reachable_basis\n"
+        "def counted(*args):\n"
+        "    builds.append(args)\n"
+        "    return reachable(*args)\n"
+        "evolution._reachable_basis = counted\n"
+        + inspect.getsource(_generic_register) +
+        "report = emission_density(*_generic_register(12, t_max=4000.0, n_times=201))\n"
+        "print(len(builds), report.basis_dim, report.closure_bound)\n"
+    )
+    assert int(spans) == 2
+    assert int(basis_dim) == 60
+    assert float(closure_bound) <= 1e-10
+    assert int(peak_kb) < 256 * 1024
+
+
+@pytest.mark.parametrize("n_times", [3, 11])
+def test_coarse_grid_widens_the_basis_to_the_whole_sector(n_times, monkeypatch):
+    # on 2 or 10 steps over the horizon not one step fits a 60- or 120-vector
+    # span, so the basis doubles until it spans the 219-state sector
+    widths = []
+    reachable = evolution._reachable_basis
+
+    def recorded(apply, psi0, horizon, cap):
+        basis = reachable(apply, psi0, horizon, cap)
+        widths.append(basis[0].shape[1])
+        return basis
+
+    monkeypatch.setattr(evolution, "_reachable_basis", recorded)
+    report = _assert_matches_dense(*_generic_register(8, n_times=n_times))
+    assert widths == [60, 120, 219]
+    assert report.basis_dim == 219
+    assert report.closure_bound <= 1e-10
 
 
 @st.composite

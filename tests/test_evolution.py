@@ -437,10 +437,10 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
         dark[index[(1,) + bits]] = amp
     rng = np.random.default_rng(4)
     generic = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    # the generic state reaches more than a quarter of the sector: identity basis
-    for amps, basis_dim in ((dark, 1), (generic / np.linalg.norm(generic), space.dim)):
+    # the generic state reaches 8 of the 15 states
+    for amps, basis_dim in ((dark, 1), (generic / np.linalg.norm(generic), 8)):
         for t, n_steps in ((0.8, 1), (30.0, 1), (30.0, 60)):
-            run = _lossy_propagation(m.__matmul__, lambda: m, amps, t / n_steps, n_steps)
+            run = _lossy_propagation(m.__matmul__, amps, t / n_steps, n_steps)
             assert run.basis_dim == basis_dim
             table = step_powers_loop(scipy.linalg.expm(-1j * m * t / n_steps), amps, n_steps)
             reference = np.sum(np.abs(table) ** 2, axis=1)
