@@ -18,19 +18,19 @@ Three propagation routes, shared across the experiments:
   independently of s, and each scale's R's are multiplied in pairs into one
   product.  A chunk holds at most ``_STEP_BLOCK`` steps, and on wide blocks
   few enough that its S_p stacks stay within ``_BLOCK_ENTRIES`` complex
-  entries (4 MiB), whatever the step and the sector.  A time-symmetric
-  segment (real symmetric letters, every pulse centred, a mirror-symmetric
-  zero pattern of the envelopes) integrates only its first half: with
-  those, step n-1-k is the transpose of step k, so the second half's
-  product is the transpose of the first's.
+  entries (4 MiB), whatever the step and the sector.  Every segment is
+  time-symmetric by precondition (real symmetric letters, every pulse
+  centred; ValueError otherwise) and integrates only its first half: step
+  n-1-k is taken as the transpose of step k, so the second half's product
+  is the transpose of the first's.
 - ``_lossy_propagation``: non-Hermitian effective generator whose shrinking
   norm, never renormalized, is the survival curve that
   ``darkstates.emission_density`` reads.  It needs only products of the
   generator with a vector: restarted Krylov spans (Saad 1992; Hochbruck and
-  Lubich 1997), each stepping the Pade exponential (``_expm``) of its
-  projected block over the grid by doubling step powers.  A basis that
-  closes covers the whole grid in one span.  Every sum over the sector in
-  a basis, its block and its start coefficients runs in numpy's own loops
+  Lubich 1997), each stepping the Pade exponential (``_expm``) of the
+  block its Arnoldi recurrence leaves over the grid by doubling step
+  powers.  A basis that closes covers the whole grid in one span.  Every
+  sum over the sector in a basis and its block runs in numpy's own loops
   rather than BLAS, whose dot products split a long vector across threads
   and round by the thread count, so a closed basis gives the same bytes at
   any thread count.  It is numpy only: the package never loads scipy.
@@ -120,12 +120,15 @@ def evolve_pulsed(
     settings: EvolutionSettings | None = None,
 ) -> StateVector:
     """Integrate i d|psi>/dt = (H0 + sum_k nu_k(t) J_k) |psi> over
-    [t_start, t_end] with a fixed-step fourth-order scheme.
+    [t_start, t_end] with a fixed-step fourth-order scheme whose second half
+    mirrors its first (``pulsed_propagators``).
 
     ``pulses`` is a sequence of (jump operator, Gaussian envelope) pairs; the
     jump operators should be built with unit amplitude so the envelopes alone
     carry the strength.  Outside each envelope's truncation window its term
-    is exactly zero.
+    is exactly zero.  ValueError unless H0 and the jump operators are real
+    symmetric and every pulse is centred on the interval, when it takes two
+    steps or more.
 
     Raises NumericalDriftError if the squared norm moves by more than the
     settings tolerance (the generator is Hermitian, so any drift is
@@ -196,33 +199,35 @@ def pulsed_propagators(
     one matrix product of the coefficients with the word matrices, which do
     not depend on the scale; each scale then forms its R's as one
     combination of those stacks and multiplies them in adjacent pairs into
-    the chunk product, which left-multiplies its running U.  This is the
-    step-by-step scheme up to rounding, and a scale's propagator does not
-    depend on the other scales of the call.  A chunk takes at most
-    ``_STEP_BLOCK`` steps, and few enough that its five S_p stacks together
-    hold at most ``_BLOCK_ENTRIES`` entries (4 MiB) on the widest block, in
-    one buffer every block reuses, for any dt.  The word table of a block of
-    b states holds sum_{l<=4} (1 + K)^l matrices of b x b for K pulses: 31
-    for one pulse.
+    the chunk product, which left-multiplies its running U.  A scale's
+    propagator does not depend on the other scales of the call.  A chunk
+    takes at most ``_STEP_BLOCK`` steps, and few enough that its five S_p
+    stacks together hold at most ``_BLOCK_ENTRIES`` entries (4 MiB) on the
+    widest block, in one buffer every block reuses, for any dt.  The word
+    table of a block of b states holds sum_{l<=4} (1 + K)^l matrices of
+    b x b for K pulses: 31 for one pulse.
 
-    Time symmetry halves the steps.  Transposing a step reverses each word,
-    and ``_RK4_TERMS`` is closed under reversing a word while swapping its
-    start and end times, so step n-1-k is the transpose of step k when
-    three conditions hold: every letter equals its transpose (real
-    symmetric H0 and J_k); every pulse is centred on the segment,
-    ``center == 0.5 * (t_start + t_end)``; and each envelope is zero at the
-    step starts, midpoints and ends exactly where it is zero at their
-    mirror images, so that no truncation edge rounds inside the window at
-    one end and outside at the other.  Then with V_k the product of the
-    first k steps, U = V_{n//2}^T V_{ceil(n/2)}: only the first ceil(n/2)
-    steps run, the product after n // 2 of them is kept, and for odd n the
-    middle step runs on its own.  This is exact up to rounding.  Any other
-    segment runs all n steps."""
+    A segment of n >= 2 steps is time-symmetric by precondition: every
+    letter equals its transpose (real symmetric H0 and J_k) and every pulse
+    is centred on the segment, ``center == 0.5 * (t_start + t_end)``;
+    ValueError otherwise.  Transposing a step reverses each word, and
+    ``_RK4_TERMS`` is closed under reversing a word while swapping its
+    start and end times, so step n-1-k is defined as the transpose of step
+    k: the second half reads the first half's envelope samples in mirror
+    order.  With V_k the product of the first k steps, U = V_{n//2}^T
+    V_{ceil(n/2)}: only the first ceil(n/2) steps run, the product after
+    n // 2 of them is kept, and for odd n the middle step runs on its own.
+    A one-step segment runs whole and needs no precondition."""
     scales = [float(s) for s in scales]
     n_steps = max(1, math.ceil((t_end - t_start) / dt))
     h = (t_end - t_start) / n_steps
     d = h0.matrix.shape[0]
     letters = np.stack([-1j * h0.matrix] + [-1j * op.matrix for op, _ in pulses])
+    half = n_steps // 2
+    if half and not np.array_equal(letters, letters.transpose(0, 2, 1)):
+        raise ValueError("a pulsed segment needs real symmetric H0 and jump operators")
+    if half and any(pulse.center != 0.5 * (t_start + t_end) for _, pulse in pulses):
+        raise ValueError("a pulsed segment needs every pulse centred on it")
     words = _words(len(letters))
     powers = np.count_nonzero(words > 0, axis=1)
     n_powers = 1 + int(powers.max())
@@ -238,15 +243,11 @@ def pulsed_propagators(
         tables.append([table[w].view(float) for w in by_power])
     u = [np.broadcast_to(np.eye(len(b), dtype=complex), (len(scales), len(b), len(b))).copy()
          for b in blocks]
-    # a time-symmetric segment runs its first ceil(n/2) steps, keeping the
-    # product after n // 2 of them, whose transpose is the rest
-    half = n_steps // 2
-    mirror = half > 0 and _time_symmetric(letters, pulses, t_start, t_end, h, n_steps)
-    stop = n_steps - half if mirror else n_steps
-    bounds = {*range(0, stop, chunk), stop}
-    if mirror:
-        bounds.add(half)
-    bounds = sorted(bounds)
+    # the first ceil(n/2) steps run, and the product after n // 2 of them
+    # is kept (the identity for one step): its transpose is the rest
+    first_half = [ub.copy() for ub in u]
+    stop = n_steps - half
+    bounds = sorted({*range(0, stop, chunk), half, stop})
     buffer = np.empty(n_powers * chunk * widest**2, dtype=complex)
     for first, last in zip(bounds, bounds[1:]):
         t = t_start + np.arange(first, last) * h
@@ -260,34 +261,12 @@ def pulsed_propagators(
             for i, s in enumerate(scales):
                 r = (s ** np.arange(n_powers)) @ stack
                 ub[i] = _ordered_product(r.reshape(len(t), b, b)) @ ub[i]
-        if mirror and last == half:
+        if last == half:
             first_half = [ub.copy() for ub in u]
-    if mirror:
-        u = [np.swapaxes(v, 1, 2) @ ub for v, ub in zip(first_half, u)]
     out = np.zeros((len(scales), d, d), dtype=complex)
-    for block, ub in zip(blocks, u):
-        out[:, block[:, None], block] = ub
+    for block, v, ub in zip(blocks, first_half, u):
+        out[:, block[:, None], block] = np.swapaxes(v, 1, 2) @ ub
     return out
-
-
-def _time_symmetric(letters: np.ndarray, pulses, t_start: float, t_end: float,
-                    h: float, n_steps: int) -> bool:
-    """Whether step n-1-k of the scheme is the transpose of step k up to
-    rounding: every letter equals its transpose, every pulse is centred on
-    the segment, and each envelope is zero at a step's start, midpoint or
-    end exactly where it is zero at the mirrored step's end, midpoint or
-    start.  The last condition keeps a truncation edge that rounds inside
-    the window at one end and outside at the other on the full path."""
-    if not np.array_equal(letters, letters.transpose(0, 2, 1)):
-        return False
-    t = t_start + np.arange(n_steps) * h
-    for _, pulse in pulses:
-        if pulse.center != 0.5 * (t_start + t_end):
-            return False
-        zero = np.stack([pulse_value(pulse, time) == 0.0 for time in (t, t + 0.5 * h, t + h)])
-        if not np.array_equal(zero, zero[::-1, ::-1]):
-            return False
-    return True
 
 
 def _invariant_blocks(matrices: np.ndarray) -> list[np.ndarray]:
@@ -407,26 +386,30 @@ def _adjoint_times(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
     """At most ``cap`` orthonormal columns Q of the Krylov space of the
-    generator and psi0, the generator times Q, the norm of r in
-    m Q = Q B + r e_k^T, and whether Q closed: horizon * |r| within
-    ``_CLOSURE_TOLERANCE``, or Q spanning the space (r is then rounding).
-    ``apply`` maps a vector to its product with the generator."""
+    generator and psi0, with B and the norm of r in m Q = Q B + r e_k^T,
+    read from the Arnoldi recurrence (Saad 1992): column j of B holds the
+    coefficients both Gram-Schmidt passes took off the image of column j,
+    and below its diagonal the norm of what was left, the next column's
+    length.  The basis stops at the first k with horizon * |r| within
+    ``_CLOSURE_TOLERANCE``, at Q spanning the space (r is then 0), or at
+    the cap.  ``apply`` maps a vector to its product with the generator."""
     dim = len(psi0)
     cap = min(cap, dim)
     # column-major, so that a column is contiguous and writing it touches
     # only its own pages: the columns the basis never reaches stay unmapped
     q = np.empty((dim, cap), dtype=complex, order="F")
-    images = np.empty((dim, cap), dtype=complex, order="F")
+    block = np.zeros((cap, cap), dtype=complex)
     q[:, 0] = psi0 / _norm(psi0)
     for k in range(1, cap + 1):
         w = apply(q[:, k - 1])
-        images[:, k - 1] = w
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            w = w - q[:, :k] @ _adjoint_times(q[:, :k], w)
-        residual = _norm(w)
-        closed = horizon * residual <= _CLOSURE_TOLERANCE or k == dim
-        if closed or k == cap:
-            return q[:, :k], images[:, :k], residual, closed
+            coefficients = _adjoint_times(q[:, :k], w)
+            block[:k, k - 1] += coefficients
+            w = w - q[:, :k] @ coefficients
+        residual = _norm(w) if k < dim else 0.0
+        if horizon * residual <= _CLOSURE_TOLERANCE or k == cap:
+            return q[:, :k], block[:k, :k], residual
+        block[k, k - 1] = residual
         q[:, k] = w / residual
 
 
@@ -434,37 +417,35 @@ def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _Los
     """Step exp(-i m dt) psi0 over n_steps equal steps in restarted Krylov
     spans, recording the squared norm at every grid time; ``apply`` maps a
     vector to its product with the generator m, which callers check is
-    dissipative.  Each span builds the basis Q of its start state and steps
-    exp(-i B dt) of the projected block over the grid left.  With
-    m Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude error
-    by |r| times the integral of the last coefficient |c_k|, summed on the
-    grid; a span runs while that bound per unit initial norm keeps within
-    the share of ``_CLOSURE_TOLERANCE`` its steps take of the n_steps, and
-    the next restarts from Q c.  A closed basis covers the rest with the
-    bound |r| times the time left.  A basis that fits not one step doubles
-    its cap; one spanning the space closes, so the loop ends."""
+    dissipative.  Each span builds the basis Q of its start state psi and
+    steps exp(-i B dt) of the Arnoldi block from c = |psi| e_1 over the grid
+    left.  With m Q = Q B + r e_k^T, Duhamel's formula bounds the span's
+    amplitude error by |r| times the integral of the last coefficient
+    |c_k|, summed on the grid; a span runs while that bound per unit initial
+    norm keeps within the share of ``_CLOSURE_TOLERANCE`` its steps take of
+    the n_steps, and the next restarts from Q c.  A basis closed within the
+    tolerance keeps within it to the horizon, since under a dissipative
+    generator |c_k| never exceeds |psi0|; one that fits not one step doubles
+    its cap, and one spanning the space has r = 0 and covers the rest, so
+    the loop ends."""
     horizon = dt * n_steps
     scale = _norm(psi0)
     survival = np.empty(n_steps + 1)
     psi, start, cap, basis_dim, bound = psi0, 0, _BASIS_CAP, 0, 0.0
     while True:
-        q, images, residual, closed = _reachable_basis(apply, psi, horizon, cap)
-        block = _adjoint_times(q, images)
-        coef = _adjoint_times(q, psi)
+        q, block, residual = _reachable_basis(apply, psi, horizon, cap)
+        coef = np.zeros(len(block), dtype=complex)
+        coef[0] = _norm(psi)
         table = _step_powers(_expm(-1j * block * dt), coef, n_steps - start)
-        if closed:
-            stop, span_bound = n_steps - start, (n_steps - start) * dt * residual
-        else:
-            drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
-            within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
-            stop = len(within) if within.all() else int(np.argmin(within))
-            if stop == 0:
-                cap *= 2
-                continue
-            span_bound = float(drift[stop - 1])
+        drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
+        within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
+        stop = len(within) if within.all() else int(np.argmin(within))
+        if stop == 0:
+            cap *= 2
+            continue
         table = table[: stop + 1]
         survival[start : start + stop + 1] = np.sum(table.real**2 + table.imag**2, axis=1)
-        basis_dim, bound = max(basis_dim, len(coef)), bound + span_bound
+        basis_dim, bound = max(basis_dim, len(coef)), bound + float(drift[stop - 1])
         start += stop
         if start == n_steps:
             return _LossyRun(survival, basis_dim, bound)

@@ -13,7 +13,10 @@ state vector directly instead of integrating a propagator and applying it.
 stacked generators and multiplies them in adjacent pairs, on the whole
 sector and one amplitude at a time: the two references for the
 word expansion over invariant blocks that ``evolution.pulsed_propagators``
-takes.
+takes.  All three step every step of the segment and read the second
+half's envelopes at the first half's times in mirror order
+(``step_times``), the grid the production scheme's transposed half stands
+for; ``rk4_propagator_loop`` also runs on the forward grid.
 
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
@@ -251,13 +254,31 @@ def xy_swap_loop(space, x: int, y: int) -> np.ndarray:
     return np.array(image)
 
 
+def step_times(t_start, t_end, dt, mirrored=True):
+    """The step count and size of the production scheme, and the (start,
+    midpoint, end) times of each step, one row per step.  Mirrored, step
+    k >= ceil(n/2) reads step n-1-k's (end, midpoint, start), so the second
+    half samples every envelope at the first half's times in mirror order;
+    otherwise every step reads its own forward-grid times."""
+    n_steps = max(1, math.ceil((t_end - t_start) / dt))
+    h = (t_end - t_start) / n_steps
+    times = []
+    for step in range(n_steps):
+        t = t_start + step * h
+        times.append((t, t + 0.5 * h, t + h))
+    if mirrored:
+        for step in range((n_steps + 1) // 2, n_steps):
+            times[step] = times[n_steps - 1 - step][::-1]
+    return n_steps, h, times
+
+
 def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
     """Fixed-step fourth-order integration of i dy/dt = (H0 + sum_k nu_k(t)
-    J_k) y on one state vector, with the step count and generator of the
-    production scheme.  Returns the final amplitudes and the magnitude of
-    the squared-norm change."""
-    n_steps = max(1, math.ceil((t_end - t_start) / dt))
-    dt = (t_end - t_start) / n_steps
+    J_k) y on one state vector, with the step count, the mirrored sample
+    times (``step_times``) and the generator of the production scheme.
+    Returns the final amplitudes and the magnitude of the squared-norm
+    change."""
+    _, dt, times = step_times(t_start, t_end, dt)
     base = h0.matrix
 
     def generator(t: float) -> np.ndarray:
@@ -274,11 +295,10 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
 
     y = np.asarray(amplitudes, dtype=complex).copy()
     norm_in = float(np.vdot(y, y).real)
-    for step in range(n_steps):
-        t = t_start + step * dt
-        h_a = generator(t)
-        h_m = generator(t + 0.5 * dt)
-        h_b = generator(t + dt)
+    for t_a, t_m, t_b in times:
+        h_a = generator(t_a)
+        h_m = generator(t_m)
+        h_b = generator(t_b)
         k1 = -1j * (h_a @ y)
         k2 = -1j * (h_m @ (y + 0.5 * dt * k1))
         k3 = -1j * (h_m @ (y + 0.5 * dt * k2))
@@ -289,12 +309,12 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
     return y, abs(norm_out - norm_in)
 
 
-def rk4_propagator_loop(h0, pulses, t_start, t_end, dt):
+def rk4_propagator_loop(h0, pulses, t_start, t_end, dt, mirrored=True):
     """The propagator of the same fourth-order scheme, stepped one step at a
     time on the identity: the sequential form of
-    ``evolution.pulsed_propagators`` at one scale."""
-    n_steps = max(1, math.ceil((t_end - t_start) / dt))
-    dt = (t_end - t_start) / n_steps
+    ``evolution.pulsed_propagators`` at one scale.  ``mirrored=False``
+    samples every step on the forward grid instead (``step_times``)."""
+    _, dt, times = step_times(t_start, t_end, dt, mirrored)
     base = h0.matrix
 
     def generator(t: float) -> np.ndarray:
@@ -306,11 +326,10 @@ def rk4_propagator_loop(h0, pulses, t_start, t_end, dt):
         return h
 
     y = np.eye(base.shape[0], dtype=complex)
-    for step in range(n_steps):
-        t = t_start + step * dt
-        h_a = generator(t)
-        h_m = generator(t + 0.5 * dt)
-        h_b = generator(t + dt)
+    for t_a, t_m, t_b in times:
+        h_a = generator(t_a)
+        h_m = generator(t_m)
+        h_b = generator(t_b)
         k1 = -1j * (h_a @ y)
         k2 = -1j * (h_m @ (y + 0.5 * dt * k1))
         k3 = -1j * (h_m @ (y + 0.5 * dt * k2))
@@ -321,12 +340,13 @@ def rk4_propagator_loop(h0, pulses, t_start, t_end, dt):
 
 def rk4_block_product(h0, pulses, t_start, t_end, dt, block=256):
     """The same fourth-order propagator in blocks of at most ``block``
-    steps: the generators at every step's start, midpoint and end are
-    stacked, each step matrix R = I + h/6 (a + 2 K2 + 2 K3 + K4) comes from
-    three stacked matrix products, and a block's R's are multiplied in
-    adjacent pairs into the block product."""
-    n_steps = max(1, math.ceil((t_end - t_start) / dt))
-    h = (t_end - t_start) / n_steps
+    steps, at the mirrored sample times: the generators at every step's
+    start, midpoint and end are stacked, each step matrix
+    R = I + h/6 (a + 2 K2 + 2 K3 + K4) comes from three stacked matrix
+    products, and a block's R's are multiplied in adjacent pairs into the
+    block product."""
+    n_steps, h, times = step_times(t_start, t_end, dt)
+    times = np.array(times)
     d = h0.matrix.shape[0]
     eye = np.eye(d, dtype=complex)
     base = -1j * h0.matrix
@@ -347,8 +367,7 @@ def rk4_block_product(h0, pulses, t_start, t_end, dt, block=256):
 
     u = eye
     for first in range(0, n_steps, block):
-        t = t_start + np.arange(first, min(first + block, n_steps)) * h
-        a, m, b = generators(t), generators(t + 0.5 * h), generators(t + h)
+        a, m, b = (generators(column) for column in times[first : first + block].T)
         k2 = m @ (eye + 0.5 * h * a)
         k3 = m @ (eye + 0.5 * h * k2)
         k4 = b @ (eye + h * k3)

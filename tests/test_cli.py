@@ -331,14 +331,14 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a BLAS dot product may split a long vector across threads and round
     # by the thread count; the 14-atom register's decay sector holds 12,911
-    # states, long enough to be split
+    # states, long enough to be split.  The alpha x 3 gate builds its links
+    # in 900 steps, its own step count.
     src = str(Path(tchlab.__file__).resolve().parent.parent)
+    studies = {"dark": ["dark", "--atoms", "14"], "gate": ["gate"],
+               "gate-a3": ["gate", "--alpha-scales", "3"], "walk": ["walk", "--n-cavities", "1024"]}
     procs = []
     for threads in ("1", "2"):
-        runs = [
-            [*args, "--out-dir", str(tmp_path / threads / args[0])]
-            for args in (["dark", "--atoms", "14"], ["gate"], ["walk", "--n-cavities", "1024"])
-        ]
+        runs = [[*args, "--out-dir", str(tmp_path / threads / name)] for name, args in studies.items()]
         code = ("import sys; from tchlab.cli import main\n"
                 f"sys.exit(max(main(args) for args in {runs!r}))")
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
@@ -350,7 +350,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, err
     one, two = (sorted(p.relative_to(tmp_path / t) for p in (tmp_path / t).rglob("*.*"))
                 for t in ("1", "2"))
-    assert one == two and len(one) == 3 + 2 + 4
+    assert one == two and len(one) == 3 + 2 + 2 + 4
     for name in one:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 

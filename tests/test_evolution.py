@@ -33,6 +33,7 @@ from tchlab.evolution import (
     _expm,
     _invariant_blocks,
     _lossy_propagation,
+    _reachable_basis,
     _step_powers,
     apply_propagator,
     pulsed_propagators,
@@ -142,24 +143,24 @@ def test_pulsed_integrator_is_fourth_order():
 
 def _register_terms():
     """A two-excitation sector of three cavities with one static hop and two
-    pulsed hop terms, one of them complex."""
+    pulsed hop terms, all real."""
     cfg = NetworkConfig(
         n_cavities=3, atoms_per_cavity=(1, 1, 1), couplings=(0.3, 0.5, 0.4), max_photons=2
     )
     space = HilbertSpace(cfg, 2)
-    h0 = build_tch(space, [HopSpec(0, 1, amplitude=0.2, phase=0.3)])
+    h0 = build_tch(space, [HopSpec(0, 1, amplitude=0.2)])
     j1 = jump_operator(space, HopSpec(0, 2, amplitude=1.0))
-    j2 = jump_operator(space, HopSpec(1, 2, amplitude=1.0, phase=0.7))
+    j2 = jump_operator(space, HopSpec(1, 2, amplitude=1.0))
     return h0, j1, j2
 
 
-# (t_start, pulses as (jump index, center, sigma, cutoff) with the center and
-# sigma in units of the interval): the interval starts at t_start and lasts
-# n_steps steps of 0.01
+# (t_start, pulses as (jump index, sigma, cutoff) with sigma in units of the
+# interval): every pulse is centred on the interval, which starts at t_start
+# and lasts n_steps steps of 0.01
 BLOCK_CASES = {
-    "one pulse filling the interval": (0.0, [(0, 0.5, 1 / 12, 6.0)]),
-    "two pulses with different windows": (0.0, [(0, 0.5, 1 / 12, 6.0), (1, 0.3, 0.05, 4.0)]),
-    "window ending inside, late start": (1.5, [(1, 0.2, 0.1, 3.0)]),
+    "one pulse filling the interval": (0.0, [(0, 1 / 12, 6.0)]),
+    "two pulses with different windows": (0.0, [(0, 1 / 12, 6.0), (1, 0.05, 4.0)]),
+    "window ending inside, late start": (1.5, [(1, 0.1, 3.0)]),
 }
 
 
@@ -181,6 +182,14 @@ def _block_sizes(h0, pulses):
     return [len(b) for b in _invariant_blocks(matrices)]
 
 
+def _half_chunks(n_steps, chunk):
+    """Lengths of the chunks the first ceil(n/2) steps run in: at most
+    ``chunk`` steps, and a chunk ends after n // 2 steps."""
+    stop = n_steps - n_steps // 2
+    bounds = sorted({*range(0, stop, chunk), n_steps // 2, stop})
+    return [last - first for first, last in zip(bounds, bounds[1:])]
+
+
 @pytest.mark.parametrize("case", BLOCK_CASES)
 @pytest.mark.parametrize("n_steps", [1, 601, 3 * _STEP_BLOCK + 1])
 def test_block_product_matches_the_step_loop(monkeypatch, n_steps, case):
@@ -188,38 +197,36 @@ def test_block_product_matches_the_step_loop(monkeypatch, n_steps, case):
     span = 0.01 * n_steps
     h0, *jumps = _register_terms()
     pulses = [
-        (jumps[k], GaussianPulse(amplitude=1.25, center=t_start + c * span,
+        (jumps[k], GaussianPulse(amplitude=1.25, center=t_start + 0.5 * span,
                                  sigma=s * span, cutoff=cut))
-        for k, c, s, cut in shapes
+        for k, s, cut in shapes
     ]
     dt = span / (n_steps - 0.5)  # n_steps equal steps, away from a rounding edge
     chunks = _record_chunks(monkeypatch)
     u = pulsed_propagators(h0, pulses, t_start, t_start + span, dt, (1.0,))[0]
     reference = oracles.rk4_propagator_loop(h0, pulses, t_start, t_start + span, dt)
     assert np.max(np.abs(u - reference)) < 1e-12
-    # each chunk of steps runs once on every invariant block, and the stack
-    # of its five scale powers on the widest block fits the entry budget
+    # each chunk of the first ceil(n/2) steps runs once on every invariant
+    # block, and the stack of its five scale powers on the widest block
+    # fits the entry budget
     sizes = _block_sizes(h0, pulses)
     chunk = min(_STEP_BLOCK, _BLOCK_ENTRIES // (5 * max(sizes) ** 2))
-    lengths = [min(chunk, n_steps - first) for first in range(0, n_steps, chunk)]
-    assert chunks == [n for n in lengths for _ in sizes]
-    assert sum(chunks) == len(sizes) * n_steps and max(chunks) <= _STEP_BLOCK
+    assert chunks == [n for n in _half_chunks(n_steps, chunk) for _ in sizes]
+    assert sum(chunks) == len(sizes) * ((n_steps + 1) // 2) and max(chunks) <= _STEP_BLOCK
 
 
 def _wide_sector_terms():
-    """An 84-state sector of four cavities with one static and two pulsed
-    hops, all one invariant block."""
+    """An 84-state sector of four cavities with one static and one pulsed
+    hop, real, all one invariant block, and the pulse centred on [0, 1.2]."""
     cfg = NetworkConfig(
         n_cavities=4, atoms_per_cavity=(1, 1, 1, 1), couplings=(0.3, 0.5, 0.4, 0.2),
         max_photons=2,
     )
     space = HilbertSpace(cfg, 3)
-    h0 = build_tch(space, [HopSpec(0, 1, amplitude=0.2, phase=0.3)])
+    h0 = build_tch(space, [HopSpec(0, 1, amplitude=0.2), HopSpec(2, 3, amplitude=0.1)])
     pulses = [
         (jump_operator(space, HopSpec(1, 2, amplitude=1.0)),
          GaussianPulse(amplitude=1.25, center=0.6, sigma=0.1)),
-        (jump_operator(space, HopSpec(2, 3, amplitude=1.0, phase=0.7)),
-         GaussianPulse(amplitude=0.8, center=0.4, sigma=0.05, cutoff=4.0)),
     ]
     return h0, pulses
 
@@ -227,12 +234,13 @@ def _wide_sector_terms():
 def test_wide_sector_takes_shorter_blocks(monkeypatch):
     """On an 84-state block a chunk holds _BLOCK_ENTRIES // (5 * 84**2) = 7
     steps, so the stack of its five scale powers stays within the entry
-    budget."""
+    budget; 6 * 7 + 1 steps run their first 22 in three full chunks and the
+    odd middle step."""
     h0, pulses = _wide_sector_terms()
     dim = h0.matrix.shape[0]
     assert _block_sizes(h0, pulses) == [dim] == [84]
     block = _BLOCK_ENTRIES // (5 * dim**2)
-    n_steps = 3 * block + 1
+    n_steps = 6 * block + 1
     dt = 1.2 / (n_steps - 0.5)
     chunks = _record_chunks(monkeypatch)
     u = pulsed_propagators(h0, pulses, 0.0, 1.2, dt, (1.0,))[0]
@@ -263,10 +271,6 @@ def _scaled(pulses, s):
 def _reference_cases():
     h0, pulses, window, alpha, dt = _gate_link_terms()
     yield "gate register", (h0, pulses, window, [s * alpha for s in (0.0, 0.5, 1.0, 1.5, 3.0)], dt)
-    h0, *jumps = _register_terms()
-    pulses = [(jumps[0], GaussianPulse(amplitude=1.25, center=3.0, sigma=0.5)),
-              (jumps[1], GaussianPulse(amplitude=0.8, center=2.5, sigma=0.3, cutoff=4.0))]
-    yield "two complex pulses", (h0, pulses, 6.0, [0.5, 1.0, 2.0], 6.0 / 600.5)
     h0, pulses = _wide_sector_terms()
     yield "84-state sector", (h0, pulses, 1.2, [0.7, 1.0], 1.2 / 50.5)
 
@@ -296,9 +300,9 @@ def test_rk4_terms_are_closed_under_the_mirror_map():
 
 @pytest.mark.parametrize("n_steps", [600, 601])
 def test_a_time_symmetric_segment_runs_half_its_steps(monkeypatch, n_steps):
-    """Real symmetric letters and a centred pulse whose zero pattern is
-    mirror-symmetric: the second half is the transpose of the first, so only
-    ceil(n/2) steps run on each block, the middle one on its own for odd n."""
+    """Real symmetric letters and a centred pulse: the second half is the
+    transpose of the first, so only ceil(n/2) steps run on each block, the
+    middle one on its own for odd n."""
     h0, pulses, window, alpha, _ = _gate_link_terms()
     dt = window / (n_steps - 0.5)
     chunks = _record_chunks(monkeypatch)
@@ -312,34 +316,54 @@ def test_a_time_symmetric_segment_runs_half_its_steps(monkeypatch, n_steps):
         assert chunks[-2 * len(sizes):] == [1] * (2 * len(sizes))
 
 
+@pytest.mark.parametrize("n_steps", [111, 132, 155, 900])
+def test_every_step_count_runs_the_mirrored_half(monkeypatch, n_steps):
+    """Step counts at which a truncation edge of the gate's aux<->x window
+    rounds inside at one end of the segment and outside at the other,
+    among them the 900 steps of the alpha x 3 link, run ceil(n/2) steps
+    and match the mirrored loop."""
+    h0, pulses, window, alpha, _ = _gate_link_terms()
+    strong = GateConfig(alpha=3.0 * alpha)
+    dt = strong.resolved_dt if n_steps == 900 else window / (n_steps - 0.5)
+    assert math.ceil(window / dt) == n_steps
+    chunks = _record_chunks(monkeypatch)
+    u = pulsed_propagators(h0, pulses, 0.0, window, dt, (strong.alpha,))[0]
+    scaled = _scaled(pulses, strong.alpha)
+    assert np.max(np.abs(u - oracles.rk4_propagator_loop(h0, scaled, 0.0, window, dt))) < 1e-12
+    assert sum(chunks) == len(_block_sizes(h0, pulses)) * ((n_steps + 1) // 2)
+    if n_steps == 900:
+        # the forward grid reads the edge once more (measured 9.0e-11 apart)
+        forward = oracles.rk4_propagator_loop(h0, scaled, 0.0, window, dt, mirrored=False)
+        assert np.max(np.abs(u - forward)) < 1e-10
+
+
 def _asymmetric_segments():
     h0, pulses, window, alpha, dt = _gate_link_terms()
     (jump, pulse), = pulses
-    # nonzero over the whole segment, so only its centre breaks the symmetry
     off_centre = GaussianPulse(amplitude=1.0, center=pulse.center + 0.25, sigma=pulse.sigma,
                                cutoff=20.0)
     yield "off-centre pulse", (h0, [(jump, off_centre)], window, alpha, dt)
-    h0, jump, _ = _register_terms()  # a complex static hop: -i H0 is not symmetric
+    _, jump, _ = _register_terms()
+    complex_h0 = build_tch(jump.space, [HopSpec(0, 1, amplitude=0.2, phase=0.3)])
     centred = GaussianPulse(amplitude=1.0, center=3.0, sigma=0.5)
-    yield "complex hop phase", (h0, [(jump, centred)], 6.0, 1.25, 0.01)
-    # the alpha x 3 step of the gate: the window's start rounds inside the
-    # truncation edge and its end outside
-    strong = GateConfig(alpha=3.0 * GateConfig().resolved_alpha)
-    h0, pulses, window, *_ = _gate_link_terms()
-    yield "alpha x 3 truncation edge", (h0, pulses, window, strong.alpha, strong.resolved_dt)
+    yield "complex hop phase", (complex_h0, [(jump, centred)], 6.0, 1.25, 0.01)
 
 
 ASYMMETRIC_SEGMENTS = dict(_asymmetric_segments())
 
 
 @pytest.mark.parametrize("case", ASYMMETRIC_SEGMENTS)
-def test_a_segment_that_is_not_time_symmetric_runs_every_step(monkeypatch, case):
+def test_a_segment_that_is_not_time_symmetric_is_refused(case):
     h0, pulses, t_end, s, dt = ASYMMETRIC_SEGMENTS[case]
-    chunks = _record_chunks(monkeypatch)
-    u = pulsed_propagators(h0, pulses, 0.0, t_end, dt, (s,))[0]
-    reference = oracles.rk4_propagator_loop(h0, _scaled(pulses, s), 0.0, t_end, dt)
+    with pytest.raises(ValueError, match="symmetric|centred"):
+        pulsed_propagators(h0, pulses, 0.0, t_end, dt, (s,))
+    psi = StateVector(h0.space, np.eye(h0.matrix.shape[0])[0])
+    with pytest.raises(ValueError, match="symmetric|centred"):
+        evolve_pulsed(h0, _scaled(pulses, s), psi, 0.0, t_end, EvolutionSettings(dt=dt))
+    # one step mirrors nothing, so it runs whole
+    u = pulsed_propagators(h0, pulses, 0.0, t_end, t_end, (s,))[0]
+    reference = oracles.rk4_propagator_loop(h0, _scaled(pulses, s), 0.0, t_end, t_end)
     assert np.max(np.abs(u - reference)) < 1e-12
-    assert sum(chunks) == len(_block_sizes(h0, pulses)) * math.ceil(t_end / dt)
 
 
 def test_a_propagator_built_in_a_batch_equals_it_built_alone():
@@ -352,7 +376,7 @@ def test_a_propagator_built_in_a_batch_equals_it_built_alone():
 
 def test_the_exchange_splits_the_register_into_invariant_blocks():
     # the aux<->x exchange keeps the y cavity's excitation count (0, 1 or 2)
-    h0, pulses, *_ = _gate_link_terms()
+    h0, pulses, window, *_ = _gate_link_terms()
     jump = pulses[0][0]
     blocks = _invariant_blocks(np.stack([h0.matrix, jump.matrix]))
     assert [len(b) for b in blocks] == [8, 8, 2]
@@ -364,7 +388,7 @@ def test_the_exchange_splits_the_register_into_invariant_blocks():
     outside = np.ones((18, 18), dtype=bool)
     for b in blocks:
         outside[b[:, None], b] = False
-    u = pulsed_propagators(h0, pulses, 0.0, 1.0, 0.01, (1.0, 2.0))
+    u = pulsed_propagators(h0, pulses, 0.0, window, 0.01, (1.0, 2.0))
     assert np.all(u[:, outside] == 0.0)
 
 
@@ -445,6 +469,26 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
             table = step_powers_loop(scipy.linalg.expm(-1j * m * t / n_steps), amps, n_steps)
             reference = np.sum(np.abs(table) ** 2, axis=1)
             assert np.max(np.abs(run.survival - reference)) < 1e-10
+
+
+@pytest.mark.parametrize("cap", [5, 12])
+def test_the_arnoldi_block_is_the_projected_generator(cap):
+    # m Q = Q B + r q_k e_k^T: B is Q^H m Q, and r is what the last image
+    # leaves; a basis spanning the space leaves nothing
+    rng = np.random.default_rng(cap)
+    m = 1j * _generator(12, "dissipative", 1.0, rng)
+    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
+    q, block, residual = _reachable_basis(m.__matmul__, psi, 1e12, cap)
+    assert q.shape == (12, cap) and block.shape == (cap, cap)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(cap))) < 1e-13
+    assert np.max(np.abs(block - q.conj().T @ m @ q)) < 1e-13
+    assert np.max(np.abs(np.tril(block, -2))) == 0.0
+    left = m @ q - q @ block
+    assert np.max(np.abs(left[:, :-1])) < 1e-13
+    if cap == 12:
+        assert residual == 0.0
+    else:
+        assert abs(np.linalg.norm(left[:, -1]) - residual) < 1e-13
 
 
 def _generator(d, kind, norm, rng):
