@@ -29,7 +29,6 @@ from .evolution import (
 )
 from .gate import (
     GateConfig,
-    PulseSchedule,
     TransferWindow,
     branch_phase,
     cocsign_matrix,

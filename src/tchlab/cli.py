@@ -113,7 +113,7 @@ def cmd_gate(args) -> int:
         "area_rule_alpha": base_alpha,
         "tau1": tau1,
         "tau2": tau2,
-        "total_duration": cocsign_schedule(config).total_duration,
+        "total_duration": sum(ev.duration for ev in cocsign_schedule(config)),
         "n_points": len(rows),
         "best": {
             "alpha": best[0],

@@ -93,12 +93,12 @@ def _check_same_space(op: OperatorMatrix, psi: StateVector) -> None:
         raise ValueError("operator and state live on different spaces")
 
 
-def rabi_periods(g: float, hbar: float = 1.0) -> tuple[float, float]:
-    """Full vacuum-Rabi period pi*hbar/g of the one-excitation doublet and
-    the sqrt(2)-shortened period of the two-excitation doublet."""
+def rabi_periods(g: float) -> tuple[float, float]:
+    """Full vacuum-Rabi period pi/g of the one-excitation doublet and the
+    sqrt(2)-shortened period of the two-excitation doublet."""
     if not 0.0 < g < math.inf:
         raise ValueError("coupling g must be positive and finite")
-    tau1 = math.pi * hbar / g
+    tau1 = math.pi / g
     return tau1, tau1 / math.sqrt(2.0)
 
 
@@ -384,6 +384,12 @@ def _adjoint_times(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,i...->j...", q, v.conj()).conj()
 
 
+def _basis_times(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """q c for a coefficient vector c, summed in numpy's einsum loop, not
+    BLAS, whose matrix-vector product rounds by the thread count."""
+    return np.einsum("ij,j->i", q, c)
+
+
 def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
     """At most ``cap`` orthonormal columns Q of the Krylov space of the
     generator and psi0, with B and the norm of r in m Q = Q B + r e_k^T,
@@ -405,7 +411,7 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
             coefficients = _adjoint_times(q[:, :k], w)
             block[:k, k - 1] += coefficients
-            w = w - q[:, :k] @ coefficients
+            w = w - _basis_times(q[:, :k], coefficients)
         residual = _norm(w) if k < dim else 0.0
         if horizon * residual <= _CLOSURE_TOLERANCE or k == cap:
             return q[:, :k], block[:k, :k], residual
@@ -449,7 +455,7 @@ def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _Los
         start += stop
         if start == n_steps:
             return _LossyRun(survival, basis_dim, bound)
-        psi = q @ table[stop]
+        psi = _basis_times(q, table[stop])
 
 
 def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:

@@ -164,10 +164,6 @@ class GateConfig:
         return rabi_periods(self.g)[0]
 
     @property
-    def tau2(self) -> float:
-        return rabi_periods(self.g)[1]
-
-    @property
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
             return self.alpha
@@ -207,28 +203,11 @@ class ExchangeSegment:
     pulse: GaussianPulse  # center is relative to the segment start
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
-    events: tuple
-
-    def __post_init__(self):
-        for ev in self.events:
-            if ev.duration < 0.0:
-                raise ValueError("segment durations must be non-negative")
-            if isinstance(ev, ExchangeSegment):
-                half = ev.pulse.cutoff * ev.pulse.sigma
-                if ev.pulse.center - half < -1e-12 or ev.pulse.center + half > ev.duration + 1e-12:
-                    raise ValueError("pulse truncation window must fit inside its segment")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(ev.duration for ev in self.events)
-
-
-def cocsign_schedule(config: GateConfig) -> PulseSchedule:
+def cocsign_schedule(config: GateConfig) -> tuple[FreeSegment | ExchangeSegment, ...]:
     """The gate's segment sequence: exchange aux<->x, free tau1/2, exchange
     aux<->y, free 2 n2 tau2, exchange aux<->x, free tau1/2, exchange aux<->y,
-    and a trailing free tau1/2 over the whole register."""
+    and a trailing free tau1/2 over the whole register.  Every exchange
+    centres its pulse in a window of 2 PULSE_CUTOFF sigma."""
     tau1, tau2 = rabi_periods(config.g)
     w = config.window
     if w > tau1 / 2.0:
@@ -246,7 +225,7 @@ def cocsign_schedule(config: GateConfig) -> PulseSchedule:
         )
         return ExchangeSegment(a, b, w, pulse)
 
-    events = (
+    return (
         exchange(AUX_CAVITY, X_CAVITY),
         FreeSegment(tau1 / 2.0),
         exchange(AUX_CAVITY, Y_CAVITY),
@@ -256,7 +235,6 @@ def cocsign_schedule(config: GateConfig) -> PulseSchedule:
         exchange(AUX_CAVITY, Y_CAVITY),
         FreeSegment(tau1 / 2.0),
     )
-    return PulseSchedule(events)
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +272,6 @@ def decode(psi: StateVector) -> np.ndarray:
 # running the gate
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _exchange_propagator(
-    network: NetworkConfig, ev: ExchangeSegment, dt: float, amplitudes: tuple[float, ...]
-) -> np.ndarray:
-    """Propagators of one exchange segment on the register sector, one per
-    pulse amplitude, stacked in the order given; ``ev`` carries its pulse at
-    unit amplitude.  The stack is shared (read-only) by every run and both
-    exchanges of a link that agree on network, pulse shape, step and
-    amplitudes.
-
-    The aux<->y link is the aux<->x link seen through the x<->y swap of
-    basis labels, so it is read from that link's propagators by permuting
-    rows and columns rather than integrated again.  That needs the x and y
-    cavities to hold equal atoms with equal couplings; ValueError if not."""
-    space = HilbertSpace(network, sector=2)
-    if {ev.cavity_a, ev.cavity_b} == {AUX_CAVITY, Y_CAVITY}:
-        swap = _xy_swap(space)
-        x_link = dataclasses.replace(ev, cavity_a=AUX_CAVITY, cavity_b=X_CAVITY)
-        # C-contiguous like the integrated stacks, so that every slice u[k]
-        # has one memory layout and applying it rounds the same way
-        u = np.ascontiguousarray(
-            _exchange_propagator(network, x_link, dt, amplitudes)[:, swap[:, None], swap]
-        )
-    else:
-        jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-        u = pulsed_propagators(
-            build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt, amplitudes
-        )
-    u.flags.writeable = False
-    return u
-
-
 def _xy_swap(space: HilbertSpace) -> np.ndarray:
     """Index of each basis state's image under the exchange of the x and y
     cavities with their atoms; ValueError when the network is not symmetric
@@ -341,40 +287,56 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
     return space.rank(space.occupations[:, columns])
 
 
-def _exchange_links(config: GateConfig, dt: float, amplitudes: tuple[float, ...]) -> dict:
-    """Propagator stacks of the schedule's exchanges at each amplitude, in
-    steps of dt, keyed by the exchanged cavity pair."""
-    network = config.network()
-    links = {}
-    for ev in cocsign_schedule(config).events:
-        if isinstance(ev, ExchangeSegment):
-            unit = dataclasses.replace(ev, pulse=dataclasses.replace(ev.pulse, amplitude=1.0))
-            links[ev.cavity_a, ev.cavity_b] = _exchange_propagator(network, unit, dt, amplitudes)
-    return links
+@functools.lru_cache(maxsize=64)
+def _exchange_links(
+    config: GateConfig, dt: float, amplitudes: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator stacks of the aux<->x and the aux<->y exchange on the
+    register sector, one per pulse amplitude in the order given, in steps
+    of dt.  The stacks are read-only and shared by every run that agrees on
+    config, step and amplitudes.
+
+    Only the aux<->x link is integrated, with its pulse at unit amplitude
+    scaled by each amplitude.  The aux<->y link is that link seen through
+    the x<->y swap of basis labels, so its stack is the same stack with
+    rows and columns permuted."""
+    space = gate_space(config)
+    ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
+    jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
+    pulse = dataclasses.replace(ev.pulse, amplitude=1.0)
+    x_link = pulsed_propagators(build_tch(space), [(jump, pulse)], 0.0, ev.duration, dt, amplitudes)
+    swap = _xy_swap(space)
+    # C-contiguous like the integrated stack, so that every slice has one
+    # memory layout and applying it rounds the same way
+    y_link = np.ascontiguousarray(x_link[:, swap[:, None], swap])
+    x_link.flags.writeable = y_link.flags.writeable = False
+    return x_link, y_link
 
 
 def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVector:
     """Carry a register state through the schedule: free segments exactly
-    under h0, each exchange by its propagator in ``links`` (keyed by the
-    exchanged cavity pair) under the norm-drift check against
-    ``config.norm_tolerance``, or by its zero-width limit when ``links`` is
-    None."""
-    for ev in cocsign_schedule(config).events:
+    under h0, each exchange by its propagator in ``links`` under the
+    norm-drift check against ``config.norm_tolerance``, or by its zero-width
+    limit when ``links`` is None.  ``links`` holds the aux<->x and the
+    aux<->y propagator, so the exchanged qubit cavity (X_CAVITY = 0 or
+    Y_CAVITY = 1) indexes it."""
+    for ev in cocsign_schedule(config):
         if isinstance(ev, FreeSegment):
             psi = evolve_const(h0, psi, ev.duration)
         elif links is None:
             jump = jump_operator(psi.space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
             psi = evolve_const(jump, psi, math.pi / 2.0)
         else:
-            psi = apply_propagator(links[ev.cavity_a, ev.cavity_b], psi, config.norm_tolerance)
+            psi = apply_propagator(links[ev.cavity_b], psi, config.norm_tolerance)
     return psi
 
 
 def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
     """Evolve an encoded two-qubit state through the full schedule.
 
-    Each exchange applies a cached segment propagator to the carried state,
-    whose norm drift is checked against ``config.norm_tolerance``.
+    Each exchange applies its link's cached propagator at the config's
+    amplitude and step to the carried state, whose norm drift is checked
+    against ``config.norm_tolerance``.
 
     ``instant_swaps`` replaces each Gaussian exchange by its zero-width
     limit, the exact quarter-cycle hop map exp(-i (pi/2) J); free segments
@@ -384,7 +346,7 @@ def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
     links = None
     if not instant_swaps:
         stacks = _exchange_links(config, config.resolved_dt, (config.resolved_alpha,))
-        links = {pair: u[0] for pair, u in stacks.items()}
+        links = tuple(u[0] for u in stacks)
     return _run_schedule(encode(q, space), build_tch(space), config, links)
 
 
@@ -397,10 +359,9 @@ def schedule_phase(config: GateConfig, instant_swaps: bool = False) -> complex:
     branch accumulates the same overall -1; the resonant diagonal commutes
     with everything and adds exp(-2 i omega T) for the two excitations over
     the total duration T."""
-    schedule = cocsign_schedule(config)
     total = sum(
         ev.duration
-        for ev in schedule.events
+        for ev in cocsign_schedule(config)
         if isinstance(ev, FreeSegment) or not instant_swaps
     )
     return -np.exp(-2j * config.omega * total)
@@ -496,7 +457,7 @@ def sweep(
         stacks = _exchange_links(config, dt, tuple(configs[i].alpha for i in members))
         for k, i in enumerate(members):
             cfg = configs[i]
-            psi = _run_schedule(psi0, h0, cfg, {pair: u[k] for pair, u in stacks.items()})
+            psi = _run_schedule(psi0, h0, cfg, tuple(u[k] for u in stacks))
             target = ideal * schedule_phase(cfg)  # as ideal_target_state, on one encoding
             d_tr = trace_distance(density(psi), density(target))
             d_mod = modular_distance(psi, target)

@@ -64,8 +64,9 @@ class CouplingNetwork:
         ]
 
 
-def coupling_network(h: np.ndarray, tol: float = 1e-12) -> CouplingNetwork:
-    """Read a Hermitian one-photon Hamiltonian as a cavity network."""
+def coupling_network(h: np.ndarray) -> CouplingNetwork:
+    """Read a Hermitian one-photon Hamiltonian as a cavity network: every
+    entry above the diagonal larger than 1e-12 in magnitude is a hop."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("need a square matrix")
@@ -73,17 +74,17 @@ def coupling_network(h: np.ndarray, tol: float = 1e-12) -> CouplingNetwork:
         raise ValueError("need a Hermitian matrix")
     n = h.shape[0]
     q, p = np.triu_indices(n, k=1)
-    keep = np.abs(h[q, p]) > tol
+    keep = np.abs(h[q, p]) > 1e-12
     q, p = q[keep], p[keep]
     links = h[q, p]
     hops = np.rec.fromarrays([q, p, np.abs(links), np.angle(links)], names="q,p,amplitude,phase")
     return CouplingNetwork(n=n, diagonal=np.real(np.diag(h)).copy(), hops=hops)
 
 
-def feynman_kernel(x, t: float, mass: float, amplitude: float = 1.0, hbar: float = 1.0):
-    """Free-particle propagator profile A t^{-1/2} exp(i m x^2 / (hbar t)).
-    Only the x-dependence at fixed t matters for comparisons; ``amplitude``
-    absorbs the overall normalization.  Undefined at t <= 0.
+def feynman_kernel(x, t: float, mass: float):
+    """Free-particle propagator profile t^{-1/2} exp(i m x^2 / t), in units
+    with hbar = 1.  Only the x-dependence at fixed t matters for
+    comparisons, so the overall normalization is 1.  Undefined at t <= 0.
 
     In the lattice units used by the walk (positions q / sqrt(N), Fourier
     phases 2 pi q a / N, plain exp(-i E t) time phases), the stationary-phase
@@ -96,7 +97,7 @@ def feynman_kernel(x, t: float, mass: float, amplitude: float = 1.0, hbar: float
     if not 0.0 < mass < math.inf:
         raise ValueError("mass must be positive and finite")
     x = np.asarray(x, dtype=float)
-    return amplitude * t ** -0.5 * np.exp(1j * mass * x**2 / (hbar * t))
+    return t ** -0.5 * np.exp(1j * mass * x**2 / t)
 
 
 @dataclass(frozen=True)

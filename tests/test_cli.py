@@ -14,6 +14,8 @@ from oracles import walk_rows_loop, write_csv_loop
 from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superposition
 from tchlab.cli import _light_reference, build_parser, main
 from tchlab.darkstates import DecayConfig, emission_density, singlet_product
+from tchlab.evolution import pulsed_propagators
+from tchlab.gate import _exchange_links
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
 
@@ -78,6 +80,21 @@ def test_gate_basis_input_label(tmp_path):
     assert main(args) == 0
     summary = json.loads((tmp_path / "gate_summary.json").read_text())
     assert summary["input"] == "01"
+
+
+def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
+    # one stack for the sweep's five scales and one for the area rule, which
+    # the four basis-phase runs share through the cache
+    amplitudes = []
+
+    def counted(h0, pulses, t_start, t_end, dt, scales):
+        amplitudes.append(len(scales))
+        return pulsed_propagators(h0, pulses, t_start, t_end, dt, scales)
+
+    monkeypatch.setattr(tchlab.gate, "pulsed_propagators", counted)
+    _exchange_links.cache_clear()
+    assert main(["gate", "--out-dir", str(tmp_path)]) == 0
+    assert amplitudes == [5, 1]
 
 
 def test_gate_coarse_step_exits_with_drift_code(tmp_path, capsys):
@@ -211,6 +228,14 @@ def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args, name):
                                   ["--detector-error", "2"]], ids=" ".join)
 def test_dark_writes_nothing_when_classification_fails(tmp_path, args):
     assert main(["dark", "--out-dir", str(tmp_path), *args]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_max", ["1e-300", "1e-200"])
+def test_dark_on_an_underflowing_grid_exits_with_drift_code(tmp_path, capsys, t_max):
+    # the grid step squared underflows, so the differenced density is NaN
+    assert main(["dark", "--out-dir", str(tmp_path), "--t-max", t_max]) == 3
+    assert "emission density dips to nan" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,6 +22,7 @@ from tchlab import (
     DecayConfig,
     HilbertSpace,
     NetworkConfig,
+    NumericalDriftError,
     build_tc,
     classify_dark,
     emission_density,
@@ -331,6 +332,29 @@ def test_generic_twelve_atom_decay_runs_in_two_spans():
     assert int(peak_kb) < 256 * 1024
 
 
+def test_generic_decay_does_not_depend_on_the_blas_thread_count():
+    # a BLAS matrix-vector product may split the 3,302-state sector across
+    # threads and round by their count; the two interpreters run side by side
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    code = ("from tchlab import DecayConfig, emission_density\n"
+            "import numpy as np\n"
+            + inspect.getsource(_generic_register) +
+            "report = emission_density(*_generic_register(12, t_max=4000.0, n_times=201))\n"
+            "print(report.survival.tobytes().hex())\n")
+    procs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        procs.append(subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    survival = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        survival.append(out)
+    assert survival[0] == survival[1] and len(survival[0]) > 201 * 16
+
+
 @pytest.mark.parametrize("n_times", [3, 11])
 def test_coarse_grid_widens_the_basis_to_the_whole_sector(n_times, monkeypatch):
     # on 2 or 10 steps over the horizon not one step fits a 60- or 120-vector
@@ -386,6 +410,12 @@ def test_normalisation_checks_refuse_a_nan_amplitude():
         emission_density(psi, DecayConfig())
     with pytest.raises(ValueError, match="normalized"):
         is_dark(psi, (1e-3, 1e-3))
+
+
+def test_emission_density_refuses_a_nan_density():
+    # a step of 5e-304 squares to 0, and the centred differences divide by it
+    with pytest.raises(NumericalDriftError, match="dips to nan"):
+        emission_density(singlet_product([(0, 1)]), DecayConfig(t_max=1e-300))
 
 
 def test_sampling_is_deterministic(emission_reports):

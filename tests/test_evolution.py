@@ -254,7 +254,7 @@ def _gate_link_terms():
     """The gate register's static part and its aux<->x exchange at unit
     amplitude, with the area-rule amplitude and step."""
     cfg = GateConfig()
-    ev = cocsign_schedule(cfg).events[0]
+    ev = cocsign_schedule(cfg)[0]
     space = gate_space(cfg)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
     pulse = GaussianPulse(amplitude=1.0, center=ev.pulse.center, sigma=ev.pulse.sigma,

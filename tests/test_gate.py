@@ -44,17 +44,12 @@ from tchlab.gate import (
     X_CAVITY,
     Y_CAVITY,
     FreeSegment,
-    _exchange_propagator,
+    _exchange_links,
     _xy_swap,
     branch_phase,
 )
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, (4, 6)
-
-
-def _unit(ev):
-    """An exchange segment with its pulse at unit amplitude."""
-    return dataclasses.replace(ev, pulse=dataclasses.replace(ev.pulse, amplitude=1.0))
 
 
 def basis_vector(label):
@@ -150,10 +145,10 @@ def test_schedule_layout_and_duration():
     cfg = FAST_CONFIG
     tau1, tau2 = rabi_periods(cfg.g)
     schedule = cocsign_schedule(cfg)
-    assert len(schedule.events) == 8
+    assert len(schedule) == 8
     window = 12.0 * cfg.sigma
     expected = 4.0 * window + 3.0 * (tau1 / 2.0) + 2.0 * cfg.n2 * tau2
-    assert abs(schedule.total_duration - expected) < 1e-9
+    assert abs(sum(ev.duration for ev in schedule) - expected) < 1e-9
 
 
 def test_schedule_rejects_oversized_window():
@@ -289,7 +284,7 @@ def _per_state_gate(q, config):
     h0 = build_tch(space)
     psi = encode(q, space)
     drift = 0.0
-    for ev in cocsign_schedule(config).events:
+    for ev in cocsign_schedule(config):
         if isinstance(ev, FreeSegment):
             psi = evolve_const(h0, psi, ev.duration)
             continue
@@ -350,9 +345,8 @@ def test_exchange_propagator_is_unitary_within_its_step_error(scale, sigma):
     # this range (sigma = 1 at twice the area rule), 5-10% of the step bound.
     area_rule = dataclasses.replace(FAST_CONFIG, sigma=sigma).resolved_alpha
     cfg = dataclasses.replace(FAST_CONFIG, sigma=sigma, alpha=scale * area_rule)
-    ev = _unit(cocsign_schedule(cfg).events[0])  # the aux<->x link
-    u = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt, (cfg.alpha,))[0]
-    u_fine = _exchange_propagator(cfg.network(), ev, cfg.resolved_dt / 4.0, (cfg.alpha,))[0]
+    u = _exchange_links(cfg, cfg.resolved_dt, (cfg.alpha,))[0][0]  # the aux<->x link
+    u_fine = _exchange_links(cfg, cfg.resolved_dt / 4.0, (cfg.alpha,))[0][0]
     defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
     assert defect <= 2.02 * np.linalg.norm(u - u_fine, 2) + 1e-13
     assert defect <= (1.5e-8 if (scale, sigma) == (1.0, FAST_CONFIG.sigma) else 1e-6)
@@ -361,15 +355,16 @@ def test_exchange_propagator_is_unitary_within_its_step_error(scale, sigma):
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
 def test_mirrored_y_link_matches_direct_integration(scale):
     cfg = dataclasses.replace(FAST_CONFIG, alpha=scale * FAST_CONFIG.resolved_alpha)
-    ev = cocsign_schedule(cfg).events[2]
+    ev = cocsign_schedule(cfg)[2]
     assert (ev.cavity_a, ev.cavity_b) == (AUX_CAVITY, Y_CAVITY)
     space = gate_space(cfg)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
     direct = pulsed_propagators(
         build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, cfg.resolved_dt, (1.0,)
     )[0]
-    mirrored = _exchange_propagator(cfg.network(), _unit(ev), cfg.resolved_dt, (cfg.alpha,))[0]
-    assert np.max(np.abs(mirrored - direct)) < 1e-13
+    stacks = _exchange_links(cfg, cfg.resolved_dt, (cfg.alpha,))
+    assert not any(u.flags.writeable for u in stacks)  # shared by every run through the cache
+    assert np.max(np.abs(stacks[1][0] - direct)) < 1e-13
 
 
 def test_register_operators_equal_the_entrywise_loops():
@@ -408,9 +403,8 @@ def test_encoding_refuses_a_foreign_space():
 )
 def test_mirror_refuses_an_asymmetric_network(atoms, couplings):
     network = NetworkConfig(n_cavities=3, atoms_per_cavity=atoms, couplings=couplings)
-    ev = _unit(cocsign_schedule(FAST_CONFIG).events[2])
     with pytest.raises(ValueError, match="equal atoms and couplings"):
-        _exchange_propagator(network, ev, FAST_CONFIG.resolved_dt, (FAST_CONFIG.resolved_alpha,))
+        _xy_swap(HilbertSpace(network, sector=2))
 
 
 def test_sweep_grid_and_thread_determinism():
