@@ -40,7 +40,7 @@ from .gate import (
     sweep,
     uniform_superposition,
 )
-from .reports import format_column, write_csv, write_grid_csv, write_json
+from .reports import format_column, format_rows, write_csv, write_grid_csv, write_json
 from .walk import WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def cmd_gate(args) -> int:
     sweep_path = write_csv(
         os.path.join(args.out_dir, "gate_sweep.csv"),
         ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"),
-        zip(*map(format_column, zip(*rows))),
+        format_rows(list(zip(*rows))),
     )
 
     phases = {}
@@ -170,7 +170,7 @@ def cmd_walk(args) -> int:
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
         ("separation", "n_links", "mean_amplitude", "mean_phase"),
-        zip(*map(format_column, zip(*result.network_profile))),
+        format_rows(list(zip(*result.network_profile))),
     )
 
     n = config.n_cavities
@@ -242,7 +242,7 @@ def cmd_dark(args) -> int:
         write_csv(
             os.path.join(args.out_dir, "emission_density.csv"),
             ("time", "density", "survival"),
-            zip(*map(format_column, (report.times, report.density, report.survival))),
+            format_rows((report.times, report.density, report.survival)),
         )
         write_json(
             os.path.join(args.out_dir, "dark_summary.json"),
@@ -283,13 +283,13 @@ def cmd_dark(args) -> int:
     write_csv(
         os.path.join(args.out_dir, "emission_density.csv"),
         ("time", "p_dark", "p_light", "s_dark", "s_light"),
-        zip(*map(format_column, (
+        format_rows((
             dark_report.times,
             dark_report.density,
             light_report.density,
             dark_report.survival,
             light_report.survival,
-        ))),
+        )),
     )
     write_json(
         os.path.join(args.out_dir, "classify.json"),
@@ -356,11 +356,10 @@ def cmd_resonance(args) -> int:
         for n1, n2, residual in rows
     ]
     print(f"{'n1':>5} {'n2':>5} {'residual':>24} {'hold_duration':>24}")
-    for row, residual, duration in zip(
-        table,
-        format_column([row["residual"] for row in table]),
-        format_column([row["hold_duration"] for row in table]),
-    ):
+    for row, (residual, duration) in zip(table, format_rows((
+        [row["residual"] for row in table],
+        [row["hold_duration"] for row in table],
+    ))):
         print(f"{row['n1']:>5} {row['n2']:>5} {residual:>24} {duration:>24}")
     summary = {
         "command": "resonance",

@@ -240,8 +240,9 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     run = _lossy_propagation(generator_times, amps, times[1] - times[0], len(times) - 1)
     survival = run.survival
 
-    # a step whose square underflows makes the differences NaN, refused below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a step whose square underflows makes the differences NaN, and one
+    # whose square overflows makes them inf or NaN: both are refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         density = -np.gradient(survival, times)
     if not float(density.min()) >= -1e-6:  # NaN fails too
         raise NumericalDriftError(

@@ -40,6 +40,7 @@ All times are in units with hbar = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -157,6 +158,9 @@ def evolve_pulsed(
 # for any dt
 _STEP_BLOCK = 256
 _BLOCK_ENTRIES = _STEP_BLOCK * 32 * 32
+# the most steps one pulsed segment may take: about a minute of integration
+# on the gate register (its default link takes 600 in 0.05 s)
+MAX_PULSED_STEPS = 1_000_000
 
 # One step of the scheme on y' = G(t) y, with a, m, b the generator at the
 # step's start, midpoint and end, is R = I + h/6 (a + 4m + b)
@@ -217,9 +221,17 @@ def pulsed_propagators(
     order.  With V_k the product of the first k steps, U = V_{n//2}^T
     V_{ceil(n/2)}: only the first ceil(n/2) steps run, the product after
     n // 2 of them is kept, and for odd n the middle step runs on its own.
-    A one-step segment runs whole and needs no precondition."""
+    A one-step segment runs whole and needs no precondition.  A segment
+    that needs more than ``MAX_PULSED_STEPS`` steps is refused with
+    ValueError before anything is built."""
     scales = [float(s) for s in scales]
-    n_steps = max(1, math.ceil((t_end - t_start) / dt))
+    span = (t_end - t_start) / dt
+    if not span <= MAX_PULSED_STEPS:  # NaN and inf fail too
+        raise ValueError(
+            f"a pulsed segment of {t_end - t_start:.6g} in steps of {dt:.6g} needs "
+            f"{span:.3g} steps, more than the limit of {MAX_PULSED_STEPS}"
+        )
+    n_steps = max(1, math.ceil(span))
     h = (t_end - t_start) / n_steps
     d = h0.matrix.shape[0]
     letters = np.stack([-1j * h0.matrix] + [-1j * op.matrix for op, _ in pulses])
@@ -247,9 +259,10 @@ def pulsed_propagators(
     # is kept (the identity for one step): its transpose is the rest
     first_half = [ub.copy() for ub in u]
     stop = n_steps - half
-    bounds = sorted({*range(0, stop, chunk), half, stop})
+    # chunk edges every chunk steps, and at half, which is stop or stop - 1
+    edges = itertools.chain(range(0, half, chunk), range(half, stop, chunk), (stop,))
     buffer = np.empty(n_powers * chunk * widest**2, dtype=complex)
-    for first, last in zip(bounds, bounds[1:]):
+    for first, last in itertools.pairwise(edges):
         t = t_start + np.arange(first, last) * h
         coef = _word_coefficients([pulse for _, pulse in pulses], t, h, words)
         coef = [coef[:, w] for w in by_power]

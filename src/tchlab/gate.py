@@ -287,24 +287,33 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
     return space.rank(space.occupations[:, columns])
 
 
-@functools.lru_cache(maxsize=64)
 def _exchange_links(
     config: GateConfig, dt: float, amplitudes: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator stacks of the aux<->x and the aux<->y exchange on the
     register sector, one per pulse amplitude in the order given, in steps
     of dt.  The stacks are read-only and shared by every run that agrees on
-    config, step and amplitudes.
-
-    Only the aux<->x link is integrated, with its pulse at unit amplitude
-    scaled by each amplitude.  The aux<->y link is that link seen through
-    the x<->y swap of basis labels, so its stack is the same stack with
-    rows and columns permuted."""
-    space = gate_space(config)
+    what they are built from: the register network (g and omega), the
+    exchange window and its pulse at unit amplitude (sigma), the step and
+    the amplitudes.  ``norm_tolerance``, ``n1``, ``n2`` and ``alpha`` do
+    not enter, so runs that differ only in them share one build."""
     ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
+    unit = dataclasses.replace(ev, pulse=dataclasses.replace(ev.pulse, amplitude=1.0))
+    return _integrated_links(config.network(), unit, dt, tuple(amplitudes))
+
+
+@functools.lru_cache(maxsize=64)
+def _integrated_links(
+    network: NetworkConfig, ev: ExchangeSegment, dt: float, amplitudes: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of ``_exchange_links``.  Only the aux<->x link is
+    integrated, with the unit-amplitude pulse of ``ev`` scaled by each
+    amplitude.  The aux<->y link is that link seen through the x<->y swap
+    of basis labels, so its stack is the same stack with rows and columns
+    permuted."""
+    space = HilbertSpace(network, sector=2)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    pulse = dataclasses.replace(ev.pulse, amplitude=1.0)
-    x_link = pulsed_propagators(build_tch(space), [(jump, pulse)], 0.0, ev.duration, dt, amplitudes)
+    x_link = pulsed_propagators(build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt, amplitudes)
     swap = _xy_swap(space)
     # C-contiguous like the integrated stack, so that every slice has one
     # memory layout and applying it rounds the same way

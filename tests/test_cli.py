@@ -15,7 +15,7 @@ from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superpo
 from tchlab.cli import _light_reference, build_parser, main
 from tchlab.darkstates import DecayConfig, emission_density, singlet_product
 from tchlab.evolution import pulsed_propagators
-from tchlab.gate import _exchange_links
+from tchlab.gate import _integrated_links
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
 
@@ -92,7 +92,7 @@ def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
         return pulsed_propagators(h0, pulses, t_start, t_end, dt, scales)
 
     monkeypatch.setattr(tchlab.gate, "pulsed_propagators", counted)
-    _exchange_links.cache_clear()
+    _integrated_links.cache_clear()
     assert main(["gate", "--out-dir", str(tmp_path)]) == 0
     assert amplitudes == [5, 1]
 
@@ -236,6 +236,28 @@ def test_dark_on_an_underflowing_grid_exits_with_drift_code(tmp_path, capsys, t_
     # the grid step squared underflows, so the differenced density is NaN
     assert main(["dark", "--out-dir", str(tmp_path), "--t-max", t_max]) == 3
     assert "emission density dips to nan" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dark_on_an_overflowing_grid_exits_with_drift_code(tmp_path, capsys):
+    # the grid step squared overflows in the differenced density; under the
+    # suite's error::RuntimeWarning that must not escape as a warning
+    assert main(["dark", "--out-dir", str(tmp_path), "--atoms", "2", "--t-max", "1e300"]) == 3
+    err = capsys.readouterr().err
+    assert "balance" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["--alpha-scales", "1e300"], ["--dt", "1e-300"],
+                                  ["--dt", "5e-324"]], ids=" ".join)
+def test_gate_needing_too_many_steps_is_a_usage_error(tmp_path, capsys, monkeypatch, args):
+    # refused before integration: a regression fails here, not by memory
+    def integrated(*args):
+        raise AssertionError("the link was integrated")
+
+    monkeypatch.setattr(tchlab.evolution, "_words", integrated)
+    assert main(["gate", "--out-dir", str(tmp_path), *args]) == 2
+    assert "limit" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

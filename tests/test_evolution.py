@@ -27,6 +27,7 @@ import tchlab.evolution
 from oracles import step_powers_loop
 from tchlab.gate import GateConfig, cocsign_schedule, gate_space
 from tchlab.evolution import (
+    MAX_PULSED_STEPS,
     _BLOCK_ENTRIES,
     _RK4_TERMS,
     _STEP_BLOCK,
@@ -410,6 +411,34 @@ def test_a_long_segment_stays_within_the_entry_budget():
     assert np.max(np.abs(u[0].conj().T @ u[0] - np.eye(18))) < 1e-10
     coarse = pulsed_propagators(h0, pulses, 0.0, window, dt, (alpha,))
     assert np.max(np.abs(u - coarse)) < 1e-7
+
+
+@pytest.mark.parametrize("steps", [MAX_PULSED_STEPS + 1, 1e300, None])
+def test_a_segment_over_the_step_limit_is_refused_before_integrating(monkeypatch, steps):
+    # a step count that no run could finish, or no memory hold, must fail
+    # before any table or chunk edge is built; None is the smallest double
+    # as the step, an infinite count
+    h0, pulses, window, alpha, _ = _gate_link_terms()
+    dt = 5e-324 if steps is None else window / steps
+
+    def integrated(*args):
+        raise AssertionError("the segment was integrated")
+
+    monkeypatch.setattr(tchlab.evolution, "_words", integrated)
+    monkeypatch.setattr(tchlab.evolution, "_invariant_blocks", integrated)
+    with pytest.raises(ValueError, match="limit"):
+        pulsed_propagators(h0, pulses, 0.0, window, dt, (alpha,))
+
+
+def test_a_segment_within_the_step_limit_is_not_refused(monkeypatch):
+    h0, pulses, window, alpha, _ = _gate_link_terms()
+
+    def integrated(*args):
+        raise RuntimeError("integrating")
+
+    monkeypatch.setattr(tchlab.evolution, "_words", integrated)
+    with pytest.raises(RuntimeError, match="integrating"):
+        pulsed_propagators(h0, pulses, 0.0, window, window / (MAX_PULSED_STEPS - 1), (alpha,))
 
 
 def test_zero_amplitude_pulse_matches_const_route():

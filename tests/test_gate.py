@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import tchlab.gate
 from tchlab import (
     GateConfig,
     HilbertSpace,
@@ -45,6 +46,7 @@ from tchlab.gate import (
     Y_CAVITY,
     FreeSegment,
     _exchange_links,
+    _integrated_links,
     _xy_swap,
     branch_phase,
 )
@@ -320,6 +322,31 @@ def test_gate_matches_per_state_integration(scale):
                 run_gate(q, cfg)
         else:
             assert np.array_equal(run_gate(q, cfg).amplitudes, psi.amplitudes)
+
+
+def test_runs_share_links_whatever_the_fields_the_links_do_not_read(monkeypatch):
+    # the links read g, sigma, omega, the step and the amplitudes; the drift
+    # tolerance, the Rabi counters and the config's own alpha must not
+    # force a second integration
+    builds = []
+
+    def counted(*args):
+        builds.append(len(args[-1]))
+        return pulsed_propagators(*args)
+
+    monkeypatch.setattr(tchlab.gate, "pulsed_propagators", counted)
+    _integrated_links.cache_clear()
+    a0 = FAST_CONFIG.resolved_alpha
+    alphas = (0.5 * a0, a0)
+    reference = sweep(FAST_CONFIG, alphas)
+    for change in ({"norm_tolerance": 1e-6}, {"n1": 5}, {"n2": 7}, {"alpha": 0.5 * a0}):
+        rows = sweep(dataclasses.replace(FAST_CONFIG, **change), alphas)
+        if "n1" not in change and "n2" not in change:
+            assert rows == reference
+    assert builds == [2]
+    # a link field does force one
+    sweep(dataclasses.replace(FAST_CONFIG, g=2e-3), alphas)
+    assert builds == [2, 2]
 
 
 def test_drift_guard_watches_the_carried_state():

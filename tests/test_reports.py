@@ -2,6 +2,7 @@ import csv
 import math
 import struct
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import write_csv_loop
+from tchlab import WalkConfig, simulate_walk, reports
 from tchlab.reports import format_column, write_csv, write_grid_csv, write_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -42,9 +44,96 @@ def test_float_cells_round_trip_bit_for_bit(x):
 @example(1.7976931348623157e308)
 @example(-1.7976931348623157e308)
 def test_percent_and_format_give_the_same_17_digits(x):
-    # write_grid_csv fills a %.17g template, format_column calls format():
-    # both must print every double alike for the tables to agree
-    assert "%.17g" % x == format(x, ".17g")
+    # the kernel's cells are the text of both CPython conversions
+    assert format_column([x])[0] == "%.17g" % x == format(x, ".17g")
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@example([0x7FF8000000000001, 0xFFF8000000000000, 0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF])
+def test_cells_print_every_bit_pattern_as_format_does(patterns):
+    # every double, NaN payloads, infinities and subnormals included, in
+    # columns that mix the kernel's fast path and its fallback
+    values = [_double(b) for b in patterns]
+    assert format_column(values) == [format(v, ".17g") for v in values]
+    assert format_column(np.array(values)) == [format(v, ".17g") for v in values]
+
+
+def _ulp_neighbours(x, n):
+    """x and its n nearest doubles on either side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+EDGES = {
+    # log10 and the decade of the scaled value turn at these
+    "powers of ten within 2 ulp": [y for e in range(-323, 309) for y in _ulp_neighbours(10.0**e, 2)],
+    # exact decimal ties at 17 digits (odd multiples of 2**-17 near 1, with
+    # 18 significant digits ending in 5), and ties at fewer digits
+    "ties": [0.5, 2.5, 9999999999999999.5, 0.125, 1.5e-5, 2.5e16]
+            + [(2**17 + 2 * i + 1) / 2**17 for i in range(64)]
+            + [(2**17 + 2 * i + 1) * 2.0**-90 for i in range(64)],
+    "zeros, subnormals and extremes": [0.0, 5e-324, 1e-323, 2.2250738585072009e-308,
+                                       2.2250738585072014e-308, 1e-250, 1e250,
+                                       1.7976931348623157e308],
+    # where %g switches between fixed and exponent notation
+    "notation edges": [1e-5, 9.9999999999999991e-6, 1e-4, 9.9999999999999991e-5, 0.001,
+                       1e16, 99999999999999984.0, 1e17, 123456789012345678.0, 2.0**53, 2.0**63,
+                       0.1, 1.0 / 3.0, 2.0 / 3.0, 100.0, 1234.5],
+}
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_cells_match_format_on_edges(name):
+    values = np.array(EDGES[name])
+    values = np.concatenate([values, -values])  # -0.0 with 0.0
+    assert format_column(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def _odd_bits(x: float) -> int:
+    """Bits of x's significand without its trailing zeros."""
+    n = abs(x.as_integer_ratio()[0])
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+def test_power_table_is_correctly_rounded_and_split():
+    # the kernel's exactness rests on hi and lo being 10**m and the rest,
+    # each correctly rounded, and on hi's halves multiplying exactly
+    powers = reports._tables()[0]
+    for i, m in enumerate(range(reports._POW_LO, reports._POW_LO + powers.shape[1])):
+        hi, lo, top, low = map(float, powers[:, i])
+        exact = Fraction(10) ** m
+        assert hi == float(exact) and lo == float(exact - Fraction(hi))
+        assert top + low == hi and _odd_bits(top) <= 26 and _odd_bits(low) <= 26
+
+
+@pytest.mark.parametrize("origin", [None, 700])
+def test_the_walk_grid_never_takes_the_fallback(tmp_path, monkeypatch, origin):
+    # the kernel's fast path prints every cell of a 1024-cavity walk; a
+    # slide onto CPython's conversion fails here, not only in a benchmark
+    slow = []
+
+    def counted(values):
+        slow.extend(values.tolist())
+        return fallback(values)
+
+    fallback = reports._fallback
+    monkeypatch.setattr(reports, "_fallback", counted)
+    result = simulate_walk(WalkConfig(n_cavities=1024, origin=origin))
+    sites = list(zip(map(str, range(1024)), format_column(result.positions)))
+    for name, values in (("amplitude", result.amplitudes), ("kernel", result.kernel)):
+        write_grid_csv(tmp_path / f"{name}.csv", GRID_HEADER, result.times, sites, values)
+    assert slow == []
+    # the count sees the fallback when it is taken: NaN and an exact tie
+    tie = (2**17 + 1) / 2**17
+    assert format_column([1.0, math.nan, tie]) == ["1", "nan", "1.0000076293945312"]
+    assert slow[0] != slow[0] and slow[1:] == [tie]
 
 
 @given(st.integers(1, 6).flatmap(
@@ -176,6 +265,15 @@ def test_grid_site_cell_that_needs_quoting_is_refused_without_a_file(tmp_path, c
     sites = [(str(q), f"x{char}y" if q == site else "1") for q in range(8)]
     path = tmp_path / "grid.csv"
     with pytest.raises(ValueError, match="quoting"):
+        write_grid_csv(path, GRID_HEADER, np.arange(3.0), sites, np.ones((3, 8), complex))
+    assert not path.exists()
+
+
+def test_grid_site_cell_holding_a_nul_is_refused_without_a_file(tmp_path):
+    # a 0 byte in a block is no character, so a NUL could not be written
+    sites = [(str(q), "x\0y" if q == 3 else "1") for q in range(8)]
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="NUL"):
         write_grid_csv(path, GRID_HEADER, np.arange(3.0), sites, np.ones((3, 8), complex))
     assert not path.exists()
 
