@@ -21,6 +21,10 @@ import sys
 import numpy as np
 
 from .darkstates import (
+    MAX_ATOMS,
+    MAX_RATE,
+    MAX_TIMES,
+    MAX_TRIALS,
     DecayConfig,
     classify_dark,
     emission_density,
@@ -259,6 +263,11 @@ def cmd_dark(args) -> int:
         )
         return EXIT_OK
 
+    # refused before the decays run, as sampling would refuse it after them
+    if not 1 <= args.n_trials <= MAX_TRIALS:
+        print(f"--n-trials must be at least 1 and within the limit of {MAX_TRIALS}",
+              file=sys.stderr)
+        return EXIT_USAGE
     dark_state = singlet_product([(i, i + 1) for i in range(0, args.atoms, 2)])
     light_state = _light_reference(args.atoms)
     dark_report = emission_density(dark_state, config)
@@ -425,13 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dark", help="dark-state selection by photon arrival times")
     _add_common(p)
-    p.add_argument("--atoms", type=int, default=2, help="register size, zero or even")
-    p.add_argument("--g", type=float, default=1e-3, help="atom-cavity coupling")
+    p.add_argument("--atoms", type=int, default=2,
+                   help=f"register size, zero or even, at most {MAX_ATOMS}")
+    p.add_argument("--g", type=float, default=1e-3,
+                   help=f"atom-cavity coupling, at most {MAX_RATE:g}")
     p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=None, help="photon loss rate (default g/10)")
+    p.add_argument("--kappa", type=float, default=None,
+                   help=f"photon loss rate (default g/10), at most {MAX_RATE:g}")
     p.add_argument("--t-max", type=float, default=None, help="observation horizon (default 20/kappa)")
-    p.add_argument("--n-times", type=int, default=2001)
-    p.add_argument("--n-trials", type=int, default=10000)
+    p.add_argument("--n-times", type=int, default=2001, help=f"time samples, at most {MAX_TIMES}")
+    p.add_argument("--n-trials", type=int, default=10000,
+                   help=f"sampled emission times, at most {MAX_TRIALS}")
     p.add_argument("--detector-error", type=float, default=0.03)
     p.add_argument("--truth", choices=("dark", "light"), default="dark",
                    help="hypothesis the samples are drawn from")

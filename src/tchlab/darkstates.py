@@ -119,13 +119,30 @@ def _collective_products(psi_at: np.ndarray, couplings):
 # leaky-cavity emission
 # ---------------------------------------------------------------------------
 
+# Work budgets, refused before anything is allocated.  On 2 cores with
+# numpy 2.4, 18 atoms peak at about 890 MB, mostly in the TC block's
+# exchange pairs (each two more atoms take about four times as much);
+# 1,000,000 time samples peak at about 610 MB and write 110 MB of CSV; and
+# 10,000,000 emission draws peak at about 290 MB.
+MAX_ATOMS = 18
+MAX_TIMES = 1_000_000
+MAX_TRIALS = 10_000_000
+# the largest coupling or loss rate: the decay sums squares of products of
+# the generator, which stay finite below this on every register up to
+# MAX_ATOMS atoms
+MAX_RATE = 1e150
+
+
 @dataclass(frozen=True)
 class DecayConfig:
     """One leaky cavity holding the atomic register.
 
     ``kappa = None`` picks a photon loss rate of a tenth of the first
     coupling (or 1e-4 with no atoms); ``t_max = None`` observes for 20
-    photon lifetimes."""
+    photon lifetimes.  ValueError for a register above ``MAX_ATOMS`` atoms,
+    more than ``MAX_TIMES`` time samples, a coupling or loss rate outside
+    (0, ``MAX_RATE``], a default horizon beyond the float range, or a
+    generator step (the largest rate times the time step) that overflows."""
 
     couplings: tuple[float, ...] = (1e-3, 1e-3)
     kappa: float | None = None
@@ -135,13 +152,27 @@ class DecayConfig:
     t_max: float | None = None
 
     def __post_init__(self):
-        if self.kappa is not None and not 0.0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
-        if self.n_times < 3:
-            raise ValueError("need at least three time samples")
+        if self.kappa is not None and not 0.0 < self.kappa <= MAX_RATE:
+            raise ValueError(f"kappa must be positive and finite, at most {MAX_RATE:g}")
+        if not 3 <= self.n_times <= MAX_TIMES:
+            raise ValueError(f"need at least three time samples, and at most {MAX_TIMES}")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
-        object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
+        couplings = tuple(float(g) for g in self.couplings)
+        object.__setattr__(self, "couplings", couplings)
+        if len(couplings) > MAX_ATOMS:
+            raise ValueError(f"{len(couplings)} atoms exceed the limit of {MAX_ATOMS}")
+        if not all(0.0 < g <= MAX_RATE for g in couplings):
+            raise ValueError(f"couplings must be positive and finite, at most {MAX_RATE:g}")
+        if not self.resolved_t_max < math.inf:
+            source = (f"kappa {self.kappa:g}" if self.kappa is not None
+                      else f"the default kappa, a tenth of the coupling {couplings[0]:g},")
+            raise ValueError(f"{source} puts the default horizon 20 / kappa beyond the "
+                             "float range; pass t_max")
+        step = self.resolved_t_max / (self.n_times - 1)
+        if not max(couplings + (self.resolved_kappa,)) * step < math.inf:
+            raise ValueError(f"the generator's step, its largest rate times the time step "
+                             f"t_max / (n_times - 1) = {step:g}, overflows")
 
     @property
     def n_atoms(self) -> int:
@@ -156,7 +187,10 @@ class DecayConfig:
 
     @property
     def resolved_t_max(self) -> float:
-        return 20.0 / self.resolved_kappa if self.t_max is None else self.t_max
+        if self.t_max is not None:
+            return self.t_max
+        # a default kappa a tenth of a subnormal coupling may round to 0
+        return 20.0 / self.resolved_kappa if self.resolved_kappa > 0.0 else math.inf
 
 
 @dataclass
@@ -178,13 +212,16 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     """Evolve photon + atomic state under the lossy cavity and tabulate the
     survival probability S(t) and emission density p(t) = -dS/dt.
 
-    The decay runs in restarted Krylov spans under the lossy generator,
-    applied through the TC block's exchange pairs and the diagonal photon
-    loss, so no sector matrix is formed.  A singlet product reaches one
-    dimension and the triplet reference three, and either covers the
-    horizon in one span.  The spans' error bounds sum to at most 1e-10 per
-    unit amplitude, so S is exact within 2e-10.  The report records the
-    widest basis and that sum.
+    The decay runs in restarted Krylov spans, in real arithmetic: under
+    the gauge P = diag(i^n), n the photon number, -i times the lossy
+    generator is the real A = K - kappa/2 n with K antisymmetric, applied
+    through the TC block's exchange pairs and the diagonal photon loss, so
+    no sector matrix is formed.  The start P^-1 psi0 = -i psi0 runs as its
+    nonzero real and imaginary parts, stacked as one start whose squared
+    norm is S.  A singlet product reaches one dimension and the triplet
+    reference three, and either covers the horizon in one span.  The spans'
+    error bounds sum to at most 1e-10 per unit amplitude, so S is exact
+    within 2e-10.  The report records the widest basis and that sum.
 
     The density comes from centered differences of S; a grid too coarse to
     keep p non-negative (beyond -1e-6), or so fine that its differences are
@@ -213,31 +250,31 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         omega=config.omega,
     )
     space = HilbertSpace(network, sector)
-    kappa = config.resolved_kappa
     # On one cavity the diagonal of the TC block is exactly omega * sector.
-    # Removing it changes only a global phase, and keeps the rounding floor
-    # of omega out of the residual that closes the reachable basis; the
-    # photon loss -i kappa/2 n is all that stays on the diagonal.
+    # Dropping it changes only a global phase, and keeps the rounding floor
+    # of omega out of the residual that closes the reachable basis.  Under
+    # P = diag(i^n), -i times the rest of the lossy generator is the real
+    # A = K - kappa/2 n: an exchange value v at (r, c), with one photon more
+    # in row r than in column c, becomes K[r, c] = -v and K[c, r] = +v.
     block = build_tc(space, 0)
     rows, cols, values = block.rows, block.cols, block.values
-    loss = (block.diagonal - config.omega * sector) - 0.5j * kappa * space.occupations[:, 0]
-    # The exchange values are real and enter in symmetric pairs, so they add
-    # nothing to the anti-Hermitian part of the generator: that part is
-    # diagonal, and its eigenvalues are loss.imag.
-    if float(np.max(loss.imag)) > 1e-12 * max(1.0, kappa):
-        raise ValueError("effective generator has a growing direction")
+    half_loss = 0.5 * config.resolved_kappa * space.occupations[:, 0]
 
-    def generator_times(v):
-        out = loss * v
-        np.add.at(out, rows, values * v[cols])
-        np.add.at(out, cols, values * v[rows])
-        return out
+    def generator_times(parts):
+        exchange = [np.bincount(cols, values * v[rows], space.dim)
+                    - np.bincount(rows, values * v[cols], space.dim) for v in parts]
+        return np.array(exchange) - half_loss * parts
 
     amps = np.zeros(space.dim, dtype=complex)
     amps[space.rank(occupations)] = psi_at[support]
+    # every start holds one photon, so P^-1 psi0 = -i psi0; A is real, so
+    # the real and imaginary parts decay apart, as one stacked start whose
+    # squared norm is the survival
+    start = -1j * amps
+    parts = np.array([part for part in (start.real, start.imag) if part.any()])
 
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
-    run = _lossy_propagation(generator_times, amps, times[1] - times[0], len(times) - 1)
+    run = _lossy_propagation(generator_times, parts, times[1] - times[0], len(times) - 1)
     survival = run.survival
 
     # a step whose square underflows makes the differences NaN, and one
@@ -289,6 +326,8 @@ def sample_emission_times(report: EmissionReport, n_trials: int, rng=None) -> Em
     observation horizon."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if n_trials > MAX_TRIALS:
+        raise ValueError(f"{n_trials} trials exceed the limit of {MAX_TRIALS}")
     rng = np.random.default_rng(rng)
     cdf = np.maximum.accumulate(1.0 - report.survival)
     u = rng.random(n_trials)

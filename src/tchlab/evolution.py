@@ -23,14 +23,15 @@ Three propagation routes, shared across the experiments:
   centred; ValueError otherwise) and integrates only its first half: step
   n-1-k is taken as the transpose of step k, so the second half's product
   is the transpose of the first's.
-- ``_lossy_propagation``: non-Hermitian effective generator whose shrinking
-  norm, never renormalized, is the survival curve that
-  ``darkstates.emission_density`` reads.  It needs only products of the
-  generator with a vector: restarted Krylov spans (Saad 1992; Hochbruck and
-  Lubich 1997), each stepping the Pade exponential (``_expm``) of the
-  block its Arnoldi recurrence leaves over the grid by doubling step
-  powers.  A basis that closes covers the whole grid in one span.  Every
-  sum over the sector in a basis and its block runs in numpy's own loops
+- ``_lossy_propagation``: the real generator A = K - (kappa/2) diag(n), K
+  antisymmetric, that the gauge P = diag(i^n) makes of -i times the lossy
+  cavity's (n the photon number); the shrinking norm, never renormalized,
+  is the survival curve that ``darkstates.emission_density`` reads.  It
+  runs in float64 on products of A with a vector: restarted Krylov spans
+  (Saad 1992; Hochbruck and Lubich 1997), each stepping the Pade
+  exponential (``_expm``) of the block its Arnoldi recurrence leaves over
+  the grid by doubling step powers.  A basis that closes covers the whole
+  grid in one span.  Every sum over the sector runs in numpy's own loops
   rather than BLAS, whose dot products split a long vector across threads
   and round by the thread count, so a closed basis gives the same bytes at
   any thread count.  It is numpy only: the package never loads scipy.
@@ -386,76 +387,65 @@ class _LossyRun(NamedTuple):
 
 
 def _norm(v: np.ndarray) -> float:
-    """2-norm of a complex vector, summed in numpy's einsum loop, not BLAS."""
-    return math.sqrt(float(np.einsum("i,i->", v.real, v.real) + np.einsum("i,i->", v.imag, v.imag)))
-
-
-def _adjoint_times(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """q^H v for a vector or matrix v, summed in numpy's einsum loop, not
-    BLAS: each term conj(q) v is exactly the conjugate of q conj(v), so the
-    conjugate of q^T conj(v) needs no conjugated copy of q."""
-    return np.einsum("ij,i...->j...", q, v.conj()).conj()
-
-
-def _basis_times(q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """q c for a coefficient vector c, summed in numpy's einsum loop, not
-    BLAS, whose matrix-vector product rounds by the thread count."""
-    return np.einsum("ij,j->i", q, c)
+    """2-norm of stacked real rows, summed in numpy's einsum loop, not BLAS."""
+    return math.sqrt(float(np.einsum("pi,pi->", v, v)))
 
 
 def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
-    """At most ``cap`` orthonormal columns Q of the Krylov space of the
-    generator and psi0, with B and the norm of r in m Q = Q B + r e_k^T,
+    """At most ``cap`` orthonormal vectors Q of the Krylov space of the real
+    generator A and psi0, with B and the norm of r in A Q = Q B + r e_k^T,
     read from the Arnoldi recurrence (Saad 1992): column j of B holds the
-    coefficients both Gram-Schmidt passes took off the image of column j,
-    and below its diagonal the norm of what was left, the next column's
+    coefficients both Gram-Schmidt passes took off the image of vector j,
+    and below its diagonal the norm of what was left, the next vector's
     length.  The basis stops at the first k with horizon * |r| within
-    ``_CLOSURE_TOLERANCE``, at Q spanning the space (r is then 0), or at
-    the cap.  ``apply`` maps a vector to its product with the generator."""
-    dim = len(psi0)
+    ``_CLOSURE_TOLERANCE``, at Q spanning the space of psi0's shape (r is
+    then 0; rounding hides that two rows close within the sector), or at
+    the cap.  ``apply`` maps psi0's real rows, each a part of one start, to
+    their products with A."""
+    dim = psi0.size
     cap = min(cap, dim)
-    # column-major, so that a column is contiguous and writing it touches
-    # only its own pages: the columns the basis never reaches stay unmapped
-    q = np.empty((dim, cap), dtype=complex, order="F")
-    block = np.zeros((cap, cap), dtype=complex)
-    q[:, 0] = psi0 / _norm(psi0)
+    # writing a vector touches only its own pages: the vectors the basis
+    # never reaches stay unmapped
+    q = np.empty((cap,) + psi0.shape)
+    block = np.zeros((cap, cap))
+    q[0] = psi0 / _norm(psi0)
     for k in range(1, cap + 1):
-        w = apply(q[:, k - 1])
+        w = apply(q[k - 1])
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            coefficients = _adjoint_times(q[:, :k], w)
+            coefficients = np.einsum("kpi,pi->k", q[:k], w)
             block[:k, k - 1] += coefficients
-            w = w - _basis_times(q[:, :k], coefficients)
+            w = w - np.einsum("kpi,k->pi", q[:k], coefficients)
         residual = _norm(w) if k < dim else 0.0
         if horizon * residual <= _CLOSURE_TOLERANCE or k == cap:
-            return q[:, :k], block[:k, :k], residual
+            return q[:k], block[:k, :k], residual
         block[k, k - 1] = residual
-        q[:, k] = w / residual
+        q[k] = w / residual
 
 
 def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
-    """Step exp(-i m dt) psi0 over n_steps equal steps in restarted Krylov
-    spans, recording the squared norm at every grid time; ``apply`` maps a
-    vector to its product with the generator m, which callers check is
-    dissipative.  Each span builds the basis Q of its start state psi and
-    steps exp(-i B dt) of the Arnoldi block from c = |psi| e_1 over the grid
-    left.  With m Q = Q B + r e_k^T, Duhamel's formula bounds the span's
-    amplitude error by |r| times the integral of the last coefficient
-    |c_k|, summed on the grid; a span runs while that bound per unit initial
-    norm keeps within the share of ``_CLOSURE_TOLERANCE`` its steps take of
-    the n_steps, and the next restarts from Q c.  A basis closed within the
+    """Step exp(A dt) psi0 over n_steps equal steps in restarted Krylov
+    spans, recording the squared norm at every grid time; ``apply`` maps
+    psi0's real rows to their products with A, which callers keep
+    dissipative.  Each span builds the basis Q of its start psi and steps
+    exp(B dt) of the Arnoldi block from c = |psi| e_1 over the grid left.
+    With A Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude
+    error by |r| times the integral of the last coefficient |c_k|, summed
+    on the grid; a span runs while that bound per unit initial norm keeps
+    within the share of ``_CLOSURE_TOLERANCE`` its steps take of the
+    n_steps, and the next restarts from Q c.  A basis closed within the
     tolerance keeps within it to the horizon, since under a dissipative
-    generator |c_k| never exceeds |psi0|; one that fits not one step doubles
-    its cap, and one spanning the space has r = 0 and covers the rest, so
-    the loop ends."""
+    generator |c_k| never exceeds |psi0|; one that fits not one step
+    doubles its cap, and one spanning the space has r = 0 and covers the
+    rest, so the loop ends."""
     horizon = dt * n_steps
     scale = _norm(psi0)
     survival = np.empty(n_steps + 1)
     psi, start, cap, basis_dim, bound = psi0, 0, _BASIS_CAP, 0, 0.0
     while True:
         q, block, residual = _reachable_basis(apply, psi, horizon, cap)
-        coef = np.zeros(len(block), dtype=complex)
+        coef = np.zeros(len(block))
         coef[0] = _norm(psi)
-        table = _step_powers(_expm(-1j * block * dt), coef, n_steps - start)
+        table = _step_powers(_expm(block * dt), coef, n_steps - start)
         drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
         within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
         stop = len(within) if within.all() else int(np.argmin(within))
@@ -463,19 +453,19 @@ def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _Los
             cap *= 2
             continue
         table = table[: stop + 1]
-        survival[start : start + stop + 1] = np.sum(table.real**2 + table.imag**2, axis=1)
+        survival[start : start + stop + 1] = np.sum(table**2, axis=1)
         basis_dim, bound = max(basis_dim, len(coef)), bound + float(drift[stop - 1])
         start += stop
         if start == n_steps:
             return _LossyRun(survival, basis_dim, bound)
-        psi = _basis_times(q, table[stop])
+        psi = np.einsum("kpi,k->pi", q, table[stop])
 
 
 def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:
     """Rows step^i coef for i = 0..n_steps, by doubling: rows [k, 2k) are
     rows [0, k) times step^k, and step^k is squared each round, so the grid
     takes about log2(n_steps) matrix products instead of n_steps steps."""
-    table = np.empty((n_steps + 1, len(coef)), dtype=complex)
+    table = np.empty((n_steps + 1, len(coef)), dtype=np.result_type(step, coef))
     table[0] = coef
     power = step.T  # rows are row vectors: (P c)^T = c^T P^T
     filled = 1
@@ -505,7 +495,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by scaling and squaring with the [13/13] Pade approximant:
     a is halved s times until its 1-norm is at most theta_13, the
     approximant r = (V - U)^-1 (V + U) is one linear solve, and r is
-    squared s times.  ValueError if a has a non-finite entry."""
+    squared s times.  ValueError if a has a non-finite entry, and
+    NumericalDriftError if the squarings, each doubling r's rounding error,
+    overflow."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite block")
     norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
@@ -521,6 +513,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    if not np.all(np.isfinite(r)):
+        raise NumericalDriftError(f"a step of 1-norm {norm:.3e} overflows in {s} squarings")
     return r

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,78 @@ def test_dark_on_an_overflowing_grid_exits_with_drift_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "balance" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# (argv, the parameter the refusal names): a tiny rate puts the default
+# horizon 20 / kappa at infinity, and a huge one squares past the float range
+OVERFLOWING_DARK_CASES = [
+    (["--kappa", "1e-320"], "kappa"),
+    (["--kappa", "1e300"], "kappa"),
+    (["--g", "1e300"], "coupling"),
+    (["--g", "1e-320"], "coupling"),
+]
+
+
+@pytest.mark.parametrize("args, name", OVERFLOWING_DARK_CASES,
+                         ids=[" ".join(args) for args, _ in OVERFLOWING_DARK_CASES])
+def test_overflowing_dark_parameters_are_refused_before_the_decay(
+        tmp_path, capsys, monkeypatch, args, name):
+    def decayed(*args):
+        raise AssertionError("the decay ran")
+
+    monkeypatch.setattr(tchlab.darkstates, "_lossy_propagation", decayed)
+    assert main(["dark", "--out-dir", str(tmp_path), "--atoms", "2", *args]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dark_on_an_unresolved_oscillation_exits_with_drift_code(tmp_path, capsys):
+    # g dt = 5e26 radians a step: squaring the step's exponential doubles its
+    # rounding error 88 times, past the float range
+    args = ["--atoms", "2", "--g", "1e20", "--kappa", "1", "--t-max", "1e10"]
+    assert main(["dark", "--out-dir", str(tmp_path), *args]) == 3
+    err = capsys.readouterr().err
+    assert "squarings" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+DARK_BUDGET_CASES = [
+    (["--atoms", "40"], "limit of 18"),
+    (["--atoms", "20"], "limit of 18"),
+    (["--n-trials", "1000000000000"], "limit of 10000000"),
+    (["--n-times", "1000000000000"], "at most 1000000"),
+]
+
+
+@pytest.mark.parametrize("args, limit", DARK_BUDGET_CASES,
+                         ids=[" ".join(args) for args, _ in DARK_BUDGET_CASES])
+def test_dark_work_budgets_refuse_before_allocating(tmp_path, capsys, monkeypatch, args, limit):
+    # each refused run would need gigabytes to terabytes, and is refused
+    # before anything of its size is allocated or any decay runs
+    def decayed(*args):
+        raise AssertionError("the decay ran")
+
+    monkeypatch.setattr(tchlab.darkstates, "_lossy_propagation", decayed)
+    tracemalloc.start()
+    try:
+        code = main(["dark", "--out-dir", str(tmp_path), *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert limit in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 16 * 2**20
+
+
+def test_dark_limits_appear_in_the_help(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dark", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in ("at most 18", "at most 1000000", "at most 10000000", "at most 1e+150"):
+        assert phrase in text
 
 
 @pytest.mark.parametrize("args", [["--alpha-scales", "1e300"], ["--dt", "1e-300"],

@@ -14,9 +14,11 @@ from oracles import (
     collective_lowering_loop,
     dense_emission_survival,
     occupations_loop,
+    state_index,
 )
 
 import tchlab
+import tchlab.darkstates as darkstates
 import tchlab.evolution as evolution
 from tchlab import (
     DecayConfig,
@@ -32,7 +34,7 @@ from tchlab import (
     photon_number_operator,
     triplet_state,
 )
-from tchlab.darkstates import _collective_products
+from tchlab.darkstates import MAX_ATOMS, MAX_RATE, MAX_TIMES, MAX_TRIALS, _collective_products
 
 
 def test_singlet_has_zero_absorption():
@@ -172,6 +174,36 @@ def test_decay_config_defaults():
         DecayConfig(t_max=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"couplings": (1e-3,) * 20}, "20 atoms exceed the limit of 18"),
+    ({"n_times": MAX_TIMES + 1}, f"at most {MAX_TIMES}"),
+    ({"kappa": 2e150}, "kappa must be positive and finite, at most 1e\\+150"),
+    ({"couplings": (1e-3, 2e150)}, "couplings must be positive and finite"),
+    ({"couplings": (-1e-3, 1e-3)}, "couplings must be positive and finite"),
+    ({"kappa": 1e-320}, r"kappa \S+ puts the default horizon"),
+    # a tenth of the smallest subnormal rounds to a default kappa of 0
+    ({"couplings": (5e-324,)}, "a tenth of the coupling 4.94066e-324"),
+    ({"kappa": 1e10, "t_max": 1e308}, "generator's step"),
+], ids=["atoms", "n_times", "kappa", "coupling", "negative", "horizon", "default", "step"])
+def test_decay_config_refuses_what_it_cannot_run(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DecayConfig(**kwargs)
+
+
+def test_decay_config_takes_its_limits():
+    assert DecayConfig(couplings=(1e-3,) * MAX_ATOMS).n_atoms == MAX_ATOMS
+    assert DecayConfig(n_times=MAX_TIMES).n_times == MAX_TIMES
+    assert DecayConfig(kappa=MAX_RATE, couplings=(MAX_RATE,)).resolved_t_max == 20.0 / MAX_RATE
+    # a subnormal rate is fine with a horizon of its own
+    assert DecayConfig(kappa=1e-320, t_max=1.0).resolved_t_max == 1.0
+
+
+def test_sampling_refuses_more_trials_than_its_limit():
+    report = emission_density(singlet_product([(0, 1)]), DecayConfig(n_times=11))
+    with pytest.raises(ValueError, match=f"limit of {MAX_TRIALS}"):
+        sample_emission_times(report, MAX_TRIALS + 1)
+
+
 @pytest.fixture(scope="module")
 def emission_reports():
     cfg = DecayConfig(n_times=801)
@@ -243,6 +275,50 @@ def test_register_decay_runs_in_the_reached_subspace(n_atoms):
     light = _assert_matches_dense(light_state, cfg)
     assert light.basis_dim == 3  # the triplet reaches 3 states, even in the 4-dim 2-atom sector
     assert light.closure_bound <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["singlets", "complex"])
+def test_the_decay_runs_the_gauged_lossy_generator(kind, monkeypatch):
+    # four atoms with two excitations: the 15-state sector of one photon more
+    cfg = DecayConfig(couplings=(0.7e-3, 1.0e-3, 1.1e-3, 1.3e-3))
+    psi = _adjacent_singlets(4).astype(complex)
+    if kind == "complex":
+        rng = np.random.default_rng(5)
+        support = [b for b in range(16) if bin(b).count("1") == 2]
+        psi[support] = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi /= np.linalg.norm(psi)
+    captured = {}
+    propagate = darkstates._lossy_propagation
+
+    def recorded(apply, psi0, dt, n_steps):
+        captured.update(apply=apply, psi0=psi0)
+        return propagate(apply, psi0, dt, n_steps)
+
+    monkeypatch.setattr(darkstates, "_lossy_propagation", recorded)
+    emission_density(psi, cfg)
+    network = NetworkConfig(n_cavities=1, atoms_per_cavity=(4,), couplings=cfg.couplings,
+                            max_photons=3, omega=cfg.omega)
+    space = HilbertSpace(network, 3)
+    photons = space.occupations[:, 0]
+    # the dense generator less its diagonal omega * sector, a global phase
+    m = (build_tc(space, 0).matrix - 3.0 * cfg.omega * np.eye(space.dim)
+         - 0.5j * cfg.resolved_kappa * np.diag(photons))
+    gauge = np.array([1, 1j, -1, -1j])[photons % 4]
+    expected = gauge.conj()[:, None] * (-1j * m) * gauge
+    assert not expected.imag.any()
+    # the product with each basis row is a column of the generator
+    a = captured["apply"](np.eye(space.dim)).T
+    assert np.array_equal(a, expected.real)
+    k = a + np.diag(0.5 * cfg.resolved_kappa * photons)
+    assert np.array_equal(k, -k.T) and k.any()
+    # the start is P^-1 psi0 = -i psi0, as its nonzero real and imaginary rows
+    amps = np.zeros(space.dim, dtype=complex)
+    index = state_index(space)
+    for b in np.flatnonzero(psi):
+        amps[index[(1,) + tuple(int(c) for c in f"{b:04b}")]] = psi[b]
+    start = -1j * amps
+    rows = [start.real, start.imag] if kind == "complex" else [start.imag]
+    assert np.array_equal(captured["psi0"], np.array(rows))
 
 
 def _fresh_process_run(body):
@@ -358,20 +434,29 @@ def test_generic_decay_does_not_depend_on_the_blas_thread_count():
 @pytest.mark.parametrize("n_times", [3, 11])
 def test_coarse_grid_widens_the_basis_to_the_whole_sector(n_times, monkeypatch):
     # on 2 or 10 steps over the horizon not one step fits a 60- or 120-vector
-    # span, so the basis doubles until it spans the 219-state sector
+    # span, so the basis doubles until it spans the whole space: the
+    # 219-state sector for a real state, and the 438 dimensions of the
+    # stacked real and imaginary parts of a complex one, whose Krylov space
+    # closes at 219 only in exact arithmetic.  On 10 steps a 240-vector span
+    # fits one step, so that decay restarts at every step instead.
     widths = []
     reachable = evolution._reachable_basis
 
     def recorded(apply, psi0, horizon, cap):
         basis = reachable(apply, psi0, horizon, cap)
-        widths.append(basis[0].shape[1])
+        widths.append(len(basis[1]))
         return basis
 
     monkeypatch.setattr(evolution, "_reachable_basis", recorded)
-    report = _assert_matches_dense(*_generic_register(8, n_times=n_times))
-    assert widths == [60, 120, 219]
-    assert report.basis_dim == 219
-    assert report.closure_bound <= 1e-10
+    psi, cfg = _generic_register(8, n_times=n_times)
+    stacked = [60, 120, 240, 438] if n_times == 3 else [60, 120] + [240] * 10
+    for state, expected in ((psi.real / np.linalg.norm(psi.real), [60, 120, 219]),
+                            (psi, stacked)):
+        widths.clear()
+        report = _assert_matches_dense(state, cfg)
+        assert widths == expected
+        assert report.basis_dim == max(expected)
+        assert report.closure_bound <= 1e-10
 
 
 @st.composite

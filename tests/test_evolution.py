@@ -482,6 +482,12 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
     )
     space = HilbertSpace(cfg, 3)
     m = build_tc(space, 0).matrix - 0.125j * photon_number_operator(space, 0).matrix
+    # P = diag(i^n), exactly, makes P^-1 (-i m) P real once the diagonal
+    # omega * sector, a global phase, is left out
+    gauge = np.array([1, 1j, -1, -1j])[space.occupations[:, 0] % 4]
+    a = gauge.conj()[:, None] * (-1j * (m - 3.0 * np.eye(space.dim))) * gauge
+    assert not a.imag.any()
+    a = a.real
     index = oracles.state_index(space)
     # singlets on (0, 1) and (2, 3), photon present: reaches only itself
     singlets = {(0, 1, 0, 1): 0.5, (0, 1, 1, 0): -0.5, (1, 0, 0, 1): -0.5, (1, 0, 1, 0): 0.5}
@@ -490,10 +496,13 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
         dark[index[(1,) + bits]] = amp
     rng = np.random.default_rng(4)
     generic = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    # the generic state reaches 8 of the 15 states
+    # the generic state reaches 8 of the 15 states, and so do its real and
+    # imaginary parts together
     for amps, basis_dim in ((dark, 1), (generic / np.linalg.norm(generic), 8)):
+        start = gauge.conj() * amps
+        start = np.array([part for part in (start.real, start.imag) if part.any()])
         for t, n_steps in ((0.8, 1), (30.0, 1), (30.0, 60)):
-            run = _lossy_propagation(m.__matmul__, amps, t / n_steps, n_steps)
+            run = _lossy_propagation(lambda v: v @ a.T, start, t / n_steps, n_steps)
             assert run.basis_dim == basis_dim
             table = step_powers_loop(scipy.linalg.expm(-1j * m * t / n_steps), amps, n_steps)
             reference = np.sum(np.abs(table) ** 2, axis=1)
@@ -502,27 +511,36 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
 
 @pytest.mark.parametrize("cap", [5, 12])
 def test_the_arnoldi_block_is_the_projected_generator(cap):
-    # m Q = Q B + r q_k e_k^T: B is Q^H m Q, and r is what the last image
-    # leaves; a basis spanning the space leaves nothing
+    # A Q = Q B + r q_k e_k^T: B is Q^T A Q, and r is what the last image
+    # leaves; a basis spanning the space leaves nothing.  Two rows run as
+    # one start under A on each, whose whole space has twice the dimension.
     rng = np.random.default_rng(cap)
-    m = 1j * _generator(12, "dissipative", 1.0, rng)
-    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
-    q, block, residual = _reachable_basis(m.__matmul__, psi, 1e12, cap)
-    assert q.shape == (12, cap) and block.shape == (cap, cap)
-    assert np.max(np.abs(q.conj().T @ q - np.eye(cap))) < 1e-13
-    assert np.max(np.abs(block - q.conj().T @ m @ q)) < 1e-13
-    assert np.max(np.abs(np.tril(block, -2))) == 0.0
-    left = m @ q - q @ block
-    assert np.max(np.abs(left[:, :-1])) < 1e-13
-    if cap == 12:
-        assert residual == 0.0
-    else:
-        assert abs(np.linalg.norm(left[:, -1]) - residual) < 1e-13
+    a = _generator(12, "real", 1.0, rng)
+    for parts in (1, 2):
+        psi = rng.normal(size=(parts, 12))
+        q, block, residual = _reachable_basis(lambda v: v @ a.T, psi, 1e12, cap)
+        assert q.shape == (cap, parts, 12) and block.shape == (cap, cap)
+        basis = q.reshape(cap, -1).T
+        stacked = np.kron(np.eye(parts), a)
+        assert np.max(np.abs(basis.T @ basis - np.eye(cap))) < 1e-13
+        assert np.max(np.abs(block - basis.T @ stacked @ basis)) < 1e-13
+        assert np.max(np.abs(np.tril(block, -2))) == 0.0
+        left = stacked @ basis - basis @ block
+        assert np.max(np.abs(left[:, :-1])) < 1e-13
+        if cap == psi.size:
+            assert residual == 0.0
+        else:
+            assert abs(np.linalg.norm(left[:, -1]) - residual) < 1e-13
 
 
 def _generator(d, kind, norm, rng):
-    """-i H for a random Hermitian H, or -i H - L L^H / 2 for a dissipative
-    generator, scaled to the given 1-norm."""
+    """-i H for a random Hermitian H, -i H - L L^H / 2 for a dissipative
+    generator, or the real dissipative S - L L^T / 2 for an antisymmetric S,
+    scaled to the given 1-norm."""
+    if kind == "real":
+        x, y = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        a = 0.5 * (x - x.T) - 0.5 * (y @ y.T)
+        return a * (norm / np.linalg.norm(a, 1))
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     a = -0.5j * (x + x.conj().T)
     if kind == "dissipative":
@@ -532,7 +550,7 @@ def _generator(d, kind, norm, rng):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 15, 50, 200])
-@pytest.mark.parametrize("kind", ["hermitian", "dissipative"])
+@pytest.mark.parametrize("kind", ["hermitian", "dissipative", "real"])
 def test_pade_exponential_matches_scipy(d, kind):
     rng = np.random.default_rng(d)
     # norms below theta_13 take no squaring; 200 takes six
@@ -557,15 +575,27 @@ def test_pade_exponential_refuses_a_non_finite_block(bad):
         _expm(a)
 
 
+def test_pade_exponential_refuses_squarings_that_overflow():
+    # an oscillation of 3e19 radians takes 65 squarings, each doubling the
+    # rounding error of the scaled approximant, past the float range
+    a = np.array([[0.0, 1e20], [-1e19, 0.0]])
+    with pytest.raises(NumericalDriftError, match="overflows in 65 squarings"):
+        _expm(a)
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 1023, 1024, 1025, 2000])
 def test_doubled_step_powers_match_sequential_stepping(n_steps):
     rng = np.random.default_rng(n_steps)
-    step = _expm(_generator(6, "dissipative", 0.05, rng))
-    coef = rng.normal(size=6) + 1j * rng.normal(size=6)
-    coef /= np.linalg.norm(coef)
-    table = _step_powers(step, coef, n_steps)
-    assert table.shape == (n_steps + 1, 6)
-    assert np.max(np.abs(table - step_powers_loop(step, coef, n_steps))) < 1e-13
+    # a complex step, and the real one the decay takes, keeps its type
+    for kind, dtype in (("dissipative", complex), ("real", float)):
+        step = _expm(_generator(6, kind, 0.05, rng))
+        coef = rng.normal(size=6).astype(dtype)
+        if dtype is complex:
+            coef += 1j * rng.normal(size=6)
+        coef /= np.linalg.norm(coef)
+        table = _step_powers(step, coef, n_steps)
+        assert table.shape == (n_steps + 1, 6) and table.dtype == dtype
+        assert np.max(np.abs(table - step_powers_loop(step, coef, n_steps))) < 1e-13
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
