@@ -30,6 +30,7 @@ from .evolution import (
 from .gate import (
     GateConfig,
     TransferWindow,
+    basis_branch_phases,
     branch_phase,
     cocsign_matrix,
     cocsign_schedule,

@@ -36,16 +36,16 @@ from .darkstates import (
 from .evolution import NumericalDriftError, rabi_periods
 from .gate import (
     BASIS_LABELS,
+    MAX_PAIRS,
     GateConfig,
-    branch_phase,
+    basis_branch_phases,
     cocsign_schedule,
     resonance_table,
-    run_gate,
     sweep,
     uniform_superposition,
 )
 from .reports import format_column, format_rows, write_csv, write_grid_csv, write_json
-from .walk import WalkConfig, ballistic_exponent, simulate_walk
+from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,12 +96,7 @@ def cmd_gate(args) -> int:
         format_rows(list(zip(*rows))),
     )
 
-    phases = {}
-    for label in BASIS_LABELS:
-        basis = np.zeros(4, dtype=complex)
-        basis[BASIS_LABELS.index(label)] = 1.0
-        psi = run_gate(basis, config)
-        phases[label] = branch_phase(psi, label, config)
+    phases = basis_branch_phases(config)
 
     best = min(rows, key=lambda r: r[5])
     tau1, tau2 = rabi_periods(config.g)
@@ -425,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="single-photon spread on a cavity ring")
     _add_common(p)
-    p.add_argument("--n-cavities", type=int, default=128, help="even, at least 2")
+    p.add_argument("--n-cavities", type=int, default=128,
+                   help=f"even, at least 2; times --n-times at most {MAX_CELLS} cells")
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--origin", type=int, default=None, help="start cavity (default: middle)")
     p.add_argument("--t-max", type=float, default=None, help="default: mass / 4, pre-wrap")
@@ -453,8 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonance", help="rank Rabi-counter pairs by timing mismatch")
     _add_common(p)
     p.add_argument("--g", type=float, default=1e-3)
-    p.add_argument("--n-max", type=int, default=100)
-    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--n-max", type=int, default=100,
+                   help=f"largest counter; n_max times the window min(2 top + 1, n_max) "
+                        f"at most {MAX_PAIRS} pairs")
+    p.add_argument("--top", type=int, default=3, help="rows kept")
     p.set_defaults(func=cmd_resonance)
 
     return parser

@@ -205,7 +205,7 @@ class EmissionReport:
     escape_probability: float
     mean_emission_time: float  # censored at t_max
     basis_dim: int  # dimension of the widest basis a decay span ran in
-    closure_bound: float  # sum of the spans' amplitude error bounds
+    closure_bound: float  # the runs' error bounds, weighted by their parts' squared norms
 
 
 def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
@@ -217,11 +217,12 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     generator is the real A = K - kappa/2 n with K antisymmetric, applied
     through the TC block's exchange pairs and the diagonal photon loss, so
     no sector matrix is formed.  The start P^-1 psi0 = -i psi0 runs as its
-    nonzero real and imaginary parts, stacked as one start whose squared
-    norm is S.  A singlet product reaches one dimension and the triplet
-    reference three, and either covers the horizon in one span.  The spans'
-    error bounds sum to at most 1e-10 per unit amplitude, so S is exact
-    within 2e-10.  The report records the widest basis and that sum.
+    nonzero real and imaginary parts, one after the other, whose squared
+    norms add up to S.  A singlet product reaches one dimension and the
+    triplet reference three, and either covers the horizon in one span.
+    Each run bounds its error by 1e-10 per unit amplitude; weighted by the
+    parts' squared norms, S is exact within 2e-10.  The report records the
+    widest basis and the weighted bound.
 
     The density comes from centered differences of S; a grid too coarse to
     keep p non-negative (beyond -1e-6), or so fine that its differences are
@@ -260,22 +261,22 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     rows, cols, values = block.rows, block.cols, block.values
     half_loss = 0.5 * config.resolved_kappa * space.occupations[:, 0]
 
-    def generator_times(parts):
-        exchange = [np.bincount(cols, values * v[rows], space.dim)
-                    - np.bincount(rows, values * v[cols], space.dim) for v in parts]
-        return np.array(exchange) - half_loss * parts
+    def generator_times(v):
+        return (np.bincount(cols, values * v[rows], space.dim)
+                - np.bincount(rows, values * v[cols], space.dim) - half_loss * v)
 
     amps = np.zeros(space.dim, dtype=complex)
     amps[space.rank(occupations)] = psi_at[support]
     # every start holds one photon, so P^-1 psi0 = -i psi0; A is real, so
-    # the real and imaginary parts decay apart, as one stacked start whose
-    # squared norm is the survival
+    # the real and imaginary parts decay apart, each copied out contiguous
+    # (einsum sums a strided vector in another order)
     start = -1j * amps
-    parts = np.array([part for part in (start.real, start.imag) if part.any()])
+    parts = [part.copy() for part in (start.real, start.imag) if part.any()]
 
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
-    run = _lossy_propagation(generator_times, parts, times[1] - times[0], len(times) - 1)
-    survival = run.survival
+    runs = [_lossy_propagation(generator_times, part, times[1] - times[0], len(times) - 1)
+            for part in parts]
+    survival = sum(run.survival for run in runs)
 
     # a step whose square underflows makes the differences NaN, and one
     # whose square overflows makes them inf or NaN: both are refused below
@@ -299,8 +300,9 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         density=density,
         escape_probability=1.0 - float(survival[-1]),
         mean_emission_time=mean,
-        basis_dim=run.basis_dim,
-        closure_bound=run.closure_bound,
+        basis_dim=max(run.basis_dim for run in runs),
+        closure_bound=sum(float(np.einsum("i,i->", part, part)) * run.closure_bound
+                          for part, run in zip(parts, runs)),
     )
 
 

@@ -178,6 +178,9 @@ _RK4_TERMS = (
 _MAX_WORD = 4
 
 
+# unstable steps overflow in the word tables and products; the result is
+# checked instead
+@np.errstate(over="ignore", invalid="ignore")
 def pulsed_propagators(
     h0: OperatorMatrix,
     pulses,
@@ -224,7 +227,10 @@ def pulsed_propagators(
     n // 2 of them is kept, and for odd n the middle step runs on its own.
     A one-step segment runs whole and needs no precondition.  A segment
     that needs more than ``MAX_PULSED_STEPS`` steps is refused with
-    ValueError before anything is built."""
+    ValueError before anything is built, and steps beyond the scheme's
+    stability, whose product overflows, raise NumericalDriftError: an entry
+    that is not finite reaches every carried state through the product
+    with it."""
     scales = [float(s) for s in scales]
     span = (t_end - t_start) / dt
     if not span <= MAX_PULSED_STEPS:  # NaN and inf fail too
@@ -280,6 +286,10 @@ def pulsed_propagators(
     out = np.zeros((len(scales), d, d), dtype=complex)
     for block, v, ub in zip(blocks, first_half, u):
         out[:, block[:, None], block] = np.swapaxes(v, 1, 2) @ ub
+    if not np.all(np.isfinite(out)):
+        raise NumericalDriftError(
+            f"the propagator overflows: steps of {h:.3g} are beyond the scheme's stability; reduce dt"
+        )
     return out
 
 
@@ -376,6 +386,8 @@ def apply_propagator(u: np.ndarray, psi: StateVector, norm_tolerance: float) -> 
 _CLOSURE_TOLERANCE = 1e-10
 # columns a span's basis may hold, doubled while a span fits not one grid step
 _BASIS_CAP = 60
+# how far the 2-norm of a decay step's exponential may exceed 1 by rounding
+_GROWTH_TOLERANCE = 1e-6
 
 
 class _LossyRun(NamedTuple):
@@ -387,8 +399,8 @@ class _LossyRun(NamedTuple):
 
 
 def _norm(v: np.ndarray) -> float:
-    """2-norm of stacked real rows, summed in numpy's einsum loop, not BLAS."""
-    return math.sqrt(float(np.einsum("pi,pi->", v, v)))
+    """2-norm of a real vector, summed in numpy's einsum loop, not BLAS."""
+    return math.sqrt(float(np.einsum("i,i->", v, v)))
 
 
 def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
@@ -398,23 +410,21 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
     coefficients both Gram-Schmidt passes took off the image of vector j,
     and below its diagonal the norm of what was left, the next vector's
     length.  The basis stops at the first k with horizon * |r| within
-    ``_CLOSURE_TOLERANCE``, at Q spanning the space of psi0's shape (r is
-    then 0; rounding hides that two rows close within the sector), or at
-    the cap.  ``apply`` maps psi0's real rows, each a part of one start, to
-    their products with A."""
+    ``_CLOSURE_TOLERANCE``, at Q spanning the whole space (r is then 0),
+    or at the cap.  ``apply`` maps a real vector to its product with A."""
     dim = psi0.size
     cap = min(cap, dim)
     # writing a vector touches only its own pages: the vectors the basis
     # never reaches stay unmapped
-    q = np.empty((cap,) + psi0.shape)
+    q = np.empty((cap, dim))
     block = np.zeros((cap, cap))
     q[0] = psi0 / _norm(psi0)
     for k in range(1, cap + 1):
         w = apply(q[k - 1])
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            coefficients = np.einsum("kpi,pi->k", q[:k], w)
+            coefficients = np.einsum("ki,i->k", q[:k], w)
             block[:k, k - 1] += coefficients
-            w = w - np.einsum("kpi,k->pi", q[:k], coefficients)
+            w = w - np.einsum("ki,k->i", q[:k], coefficients)
         residual = _norm(w) if k < dim else 0.0
         if horizon * residual <= _CLOSURE_TOLERANCE or k == cap:
             return q[:k], block[:k, :k], residual
@@ -424,11 +434,11 @@ def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
 
 def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
     """Step exp(A dt) psi0 over n_steps equal steps in restarted Krylov
-    spans, recording the squared norm at every grid time; ``apply`` maps
-    psi0's real rows to their products with A, which callers keep
-    dissipative.  Each span builds the basis Q of its start psi and steps
-    exp(B dt) of the Arnoldi block from c = |psi| e_1 over the grid left.
-    With A Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude
+    spans, recording the squared norm at every grid time; ``apply`` maps a
+    real vector to its product with A, which callers keep dissipative.
+    Each span builds the basis Q of its start psi and steps exp(B dt) of
+    the Arnoldi block from c = |psi| e_1 over the grid left.  With
+    A Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude
     error by |r| times the integral of the last coefficient |c_k|, summed
     on the grid; a span runs while that bound per unit initial norm keeps
     within the share of ``_CLOSURE_TOLERANCE`` its steps take of the
@@ -436,20 +446,36 @@ def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _Los
     tolerance keeps within it to the horizon, since under a dissipative
     generator |c_k| never exceeds |psi0|; one that fits not one step
     doubles its cap, and one spanning the space has r = 0 and covers the
-    rest, so the loop ends."""
+    rest, so the loop ends.
+
+    B = Q^T A Q is dissipative too, so |exp(B dt)|_2 <= 1: a step
+    exponential that grows beyond rounding (an oscillation the Pade
+    squarings do not resolve) raises NumericalDriftError before it is
+    stepped, and so does a basis spanning the space that fits no step."""
     horizon = dt * n_steps
     scale = _norm(psi0)
     survival = np.empty(n_steps + 1)
     psi, start, cap, basis_dim, bound = psi0, 0, _BASIS_CAP, 0, 0.0
     while True:
         q, block, residual = _reachable_basis(apply, psi, horizon, cap)
+        step = _expm(block * dt)
+        if not _contracts(step, 1.0 + _GROWTH_TOLERANCE):
+            raise NumericalDriftError(
+                f"a decay step of the {len(block)}-vector basis grows the norm by a factor "
+                f"of up to {np.linalg.norm(step, 2):.6g}; the step exponential does not "
+                "resolve the generator"
+            )
         coef = np.zeros(len(block))
         coef[0] = _norm(psi)
-        table = _step_powers(_expm(block * dt), coef, n_steps - start)
+        table = _step_powers(step, coef, n_steps - start)
         drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
         within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
         stop = len(within) if within.all() else int(np.argmin(within))
         if stop == 0:
+            if len(block) == psi.size:
+                raise NumericalDriftError(
+                    f"a basis spanning all {psi.size} states fits not one decay step"
+                )
             cap *= 2
             continue
         table = table[: stop + 1]
@@ -458,7 +484,21 @@ def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _Los
         start += stop
         if start == n_steps:
             return _LossyRun(survival, basis_dim, bound)
-        psi = np.einsum("kpi,k->pi", q, table[stop])
+        psi = np.einsum("ki,k->i", q, table[stop])
+
+
+def _contracts(step: np.ndarray, ceiling: float) -> bool:
+    """Whether the 2-norm of ``step`` is below ``ceiling``: then no entry
+    exceeds it, and ceiling^2 I - step^T step is positive definite, which
+    its Cholesky factorization tells (the Gram matrix of entries that small
+    cannot overflow, and no eigen- or singular-value routine is loaded)."""
+    if not np.max(np.abs(step)) < ceiling:
+        return False
+    try:
+        np.linalg.cholesky(ceiling**2 * np.eye(len(step)) - step.T @ step)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:

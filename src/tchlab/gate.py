@@ -22,7 +22,6 @@ With the sign convention used here the ideal action is
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,6 +47,13 @@ from .operators import (
 X_CAVITY, Y_CAVITY, AUX_CAVITY = 0, 1, 2
 BASIS_LABELS = ("00", "01", "10", "11")
 PULSE_CUTOFF = 6.0  # envelope truncation, in sigmas; window width is twice this
+# the largest pulse amplitude: the exchange's step expansion takes its fourth
+# power, which stays below 1e300
+MAX_ALPHA = 1e75
+# Work budget of resonance_table: ranked (n1, n2) pairs, refused before
+# anything is allocated.  On 2 cores with numpy 2.4 `tchlab resonance`
+# peaks at about 37 bytes a pair, about 760 MB at the limit.
+MAX_PAIRS = 20_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +97,17 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
     n2 / sqrt(2) - 1/4, so only the ``top`` values of n1 nearest to it can
     rank: just a window of 2 top + 1 of them per n2 is ranked, O(n_max top)
     pairs instead of n_max^2.  Without ``top`` the window is all n_max
-    values, which is the full table."""
+    values, which is the full table.  More than ``MAX_PAIRS`` ranked pairs
+    (n_max times the window) are refused with ValueError before anything is
+    allocated."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if top is not None and top < 0:
         raise ValueError("top must be non-negative")
     width = n_max if top is None else min(2 * top + 1, n_max)
+    if n_max * width > MAX_PAIRS:
+        raise ValueError(f"n_max {n_max} with a window of {width} ranks {n_max * width} pairs, "
+                         f"more than the limit of {MAX_PAIRS}")
     n2 = np.arange(1, n_max + 1)[:, None]
     nearest = np.rint(n2 / math.sqrt(2.0) - 0.25).astype(np.int64)
     n1 = np.clip(nearest - width // 2, 1, n_max - width + 1) + np.arange(width)
@@ -126,7 +137,8 @@ class GateConfig:
 
     ``alpha = None`` selects the pulse-area rule: the Gaussian's integral is
     fixed to a quarter hop cycle (pi/2 in hbar = 1 units), which executes a
-    complete photon swap.  ``dt = None`` selects the default integrator step
+    complete photon swap; either amplitude must be at most ``MAX_ALPHA``.
+    ``dt = None`` selects the default integrator step
     min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
     """
 
@@ -152,6 +164,10 @@ class GateConfig:
             raise ValueError("integrator step dt must be a positive finite number")
         if not 0.0 < self.norm_tolerance < math.inf:
             raise ValueError("norm_tolerance must be positive and finite")
+        if not self.resolved_alpha <= MAX_ALPHA:
+            source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
+            raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
+                             f"exceeds the limit of {MAX_ALPHA:g}")
         if self.sigma > self.tau1 / 10.0:
             warnings.warn(
                 "pulse sigma is not small against the Rabi period; "
@@ -292,34 +308,19 @@ def _exchange_links(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator stacks of the aux<->x and the aux<->y exchange on the
     register sector, one per pulse amplitude in the order given, in steps
-    of dt.  The stacks are read-only and shared by every run that agrees on
-    what they are built from: the register network (g and omega), the
-    exchange window and its pulse at unit amplitude (sigma), the step and
-    the amplitudes.  ``norm_tolerance``, ``n1``, ``n2`` and ``alpha`` do
-    not enter, so runs that differ only in them share one build."""
+    of dt.  Only the aux<->x link is integrated, with the unit-amplitude
+    pulse scaled by each amplitude.  The aux<->y link is that link seen
+    through the x<->y swap of basis labels, so its stack is the same stack
+    with rows and columns permuted."""
     ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
-    unit = dataclasses.replace(ev, pulse=dataclasses.replace(ev.pulse, amplitude=1.0))
-    return _integrated_links(config.network(), unit, dt, tuple(amplitudes))
-
-
-@functools.lru_cache(maxsize=64)
-def _integrated_links(
-    network: NetworkConfig, ev: ExchangeSegment, dt: float, amplitudes: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks of ``_exchange_links``.  Only the aux<->x link is
-    integrated, with the unit-amplitude pulse of ``ev`` scaled by each
-    amplitude.  The aux<->y link is that link seen through the x<->y swap
-    of basis labels, so its stack is the same stack with rows and columns
-    permuted."""
-    space = HilbertSpace(network, sector=2)
+    unit = dataclasses.replace(ev.pulse, amplitude=1.0)
+    space = gate_space(config)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    x_link = pulsed_propagators(build_tch(space), [(jump, ev.pulse)], 0.0, ev.duration, dt, amplitudes)
+    x_link = pulsed_propagators(build_tch(space), [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
     swap = _xy_swap(space)
     # C-contiguous like the integrated stack, so that every slice has one
     # memory layout and applying it rounds the same way
-    y_link = np.ascontiguousarray(x_link[:, swap[:, None], swap])
-    x_link.flags.writeable = y_link.flags.writeable = False
-    return x_link, y_link
+    return x_link, np.ascontiguousarray(x_link[:, swap[:, None], swap])
 
 
 def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVector:
@@ -343,9 +344,9 @@ def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVecto
 def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
     """Evolve an encoded two-qubit state through the full schedule.
 
-    Each exchange applies its link's cached propagator at the config's
-    amplitude and step to the carried state, whose norm drift is checked
-    against ``config.norm_tolerance``.
+    Each exchange applies its link's propagator at the config's amplitude
+    and step to the carried state, whose norm drift is checked against
+    ``config.norm_tolerance``.
 
     ``instant_swaps`` replaces each Gaussian exchange by its zero-width
     limit, the exact quarter-cycle hop map exp(-i (pi/2) J); free segments
@@ -400,6 +401,20 @@ def branch_phase(
     if abs(overlap) < 1e-9:
         raise ValueError("no surviving weight on the encoded branch")
     return overlap / abs(overlap) / schedule_phase(config, instant_swaps)
+
+
+def basis_branch_phases(config: GateConfig) -> dict[str, complex]:
+    """``branch_phase`` of each basis input after ``run_gate``, by label in
+    BASIS_LABELS order.  The four runs share one register, one H0 and one
+    build of the links at the config's amplitude and step."""
+    space = gate_space(config)
+    h0 = build_tch(space)
+    stacks = _exchange_links(config, config.resolved_dt, (config.resolved_alpha,))
+    links = tuple(u[0] for u in stacks)
+    return {
+        label: branch_phase(_run_schedule(encode(q, space), h0, config, links), label, config)
+        for label, q in zip(BASIS_LABELS, np.eye(4, dtype=complex))
+    }
 
 
 # ---------------------------------------------------------------------------

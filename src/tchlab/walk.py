@@ -100,10 +100,20 @@ def feynman_kernel(x, t: float, mass: float):
     return t ** -0.5 * np.exp(1j * mass * x**2 / t)
 
 
+# Work budget, refused before anything is allocated: n_cavities x n_times
+# cells.  On 2 cores with numpy 2.4 the CLI peaks at about 84 bytes a cell:
+# 2**23 cells (131,072 cavities at 64 times) peak at about 730 MB and write
+# 1.8 GB of CSV, and 65,536 cavities at 51 times at about 300 MB.
+MAX_CELLS = 2**23
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk run parameters.  ``t_max = None`` picks mass/4, early enough
-    that the spreading photon has not wrapped around the ring."""
+    that the spreading photon has not wrapped around the ring.  ValueError
+    for more than ``MAX_CELLS`` cells (cavities times time samples), or a
+    mass or horizon that puts the largest band energy, or its phase at
+    t_max, or the kernel's phase, beyond the float range."""
 
     n_cavities: int = 128
     mass: float = 1.0
@@ -124,6 +134,25 @@ class WalkConfig:
             raise ValueError("t_max must be positive and finite")
         if self.n_times < 2:
             raise ValueError("need at least two time samples")
+        cells = self.n_cavities * self.n_times
+        if cells > MAX_CELLS:
+            raise ValueError(f"{self.n_cavities} cavities at {self.n_times} times make {cells} "
+                             f"cells, more than the limit of {MAX_CELLS}")
+        # the band energy p^2 / 2m at p = -sqrt(n) / 2, as simulate_walk forms it
+        top = (0.5 * math.sqrt(self.n_cavities)) ** 2 / (2.0 * self.mass)
+        if not top < math.inf:
+            raise ValueError(f"mass {self.mass:g} puts the largest band energy, "
+                             "n_cavities / (8 mass), beyond the float range")
+        if not top * self.resolved_t_max < math.inf:
+            raise ValueError(f"t_max {self.resolved_t_max:g} times the largest band energy "
+                             f"{top:g} is beyond the float range")
+        # the kernel's phase at the first sample after t = 0, whose reciprocal
+        # numpy's complex division forms
+        step = self.resolved_t_max / (self.n_times - 1)
+        if not (step > 0.0 and 2.0 * math.pi**2 * self.mass * self.n_cavities * (1.0 / step)
+                < math.inf):
+            raise ValueError(f"mass {self.mass:g} over the time step {step:g} puts the kernel "
+                             "phase, 2 pi^2 mass n_cavities / step, beyond the float range")
 
     @property
     def resolved_origin(self) -> int:

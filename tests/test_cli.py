@@ -16,7 +16,6 @@ from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superpo
 from tchlab.cli import _light_reference, build_parser, main
 from tchlab.darkstates import DecayConfig, emission_density, singlet_product
 from tchlab.evolution import pulsed_propagators
-from tchlab.gate import _integrated_links
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
 
@@ -85,7 +84,7 @@ def test_gate_basis_input_label(tmp_path):
 
 def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
     # one stack for the sweep's five scales and one for the area rule, which
-    # the four basis-phase runs share through the cache
+    # the four basis-phase runs share
     amplitudes = []
 
     def counted(h0, pulses, t_start, t_end, dt, scales):
@@ -93,7 +92,6 @@ def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
         return pulsed_propagators(h0, pulses, t_start, t_end, dt, scales)
 
     monkeypatch.setattr(tchlab.gate, "pulsed_propagators", counted)
-    _integrated_links.cache_clear()
     assert main(["gate", "--out-dir", str(tmp_path)]) == 0
     assert amplitudes == [5, 1]
 
@@ -319,6 +317,83 @@ def test_dark_limits_appear_in_the_help(capsys):
     text = " ".join(capsys.readouterr().out.split())
     for phrase in ("at most 18", "at most 1000000", "at most 10000000", "at most 1e+150"):
         assert phrase in text
+
+
+@pytest.mark.parametrize("g", ["1e20", "1e21"])
+def test_dark_on_a_growing_step_exponential_exits_with_drift_code(tmp_path, g):
+    # g dt of 1e18 radians a step or more: the Pade squarings return a finite step
+    # that grows the norm, which used to send the span loop doubling its cap
+    # forever; a fresh process with a timeout fails a regression, not hangs
+    src = str(Path(tchlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tchlab.cli", "dark",
+         "--atoms", "2", "--g", g, "--kappa", "1", "--out-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "grows the norm" in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+BUDGET_CASES = [
+    (["walk", "--n-cavities", "1000000000"], "limit of 8388608"),
+    (["walk", "--n-times", "1000000000", "--n-cavities", "2"], "limit of 8388608"),
+    (["resonance", "--n-max", "1000000000"], "limit of 20000000"),
+    (["resonance", "--n-max", "5000", "--top", "10000"], "limit of 20000000"),
+]
+
+
+@pytest.mark.parametrize("args, limit", BUDGET_CASES,
+                         ids=[" ".join(args) for args, _ in BUDGET_CASES])
+def test_walk_and_resonance_budgets_refuse_before_allocating(tmp_path, capsys, args, limit):
+    # each refused run would need tens of gigabytes or more
+    tracemalloc.start()
+    try:
+        code = main([*args, "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert limit in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("command, phrase", [("walk", "at most 8388608"),
+                                             ("resonance", "at most 20000000")])
+def test_walk_and_resonance_limits_appear_in_the_help(capsys, command, phrase):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert phrase in " ".join(capsys.readouterr().out.split())
+
+
+def test_the_walk_budget_holds_the_65536_cavity_ring():
+    # 3,342,336 cells; the benchmark's 1024-cavity ring and 1000 x 7
+    # resonance pairs run in other tests
+    assert WalkConfig(n_cavities=65536).n_times == 51
+
+
+# under the suite's error::RuntimeWarning filter an overflow fails the test
+OVERFLOWING_CASES = [
+    (["gate", "--omega", "1e3"], 3, "overflows"),
+    (["gate", "--omega", "1e300"], 3, "overflows"),
+    (["gate", "--sigma", "1e-100"], 2, "sigma"),
+    (["gate", "--sigma", "5e-324"], 2, "sigma"),
+    (["walk", "--mass", "1e-320"], 2, "mass"),
+    (["walk", "--mass", "1e-307"], 2, "mass"),
+    (["walk", "--t-max", "1e308", "--n-cavities", "1024"], 2, "t_max"),
+]
+
+
+@pytest.mark.parametrize("args, code, name", OVERFLOWING_CASES,
+                         ids=[" ".join(args) for args, _, _ in OVERFLOWING_CASES])
+def test_overflowing_gate_and_walk_parameters_end_in_a_documented_code(
+        tmp_path, capsys, args, code, name):
+    assert main([*args, "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [["--alpha-scales", "1e300"], ["--dt", "1e-300"],

@@ -287,11 +287,12 @@ def test_the_decay_runs_the_gauged_lossy_generator(kind, monkeypatch):
         support = [b for b in range(16) if bin(b).count("1") == 2]
         psi[support] = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
-    captured = {}
+    captured = {"psi0": []}
     propagate = darkstates._lossy_propagation
 
     def recorded(apply, psi0, dt, n_steps):
-        captured.update(apply=apply, psi0=psi0)
+        captured["apply"] = apply
+        captured["psi0"].append(psi0)
         return propagate(apply, psi0, dt, n_steps)
 
     monkeypatch.setattr(darkstates, "_lossy_propagation", recorded)
@@ -306,19 +307,22 @@ def test_the_decay_runs_the_gauged_lossy_generator(kind, monkeypatch):
     gauge = np.array([1, 1j, -1, -1j])[photons % 4]
     expected = gauge.conj()[:, None] * (-1j * m) * gauge
     assert not expected.imag.any()
-    # the product with each basis row is a column of the generator
-    a = captured["apply"](np.eye(space.dim)).T
+    # the product with each basis vector is a column of the generator
+    a = np.array([captured["apply"](e) for e in np.eye(space.dim)]).T
     assert np.array_equal(a, expected.real)
     k = a + np.diag(0.5 * cfg.resolved_kappa * photons)
     assert np.array_equal(k, -k.T) and k.any()
-    # the start is P^-1 psi0 = -i psi0, as its nonzero real and imaginary rows
+    # the start is P^-1 psi0 = -i psi0, run as each of its nonzero real and
+    # imaginary parts
     amps = np.zeros(space.dim, dtype=complex)
     index = state_index(space)
     for b in np.flatnonzero(psi):
         amps[index[(1,) + tuple(int(c) for c in f"{b:04b}")]] = psi[b]
     start = -1j * amps
-    rows = [start.real, start.imag] if kind == "complex" else [start.imag]
-    assert np.array_equal(captured["psi0"], np.array(rows))
+    parts = [start.real, start.imag] if kind == "complex" else [start.imag]
+    assert len(captured["psi0"]) == len(parts)
+    for psi0, part in zip(captured["psi0"], parts):
+        assert psi0.shape == (space.dim,) and np.array_equal(psi0, part)
 
 
 def _fresh_process_run(body):
@@ -387,22 +391,24 @@ def test_generic_register_decays_in_restarted_krylov_spans():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 def test_generic_twelve_atom_decay_runs_in_two_spans():
     # one dense complex matrix on the 3,302-state sector takes 174 MB, and a
-    # dense matrix exponential holds about a dozen of them
-    spans, basis_dim, closure_bound, peak_kb = _fresh_process_run(
+    # dense matrix exponential holds about a dozen of them; the real and the
+    # imaginary part of the start each run in two spans of 60 vectors
+    widths, basis_dim, closure_bound, peak_kb = _fresh_process_run(
         "import numpy as np\n"
         "import tchlab.evolution as evolution\n"
         "from tchlab import DecayConfig, emission_density\n"
-        "builds = []\n"
+        "widths = []\n"
         "reachable = evolution._reachable_basis\n"
         "def counted(*args):\n"
-        "    builds.append(args)\n"
-        "    return reachable(*args)\n"
+        "    basis = reachable(*args)\n"
+        "    widths.append(str(len(basis[1])))\n"
+        "    return basis\n"
         "evolution._reachable_basis = counted\n"
         + inspect.getsource(_generic_register) +
         "report = emission_density(*_generic_register(12, t_max=4000.0, n_times=201))\n"
-        "print(len(builds), report.basis_dim, report.closure_bound)\n"
+        "print(','.join(widths), report.basis_dim, report.closure_bound)\n"
     )
-    assert int(spans) == 2
+    assert widths == "60,60,60,60"
     assert int(basis_dim) == 60
     assert float(closure_bound) <= 1e-10
     assert int(peak_kb) < 256 * 1024
@@ -434,11 +440,9 @@ def test_generic_decay_does_not_depend_on_the_blas_thread_count():
 @pytest.mark.parametrize("n_times", [3, 11])
 def test_coarse_grid_widens_the_basis_to_the_whole_sector(n_times, monkeypatch):
     # on 2 or 10 steps over the horizon not one step fits a 60- or 120-vector
-    # span, so the basis doubles until it spans the whole space: the
-    # 219-state sector for a real state, and the 438 dimensions of the
-    # stacked real and imaginary parts of a complex one, whose Krylov space
-    # closes at 219 only in exact arithmetic.  On 10 steps a 240-vector span
-    # fits one step, so that decay restarts at every step instead.
+    # span, so the basis doubles until it spans the whole 219-state sector;
+    # a complex state runs its real and its imaginary part that way in turn,
+    # and no run grows wider than the sector
     widths = []
     reachable = evolution._reachable_basis
 
@@ -449,13 +453,12 @@ def test_coarse_grid_widens_the_basis_to_the_whole_sector(n_times, monkeypatch):
 
     monkeypatch.setattr(evolution, "_reachable_basis", recorded)
     psi, cfg = _generic_register(8, n_times=n_times)
-    stacked = [60, 120, 240, 438] if n_times == 3 else [60, 120] + [240] * 10
     for state, expected in ((psi.real / np.linalg.norm(psi.real), [60, 120, 219]),
-                            (psi, stacked)):
+                            (psi, [60, 120, 219] * 2)):
         widths.clear()
         report = _assert_matches_dense(state, cfg)
         assert widths == expected
-        assert report.basis_dim == max(expected)
+        assert report.basis_dim == 219
         assert report.closure_bound <= 1e-10
 
 

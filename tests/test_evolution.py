@@ -496,41 +496,39 @@ def test_decay_matches_the_dense_exponential_on_both_bases():
         dark[index[(1,) + bits]] = amp
     rng = np.random.default_rng(4)
     generic = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    # the generic state reaches 8 of the 15 states, and so do its real and
-    # imaginary parts together
+    # the generic state reaches 8 of the 15 states, and so does each of its
+    # real and imaginary parts, which decay apart under the real generator
     for amps, basis_dim in ((dark, 1), (generic / np.linalg.norm(generic), 8)):
         start = gauge.conj() * amps
-        start = np.array([part for part in (start.real, start.imag) if part.any()])
+        parts = [part.copy() for part in (start.real, start.imag) if part.any()]
         for t, n_steps in ((0.8, 1), (30.0, 1), (30.0, 60)):
-            run = _lossy_propagation(lambda v: v @ a.T, start, t / n_steps, n_steps)
-            assert run.basis_dim == basis_dim
+            runs = [_lossy_propagation(lambda v: a @ v, part, t / n_steps, n_steps)
+                    for part in parts]
+            assert [run.basis_dim for run in runs] == [basis_dim] * len(parts)
             table = step_powers_loop(scipy.linalg.expm(-1j * m * t / n_steps), amps, n_steps)
             reference = np.sum(np.abs(table) ** 2, axis=1)
-            assert np.max(np.abs(run.survival - reference)) < 1e-10
+            assert np.max(np.abs(sum(run.survival for run in runs) - reference)) < 1e-10
 
 
 @pytest.mark.parametrize("cap", [5, 12])
 def test_the_arnoldi_block_is_the_projected_generator(cap):
     # A Q = Q B + r q_k e_k^T: B is Q^T A Q, and r is what the last image
-    # leaves; a basis spanning the space leaves nothing.  Two rows run as
-    # one start under A on each, whose whole space has twice the dimension.
+    # leaves; a basis spanning the space leaves nothing
     rng = np.random.default_rng(cap)
     a = _generator(12, "real", 1.0, rng)
-    for parts in (1, 2):
-        psi = rng.normal(size=(parts, 12))
-        q, block, residual = _reachable_basis(lambda v: v @ a.T, psi, 1e12, cap)
-        assert q.shape == (cap, parts, 12) and block.shape == (cap, cap)
-        basis = q.reshape(cap, -1).T
-        stacked = np.kron(np.eye(parts), a)
-        assert np.max(np.abs(basis.T @ basis - np.eye(cap))) < 1e-13
-        assert np.max(np.abs(block - basis.T @ stacked @ basis)) < 1e-13
-        assert np.max(np.abs(np.tril(block, -2))) == 0.0
-        left = stacked @ basis - basis @ block
-        assert np.max(np.abs(left[:, :-1])) < 1e-13
-        if cap == psi.size:
-            assert residual == 0.0
-        else:
-            assert abs(np.linalg.norm(left[:, -1]) - residual) < 1e-13
+    psi = rng.normal(size=12)
+    q, block, residual = _reachable_basis(lambda v: a @ v, psi, 1e12, cap)
+    assert q.shape == (cap, 12) and block.shape == (cap, cap)
+    basis = q.T
+    assert np.max(np.abs(basis.T @ basis - np.eye(cap))) < 1e-13
+    assert np.max(np.abs(block - basis.T @ a @ basis)) < 1e-13
+    assert np.max(np.abs(np.tril(block, -2))) == 0.0
+    left = a @ basis - basis @ block
+    assert np.max(np.abs(left[:, :-1])) < 1e-13
+    if cap == psi.size:
+        assert residual == 0.0
+    else:
+        assert abs(np.linalg.norm(left[:, -1]) - residual) < 1e-13
 
 
 def _generator(d, kind, norm, rng):
@@ -581,6 +579,24 @@ def test_pade_exponential_refuses_squarings_that_overflow():
     a = np.array([[0.0, 1e20], [-1e19, 0.0]])
     with pytest.raises(NumericalDriftError, match="overflows in 65 squarings"):
         _expm(a)
+
+
+def test_a_decay_step_that_grows_the_norm_is_refused():
+    # the squarings turn the unresolved rotation into a finite step with
+    # entries near 1e188, which a dissipative generator cannot make
+    a = np.array([[0.0, 1e20], [-1e20, 0.0]])
+    with pytest.raises(NumericalDriftError, match="grows the norm"):
+        _lossy_propagation(lambda v: a @ v, np.array([1.0, 0.0]), 1.0, 4)
+
+
+def test_a_spanning_basis_that_fits_no_step_is_refused(monkeypatch):
+    # a basis of the whole space cannot grow, so a span that fits no step
+    # raises instead of doubling its cap forever
+    a = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    monkeypatch.setattr(tchlab.evolution, "_step_powers",
+                        lambda step, coef, n_steps: np.full((n_steps + 1, len(coef)), np.nan))
+    with pytest.raises(NumericalDriftError, match="spanning all 2 states"):
+        _lossy_propagation(lambda v: a @ v, np.array([1.0, 0.0]), 0.1, 4)
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 1023, 1024, 1025, 2000])
