@@ -44,7 +44,7 @@ from .gate import (
     sweep,
     uniform_superposition,
 )
-from .reports import format_column, format_rows, write_csv, write_grid_csv, write_json
+from .reports import format_column, write_csv, write_grid_csv, write_json
 from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
@@ -89,14 +89,14 @@ def cmd_gate(args) -> int:
         q = np.zeros(4, dtype=complex)
         q[BASIS_LABELS.index(args.input)] = 1.0
 
+    # every result before the first file, so that a failure leaves none
     rows = sweep(config, alphas, q=q)
+    phases = basis_branch_phases(config)
     sweep_path = write_csv(
         os.path.join(args.out_dir, "gate_sweep.csv"),
         ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"),
-        format_rows(list(zip(*rows))),
+        rows,
     )
-
-    phases = basis_branch_phases(config)
 
     best = min(rows, key=lambda r: r[5])
     tau1, tau2 = rabi_periods(config.g)
@@ -155,7 +155,21 @@ def cmd_walk(args) -> int:
     result = simulate_walk(config)
     exponent = ballistic_exponent(result.times, result.variances)
 
-    sites = list(zip(map(str, range(config.n_cavities)), format_column(result.positions)))
+    # every result before the first file, so that a failure leaves none
+    n = config.n_cavities
+    origin = config.resolved_origin
+    band = _kernel_band(n, origin, float(result.times[-1]), config.mass)
+    psi_final = result.amplitudes[-1, band]
+    ker_final = result.kernel[-1, band]
+    denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
+    kernel_overlap = float(abs(np.vdot(ker_final, psi_final)) / denom) if denom > 0 else 0.0
+
+    mirror = (2 * origin - np.arange(n)) % n
+    reflection_residual = float(
+        np.max(np.abs(np.abs(result.amplitudes) - np.abs(result.amplitudes[:, mirror])))
+    )
+
+    sites = (np.arange(n), result.positions)
     amp_path = write_grid_csv(
         os.path.join(args.out_dir, "walk_amplitude.csv"),
         ("time", "cavity", "position", "re_amplitude", "im_amplitude", "abs_amplitude"),
@@ -169,20 +183,7 @@ def cmd_walk(args) -> int:
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
         ("separation", "n_links", "mean_amplitude", "mean_phase"),
-        format_rows(list(zip(*result.network_profile))),
-    )
-
-    n = config.n_cavities
-    origin = config.resolved_origin
-    band = _kernel_band(n, origin, float(result.times[-1]), config.mass)
-    psi_final = result.amplitudes[-1, band]
-    ker_final = result.kernel[-1, band]
-    denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
-    kernel_overlap = float(abs(np.vdot(ker_final, psi_final)) / denom) if denom > 0 else 0.0
-
-    mirror = (2 * origin - np.arange(n)) % n
-    reflection_residual = float(
-        np.max(np.abs(np.abs(result.amplitudes) - np.abs(result.amplitudes[:, mirror])))
+        result.network_profile,
     )
 
     summary = {
@@ -227,6 +228,9 @@ def cmd_dark(args) -> int:
     if args.atoms < 0 or args.atoms % 2 != 0:
         print("--atoms must be zero or an even number", file=sys.stderr)
         return EXIT_USAGE
+    if args.atoms > MAX_ATOMS:  # before the couplings take memory by the atom
+        print(f"--atoms {args.atoms} exceeds the limit of {MAX_ATOMS}", file=sys.stderr)
+        return EXIT_USAGE
     couplings = (args.g,) * args.atoms
     config = DecayConfig(
         couplings=couplings,
@@ -241,7 +245,7 @@ def cmd_dark(args) -> int:
         write_csv(
             os.path.join(args.out_dir, "emission_density.csv"),
             ("time", "density", "survival"),
-            format_rows((report.times, report.density, report.survival)),
+            np.column_stack((report.times, report.density, report.survival)),
         )
         write_json(
             os.path.join(args.out_dir, "dark_summary.json"),
@@ -287,7 +291,7 @@ def cmd_dark(args) -> int:
     write_csv(
         os.path.join(args.out_dir, "emission_density.csv"),
         ("time", "p_dark", "p_light", "s_dark", "s_light"),
-        format_rows((
+        np.column_stack((
             dark_report.times,
             dark_report.density,
             light_report.density,
@@ -353,17 +357,16 @@ def cmd_dark(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_resonance(args) -> int:
-    rows = resonance_table(args.n_max, top=args.top)
     tau1, tau2 = rabi_periods(args.g)
+    rows = resonance_table(args.n_max, top=args.top)
     table = [
         {"n1": n1, "n2": n2, "residual": residual, "hold_duration": 2.0 * n2 * tau2}
         for n1, n2, residual in rows
     ]
     print(f"{'n1':>5} {'n2':>5} {'residual':>24} {'hold_duration':>24}")
-    for row, (residual, duration) in zip(table, format_rows((
-        [row["residual"] for row in table],
-        [row["hold_duration"] for row in table],
-    ))):
+    residuals = format_column([row["residual"] for row in table])
+    durations = format_column([row["hold_duration"] for row in table])
+    for row, residual, duration in zip(table, residuals, durations):
         print(f"{row['n1']:>5} {row['n2']:>5} {residual:>24} {duration:>24}")
     summary = {
         "command": "resonance",

@@ -12,6 +12,9 @@ hypotheses.
 
 Atomic basis indices are the bit patterns of the excited flags, atom 0 most
 significant.
+
+The decay, ``_lossy_propagation``, sums over the sector in numpy's own
+loops rather than BLAS, so its bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import HilbertSpace, NetworkConfig
-from .evolution import NumericalDriftError, _lossy_propagation
+from .evolution import NumericalDriftError
 from .operators import build_tc
 
 
@@ -142,7 +145,9 @@ class DecayConfig:
     photon lifetimes.  ValueError for a register above ``MAX_ATOMS`` atoms,
     more than ``MAX_TIMES`` time samples, a coupling or loss rate outside
     (0, ``MAX_RATE``], a default horizon beyond the float range, or a
-    generator step (the largest rate times the time step) that overflows."""
+    generator step (the largest rate times the time step) that overflows, or
+    an omega that is not positive and finite or whose diagonal, omega times
+    the register's largest excitation count, overflows."""
 
     couplings: tuple[float, ...] = (1e-3, 1e-3)
     kappa: float | None = None
@@ -164,6 +169,11 @@ class DecayConfig:
             raise ValueError(f"{len(couplings)} atoms exceed the limit of {MAX_ATOMS}")
         if not all(0.0 < g <= MAX_RATE for g in couplings):
             raise ValueError(f"couplings must be positive and finite, at most {MAX_RATE:g}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not self.omega * (len(couplings) + 1) < math.inf:
+            raise ValueError(f"omega {self.omega:g} times the {len(couplings) + 1} "
+                             "excitations of a full register overflows")
         if not self.resolved_t_max < math.inf:
             source = (f"kappa {self.kappa:g}" if self.kappa is not None
                       else f"the default kappa, a tenth of the coupling {couplings[0]:g},")
@@ -227,7 +237,9 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
     The density comes from centered differences of S; a grid too coarse to
     keep p non-negative (beyond -1e-6), or so fine that its differences are
     NaN, raises NumericalDriftError, as does a broken balance between the
-    integrated density and the remaining survival."""
+    integrated density and the remaining survival, and a step so long
+    against the generator's oscillation that the Pade squarings' rounding
+    over the grid exceeds ``_ROUNDING_TOLERANCE``."""
     psi_at = np.asarray(psi_at, dtype=complex)
     s = config.n_atoms
     if psi_at.shape != (2**s,):
@@ -291,6 +303,13 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         raise NumericalDriftError(
             f"density + survival balance off by {balance - 1.0:.3e}"
         )
+    rounding = max(run.rounding for run in runs)
+    if not rounding <= _ROUNDING_TOLERANCE:
+        raise NumericalDriftError(
+            f"the decay steps' Pade squarings leave a rounding of about {rounding:.3g} over "
+            f"the grid, beyond {_ROUNDING_TOLERANCE:g}; the time step does not resolve the "
+            "generator's oscillation"
+        )
     mean = float(np.trapezoid(times * density, times)) + times[-1] * float(survival[-1])
     return EmissionReport(
         config=config,
@@ -304,6 +323,206 @@ def emission_density(psi_at, config: DecayConfig) -> EmissionReport:
         closure_bound=sum(float(np.einsum("i,i->", part, part)) * run.closure_bound
                           for part, run in zip(parts, runs)),
     )
+
+
+# amplitude error per unit initial norm a decay may spend over its horizon
+_CLOSURE_TOLERANCE = 1e-10
+# columns a span's basis may hold, doubled while a span fits not one grid step
+_BASIS_CAP = 60
+# how far the 2-norm of a decay step's exponential may exceed 1 by rounding
+_GROWTH_TOLERANCE = 1e-6
+# how far the rounding of a run's steps, n_steps 2^s eps for a step whose
+# oscillation takes s Pade squarings, may reach: against 40-digit mpmath
+# references the survival error stays below 0.045 of that estimate, so at
+# most about 9e-11 here
+_ROUNDING_TOLERANCE = 2e-9
+
+
+class _LossyRun(NamedTuple):
+    """Result of ``_lossy_propagation``."""
+
+    survival: np.ndarray  # squared norm at each of the n_steps + 1 grid times
+    basis_dim: int  # dimension of the widest basis a span ran in
+    closure_bound: float  # sum of the spans' amplitude error bounds
+    rounding: float  # n_steps 2^s eps for the most squarings s (see _ROUNDING_TOLERANCE)
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a real vector, summed in numpy's einsum loop, not BLAS."""
+    return math.sqrt(float(np.einsum("i,i->", v, v)))
+
+
+def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
+    """At most ``cap`` orthonormal vectors Q of the Krylov space of the real
+    generator A and psi0, with B and the norm of r in A Q = Q B + r e_k^T,
+    read from the Arnoldi recurrence (Saad 1992): column j of B holds the
+    coefficients both Gram-Schmidt passes took off the image of vector j,
+    and below its diagonal the norm of what was left, the next vector's
+    length.  The basis stops at the first k with horizon * |r| within
+    ``_CLOSURE_TOLERANCE``, at Q spanning the whole space (r is then 0),
+    or at the cap.  ``apply`` maps a real vector to its product with A."""
+    dim = psi0.size
+    cap = min(cap, dim)
+    # writing a vector touches only its own pages: the vectors the basis
+    # never reaches stay unmapped
+    q = np.empty((cap, dim))
+    block = np.zeros((cap, cap))
+    q[0] = psi0 / _norm(psi0)
+    for k in range(1, cap + 1):
+        w = apply(q[k - 1])
+        for _ in range(2):  # a second pass restores orthogonality lost to rounding
+            coefficients = np.einsum("ki,i->k", q[:k], w)
+            block[:k, k - 1] += coefficients
+            w = w - np.einsum("ki,k->i", q[:k], coefficients)
+        residual = _norm(w) if k < dim else 0.0
+        if horizon * residual <= _CLOSURE_TOLERANCE or k == cap:
+            return q[:k], block[:k, :k], residual
+        block[k, k - 1] = residual
+        q[k] = w / residual
+
+
+def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
+    """Step exp(A dt) psi0 over n_steps equal steps in restarted Krylov
+    spans, recording the squared norm at every grid time; ``apply`` maps a
+    real vector to its product with A, which callers keep dissipative.
+    Each span builds the basis Q of its start psi and steps exp(B dt) of
+    the Arnoldi block from c = |psi| e_1 over the grid left.  With
+    A Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude
+    error by |r| times the integral of the last coefficient |c_k|, summed
+    on the grid; a span runs while that bound per unit initial norm keeps
+    within the share of ``_CLOSURE_TOLERANCE`` its steps take of the
+    n_steps, and the next restarts from Q c.  A basis closed within the
+    tolerance keeps within it to the horizon, since under a dissipative
+    generator |c_k| never exceeds |psi0|; one that fits not one step
+    doubles its cap, and one spanning the space has r = 0 and covers the
+    rest, so the loop ends.
+
+    B = Q^T A Q is dissipative too, so |exp(B dt)|_2 <= 1: a step
+    exponential that grows beyond rounding (an oscillation the Pade
+    squarings do not resolve) raises NumericalDriftError before it is
+    stepped, and so does a basis spanning the space that fits no step.  The
+    run records the rounding its steps' squarings leave over the grid,
+    n_steps 2^s eps for the most squarings s the oscillating part of any
+    span's step takes, for ``emission_density`` to check."""
+    horizon = dt * n_steps
+    scale = _norm(psi0)
+    survival = np.empty(n_steps + 1)
+    psi, start, cap, basis_dim, bound, squarings = psi0, 0, _BASIS_CAP, 0, 0.0, 0
+    while True:
+        q, block, residual = _reachable_basis(apply, psi, horizon, cap)
+        a = block * dt
+        # a squaring doubles the rounding of what rotates, while the damping,
+        # the symmetric part, only shrinks it: count the rotation's squarings
+        squarings = max(squarings, _squarings(0.5 * (a - a.T))[1])
+        step = _expm(a)
+        if not _contracts(step, 1.0 + _GROWTH_TOLERANCE):
+            raise NumericalDriftError(
+                f"a decay step of the {len(block)}-vector basis grows the norm by a factor "
+                f"of up to {np.linalg.norm(step, 2):.6g}; the step exponential does not "
+                "resolve the generator"
+            )
+        coef = np.zeros(len(block))
+        coef[0] = _norm(psi)
+        table = _step_powers(step, coef, n_steps - start)
+        drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
+        within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
+        stop = len(within) if within.all() else int(np.argmin(within))
+        if stop == 0:
+            if len(block) == psi.size:
+                raise NumericalDriftError(
+                    f"a basis spanning all {psi.size} states fits not one decay step"
+                )
+            cap *= 2
+            continue
+        table = table[: stop + 1]
+        survival[start : start + stop + 1] = np.sum(table**2, axis=1)
+        basis_dim, bound = max(basis_dim, len(coef)), bound + float(drift[stop - 1])
+        start += stop
+        if start == n_steps:
+            return _LossyRun(survival, basis_dim, bound,
+                             n_steps * 2.0**squarings * np.finfo(float).eps)
+        psi = np.einsum("ki,k->i", q, table[stop])
+
+
+def _contracts(step: np.ndarray, ceiling: float) -> bool:
+    """Whether the 2-norm of ``step`` is below ``ceiling``: then no entry
+    exceeds it, and ceiling^2 I - step^T step is positive definite, which
+    its Cholesky factorization tells (the Gram matrix of entries that small
+    cannot overflow, and no eigen- or singular-value routine is loaded)."""
+    if not np.max(np.abs(step)) < ceiling:
+        return False
+    try:
+        np.linalg.cholesky(ceiling**2 * np.eye(len(step)) - step.T @ step)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:
+    """Rows step^i coef for i = 0..n_steps, by doubling: rows [k, 2k) are
+    rows [0, k) times step^k, and step^k is squared each round, so the grid
+    takes about log2(n_steps) matrix products instead of n_steps steps."""
+    table = np.empty((n_steps + 1, len(coef)), dtype=np.result_type(step, coef))
+    table[0] = coef
+    power = step.T  # rows are row vectors: (P c)^T = c^T P^T
+    filled = 1
+    while filled <= n_steps:
+        count = min(filled, n_steps + 1 - filled)
+        table[filled : filled + count] = table[:count] @ power
+        filled += count
+        if filled <= n_steps:
+            power = power @ power
+    return table
+
+
+# [13/13] Pade coefficients and the 1-norm up to which that approximant
+# meets double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005)).  They are divided by b_0, which leaves the approximant
+# unchanged and makes V = I at a = 0, so exp(0) comes out as I exactly.
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+))
+_THETA13 = 5.371920351148152
+
+
+def _squarings(a: np.ndarray) -> tuple[float, int]:
+    """The 1-norm of a and the number s of halvings that bring it to at most
+    theta_13: the squarings ``_expm`` takes, each doubling the rounding of
+    the scaled approximant, about 2^s eps in all."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    return norm, math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the [13/13] Pade approximant:
+    a is halved s times until its 1-norm is at most theta_13, the
+    approximant r = (V - U)^-1 (V + U) is one linear solve, and r is
+    squared s times.  ValueError if a has a non-finite entry, and
+    NumericalDriftError if the squarings, each doubling r's rounding error,
+    overflow."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix exponential of a non-finite block")
+    norm, s = _squarings(a)
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    if not np.all(np.isfinite(r)):
+        raise NumericalDriftError(f"a step of 1-norm {norm:.3e} overflows in {s} squarings")
+    return r
 
 
 # ---------------------------------------------------------------------------

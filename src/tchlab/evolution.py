@@ -1,6 +1,7 @@
-"""Time evolution on one excitation sector.
+"""Unitary time evolution on one excitation sector.
 
-Three propagation routes, shared across the experiments:
+Two propagation routes, shared across the experiments (``darkstates``
+owns the lossy decay):
 
 - ``evolve_const``: time-independent Hermitian generator, exact matrix
   exponential through the cached spectral decomposition.  This is what makes
@@ -8,7 +9,8 @@ Three propagation routes, shared across the experiments:
 - ``evolve_pulsed``: Hermitian static part plus Gaussian-windowed hop pulses,
   integrated as a propagator with a classic fixed-step fourth-order one-step
   scheme (three generator evaluations per step: start, midpoint twice, end),
-  then applied to the state under a norm-drift check.  The propagator comes
+  then applied to the state under a norm-drift check against
+  ``NORM_TOLERANCE``.  The propagator comes
   from ``pulsed_propagators``, which builds it at any number of pulse
   scales s at once.  It splits the sector into the blocks that no
   generator couples and integrates each on its own.  On a linear equation
@@ -23,18 +25,6 @@ Three propagation routes, shared across the experiments:
   centred; ValueError otherwise) and integrates only its first half: step
   n-1-k is taken as the transpose of step k, so the second half's product
   is the transpose of the first's.
-- ``_lossy_propagation``: the real generator A = K - (kappa/2) diag(n), K
-  antisymmetric, that the gauge P = diag(i^n) makes of -i times the lossy
-  cavity's (n the photon number); the shrinking norm, never renormalized,
-  is the survival curve that ``darkstates.emission_density`` reads.  It
-  runs in float64 on products of A with a vector: restarted Krylov spans
-  (Saad 1992; Hochbruck and Lubich 1997), each stepping the Pade
-  exponential (``_expm``) of the block its Arnoldi recurrence leaves over
-  the grid by doubling step powers.  A basis that closes covers the whole
-  grid in one span.  Every sum over the sector runs in numpy's own loops
-  rather than BLAS, whose dot products split a long vector across threads
-  and round by the thread count, so a closed basis gives the same bytes at
-  any thread count.  It is numpy only: the package never loads scipy.
 
 All times are in units with hbar = 1.
 """
@@ -44,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +42,10 @@ from .operators import GaussianPulse, OperatorMatrix, pulse_value
 
 class NumericalDriftError(RuntimeError):
     """Raised when a propagation step violates its conservation tolerance."""
+
+
+# how far a propagator of a Hermitian generator may move a squared norm
+NORM_TOLERANCE = 1e-8
 
 
 @dataclass
@@ -81,13 +74,10 @@ class EvolutionSettings:
     """Fixed-step integrator controls for the pulsed route."""
 
     dt: float
-    norm_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if not 0.0 < self.norm_tolerance < math.inf:
-            raise ValueError("norm_tolerance must be positive and finite")
 
 
 def _check_same_space(op: OperatorMatrix, psi: StateVector) -> None:
@@ -97,10 +87,13 @@ def _check_same_space(op: OperatorMatrix, psi: StateVector) -> None:
 
 def rabi_periods(g: float) -> tuple[float, float]:
     """Full vacuum-Rabi period pi/g of the one-excitation doublet and the
-    sqrt(2)-shortened period of the two-excitation doublet."""
+    sqrt(2)-shortened period of the two-excitation doublet.  ValueError
+    unless g is positive and finite and pi/g is finite too."""
     if not 0.0 < g < math.inf:
         raise ValueError("coupling g must be positive and finite")
     tau1 = math.pi / g
+    if not tau1 < math.inf:
+        raise ValueError(f"coupling g {g:g} puts the Rabi period pi/g beyond the float range")
     return tau1, tau1 / math.sqrt(2.0)
 
 
@@ -132,8 +125,8 @@ def evolve_pulsed(
     symmetric and every pulse is centred on the interval, when it takes two
     steps or more.
 
-    Raises NumericalDriftError if the squared norm moves by more than the
-    settings tolerance (the generator is Hermitian, so any drift is
+    Raises NumericalDriftError if the squared norm moves by more than
+    ``NORM_TOLERANCE`` (the generator is Hermitian, so any drift is
     integrator error).
     """
     _check_same_space(h0, psi)
@@ -150,7 +143,7 @@ def evolve_pulsed(
             raise ValueError("settings are required when no pulses set a time scale")
         settings = EvolutionSettings(dt=sigma_min / 50.0)
     u = pulsed_propagators(h0, pulses, t_start, t_end, settings.dt, (1.0,))[0]
-    return apply_propagator(u, psi, settings.norm_tolerance)
+    return apply_propagator(u, psi)
 
 
 # steps expanded and multiplied together at once: at most _STEP_BLOCK, and
@@ -365,197 +358,18 @@ def _ordered_product(r: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def apply_propagator(u: np.ndarray, psi: StateVector, norm_tolerance: float) -> StateVector:
+def apply_propagator(u: np.ndarray, psi: StateVector) -> StateVector:
     """u |psi> for a propagator of a Hermitian generator; NumericalDriftError
-    if the squared norm of psi moves by more than ``norm_tolerance`` or
+    if the squared norm of psi moves by more than ``NORM_TOLERANCE`` or
     either norm is not finite."""
     y = u @ psi.amplitudes
     norm_in = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
     norm_out = float(np.vdot(y, y).real)
     if not math.isfinite(norm_out):
         raise NumericalDriftError(f"squared norm is not finite ({norm_out}) after the propagator")
-    if not abs(norm_out - norm_in) <= norm_tolerance:
+    if not abs(norm_out - norm_in) <= NORM_TOLERANCE:
         raise NumericalDriftError(
             f"squared norm drifted by {abs(norm_out - norm_in):.3e} "
-            f"(tolerance {norm_tolerance:.3e}); reduce dt"
+            f"(tolerance {NORM_TOLERANCE:.3e}); reduce dt"
         )
     return StateVector(psi.space, y)
-
-
-# amplitude error per unit initial norm a decay may spend over its horizon
-_CLOSURE_TOLERANCE = 1e-10
-# columns a span's basis may hold, doubled while a span fits not one grid step
-_BASIS_CAP = 60
-# how far the 2-norm of a decay step's exponential may exceed 1 by rounding
-_GROWTH_TOLERANCE = 1e-6
-
-
-class _LossyRun(NamedTuple):
-    """Result of ``_lossy_propagation``."""
-
-    survival: np.ndarray  # squared norm at each of the n_steps + 1 grid times
-    basis_dim: int  # dimension of the widest basis a span ran in
-    closure_bound: float  # sum of the spans' amplitude error bounds
-
-
-def _norm(v: np.ndarray) -> float:
-    """2-norm of a real vector, summed in numpy's einsum loop, not BLAS."""
-    return math.sqrt(float(np.einsum("i,i->", v, v)))
-
-
-def _reachable_basis(apply, psi0: np.ndarray, horizon: float, cap: int):
-    """At most ``cap`` orthonormal vectors Q of the Krylov space of the real
-    generator A and psi0, with B and the norm of r in A Q = Q B + r e_k^T,
-    read from the Arnoldi recurrence (Saad 1992): column j of B holds the
-    coefficients both Gram-Schmidt passes took off the image of vector j,
-    and below its diagonal the norm of what was left, the next vector's
-    length.  The basis stops at the first k with horizon * |r| within
-    ``_CLOSURE_TOLERANCE``, at Q spanning the whole space (r is then 0),
-    or at the cap.  ``apply`` maps a real vector to its product with A."""
-    dim = psi0.size
-    cap = min(cap, dim)
-    # writing a vector touches only its own pages: the vectors the basis
-    # never reaches stay unmapped
-    q = np.empty((cap, dim))
-    block = np.zeros((cap, cap))
-    q[0] = psi0 / _norm(psi0)
-    for k in range(1, cap + 1):
-        w = apply(q[k - 1])
-        for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            coefficients = np.einsum("ki,i->k", q[:k], w)
-            block[:k, k - 1] += coefficients
-            w = w - np.einsum("ki,k->i", q[:k], coefficients)
-        residual = _norm(w) if k < dim else 0.0
-        if horizon * residual <= _CLOSURE_TOLERANCE or k == cap:
-            return q[:k], block[:k, :k], residual
-        block[k, k - 1] = residual
-        q[k] = w / residual
-
-
-def _lossy_propagation(apply, psi0: np.ndarray, dt: float, n_steps: int) -> _LossyRun:
-    """Step exp(A dt) psi0 over n_steps equal steps in restarted Krylov
-    spans, recording the squared norm at every grid time; ``apply`` maps a
-    real vector to its product with A, which callers keep dissipative.
-    Each span builds the basis Q of its start psi and steps exp(B dt) of
-    the Arnoldi block from c = |psi| e_1 over the grid left.  With
-    A Q = Q B + r e_k^T, Duhamel's formula bounds the span's amplitude
-    error by |r| times the integral of the last coefficient |c_k|, summed
-    on the grid; a span runs while that bound per unit initial norm keeps
-    within the share of ``_CLOSURE_TOLERANCE`` its steps take of the
-    n_steps, and the next restarts from Q c.  A basis closed within the
-    tolerance keeps within it to the horizon, since under a dissipative
-    generator |c_k| never exceeds |psi0|; one that fits not one step
-    doubles its cap, and one spanning the space has r = 0 and covers the
-    rest, so the loop ends.
-
-    B = Q^T A Q is dissipative too, so |exp(B dt)|_2 <= 1: a step
-    exponential that grows beyond rounding (an oscillation the Pade
-    squarings do not resolve) raises NumericalDriftError before it is
-    stepped, and so does a basis spanning the space that fits no step."""
-    horizon = dt * n_steps
-    scale = _norm(psi0)
-    survival = np.empty(n_steps + 1)
-    psi, start, cap, basis_dim, bound = psi0, 0, _BASIS_CAP, 0, 0.0
-    while True:
-        q, block, residual = _reachable_basis(apply, psi, horizon, cap)
-        step = _expm(block * dt)
-        if not _contracts(step, 1.0 + _GROWTH_TOLERANCE):
-            raise NumericalDriftError(
-                f"a decay step of the {len(block)}-vector basis grows the norm by a factor "
-                f"of up to {np.linalg.norm(step, 2):.6g}; the step exponential does not "
-                "resolve the generator"
-            )
-        coef = np.zeros(len(block))
-        coef[0] = _norm(psi)
-        table = _step_powers(step, coef, n_steps - start)
-        drift = residual * dt * np.cumsum(np.abs(table[1:, -1])) / scale
-        within = drift <= _CLOSURE_TOLERANCE * np.arange(1, len(table)) / n_steps
-        stop = len(within) if within.all() else int(np.argmin(within))
-        if stop == 0:
-            if len(block) == psi.size:
-                raise NumericalDriftError(
-                    f"a basis spanning all {psi.size} states fits not one decay step"
-                )
-            cap *= 2
-            continue
-        table = table[: stop + 1]
-        survival[start : start + stop + 1] = np.sum(table**2, axis=1)
-        basis_dim, bound = max(basis_dim, len(coef)), bound + float(drift[stop - 1])
-        start += stop
-        if start == n_steps:
-            return _LossyRun(survival, basis_dim, bound)
-        psi = np.einsum("ki,k->i", q, table[stop])
-
-
-def _contracts(step: np.ndarray, ceiling: float) -> bool:
-    """Whether the 2-norm of ``step`` is below ``ceiling``: then no entry
-    exceeds it, and ceiling^2 I - step^T step is positive definite, which
-    its Cholesky factorization tells (the Gram matrix of entries that small
-    cannot overflow, and no eigen- or singular-value routine is loaded)."""
-    if not np.max(np.abs(step)) < ceiling:
-        return False
-    try:
-        np.linalg.cholesky(ceiling**2 * np.eye(len(step)) - step.T @ step)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _step_powers(step: np.ndarray, coef: np.ndarray, n_steps: int) -> np.ndarray:
-    """Rows step^i coef for i = 0..n_steps, by doubling: rows [k, 2k) are
-    rows [0, k) times step^k, and step^k is squared each round, so the grid
-    takes about log2(n_steps) matrix products instead of n_steps steps."""
-    table = np.empty((n_steps + 1, len(coef)), dtype=np.result_type(step, coef))
-    table[0] = coef
-    power = step.T  # rows are row vectors: (P c)^T = c^T P^T
-    filled = 1
-    while filled <= n_steps:
-        count = min(filled, n_steps + 1 - filled)
-        table[filled : filled + count] = table[:count] @ power
-        filled += count
-        if filled <= n_steps:
-            power = power @ power
-    return table
-
-
-# [13/13] Pade coefficients and the 1-norm up to which that approximant
-# meets double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005)).  They are divided by b_0, which leaves the approximant
-# unchanged and makes V = I at a = 0, so exp(0) comes out as I exactly.
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-))
-_THETA13 = 5.371920351148152
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring with the [13/13] Pade approximant:
-    a is halved s times until its 1-norm is at most theta_13, the
-    approximant r = (V - U)^-1 (V + U) is one linear solve, and r is
-    squared s times.  ValueError if a has a non-finite entry, and
-    NumericalDriftError if the squarings, each doubling r's rounding error,
-    overflow."""
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix exponential of a non-finite block")
-    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**s
-    b = _PADE13
-    eye = np.eye(len(a), dtype=a.dtype)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
-    if not np.all(np.isfinite(r)):
-        raise NumericalDriftError(f"a step of 1-norm {norm:.3e} overflows in {s} squarings")
-    return r

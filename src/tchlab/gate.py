@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -140,6 +141,10 @@ class GateConfig:
     complete photon swap; either amplitude must be at most ``MAX_ALPHA``.
     ``dt = None`` selects the default integrator step
     min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
+    ValueError, besides for a parameter out of its range, for a g whose
+    Rabi period pi/g overflows (``rabi_periods``), a sigma so wide that the
+    area-rule amplitude is 0, and an omega or g whose largest register
+    frequency, 2 omega + 3 g, times the schedule's duration overflows.
     """
 
     g: float = 1e-3
@@ -149,26 +154,32 @@ class GateConfig:
     n2: int = 6
     omega: float = 1.0
     dt: float | None = None
-    norm_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 < self.g < math.inf:
-            raise ValueError("coupling g must be positive and finite")
+        tau1, tau2 = rabi_periods(self.g)
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("pulse sigma must be positive and finite")
         if self.alpha is not None and not 0.0 <= self.alpha < math.inf:
             raise ValueError("pulse amplitude alpha must be non-negative and finite")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("resonance counters must be positive integers")
+        # the hold's counter becomes a float in its duration
+        if not (1 <= self.n1 and 1 <= self.n2 <= sys.float_info.max):
+            raise ValueError("resonance counters must be positive integers within the float range")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValueError("integrator step dt must be a positive finite number")
-        if not 0.0 < self.norm_tolerance < math.inf:
-            raise ValueError("norm_tolerance must be positive and finite")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
+            raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
+        duration = 1.5 * tau1 + 2.0 * self.n2 * tau2 + 4.0 * self.window  # the schedule's
+        if not (2.0 * self.omega + 3.0 * self.g) * duration < math.inf:
+            raise ValueError(f"omega {self.omega:g} and g {self.g:g} put the register's phase, "
+                             f"(2 omega + 3 g) times the schedule's duration {duration:g}, "
+                             "beyond the float range")
         if not self.resolved_alpha <= MAX_ALPHA:
             source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
             raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
                              f"exceeds the limit of {MAX_ALPHA:g}")
-        if self.sigma > self.tau1 / 10.0:
+        if self.sigma > tau1 / 10.0:
             warnings.warn(
                 "pulse sigma is not small against the Rabi period; "
                 "exchange and Rabi dynamics will mix",
@@ -304,19 +315,18 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
 
 
 def _exchange_links(
-    config: GateConfig, dt: float, amplitudes: tuple[float, ...]
+    config: GateConfig, space: HilbertSpace, h0, dt: float, amplitudes: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator stacks of the aux<->x and the aux<->y exchange on the
-    register sector, one per pulse amplitude in the order given, in steps
-    of dt.  Only the aux<->x link is integrated, with the unit-amplitude
-    pulse scaled by each amplitude.  The aux<->y link is that link seen
-    through the x<->y swap of basis labels, so its stack is the same stack
-    with rows and columns permuted."""
+    caller's register sector ``space`` with its H0, one per pulse amplitude
+    in the order given, in steps of dt.  Only the aux<->x link is
+    integrated, with the unit-amplitude pulse scaled by each amplitude.
+    The aux<->y link is that link seen through the x<->y swap of basis
+    labels, so its stack is the same stack with rows and columns permuted."""
     ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
     unit = dataclasses.replace(ev.pulse, amplitude=1.0)
-    space = gate_space(config)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    x_link = pulsed_propagators(build_tch(space), [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
+    x_link = pulsed_propagators(h0, [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
     swap = _xy_swap(space)
     # C-contiguous like the integrated stack, so that every slice has one
     # memory layout and applying it rounds the same way
@@ -326,7 +336,7 @@ def _exchange_links(
 def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVector:
     """Carry a register state through the schedule: free segments exactly
     under h0, each exchange by its propagator in ``links`` under the
-    norm-drift check against ``config.norm_tolerance``, or by its zero-width
+    norm-drift check of ``apply_propagator``, or by its zero-width
     limit when ``links`` is None.  ``links`` holds the aux<->x and the
     aux<->y propagator, so the exchanged qubit cavity (X_CAVITY = 0 or
     Y_CAVITY = 1) indexes it."""
@@ -337,7 +347,7 @@ def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVecto
             jump = jump_operator(psi.space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
             psi = evolve_const(jump, psi, math.pi / 2.0)
         else:
-            psi = apply_propagator(links[ev.cavity_b], psi, config.norm_tolerance)
+            psi = apply_propagator(links[ev.cavity_b], psi)
     return psi
 
 
@@ -346,18 +356,19 @@ def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
 
     Each exchange applies its link's propagator at the config's amplitude
     and step to the carried state, whose norm drift is checked against
-    ``config.norm_tolerance``.
+    ``evolution.NORM_TOLERANCE``.
 
     ``instant_swaps`` replaces each Gaussian exchange by its zero-width
     limit, the exact quarter-cycle hop map exp(-i (pi/2) J); free segments
     are untouched.  Useful for separating timing error from pulse error.
     """
     space = gate_space(config)
+    h0 = build_tch(space)
     links = None
     if not instant_swaps:
-        stacks = _exchange_links(config, config.resolved_dt, (config.resolved_alpha,))
+        stacks = _exchange_links(config, space, h0, config.resolved_dt, (config.resolved_alpha,))
         links = tuple(u[0] for u in stacks)
-    return _run_schedule(encode(q, space), build_tch(space), config, links)
+    return _run_schedule(encode(q, space), h0, config, links)
 
 
 def schedule_phase(config: GateConfig, instant_swaps: bool = False) -> complex:
@@ -409,7 +420,7 @@ def basis_branch_phases(config: GateConfig) -> dict[str, complex]:
     build of the links at the config's amplitude and step."""
     space = gate_space(config)
     h0 = build_tch(space)
-    stacks = _exchange_links(config, config.resolved_dt, (config.resolved_alpha,))
+    stacks = _exchange_links(config, space, h0, config.resolved_dt, (config.resolved_alpha,))
     links = tuple(u[0] for u in stacks)
     return {
         label: branch_phase(_run_schedule(encode(q, space), h0, config, links), label, config)
@@ -478,7 +489,7 @@ def sweep(
         groups.setdefault(cfg.resolved_dt, []).append(i)
     rows = [None] * len(configs)
     for dt, members in groups.items():
-        stacks = _exchange_links(config, dt, tuple(configs[i].alpha for i in members))
+        stacks = _exchange_links(config, space, h0, dt, tuple(configs[i].alpha for i in members))
         for k, i in enumerate(members):
             cfg = configs[i]
             psi = _run_schedule(psi0, h0, cfg, tuple(u[k] for u in stacks))

@@ -1,14 +1,16 @@
 """Serialization helpers for experiment outputs.
 
-Every number reaches a CSV file as ``format(x, ".17g")`` would print it:
-doubles round-trip exactly and integers below 2**53 print the digits of
-``str``.  One numpy kernel, ``_cells``, computes those 17 digits for a
-whole float64 column at once (see its docstring for why it is exact), and
-both ``format_column`` and ``write_grid_csv`` read their cells from it.
-Tables are streamed.  No cell is quoted: a cell needing it (``,``, ``"``,
-``\r``, ``\n``) or a row not as wide as the header raises ValueError, a
-non-str cell TypeError, and no file is left behind.  JSON summaries are
-sorted, restricted to plain types and finite."""
+The CSV writers take numbers and print each as ``format(x, ".17g")``
+would: doubles round-trip exactly and integers below 2**53 print the
+digits of ``str``.  One numpy kernel, ``_cells``, computes those 17 digits
+for a whole float64 column at once (see its docstring for why it is
+exact), and ``format_column``, ``write_csv`` and ``write_grid_csv`` all
+read their cells from it.  Tables are streamed.  A number never needs
+quoting, so only the header is checked for a field that would (``,``,
+``"``, ``\r``, ``\n``, ValueError); a cell that is not a number raises
+TypeError and a row not as wide as the header ValueError, and no file is
+left behind.  JSON summaries are sorted, restricted to plain types and
+finite."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ _LEAD = slice(25, 28)  # the zeros after the point of a fixed value below 0.1
 _FRAC = 7  # word offset of 20 bytes: "000", then digit j at byte 31 + j
 _EXP = 48  # "e", its sign, then the exponent digits at word offset 13
 _CELL = 56
-_COLUMN_BLOCK = 2048  # values per kernel call in format_column: a bounded working set
+_COLUMN_BLOCK = 2048  # cells per kernel call of format_column and write_csv: a bounded working set
 
 _FAST_RANGE = (1e-250, 1e250)  # |x| where no product below under- or overflows
 _MARGIN = 2.0**-30  # a fraction this near 1/2 is not trusted; k moves for y this far out
@@ -206,33 +208,41 @@ def format_column(values) -> list[str]:
     return column
 
 
-def format_rows(columns):
-    """The rows of equally long numeric columns, each a tuple of str cells
-    as ``format_column`` prints them; one kernel call for the table."""
-    columns = np.asarray(columns, dtype=float)
-    cells = iter(format_column(columns.T))  # row after row
-    return zip(*[cells] * len(columns))
+def _numbers(rows, width: int) -> np.ndarray:
+    """A list of rows as a numeric (n, width) array: TypeError for a cell
+    that is not a number and ValueError for a row of another width, read
+    off the cells as given, before a float conversion could parse "0.25"."""
+    table = np.array(rows) if len(rows) else np.empty((0, width))
+    if table.dtype.kind not in "iuf":
+        raise TypeError(f"CSV cells must be numbers, not {table.dtype}")
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"CSV rows of shape {table.shape[1:]} for a header of {width} fields")
+    return table
 
 
-def _plain(text: str, n: int, width: int) -> str:
-    """``text`` if it is n lines of ``width`` unquoted cells, else ValueError.
-    Counts only add up, so checking a block refuses what checking each row
-    would."""
-    if (text.count(",") != n * (width - 1) or '"' in text
-            or text.count("\r") != n or text.count("\n") != n):
-        raise ValueError(f"CSV cell needs quoting or row is ragged: {text[:200]!r}")
-    return text
+def _lines(table: np.ndarray) -> str:
+    """The CSV lines of a numeric table: a frame of its ``_cells``, each but
+    the first after a comma in its byte 0, and the line ends."""
+    frame = np.zeros((len(table), table.shape[1] * _CELL + 2), np.uint8)
+    cells = frame[:, :-2].reshape(len(table), table.shape[1], _CELL)
+    cells[...] = _cells(table).reshape(cells.shape)
+    cells[:, 1:, 0] = ord(",")
+    frame[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    return _text(frame)
 
 
 def _write_blocks(path, header, blocks) -> Path:
-    """Write the checked header, then each block of rows, already checked.
-    On failure, no file."""
+    """Write the header, refused before any file if a field needs quoting,
+    then each block of lines.  On failure, no file."""
+    line = ",".join(header)
+    if line.count(",") != len(header) - 1 or any(c in line for c in '"\r\n'):
+        raise ValueError(f"CSV header field needs quoting: {line[:200]!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", newline="")
     try:
         with fh:
-            fh.write(_plain(",".join(header) + "\r\n", 1, len(header)))
+            fh.write(line + "\r\n")
             fh.writelines(blocks)
     except BaseException:
         path.unlink(missing_ok=True)
@@ -241,47 +251,41 @@ def _write_blocks(path, header, blocks) -> Path:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write ``header`` and then ``rows``, consumed once by iteration.  Every
-    cell must be a str (numbers go through ``format_column`` first); any
-    other cell raises TypeError.  A row of another width than the header
-    counts as no row, which the check refuses."""
-    return _write_blocks(path, header, (
-        _plain(",".join(row) + "\r\n", int(len(row) == len(header)), len(header))
-        for row in rows))
+    """Write ``header`` and then ``rows`` of numbers, consumed once by
+    iteration, as ``_lines`` in blocks of at most _COLUMN_BLOCK cells."""
+    table = _numbers(list(rows), len(header))
+    step = max(1, _COLUMN_BLOCK // len(header))
+    return _write_blocks(path, header, map(_lines, np.split(table, range(step, len(table), step))))
 
 
 def write_grid_csv(path, header, times, sites, values) -> Path:
     """Rows (time, *site cells, re, im, abs) of a complex (time x site) grid,
-    time-major, from numeric times and the str cells of each site.  Each
-    time sample is one block: a uint8 matrix of one row per site, holding
-    the time's cell, the site's cells, the ``_cells`` of re, im and abs and
-    the separators, whose 0 bytes are dropped before it is written.  The
-    numbers never need quoting, so only the site cells are checked, once,
-    before the file is opened; a site cell holding a NUL character is
-    refused too.  A block of another width than ``sites`` raises TypeError."""
+    time-major, from numeric times and site columns (one per header field
+    between the time and re, im, abs, refused as ``write_csv`` refuses
+    rows), formatted once.  Each time sample is one block: a uint8 matrix
+    of one row per site, holding the time's cell, the site's cells, the
+    ``_cells`` of re, im and abs and the separators, whose 0 bytes are
+    dropped before it is written.  A block of another width than the sites
+    raises TypeError."""
     stamps = _cells(times)
-    rows = ["," + ",".join(c) + ",,,\r\n" for c in sites]
-    if len(stamps):  # with no time sample there is no row to refuse
-        text = "".join(rows)
-        if "\0" in text:
-            raise ValueError(f"CSV site cell holds a NUL character: {text[:200]!r}")
-        _plain(text, len(sites), len(header))
-    site_cells = np.array([row[:-5].encode() for row in rows], dtype=bytes)
+    lines = _lines(_numbers(np.transpose(sites), len(header) - 4)).split("\r\n")[:-1]
+    site_cells = np.array([b"," + line.encode() for line in lines], dtype=bytes)
     width = site_cells.dtype.itemsize
+    n_sites = len(site_cells)
     # one buffer for every block: the time, each site's cells after their
     # commas, re, im and abs each after a comma in its byte 0, the line end
-    frame = np.zeros((len(sites), _CELL + width + 3 * _CELL + 2), np.uint8)
-    frame[:, _CELL:_CELL + width] = site_cells.view(np.uint8).reshape(len(sites), width)
+    frame = np.zeros((n_sites, _CELL + width + 3 * _CELL + 2), np.uint8)
+    frame[:, _CELL:_CELL + width] = site_cells.view(np.uint8).reshape(n_sites, width)
     frame[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    numbers = frame[:, _CELL + width:-2].reshape(len(sites), 3, _CELL)
+    numbers = frame[:, _CELL + width:-2].reshape(n_sites, 3, _CELL)
 
     def block(stamp, z):
         z = np.asarray(z)
-        if z.shape != (len(sites),):
-            raise TypeError(f"a block of shape {z.shape} for {len(sites)} sites")
+        if z.shape != (n_sites,):
+            raise TypeError(f"a block of shape {z.shape} for {n_sites} sites")
         frame[:, :_CELL] = stamp
         cells = _cells(np.stack((z.real, z.imag, np.hypot(z.real, z.imag))))
-        numbers[...] = cells.reshape(3, len(sites), _CELL).transpose(1, 0, 2)
+        numbers[...] = cells.reshape(3, n_sites, _CELL).transpose(1, 0, 2)
         numbers[:, :, 0] = ord(",")
         return _text(frame)
     return _write_blocks(path, header, map(block, stamps, values))

@@ -113,7 +113,8 @@ class WalkConfig:
     that the spreading photon has not wrapped around the ring.  ValueError
     for more than ``MAX_CELLS`` cells (cavities times time samples), or a
     mass or horizon that puts the largest band energy, or its phase at
-    t_max, or the kernel's phase, beyond the float range."""
+    t_max, the kernel's phase, or the edge of the kernel's validity band,
+    beyond the float range."""
 
     n_cavities: int = 128
     mass: float = 1.0
@@ -153,6 +154,12 @@ class WalkConfig:
                 < math.inf):
             raise ValueError(f"mass {self.mass:g} over the time step {step:g} puts the kernel "
                              "phase, 2 pi^2 mass n_cavities / step, beyond the float range")
+        # the stationary-phase band edge the CLI compares the kernel within
+        edge = 0.4 * math.sqrt(self.n_cavities) * self.resolved_t_max / (2.0 * math.pi * self.mass)
+        if not edge < math.inf:
+            raise ValueError(f"t_max {self.resolved_t_max:g} over mass {self.mass:g} puts the "
+                             "kernel band's edge, 0.4 sqrt(n_cavities) t_max / (2 pi mass), "
+                             "beyond the float range")
 
     @property
     def resolved_origin(self) -> int:

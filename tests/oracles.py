@@ -22,7 +22,7 @@ for; ``rk4_propagator_loop`` also runs on the forward grid.
 matrix exponential of the full effective generator, stepped over the time
 grid on the whole sector; the exponential is cached per configuration and
 sector, so the states of one register share it.  ``step_powers_loop`` steps one vector at a time,
-the reference for the doubling that ``evolution._step_powers`` does, and
+the reference for the doubling that ``darkstates._step_powers`` does, and
 ``collective_lowering_loop`` fills the collective lowering operator one
 entry at a time, the dense reference for the matrix-free
 ``darkstates.is_dark``.
@@ -274,9 +274,10 @@ def step_times(t_start, t_end, dt, mirrored=True):
 
 def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
     """Fixed-step fourth-order integration of i dy/dt = (H0 + sum_k nu_k(t)
-    J_k) y on one state vector, with the step count, the mirrored sample
-    times (``step_times``) and the generator of the production scheme.
-    Returns the final amplitudes and the magnitude of the squared-norm
+    J_k) y on one state vector, or on each column of a matrix of them, all
+    stepped as one array, with the step count, the mirrored sample times
+    (``step_times``) and the generator of the production scheme.  Returns
+    the final amplitudes and the magnitude of each state's squared-norm
     change."""
     _, dt, times = step_times(t_start, t_end, dt)
     base = h0.matrix
@@ -293,8 +294,8 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
                 h += v * op.matrix
         return h
 
-    y = np.asarray(amplitudes, dtype=complex).copy()
-    norm_in = float(np.vdot(y, y).real)
+    y = np.array(amplitudes, dtype=complex)
+    norm_in = np.sum(np.abs(y) ** 2, axis=0)
     for t_a, t_m, t_b in times:
         h_a = generator(t_a)
         h_m = generator(t_m)
@@ -305,8 +306,7 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
         k4 = -1j * (h_b @ (y + dt * k3))
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    norm_out = float(np.vdot(y, y).real)
-    return y, abs(norm_out - norm_in)
+    return y, np.abs(np.sum(np.abs(y) ** 2, axis=0) - norm_in)
 
 
 def rk4_propagator_loop(h0, pulses, t_start, t_end, dt, mirrored=True):
@@ -517,11 +517,34 @@ def dense_emission_survival(psi_at, config):
     return times, survival
 
 
-# Cached so that the dark and light states of one register exponentiate once.
-@functools.lru_cache(maxsize=2)
-def _dense_decay_step(config, sector):
-    """The one-cavity sector and the expm of its effective generator over
-    one step of the ``emission_density`` grid."""
+def mp_emission_survival(psi_at, config, digits=40):
+    """``dense_emission_survival`` with the step exponential and every step
+    in mpmath at ``digits`` significant digits: the reference that shows
+    the rounding of the double-precision step exponential."""
+    import mpmath
+
+    psi_at = np.asarray(psi_at, dtype=complex)
+    s = config.n_atoms
+    support = [b for b in range(2**s) if abs(psi_at[b]) > 0.0]
+    sector = 1 + bin(support[0]).count("1")
+    space, h_eff = _decay_sector(config, sector)
+    index = state_index(space)
+    times = np.linspace(0.0, config.resolved_t_max, config.n_times)
+    with mpmath.workdps(digits):
+        step = mpmath.expm(-1j * mpmath.matrix(h_eff.tolist()) * mpmath.mpf(times[1] - times[0]))
+        amps = mpmath.matrix(space.dim, 1)
+        for b in support:
+            bits = tuple((b >> (s - 1 - j)) & 1 for j in range(s))
+            amps[index[(1,) + bits]] = mpmath.mpc(psi_at[b])
+        survival = np.empty(len(times))
+        for i in range(len(times)):
+            survival[i] = float(sum(abs(a) ** 2 for a in amps))
+            amps = step * amps
+    return times, survival
+
+
+def _decay_sector(config, sector):
+    """The one-cavity sector and its effective generator."""
     network = NetworkConfig(
         n_cavities=1,
         atoms_per_cavity=(config.n_atoms,),
@@ -530,10 +553,16 @@ def _dense_decay_step(config, sector):
         omega=config.omega,
     )
     space = HilbertSpace(network, sector)
-    h_eff = (
-        build_tc(space, 0).matrix
-        - 0.5j * config.resolved_kappa * photon_number_operator(space, 0).matrix
-    )
+    return space, (build_tc(space, 0).matrix
+                   - 0.5j * config.resolved_kappa * photon_number_operator(space, 0).matrix)
+
+
+# Cached so that the dark and light states of one register exponentiate once.
+@functools.lru_cache(maxsize=2)
+def _dense_decay_step(config, sector):
+    """The one-cavity sector and the expm of its effective generator over
+    one step of the ``emission_density`` grid."""
+    space, h_eff = _decay_sector(config, sector)
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
     return space, scipy.linalg.expm(-1j * h_eff * (times[1] - times[0]))
 

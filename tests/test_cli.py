@@ -4,17 +4,29 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tchlab
 from oracles import walk_rows_loop, write_csv_loop
 from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superposition
 from tchlab.cli import _light_reference, build_parser, main
-from tchlab.darkstates import DecayConfig, emission_density, singlet_product
+from tchlab.darkstates import (
+    MAX_ATOMS,
+    MAX_TIMES,
+    MAX_TRIALS,
+    DecayConfig,
+    emission_density,
+    singlet_product,
+)
+from tchlab.gate import MAX_PAIRS
+from tchlab.walk import MAX_CELLS
 from tchlab.evolution import pulsed_propagators
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
@@ -94,6 +106,23 @@ def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
     monkeypatch.setattr(tchlab.gate, "pulsed_propagators", counted)
     assert main(["gate", "--out-dir", str(tmp_path)]) == 0
     assert amplitudes == [5, 1]
+
+
+def test_a_default_gate_run_builds_two_registers_and_two_h0(tmp_path, monkeypatch):
+    # the sweep and the branch phases each build one register and its H0,
+    # and their link builds take both instead of building their own
+    built = []
+
+    def counted(builder):
+        def build(*args, **kwargs):
+            built.append(builder.__name__)
+            return builder(*args, **kwargs)
+        return build
+
+    for name in ("gate_space", "build_tch"):
+        monkeypatch.setattr(tchlab.gate, name, counted(getattr(tchlab.gate, name)))
+    assert main(["gate", "--out-dir", str(tmp_path)]) == 0
+    assert sorted(built) == ["build_tch"] * 2 + ["gate_space"] * 2
 
 
 def test_gate_coarse_step_exits_with_drift_code(tmp_path, capsys):
@@ -383,11 +412,26 @@ OVERFLOWING_CASES = [
     (["walk", "--mass", "1e-320"], 2, "mass"),
     (["walk", "--mass", "1e-307"], 2, "mass"),
     (["walk", "--t-max", "1e308", "--n-cavities", "1024"], 2, "t_max"),
+    # products that overflowed, divided by zero or took memory by the atom
+    # before they were checked: refused before any work, naming the parameter
+    (["gate", "--g", "5e-324"], 2, "pi/g"),
+    (["gate", "--g", "1e-320"], 2, "pi/g"),
+    (["resonance", "--g", "1e-320"], 2, "pi/g"),
+    (["gate", "--g", "1e-307"], 2, "g 1e-307"),
+    (["gate", "--g", "1.7976931348623157e308"], 2, "g 1.79769e+308"),
+    (["gate", "--omega", "1.7976931348623157e308"], 2, "omega 1.79769e+308"),
+    (["dark", "--omega", "1.7976931348623157e308"], 2, "omega 1.79769e+308"),
+    (["gate", "--sigma", "1.7976931348623157e308"], 2, "sigma"),
+    (["gate", "--n2", "1" + "0" * 400], 2, "counters"),
+    (["dark", "--atoms", "1000000000000"], 2, "--atoms"),
+    # a step of 1e11 radians: its Pade squarings round the survival by 8e-5
+    (["dark", "--atoms", "2", "--g", "1e12", "--kappa", "1", "--n-times", "201"], 3, "squarings"),
 ]
 
 
 @pytest.mark.parametrize("args, code, name", OVERFLOWING_CASES,
-                         ids=[" ".join(args) for args, _, _ in OVERFLOWING_CASES])
+                         ids=[" ".join(a if len(a) < 40 else f"{a[:6]}...({len(a)} digits)"
+                                       for a in args) for args, _, _ in OVERFLOWING_CASES])
 def test_overflowing_gate_and_walk_parameters_end_in_a_documented_code(
         tmp_path, capsys, args, code, name):
     assert main([*args, "--out-dir", str(tmp_path)]) == code
@@ -623,3 +667,106 @@ def test_out_dir_is_created(tmp_path):
     nested = tmp_path / "a" / "b"
     assert main(["resonance", "--out-dir", str(nested), "--n-max", "10"]) == 0
     assert (nested / "resonance_summary.json").exists()
+
+
+# every double: signed zeros, subnormals, the extremes, nan and infinities,
+# and ordinary magnitudes, which the whole range alone seldom draws
+DOUBLES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308,
+                                     1e-300, 1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+                                     math.nan, math.inf, -math.inf]),
+                    st.floats(), st.floats(1e-4, 1e4))
+
+
+def _doubles(costly=None):
+    """Every double, less the magnitudes in an open band (lo, hi) of valid
+    values whose run is not cheap: that work has its own tests."""
+    if costly is None:
+        return DOUBLES
+    lo, hi = costly
+    return DOUBLES.filter(lambda x: not lo < abs(x) < hi)
+
+
+def _ints(cheap, limit=None):
+    """Small values up to ``cheap`` and values past the documented limit,
+    up to 10^12 (any value up to 10^12 when nothing past it costs work)."""
+    if limit is None:
+        return st.integers(-2, 10**12)
+    return st.one_of(st.integers(-2, cheap), st.integers(limit + 1, 10**12))
+
+
+SEEDS = st.integers(-(10**12), 10**12)
+# (cheap base arguments the drawn flags override, every documented flag)
+SUBCOMMANDS = {
+    "gate": (["--alpha-scales", "1", "--dt", "0.015"], {
+        "--g": _doubles(), "--omega": _doubles(),
+        # 800 sigma steps of 0.015: wide valid pulses are not cheap
+        "--sigma": _doubles(costly=(1.0, 1e4)),
+        "--n1": _ints(None), "--n2": _ints(None),
+        "--alpha-scales": st.lists(_doubles(), min_size=1, max_size=3).map(
+            lambda xs: ",".join(map(repr, xs))),
+        "--input": st.sampled_from(["uniform", "00", "01", "10", "11"]),
+        # a window of 6 takes more than 1,000,000 steps below 6e-6
+        "--dt": _doubles(costly=(5e-6, 0.02)),
+        "--seed": SEEDS,
+    }),
+    "walk": (["--n-cavities", "16", "--n-times", "5"], {
+        "--n-cavities": _ints(64, MAX_CELLS), "--mass": _doubles(),
+        "--origin": st.integers(-(10**12), 10**12), "--t-max": _doubles(),
+        "--n-times": _ints(60, MAX_CELLS), "--seed": SEEDS,
+    }),
+    "dark": (["--n-times", "21", "--n-trials", "50"], {
+        "--atoms": _ints(6, MAX_ATOMS), "--g": _doubles(), "--omega": _doubles(),
+        "--kappa": _doubles(), "--t-max": _doubles(), "--n-times": _ints(60, MAX_TIMES),
+        "--n-trials": _ints(1000, MAX_TRIALS), "--detector-error": _doubles(),
+        "--truth": st.sampled_from(["dark", "light"]), "--seed": SEEDS,
+    }),
+    "resonance": ([], {
+        "--g": _doubles(), "--n-max": _ints(300, MAX_PAIRS), "--top": _ints(50, MAX_PAIRS),
+        "--seed": SEEDS,
+    }),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    base, flags = SUBCOMMANDS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
+    drawn = [f"{flag}={draw(flags[flag])!r}".replace("'", "") for flag in chosen]
+    return [command, *base, *drawn]
+
+
+def _finite_numbers(value):
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON file")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argvs())
+def test_every_documented_argv_ends_in_a_documented_code(argv):
+    # under the suite's error::RuntimeWarning: no warning, traceback or
+    # crash, and a refused run leaves no file
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        try:
+            code = main([*argv, "--out-dir", str(out)])
+        except SystemExit as exc:  # argparse refuses the flag's text
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        written = sorted(out.iterdir()) if out.exists() else []
+        if code in (2, 3):
+            assert written == [], argv
+        for path in written:
+            text = path.read_text()
+            if path.suffix == ".json":
+                assert _finite_numbers(json.loads(text, parse_constant=_refuse_constant)), path
+            else:
+                _, *rows = csv.reader(text.splitlines())
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row), path

@@ -13,13 +13,13 @@ from oracles import (
     build_tc_loop,
     collective_lowering_loop,
     dense_emission_survival,
+    mp_emission_survival,
     occupations_loop,
     state_index,
 )
 
 import tchlab
 import tchlab.darkstates as darkstates
-import tchlab.evolution as evolution
 from tchlab import (
     DecayConfig,
     HilbertSpace,
@@ -196,6 +196,25 @@ def test_decay_config_takes_its_limits():
     assert DecayConfig(kappa=MAX_RATE, couplings=(MAX_RATE,)).resolved_t_max == 20.0 / MAX_RATE
     # a subnormal rate is fine with a horizon of its own
     assert DecayConfig(kappa=1e-320, t_max=1.0).resolved_t_max == 1.0
+
+
+@pytest.mark.parametrize("omega", [0.0, math.nan, 1.7976931348623157e308])
+def test_decay_config_refuses_an_omega_its_diagonal_cannot_take(omega):
+    # the full register's diagonal, omega times its three excitations, overflows
+    with pytest.raises(ValueError, match="omega"):
+        DecayConfig(omega=omega)
+
+
+def test_strong_coupling_decay_is_accurate_or_refused():
+    # against 40 digits: steps of 1.4e4 radians round the survival by about
+    # 1e-11, within the 2e-10 a report promises; steps of 1.4e8 radians
+    # would round it by about 1e-7, and are refused
+    light = triplet_state()
+    kept = DecayConfig(couplings=(1e5, 1e5), kappa=1.0, n_times=201)
+    _, reference = mp_emission_survival(light, kept)
+    assert np.max(np.abs(emission_density(light, kept).survival - reference)) < 2e-10
+    with pytest.raises(NumericalDriftError, match="squarings"):
+        emission_density(light, DecayConfig(couplings=(1e9, 1e9), kappa=1.0, n_times=201))
 
 
 def test_sampling_refuses_more_trials_than_its_limit():
@@ -395,15 +414,15 @@ def test_generic_twelve_atom_decay_runs_in_two_spans():
     # imaginary part of the start each run in two spans of 60 vectors
     widths, basis_dim, closure_bound, peak_kb = _fresh_process_run(
         "import numpy as np\n"
-        "import tchlab.evolution as evolution\n"
+        "import tchlab.darkstates as darkstates\n"
         "from tchlab import DecayConfig, emission_density\n"
         "widths = []\n"
-        "reachable = evolution._reachable_basis\n"
+        "reachable = darkstates._reachable_basis\n"
         "def counted(*args):\n"
         "    basis = reachable(*args)\n"
         "    widths.append(str(len(basis[1])))\n"
         "    return basis\n"
-        "evolution._reachable_basis = counted\n"
+        "darkstates._reachable_basis = counted\n"
         + inspect.getsource(_generic_register) +
         "report = emission_density(*_generic_register(12, t_max=4000.0, n_times=201))\n"
         "print(','.join(widths), report.basis_dim, report.closure_bound)\n"
@@ -444,14 +463,14 @@ def test_coarse_grid_widens_the_basis_to_the_whole_sector(n_times, monkeypatch):
     # a complex state runs its real and its imaginary part that way in turn,
     # and no run grows wider than the sector
     widths = []
-    reachable = evolution._reachable_basis
+    reachable = darkstates._reachable_basis
 
     def recorded(apply, psi0, horizon, cap):
         basis = reachable(apply, psi0, horizon, cap)
         widths.append(len(basis[1]))
         return basis
 
-    monkeypatch.setattr(evolution, "_reachable_basis", recorded)
+    monkeypatch.setattr(darkstates, "_reachable_basis", recorded)
     psi, cfg = _generic_register(8, n_times=n_times)
     for state, expected in ((psi.real / np.linalg.norm(psi.real), [60, 120, 219]),
                             (psi, [60, 120, 219] * 2)):
