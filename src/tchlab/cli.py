@@ -39,8 +39,9 @@ from .gate import (
     MAX_PAIRS,
     GateConfig,
     basis_branch_phases,
-    cocsign_schedule,
+    hold_duration,
     resonance_table,
+    schedule_duration,
     sweep,
     uniform_superposition,
 )
@@ -76,11 +77,13 @@ def cmd_gate(args) -> int:
     config = GateConfig(
         g=args.g,
         sigma=args.sigma,
-        n1=args.n1,
         n2=args.n2,
         omega=args.omega,
         dt=args.dt,
     )
+    if args.n1 not in (None, config.n1):
+        raise ValueError(f"--n1 {args.n1} is not the pairing of --n2 {config.n2}, "
+                         f"which is n1 = {config.n1}")
     base_alpha = config.resolved_alpha
     alphas = [s * base_alpha for s in args.alpha_scales]
     if args.input == "uniform":
@@ -112,7 +115,7 @@ def cmd_gate(args) -> int:
         "area_rule_alpha": base_alpha,
         "tau1": tau1,
         "tau2": tau2,
-        "total_duration": sum(ev.duration for ev in cocsign_schedule(config)),
+        "total_duration": schedule_duration(config),
         "n_points": len(rows),
         "best": {
             "alpha": best[0],
@@ -360,7 +363,7 @@ def cmd_resonance(args) -> int:
     tau1, tau2 = rabi_periods(args.g)
     rows = resonance_table(args.n_max, top=args.top)
     table = [
-        {"n1": n1, "n2": n2, "residual": residual, "hold_duration": 2.0 * n2 * tau2}
+        {"n1": n1, "n2": n2, "residual": residual, "hold_duration": hold_duration(args.g, n2)}
         for n1, n2, residual in rows
     ]
     print(f"{'n1':>5} {'n2':>5} {'residual':>24} {'hold_duration':>24}")
@@ -399,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=1e-3, help="atom-cavity coupling")
     p.add_argument("--omega", type=float, default=1.0, help="shared resonance frequency")
     p.add_argument("--sigma", type=float, default=0.5, help="exchange pulse width")
-    p.add_argument("--n1", type=int, default=4, help="single-excitation Rabi counter")
+    p.add_argument("--n1", type=int, default=None,
+                   help="single-excitation Rabi counter; optional, refused unless it pairs with --n2")
     p.add_argument("--n2", type=int, default=6, help="double-excitation Rabi counter")
     p.add_argument(
         "--alpha-scales",
@@ -453,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--g", type=float, default=1e-3)
     p.add_argument("--n-max", type=int, default=100,
-                   help=f"largest counter; n_max times the window min(2 top + 1, n_max) "
-                        f"at most {MAX_PAIRS} pairs")
+                   help=f"largest n2, one ranked pair each; at most {MAX_PAIRS} pairs")
     p.add_argument("--top", type=int, default=3, help="rows kept")
     p.set_defaults(func=cmd_resonance)
 

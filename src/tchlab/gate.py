@@ -10,10 +10,11 @@ The gate itself is a timed sequence of photon-exchange pulses and free
 stretches.  Exchanges are Gaussian hop pulses whose time-integrated area is
 a quarter of a full hop cycle (a complete photon swap, phase -i per moved
 photon); free stretches last half a one-excitation Rabi period, except for
-the central stretch of 2*n2 two-excitation half-periods.  The pair (n1, n2)
-is chosen so that 2*n2 two-excitation periods come as close as possible to
-2*n1 + 1/2 one-excitation periods; the leftover mismatch is the gate's
-intrinsic error and shrinks as better pairs are allowed.
+the central hold of 2*n2 full two-excitation periods tau2.  The hold is the
+only place the counters enter the dynamics, so n2 is the one input: n1 is
+derived from it as the count for which 2*n1 + 1/2 one-excitation periods
+come closest to the hold (``paired_n1``).  The leftover mismatch is the
+gate's intrinsic error and shrinks as larger n2 are allowed.
 
 With the sign convention used here the ideal action is
 |x,y> -> (-1)^((x XOR 1) AND y) |x,y>, i.e. only |01> changes sign.
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +50,10 @@ PULSE_CUTOFF = 6.0  # envelope truncation, in sigmas; window width is twice this
 # the largest pulse amplitude: the exchange's step expansion takes its fourth
 # power, which stays below 1e300
 MAX_ALPHA = 1e75
-# Work budget of resonance_table: ranked (n1, n2) pairs, refused before
-# anything is allocated.  On 2 cores with numpy 2.4 `tchlab resonance`
-# peaks at about 37 bytes a pair, about 760 MB at the limit.
+# Work budget of resonance_table: ranked (n1, n2) pairs, one per n2, so an
+# n_max above it is refused before anything is allocated.  On 2 cores with
+# numpy 2.4 `tchlab resonance` peaks at about 36 bytes a pair, about 720 MB
+# at the limit with the default --top; each row listed costs about 1.7 kB.
 MAX_PAIRS = 20_000_000
 
 
@@ -89,43 +89,43 @@ def ideal_cocsign(q) -> np.ndarray:
 # resonance pairs
 # ---------------------------------------------------------------------------
 
-def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, float]]:
-    """All (n1, n2) pairs up to n_max ranked by the timing mismatch
-    |2 n2 / sqrt(2) - 2 n1 - 1/2|, in units of the one-excitation period.
-    Ties prefer smaller n2, then smaller n1.  ``top`` keeps the first rows.
+def paired_n1(n2):
+    """The n1 >= 1 nearest n2 / sqrt(2) - 1/4, which minimizes the mismatch
+    |2 n2 / sqrt(2) - 2 n1 - 1/2|, for an integer or array n2.  A float (of
+    integer value), so that no n2 overflows a cast."""
+    return np.maximum(1.0, np.rint(n2 / math.sqrt(2.0) - 0.25))
 
-    For a given n2 the mismatch grows with the distance of n1 from
-    n2 / sqrt(2) - 1/4, so only the ``top`` values of n1 nearest to it can
-    rank: just a window of 2 top + 1 of them per n2 is ranked, O(n_max top)
-    pairs instead of n_max^2.  Without ``top`` the window is all n_max
-    values, which is the full table.  More than ``MAX_PAIRS`` ranked pairs
-    (n_max times the window) are refused with ValueError before anything is
-    allocated."""
+
+def hold_duration(g: float, n2) -> float:
+    """Length 2 n2 tau2 of the schedule's central hold."""
+    return 2.0 * n2 * rabi_periods(g)[1]
+
+
+def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, float]]:
+    """One row (n1, n2, residual) for every n2 up to n_max, with n1 its
+    ``paired_n1``, ranked by the mismatch in one-excitation periods, then by
+    n2.  ``top`` keeps the first rows.  An n_max above ``MAX_PAIRS`` is
+    refused with ValueError before anything is allocated."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if top is not None and top < 0:
         raise ValueError("top must be non-negative")
-    width = n_max if top is None else min(2 * top + 1, n_max)
-    if n_max * width > MAX_PAIRS:
-        raise ValueError(f"n_max {n_max} with a window of {width} ranks {n_max * width} pairs, "
-                         f"more than the limit of {MAX_PAIRS}")
-    n2 = np.arange(1, n_max + 1)[:, None]
-    nearest = np.rint(n2 / math.sqrt(2.0) - 0.25).astype(np.int64)
-    n1 = np.clip(nearest - width // 2, 1, n_max - width + 1) + np.arange(width)
-    n1, n2 = n1.ravel(), np.broadcast_to(n2, n1.shape).ravel()
+    if n_max > MAX_PAIRS:
+        raise ValueError(f"n_max {n_max} ranks {n_max} pairs, more than the limit of {MAX_PAIRS}")
+    n2 = np.arange(1, n_max + 1)
+    n1 = paired_n1(n2).astype(np.int64)
     residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
-    order = np.lexsort((n1, n2, residual))[:top]
+    order = np.argsort(residual, kind="stable")[:top]
     return list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))
 
 
 def find_resonance(g: float, n_max: int) -> tuple[int, int, float]:
-    """Best (n1, n2, residual) with both counters <= n_max.  The residual is
-    in units of the one-excitation Rabi period, so it does not depend on g;
-    g is validated because the pair is meaningless without a coupling."""
-    if not 0.0 < g < math.inf:
-        raise ValueError("coupling g must be positive and finite")
-    n1, n2, residual = resonance_table(n_max, top=1)[0]
-    return n1, n2, residual
+    """Best (n1, n2, residual) with n2 <= n_max.  The residual is in units
+    of the one-excitation Rabi period, so it does not depend on g; g is
+    validated through ``rabi_periods`` because the pair is meaningless
+    without a coupling."""
+    rabi_periods(g)
+    return resonance_table(n_max, top=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,55 +136,59 @@ def find_resonance(g: float, n_max: int) -> tuple[int, int, float]:
 class GateConfig:
     """Physical and numerical parameters of one gate run.
 
-    ``alpha = None`` selects the pulse-area rule: the Gaussian's integral is
-    fixed to a quarter hop cycle (pi/2 in hbar = 1 units), which executes a
-    complete photon swap; either amplitude must be at most ``MAX_ALPHA``.
+    ``n2`` sets the hold, and ``n1`` is its ``paired_n1``.  ``alpha = None``
+    selects the pulse-area rule: the Gaussian's integral is fixed to a
+    quarter hop cycle (pi/2 in hbar = 1 units), which executes a complete
+    photon swap; either amplitude must be at most ``MAX_ALPHA``.
     ``dt = None`` selects the default integrator step
     min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
     ValueError, besides for a parameter out of its range, for a g whose
     Rabi period pi/g overflows (``rabi_periods``), a sigma so wide that the
-    area-rule amplitude is 0, and an omega or g whose largest register
-    frequency, 2 omega + 3 g, times the schedule's duration overflows.
+    area-rule amplitude is 0, an exchange window 2 PULSE_CUTOFF sigma
+    longer than the free gaps tau1/2, and an omega or g whose largest
+    register frequency, 2 omega + 3 g, times the schedule's duration
+    overflows.
     """
 
     g: float = 1e-3
     sigma: float = 0.5
     alpha: float | None = None
-    n1: int = 4
     n2: int = 6
     omega: float = 1.0
     dt: float | None = None
 
     def __post_init__(self):
-        tau1, tau2 = rabi_periods(self.g)
+        tau1 = self.tau1
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("pulse sigma must be positive and finite")
         if self.alpha is not None and not 0.0 <= self.alpha < math.inf:
             raise ValueError("pulse amplitude alpha must be non-negative and finite")
-        # the hold's counter becomes a float in its duration
-        if not (1 <= self.n1 and 1 <= self.n2 <= sys.float_info.max):
-            raise ValueError("resonance counters must be positive integers within the float range")
+        # the hold's counter becomes a float in its duration and its CSV cell
+        if not 1 <= self.n2 <= 2**53:
+            raise ValueError("resonance counter n2 must be a positive integer of at most 2**53, "
+                             "the last a float holds exactly")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValueError("integrator step dt must be a positive finite number")
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
         if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
             raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
-        duration = 1.5 * tau1 + 2.0 * self.n2 * tau2 + 4.0 * self.window  # the schedule's
-        if not (2.0 * self.omega + 3.0 * self.g) * duration < math.inf:
-            raise ValueError(f"omega {self.omega:g} and g {self.g:g} put the register's phase, "
-                             f"(2 omega + 3 g) times the schedule's duration {duration:g}, "
-                             "beyond the float range")
         if not self.resolved_alpha <= MAX_ALPHA:
             source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
             raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
                              f"exceeds the limit of {MAX_ALPHA:g}")
-        if self.sigma > tau1 / 10.0:
-            warnings.warn(
-                "pulse sigma is not small against the Rabi period; "
-                "exchange and Rabi dynamics will mix",
-                stacklevel=2,
-            )
+        if self.window > tau1 / 2.0:
+            raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does not "
+                             f"fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; reduce sigma")
+        duration = schedule_duration(self)
+        if not (2.0 * self.omega + 3.0 * self.g) * duration < math.inf:
+            raise ValueError(f"omega {self.omega:g} and g {self.g:g} put the register's phase, "
+                             f"(2 omega + 3 g) times the schedule's duration {duration:g}, "
+                             "beyond the float range")
+
+    @property
+    def n1(self) -> int:
+        return int(paired_n1(self.n2))
 
     @property
     def tau1(self) -> float:
@@ -232,36 +236,23 @@ class ExchangeSegment:
 
 def cocsign_schedule(config: GateConfig) -> tuple[FreeSegment | ExchangeSegment, ...]:
     """The gate's segment sequence: exchange aux<->x, free tau1/2, exchange
-    aux<->y, free 2 n2 tau2, exchange aux<->x, free tau1/2, exchange aux<->y,
-    and a trailing free tau1/2 over the whole register.  Every exchange
-    centres its pulse in a window of 2 PULSE_CUTOFF sigma."""
-    tau1, tau2 = rabi_periods(config.g)
-    w = config.window
-    if w > tau1 / 2.0:
-        raise ValueError(
-            f"exchange window {w:.3g} does not fit the free gaps of {tau1 / 2.0:.3g}; "
-            "reduce sigma"
-        )
+    aux<->y, the hold of 2 n2 tau2, exchange aux<->x, free tau1/2, exchange
+    aux<->y, and a trailing free tau1/2 over the whole register.  Every
+    exchange centres its pulse in a window of 2 PULSE_CUTOFF sigma, which
+    ``GateConfig`` has checked to fit the free gaps."""
+    w, gap = config.window, FreeSegment(config.tau1 / 2.0)
+    pulse = GaussianPulse(config.resolved_alpha, center=w / 2.0, sigma=config.sigma,
+                          cutoff=PULSE_CUTOFF)
+    to_x, to_y = (ExchangeSegment(AUX_CAVITY, b, w, pulse) for b in (X_CAVITY, Y_CAVITY))
+    return (to_x, gap, to_y, FreeSegment(hold_duration(config.g, config.n2)),
+            to_x, gap, to_y, gap)
 
-    def exchange(a: int, b: int) -> ExchangeSegment:
-        pulse = GaussianPulse(
-            amplitude=config.resolved_alpha,
-            center=w / 2.0,
-            sigma=config.sigma,
-            cutoff=PULSE_CUTOFF,
-        )
-        return ExchangeSegment(a, b, w, pulse)
 
-    return (
-        exchange(AUX_CAVITY, X_CAVITY),
-        FreeSegment(tau1 / 2.0),
-        exchange(AUX_CAVITY, Y_CAVITY),
-        FreeSegment(2.0 * config.n2 * tau2),
-        exchange(AUX_CAVITY, X_CAVITY),
-        FreeSegment(tau1 / 2.0),
-        exchange(AUX_CAVITY, Y_CAVITY),
-        FreeSegment(tau1 / 2.0),
-    )
+def schedule_duration(config: GateConfig, instant_swaps: bool = False) -> float:
+    """The schedule's segment durations summed in schedule order, the
+    exchanges' left out under ``instant_swaps``."""
+    return sum(ev.duration for ev in cocsign_schedule(config)
+               if isinstance(ev, FreeSegment) or not instant_swaps)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +371,7 @@ def schedule_phase(config: GateConfig, instant_swaps: bool = False) -> complex:
     branch accumulates the same overall -1; the resonant diagonal commutes
     with everything and adds exp(-2 i omega T) for the two excitations over
     the total duration T."""
-    total = sum(
-        ev.duration
-        for ev in cocsign_schedule(config)
-        if isinstance(ev, FreeSegment) or not instant_swaps
-    )
-    return -np.exp(-2j * config.omega * total)
+    return -np.exp(-2j * config.omega * schedule_duration(config, instant_swaps))
 
 
 def ideal_target_state(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:

@@ -482,13 +482,16 @@ def write_csv_loop(path, header, rows):
 
 
 def resonance_table_loop(n_max: int, top=None):
-    """Every (n1, n2, residual) as a tuple, sorted by (residual, n2, n1)."""
-    rows = []
-    for n1 in range(1, n_max + 1):
-        for n2 in range(1, n_max + 1):
-            residual = abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
-            rows.append((n1, n2, residual))
-    rows.sort(key=lambda r: (r[2], r[1], r[0]))
+    """One (n1, n2, residual) tuple per n2 up to n_max, sorted by
+    (residual, n2).  Its n1 is found by brute force, not by a rounding rule:
+    the argmin of the residual over every n1 up to n_max on the full
+    n_max x n_max grid."""
+    n1 = np.arange(1, n_max + 1)[:, None]
+    n2 = np.arange(1, n_max + 1)
+    grid = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
+    best = np.argmin(grid, axis=0)
+    rows = [(int(best[k]) + 1, int(n2[k]), float(grid[best[k], k])) for k in range(n_max)]
+    rows.sort(key=lambda r: (r[2], r[1]))
     return rows if top is None else rows[:top]
 
 

@@ -112,7 +112,7 @@ def test_hold_time_resonance_search():
 
 
 def test_entangling_gate_hits_contract_error():
-    config = GateConfig(n1=45, n2=64)
+    config = GateConfig(n2=64)
     q = uniform_superposition()
     psi = run_gate(q, config)
     target = ideal_target_state(q, config)

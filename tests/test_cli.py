@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,35 @@ def test_gate_basis_input_label(tmp_path):
     assert main(args) == 0
     summary = json.loads((tmp_path / "gate_summary.json").read_text())
     assert summary["input"] == "01"
+
+
+@pytest.mark.parametrize("n1, n2", [(5, 6), (999, 6), (0, 6), (4, 10)])
+def test_gate_refuses_an_n1_that_is_not_the_pairing_of_n2(tmp_path, capsys, n1, n2):
+    code = main(["gate", "--out-dir", str(tmp_path), "--n1", str(n1), "--n2", str(n2)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"which is n1 = {GateConfig(n2=n2).n1}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gate_labels_the_pairing_of_n2_whether_or_not_n1_is_given(tmp_path):
+    files = {}
+    for name, extra in (("derived", []), ("given", ["--n1", "7"])):
+        out = tmp_path / name
+        assert main(["gate", "--out-dir", str(out), "--alpha-scales", "1.0",
+                     "--n2", "10", *extra]) == 0
+        files[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert files["derived"] == files["given"]
+    summary = json.loads(files["derived"]["gate_summary.json"])
+    assert (summary["n1"], summary["n2"]) == (7, 10)
+
+
+def test_a_window_wider_than_the_free_gaps_is_refused_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gate", "--g", "1e4", "--out-dir", str(tmp_path)]) == 2
+    assert "exchange window" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
@@ -368,7 +398,7 @@ BUDGET_CASES = [
     (["walk", "--n-cavities", "1000000000"], "limit of 8388608"),
     (["walk", "--n-times", "1000000000", "--n-cavities", "2"], "limit of 8388608"),
     (["resonance", "--n-max", "1000000000"], "limit of 20000000"),
-    (["resonance", "--n-max", "5000", "--top", "10000"], "limit of 20000000"),
+    (["resonance", "--n-max", "20000001"], "limit of 20000000"),
 ]
 
 
@@ -422,7 +452,9 @@ OVERFLOWING_CASES = [
     (["gate", "--omega", "1.7976931348623157e308"], 2, "omega 1.79769e+308"),
     (["dark", "--omega", "1.7976931348623157e308"], 2, "omega 1.79769e+308"),
     (["gate", "--sigma", "1.7976931348623157e308"], 2, "sigma"),
-    (["gate", "--n2", "1" + "0" * 400], 2, "counters"),
+    (["gate", "--n2", "1" + "0" * 400], 2, "counter n2"),
+    # past 2**53 a float no longer holds every counter (nor its CSV cell)
+    (["gate", "--n2", str(2**53 + 1)], 2, "counter n2"),
     (["dark", "--atoms", "1000000000000"], 2, "--atoms"),
     # a step of 1e11 radians: its Pade squarings round the survival by 8e-5
     (["dark", "--atoms", "2", "--g", "1e12", "--kappa", "1", "--n-times", "201"], 3, "squarings"),
@@ -632,6 +664,13 @@ def test_resonance_prints_table_and_summary(tmp_path, capsys):
     assert summary["best"]["n1"] == 45
     assert summary["best"]["n2"] == 64
     assert len(summary["rows"]) == 3
+
+
+def test_resonance_lists_each_hold_counter_once(tmp_path, capsys):
+    assert main(["resonance", "--out-dir", str(tmp_path), "--n-max", "100", "--top", "100"]) == 0
+    rows = json.loads((tmp_path / "resonance_summary.json").read_text())["rows"]
+    assert len(rows) == len({row["n2"] for row in rows}) == 100
+    assert len(capsys.readouterr().out.splitlines()) == 101  # header + rows
 
 
 def test_resonance_with_no_rows(tmp_path):

@@ -52,7 +52,7 @@ from tchlab.gate import (
     branch_phase,
 )
 
-FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, (4, 6)
+FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, n2 = 6 (n1 = 4)
 
 
 def basis_vector(label):
@@ -103,14 +103,15 @@ def test_resonance_examples():
 
 
 def test_resonance_table_matches_tuple_sort():
-    # the sort key (residual, n2, n1) is unique, so a smaller table is the
-    # largest one filtered to its pairs, in the same order
+    # the sort key (residual, n2) is unique and the best n1 never exceeds
+    # n2, so a smaller table is the largest one filtered to its n2, in the
+    # same order
     largest = oracles.resonance_table_loop(200)
     rows = np.empty(len(largest), dtype=object)  # the oracle's tuples, filtered by numpy
     rows[:] = largest
-    larger_counter = np.array([max(n1, n2) for n1, n2, _ in largest])
+    hold_counter = np.array([n2 for _, n2, _ in largest])
     for n_max in range(1, 201):
-        expected = rows[larger_counter <= n_max].tolist()
+        expected = rows[hold_counter <= n_max].tolist()
         assert resonance_table(n_max) == expected, n_max
         for top in (0, 1, 2, 3, 5, 10, 50):
             assert resonance_table(n_max, top) == expected[:top], (n_max, top)
@@ -120,6 +121,17 @@ def test_resonance_table_at_benchmark_size():
     rows = resonance_table(1000, 3)
     assert rows == oracles.resonance_table_loop(1000, 3)
     assert rows[0][:2] == (144, 204)
+
+
+def test_resonance_rows_are_the_gate_pairings():
+    # one row per n2, each with the n1 a gate at that n2 runs with
+    pairing = {n2: GateConfig(n2=n2).n1 for n2 in range(1, 201)}
+    for n_max in range(1, 201):
+        for top in (None, 1, 3, n_max):
+            rows = resonance_table(n_max, top)
+            assert len({n2 for _, n2, _ in rows}) == len(rows), (n_max, top)
+            assert all(n1 == pairing[n2] for n1, n2, _ in rows), (n_max, top)
+    assert [row[:2] for row in resonance_table(100, 100) if row[1] == 35] == [(24, 35)]
 
 
 def test_resonance_improves_with_larger_search():
@@ -137,9 +149,11 @@ def test_resonance_validation():
         find_resonance(0.0, 10)
 
 
-@pytest.mark.parametrize("g", [math.nan, math.inf])
+@pytest.mark.parametrize("g", [math.nan, math.inf, 1e-320])
 def test_find_resonance_refuses_a_non_finite_coupling(g):
-    with pytest.raises(ValueError, match="positive and finite"):
+    # 1e-320 is finite, but its Rabi period pi/g is not
+    match = "positive and finite" if not math.isfinite(g) else "pi/g beyond the float range"
+    with pytest.raises(ValueError, match=match):
         find_resonance(g, 10)
 
 
@@ -158,20 +172,18 @@ def test_schedule_layout_and_duration():
 
 
 def test_schedule_rejects_oversized_window():
-    with pytest.warns(UserWarning):
-        cfg = GateConfig(g=1.0, sigma=0.5)  # 12 sigma > tau1/2
-    with pytest.raises(ValueError):
-        cocsign_schedule(cfg)
+    with pytest.raises(ValueError, match="window"):
+        GateConfig(g=1.0, sigma=0.5)  # 12 sigma > tau1/2
 
 
 def test_gate_config_validation():
     with pytest.raises(ValueError):
         GateConfig(g=0.0)
     with pytest.raises(ValueError):
-        GateConfig(n1=0)
+        GateConfig(n2=0)
     with pytest.raises(ValueError):
         GateConfig(alpha=-1.0)
-    with pytest.warns(UserWarning):
+    with pytest.raises(ValueError, match="window"):
         GateConfig(g=1e-2, sigma=40.0)
 
 
@@ -225,7 +237,8 @@ def test_instant_swap_error_tracks_resonance_residual():
     q = uniform_superposition()
     errors = []
     for n1, n2, _ in resonance_table(100, top=3):
-        cfg = dataclasses.replace(FAST_CONFIG, n1=n1, n2=n2)
+        cfg = dataclasses.replace(FAST_CONFIG, n2=n2)
+        assert cfg.n1 == n1
         psi = run_gate(q, cfg, instant_swaps=True)
         target = ideal_target_state(q, cfg, instant_swaps=True)
         a, b = psi.amplitudes, target.amplitudes
@@ -338,15 +351,15 @@ def test_gate_matches_per_state_integration(scale, monkeypatch):
 
 
 def test_runs_share_links_whatever_the_fields_the_links_do_not_read():
-    # the links read g, sigma, omega, the step and the amplitudes; the Rabi
-    # counters and the config's own alpha leave the rows whose schedule
-    # they do not change as they are
+    # the links read g, sigma, omega, the step and the amplitudes; the hold
+    # counter and the config's own alpha leave the rows whose schedule they
+    # do not change as they are
     a0 = FAST_CONFIG.resolved_alpha
     alphas = (0.5 * a0, a0)
     reference = sweep(FAST_CONFIG, alphas)
-    for change in ({"n1": 5}, {"n2": 7}, {"alpha": 0.5 * a0}):
+    for change in ({"n2": 7}, {"alpha": 0.5 * a0}):
         rows = sweep(dataclasses.replace(FAST_CONFIG, **change), alphas)
-        if "n1" not in change and "n2" not in change:
+        if "n2" not in change:
             assert rows == reference
 
 
