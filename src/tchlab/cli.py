@@ -37,6 +37,7 @@ from .evolution import NumericalDriftError, rabi_periods
 from .gate import (
     BASIS_LABELS,
     MAX_PAIRS,
+    MAX_ROWS,
     GateConfig,
     basis_branch_phases,
     hold_duration,
@@ -46,7 +47,7 @@ from .gate import (
     uniform_superposition,
 )
 from .reports import format_column, write_csv, write_grid_csv, write_json
-from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, simulate_walk
+from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, kernel_band_edge, simulate_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,13 +96,9 @@ def cmd_gate(args) -> int:
     # every result before the first file, so that a failure leaves none
     rows = sweep(config, alphas, q=q)
     phases = basis_branch_phases(config)
-    sweep_path = write_csv(
-        os.path.join(args.out_dir, "gate_sweep.csv"),
-        ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"),
-        rows,
-    )
+    columns = ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod")
+    sweep_path = write_csv(os.path.join(args.out_dir, "gate_sweep.csv"), columns, rows)
 
-    best = min(rows, key=lambda r: r[5])
     tau1, tau2 = rabi_periods(config.g)
     summary = {
         "command": "gate",
@@ -117,14 +114,7 @@ def cmd_gate(args) -> int:
         "tau2": tau2,
         "total_duration": schedule_duration(config),
         "n_points": len(rows),
-        "best": {
-            "alpha": best[0],
-            "sigma": best[1],
-            "n1": best[2],
-            "n2": best[3],
-            "d_tr": best[4],
-            "d_mod": best[5],
-        },
+        "best": dict(zip(columns, min(rows, key=lambda r: r[5]))),
         "basis_branch_phases": phases,
         "files": {"sweep": os.path.basename(sweep_path)},
     }
@@ -141,10 +131,8 @@ def _kernel_band(n: int, origin: int, t: float, mass: float) -> np.ndarray:
     the free-particle kernel describes the ring dynamics."""
     offsets = (np.arange(n) - origin + n // 2) % n - n // 2
     x = np.abs(offsets) / np.sqrt(n)
-    x_max = 0.8 * (np.sqrt(n) / 2.0) * t / (2.0 * np.pi * mass)
-    band = x <= x_max
-    band |= np.abs(offsets) <= 2  # keep at least the immediate neighborhood
-    return band
+    # keep at least the immediate neighborhood
+    return (x <= kernel_band_edge(n, t, mass)) | (np.abs(offsets) <= 2)
 
 
 def cmd_walk(args) -> int:
@@ -458,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=1e-3)
     p.add_argument("--n-max", type=int, default=100,
                    help=f"largest n2, one ranked pair each; at most {MAX_PAIRS} pairs")
-    p.add_argument("--top", type=int, default=3, help="rows kept")
+    p.add_argument("--top", type=int, default=3,
+                   help=f"rows kept; at most {MAX_ROWS} rows, the lesser of --top and --n-max")
     p.set_defaults(func=cmd_resonance)
 
     return parser

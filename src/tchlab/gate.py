@@ -18,31 +18,24 @@ gate's intrinsic error and shrinks as larger n2 are allowed.
 
 With the sign convention used here the ideal action is
 |x,y> -> (-1)^((x XOR 1) AND y) |x,y>, i.e. only |01> changes sign.
+
+``GateConfig(instant_swaps=True)`` gives every exchange zero width, the exact
+quarter-cycle map exp(-i (pi/2) J), which separates the resonance-timing
+error from the pulse error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import HilbertSpace, NetworkConfig
-from .evolution import (
-    StateVector,
-    apply_propagator,
-    evolve_const,
-    pulsed_propagators,
-    rabi_periods,
-)
-from .operators import (
-    GaussianPulse,
-    HopSpec,
-    amplitude_for_area,
-    build_tch,
-    jump_operator,
-)
+from .evolution import StateVector, apply_propagator, evolve_const, pulsed_propagators, rabi_periods
+from .operators import GaussianPulse, HopSpec, amplitude_for_area, build_tch, jump_operator
 
 X_CAVITY, Y_CAVITY, AUX_CAVITY = 0, 1, 2
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -53,8 +46,20 @@ MAX_ALPHA = 1e75
 # Work budget of resonance_table: ranked (n1, n2) pairs, one per n2, so an
 # n_max above it is refused before anything is allocated.  On 2 cores with
 # numpy 2.4 `tchlab resonance` peaks at about 36 bytes a pair, about 720 MB
-# at the limit with the default --top; each row listed costs about 1.7 kB.
+# at the limit with the default --top.
 MAX_PAIRS = 20_000_000
+# Work budget of resonance_table's rows, min(top, n_max).  `tchlab resonance`
+# prints and writes about 1.7 kB a row: the limit peaks at about 550 MB, and
+# at about 720 MB with n_max = MAX_PAIRS, as that n_max alone does.
+MAX_ROWS = 300_000
+
+
+def _as_int(value, name: str) -> int:
+    """``operator.index(value)``, so numpy integers pass; ValueError else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +109,20 @@ def hold_duration(g: float, n2) -> float:
 def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, float]]:
     """One row (n1, n2, residual) for every n2 up to n_max, with n1 its
     ``paired_n1``, ranked by the mismatch in one-excitation periods, then by
-    n2.  ``top`` keeps the first rows.  An n_max above ``MAX_PAIRS`` is
-    refused with ValueError before anything is allocated."""
+    n2.  ``top`` keeps the first rows (None: all).  A non-integer, an n_max
+    above ``MAX_PAIRS`` and more than ``MAX_ROWS`` rows are refused with
+    ValueError before anything is allocated."""
+    n_max = _as_int(n_max, "n_max")
+    top = n_max if top is None else _as_int(top, "top")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if top is not None and top < 0:
+    if top < 0:
         raise ValueError("top must be non-negative")
     if n_max > MAX_PAIRS:
         raise ValueError(f"n_max {n_max} ranks {n_max} pairs, more than the limit of {MAX_PAIRS}")
+    if min(top, n_max) > MAX_ROWS:
+        raise ValueError(f"n_max {n_max} and top {top} list {min(top, n_max)} rows, "
+                         f"more than the limit of {MAX_ROWS}")
     n2 = np.arange(1, n_max + 1)
     n1 = paired_n1(n2).astype(np.int64)
     residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
@@ -142,12 +153,13 @@ class GateConfig:
     photon swap; either amplitude must be at most ``MAX_ALPHA``.
     ``dt = None`` selects the default integrator step
     min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
-    ValueError, besides for a parameter out of its range, for a g whose
-    Rabi period pi/g overflows (``rabi_periods``), a sigma so wide that the
-    area-rule amplitude is 0, an exchange window 2 PULSE_CUTOFF sigma
-    longer than the free gaps tau1/2, and an omega or g whose largest
-    register frequency, 2 omega + 3 g, times the schedule's duration
-    overflows.
+    ``instant_swaps`` gives every exchange zero width (module docstring).
+    ValueError, besides for a parameter out of its range or an n2 that is
+    not an integer (numpy integers pass), for a g whose Rabi period pi/g
+    overflows (``rabi_periods``), a sigma so wide that the area-rule
+    amplitude is 0, an exchange window 2 PULSE_CUTOFF sigma longer than the
+    free gaps tau1/2, and an omega or g whose largest register frequency,
+    2 omega + 3 g, times the schedule's duration overflows.
     """
 
     g: float = 1e-3
@@ -156,6 +168,7 @@ class GateConfig:
     n2: int = 6
     omega: float = 1.0
     dt: float | None = None
+    instant_swaps: bool = False
 
     def __post_init__(self):
         tau1 = self.tau1
@@ -164,7 +177,7 @@ class GateConfig:
         if self.alpha is not None and not 0.0 <= self.alpha < math.inf:
             raise ValueError("pulse amplitude alpha must be non-negative and finite")
         # the hold's counter becomes a float in its duration and its CSV cell
-        if not 1 <= self.n2 <= 2**53:
+        if not 1 <= _as_int(self.n2, "resonance counter n2") <= 2**53:
             raise ValueError("resonance counter n2 must be a positive integer of at most 2**53, "
                              "the last a float holds exactly")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
@@ -239,8 +252,10 @@ def cocsign_schedule(config: GateConfig) -> tuple[FreeSegment | ExchangeSegment,
     aux<->y, the hold of 2 n2 tau2, exchange aux<->x, free tau1/2, exchange
     aux<->y, and a trailing free tau1/2 over the whole register.  Every
     exchange centres its pulse in a window of 2 PULSE_CUTOFF sigma, which
-    ``GateConfig`` has checked to fit the free gaps."""
-    w, gap = config.window, FreeSegment(config.tau1 / 2.0)
+    ``GateConfig`` has checked to fit the free gaps, or of zero width under
+    ``instant_swaps``."""
+    w = 0.0 if config.instant_swaps else config.window
+    gap = FreeSegment(config.tau1 / 2.0)
     pulse = GaussianPulse(config.resolved_alpha, center=w / 2.0, sigma=config.sigma,
                           cutoff=PULSE_CUTOFF)
     to_x, to_y = (ExchangeSegment(AUX_CAVITY, b, w, pulse) for b in (X_CAVITY, Y_CAVITY))
@@ -248,11 +263,9 @@ def cocsign_schedule(config: GateConfig) -> tuple[FreeSegment | ExchangeSegment,
             to_x, gap, to_y, gap)
 
 
-def schedule_duration(config: GateConfig, instant_swaps: bool = False) -> float:
-    """The schedule's segment durations summed in schedule order, the
-    exchanges' left out under ``instant_swaps``."""
-    return sum(ev.duration for ev in cocsign_schedule(config)
-               if isinstance(ev, FreeSegment) or not instant_swaps)
+def schedule_duration(config: GateConfig) -> float:
+    """The schedule's segment durations summed in schedule order."""
+    return sum(ev.duration for ev in cocsign_schedule(config))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +323,20 @@ def _exchange_links(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator stacks of the aux<->x and the aux<->y exchange on the
     caller's register sector ``space`` with its H0, one per pulse amplitude
-    in the order given, in steps of dt.  Only the aux<->x link is
-    integrated, with the unit-amplitude pulse scaled by each amplitude.
-    The aux<->y link is that link seen through the x<->y swap of basis
-    labels, so its stack is the same stack with rows and columns permuted."""
+    in the order given, in steps of dt.  Only the aux<->x link is built,
+    integrated with the unit-amplitude pulse scaled by each amplitude, or
+    under ``instant_swaps`` exp(-i (pi/2) J) for every amplitude.  The
+    aux<->y link is that link seen through the x<->y swap of basis labels,
+    so its stack is the same stack with rows and columns permuted."""
     ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
-    unit = dataclasses.replace(ev.pulse, amplitude=1.0)
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    x_link = pulsed_propagators(h0, [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
+    if config.instant_swaps:
+        w, v = jump.eigensystem()
+        x_link = np.broadcast_to((v * np.exp(-0.5j * math.pi * w)) @ v.conj().T,
+                                 (len(amplitudes),) + v.shape)
+    else:
+        unit = dataclasses.replace(ev.pulse, amplitude=1.0)
+        x_link = pulsed_propagators(h0, [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
     swap = _xy_swap(space)
     # C-contiguous like the integrated stack, so that every slice has one
     # memory layout and applying it rounds the same way
@@ -327,42 +346,50 @@ def _exchange_links(
 def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVector:
     """Carry a register state through the schedule: free segments exactly
     under h0, each exchange by its propagator in ``links`` under the
-    norm-drift check of ``apply_propagator``, or by its zero-width
-    limit when ``links`` is None.  ``links`` holds the aux<->x and the
-    aux<->y propagator, so the exchanged qubit cavity (X_CAVITY = 0 or
-    Y_CAVITY = 1) indexes it."""
+    norm-drift check of ``apply_propagator``.  ``links`` holds the aux<->x
+    and the aux<->y propagator, so the exchanged qubit cavity (X_CAVITY = 0
+    or Y_CAVITY = 1) indexes it."""
     for ev in cocsign_schedule(config):
         if isinstance(ev, FreeSegment):
             psi = evolve_const(h0, psi, ev.duration)
-        elif links is None:
-            jump = jump_operator(psi.space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-            psi = evolve_const(jump, psi, math.pi / 2.0)
         else:
             psi = apply_propagator(links[ev.cavity_b], psi)
     return psi
 
 
-def run_gate(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
+def _final_states(config: GateConfig, alphas, inputs) -> tuple[HilbertSpace, list]:
+    """The register, and the final states of the two-qubit ``inputs`` at
+    each pulse amplitude of ``alphas`` (None: the area rule), in the orders
+    given.  The runs share one register and one H0, and those of each step
+    size one build of their links."""
+    runs = [dataclasses.replace(config, alpha=alpha) for alpha in alphas]
+    space = gate_space(config)
+    h0 = build_tch(space)
+    starts = [encode(q, space) for q in inputs]
+    groups = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(run.resolved_dt, []).append(i)
+    states = [None] * len(runs)
+    for dt, members in groups.items():
+        x, y = _exchange_links(config, space, h0, dt, tuple(runs[i].resolved_alpha for i in members))
+        for k, i in enumerate(members):
+            states[i] = [_run_schedule(psi, h0, config, (x[k], y[k])) for psi in starts]
+    return space, states
+
+
+def run_gate(q, config: GateConfig) -> StateVector:
     """Evolve an encoded two-qubit state through the full schedule.
 
     Each exchange applies its link's propagator at the config's amplitude
     and step to the carried state, whose norm drift is checked against
-    ``evolution.NORM_TOLERANCE``.
-
-    ``instant_swaps`` replaces each Gaussian exchange by its zero-width
-    limit, the exact quarter-cycle hop map exp(-i (pi/2) J); free segments
-    are untouched.  Useful for separating timing error from pulse error.
+    ``evolution.NORM_TOLERANCE``; under ``config.instant_swaps`` that
+    propagator is the exact quarter-cycle hop map exp(-i (pi/2) J).
     """
-    space = gate_space(config)
-    h0 = build_tch(space)
-    links = None
-    if not instant_swaps:
-        stacks = _exchange_links(config, space, h0, config.resolved_dt, (config.resolved_alpha,))
-        links = tuple(u[0] for u in stacks)
-    return _run_schedule(encode(q, space), h0, config, links)
+    _, ((psi,),) = _final_states(config, [config.alpha], [q])
+    return psi
 
 
-def schedule_phase(config: GateConfig, instant_swaps: bool = False) -> complex:
+def schedule_phase(config: GateConfig) -> complex:
     """Deterministic global phase the schedule imprints on a perfectly
     executed gate, relative to the bare encoded ideal state.
 
@@ -371,47 +398,37 @@ def schedule_phase(config: GateConfig, instant_swaps: bool = False) -> complex:
     branch accumulates the same overall -1; the resonant diagonal commutes
     with everything and adds exp(-2 i omega T) for the two excitations over
     the total duration T."""
-    return -np.exp(-2j * config.omega * schedule_duration(config, instant_swaps))
+    return -np.exp(-2j * config.omega * schedule_duration(config))
 
 
-def ideal_target_state(q, config: GateConfig, instant_swaps: bool = False) -> StateVector:
+def ideal_target_state(q, config: GateConfig) -> StateVector:
     """The encoded ideal gate output, carrying the schedule's deterministic
     global phase so that raw (phase-sensitive) distances measure genuine
     error."""
     space = gate_space(config)
     target = encode(ideal_cocsign(q), space)
-    target.amplitudes *= schedule_phase(config, instant_swaps=instant_swaps)
+    target.amplitudes *= schedule_phase(config)
     return target
 
 
-def branch_phase(
-    psi: StateVector, label: str, config: GateConfig, instant_swaps: bool = False
-) -> complex:
+def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
     """Phase of the surviving encoded component for a basis input, relative
     to the schedule's deterministic global phase.  Near +1 for inputs the
-    gate leaves alone, near -1 for the flipped branch.  Pass the
-    ``instant_swaps`` flag the state was run with: the schedule phase of
-    zero-width swaps omits the exchange durations."""
+    gate leaves alone, near -1 for the flipped branch."""
     if label not in BASIS_LABELS:
         raise ValueError(f"label must be one of {BASIS_LABELS}")
     overlap = complex(decode(psi)[BASIS_LABELS.index(label)])
     if abs(overlap) < 1e-9:
         raise ValueError("no surviving weight on the encoded branch")
-    return overlap / abs(overlap) / schedule_phase(config, instant_swaps)
+    return overlap / abs(overlap) / schedule_phase(config)
 
 
 def basis_branch_phases(config: GateConfig) -> dict[str, complex]:
     """``branch_phase`` of each basis input after ``run_gate``, by label in
-    BASIS_LABELS order.  The four runs share one register, one H0 and one
-    build of the links at the config's amplitude and step."""
-    space = gate_space(config)
-    h0 = build_tch(space)
-    stacks = _exchange_links(config, space, h0, config.resolved_dt, (config.resolved_alpha,))
-    links = tuple(u[0] for u in stacks)
-    return {
-        label: branch_phase(_run_schedule(encode(q, space), h0, config, links), label, config)
-        for label, q in zip(BASIS_LABELS, np.eye(4, dtype=complex))
-    }
+    BASIS_LABELS order, from four runs on one register, one H0 and one
+    build of the links."""
+    _, (states,) = _final_states(config, [config.alpha], np.eye(4, dtype=complex))
+    return {label: branch_phase(psi, label, config) for label, psi in zip(BASIS_LABELS, states)}
 
 
 # ---------------------------------------------------------------------------
@@ -463,27 +480,14 @@ def sweep(
     """Gate-error curve over pulse amplitude at the config's width and
     resonance pair.  Returns one row (alpha, sigma, n1, n2, d_tr, d_mod) per
     amplitude, in the order given."""
-    if q is None:
-        q = uniform_superposition()
-    q = _as_qubit_pair(q)
-    configs = [dataclasses.replace(config, alpha=float(alpha)) for alpha in alphas]
-    space = gate_space(config)
-    h0 = build_tch(space)
-    psi0, ideal = encode(q, space), encode(ideal_cocsign(q), space).amplitudes
-    groups = {}  # the runs of each step size share one build of their links
-    for i, cfg in enumerate(configs):
-        groups.setdefault(cfg.resolved_dt, []).append(i)
-    rows = [None] * len(configs)
-    for dt, members in groups.items():
-        stacks = _exchange_links(config, space, h0, dt, tuple(configs[i].alpha for i in members))
-        for k, i in enumerate(members):
-            cfg = configs[i]
-            psi = _run_schedule(psi0, h0, cfg, tuple(u[k] for u in stacks))
-            target = ideal * schedule_phase(cfg)  # as ideal_target_state, on one encoding
-            d_tr = trace_distance(density(psi), density(target))
-            d_mod = modular_distance(psi, target)
-            rows[i] = (cfg.alpha, cfg.sigma, cfg.n1, cfg.n2, d_tr, d_mod)
-    return rows
+    q = _as_qubit_pair(uniform_superposition() if q is None else q)
+    alphas = [float(alpha) for alpha in alphas]
+    space, states = _final_states(config, alphas, [q])
+    # as ideal_target_state, on the register the runs used
+    target = encode(ideal_cocsign(q), space).amplitudes * schedule_phase(config)
+    return [(alpha, config.sigma, config.n1, config.n2,
+             trace_distance(density(psi), density(target)), modular_distance(psi, target))
+            for alpha, (psi,) in zip(alphas, states)]
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,13 @@ def feynman_kernel(x, t: float, mass: float):
     return t ** -0.5 * np.exp(1j * mass * x**2 / t)
 
 
+def kernel_band_edge(n: int, t: float, mass: float) -> float:
+    """The largest |x - x0| whose stationary momentum at time t lies safely
+    inside the band (0.8 of its edge), where the free-particle kernel
+    describes the ring dynamics: 0.8 (sqrt(n) / 2) t / (2 pi mass)."""
+    return 0.8 * (math.sqrt(n) / 2.0) * t / (2.0 * math.pi * mass)
+
+
 # Work budget, refused before anything is allocated: n_cavities x n_times
 # cells.  On 2 cores with numpy 2.4 the CLI peaks at about 84 bytes a cell:
 # 2**23 cells (131,072 cavities at 64 times) peak at about 730 MB and write
@@ -154,9 +161,8 @@ class WalkConfig:
                 < math.inf):
             raise ValueError(f"mass {self.mass:g} over the time step {step:g} puts the kernel "
                              "phase, 2 pi^2 mass n_cavities / step, beyond the float range")
-        # the stationary-phase band edge the CLI compares the kernel within
-        edge = 0.4 * math.sqrt(self.n_cavities) * self.resolved_t_max / (2.0 * math.pi * self.mass)
-        if not edge < math.inf:
+        # the band the CLI compares the kernel within
+        if not kernel_band_edge(self.n_cavities, self.resolved_t_max, self.mass) < math.inf:
             raise ValueError(f"t_max {self.resolved_t_max:g} over mass {self.mass:g} puts the "
                              "kernel band's edge, 0.4 sqrt(n_cavities) t_max / (2 pi mass), "
                              "beyond the float range")

@@ -17,6 +17,9 @@ takes.  All three step every step of the segment and read the second
 half's envelopes at the first half's times in mirror order
 (``step_times``), the grid the production scheme's transposed half stands
 for; ``rk4_propagator_loop`` also runs on the forward grid.
+``instant_swap_gate`` is the reference for the zero-width gate
+(``GateConfig.instant_swaps``): it carries the state itself through each
+exchange's quarter-cycle evolution instead of applying a link propagator.
 
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
@@ -53,7 +56,16 @@ import numpy as np
 import scipy.linalg
 
 from tchlab.basis import HilbertSpace, NetworkConfig
-from tchlab.operators import build_tc, photon_number_operator, pulse_value
+from tchlab.evolution import evolve_const, rabi_periods
+from tchlab.gate import AUX_CAVITY, X_CAVITY, Y_CAVITY, encode, gate_space, hold_duration
+from tchlab.operators import (
+    HopSpec,
+    build_tc,
+    build_tch,
+    jump_operator,
+    photon_number_operator,
+    pulse_value,
+)
 from tchlab.walk import momentum_values
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -307,6 +319,25 @@ def rk4_pulsed_state(h0, pulses, amplitudes, t_start, t_end, dt):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return y, np.abs(np.sum(np.abs(y) ** 2, axis=0) - norm_in)
+
+
+def instant_swap_gate(q, config):
+    """The gate with zero-width exchanges on an encoded two-qubit state:
+    aux<->x, tau1/2, aux<->y, the hold of 2 n2 tau2, aux<->x, tau1/2,
+    aux<->y, tau1/2, each exchange as the state's own evolution
+    evolve_const(J, psi, pi/2) under its unit-amplitude jump operator J and
+    each free stretch as evolve_const(H0, psi, duration).  Returns the final
+    state and the schedule phase -exp(-2 i omega T), with T the free
+    durations alone, summed in schedule order."""
+    space = gate_space(config)
+    h0 = build_tch(space)
+    gap = rabi_periods(config.g)[0] / 2.0
+    free = (gap, hold_duration(config.g, config.n2), gap, gap)
+    psi = encode(q, space)
+    for cavity, duration in zip((X_CAVITY, Y_CAVITY, X_CAVITY, Y_CAVITY), free):
+        jump = jump_operator(space, HopSpec(AUX_CAVITY, cavity, amplitude=1.0))
+        psi = evolve_const(h0, evolve_const(jump, psi, math.pi / 2.0), duration)
+    return psi, -np.exp(-2j * config.omega * sum(free))
 
 
 def rk4_propagator_loop(h0, pulses, t_start, t_end, dt, mirrored=True):

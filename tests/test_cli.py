@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tchlab
@@ -26,7 +26,7 @@ from tchlab.darkstates import (
     emission_density,
     singlet_product,
 )
-from tchlab.gate import MAX_PAIRS
+from tchlab.gate import MAX_PAIRS, MAX_ROWS
 from tchlab.walk import MAX_CELLS
 from tchlab.evolution import pulsed_propagators
 
@@ -399,6 +399,7 @@ BUDGET_CASES = [
     (["walk", "--n-times", "1000000000", "--n-cavities", "2"], "limit of 8388608"),
     (["resonance", "--n-max", "1000000000"], "limit of 20000000"),
     (["resonance", "--n-max", "20000001"], "limit of 20000000"),
+    (["resonance", "--n-max", "20000000", "--top", "20000000"], f"limit of {MAX_ROWS}"),
 ]
 
 
@@ -420,7 +421,8 @@ def test_walk_and_resonance_budgets_refuse_before_allocating(tmp_path, capsys, a
 
 
 @pytest.mark.parametrize("command, phrase", [("walk", "at most 8388608"),
-                                             ("resonance", "at most 20000000")])
+                                             ("resonance", "at most 20000000"),
+                                             ("resonance", f"at most {MAX_ROWS} rows")])
 def test_walk_and_resonance_limits_appear_in_the_help(capsys, command, phrase):
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, "--help"])
@@ -760,8 +762,10 @@ SUBCOMMANDS = {
         "--truth": st.sampled_from(["dark", "light"]), "--seed": SEEDS,
     }),
     "resonance": ([], {
-        "--g": _doubles(), "--n-max": _ints(300, MAX_PAIRS), "--top": _ints(50, MAX_PAIRS),
-        "--seed": SEEDS,
+        "--g": _doubles(),
+        # an n_max just past the row budget is cheap at a small --top
+        "--n-max": st.one_of(_ints(300, MAX_PAIRS), st.integers(MAX_ROWS + 1, MAX_ROWS + 10)),
+        "--top": _ints(50, MAX_ROWS), "--seed": SEEDS,
     }),
 }
 
@@ -789,6 +793,7 @@ def _refuse_constant(name):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(argvs())
+@example(["resonance", "--n-max", str(MAX_ROWS + 1), "--top", str(MAX_ROWS + 1)])
 def test_every_documented_argv_ends_in_a_documented_code(argv):
     # under the suite's error::RuntimeWarning: no warning, traceback or
     # crash, and a refused run leaves no file

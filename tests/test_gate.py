@@ -44,15 +44,19 @@ from tchlab.evolution import pulsed_propagators
 from tchlab.gate import (
     AUX_CAVITY,
     BASIS_LABELS,
+    MAX_PAIRS,
+    MAX_ROWS,
     X_CAVITY,
     Y_CAVITY,
     FreeSegment,
     _exchange_links,
     _xy_swap,
     branch_phase,
+    schedule_duration,
 )
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, n2 = 6 (n1 = 4)
+INSTANT_CONFIG = GateConfig(instant_swaps=True)  # the same schedule, zero-width exchanges
 
 
 def basis_vector(label):
@@ -147,6 +151,21 @@ def test_resonance_validation():
     assert resonance_table(5, top=0) == []
     with pytest.raises(ValueError):
         find_resonance(0.0, 10)
+    # counters are integers; numpy integers pass
+    for n_max, top in ((10.5, None), (10.0, None), (10, 2.0), (10, 2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            resonance_table(n_max, top)
+    assert resonance_table(np.int64(10), np.int64(2)) == resonance_table(10, 2)
+
+
+def test_resonance_row_budget_counts_the_rows_listed():
+    # min(top, n_max) rows, with top=None counting n_max, refused before
+    # anything is allocated
+    for n_max, top in ((MAX_ROWS + 1, None), (MAX_ROWS + 1, MAX_ROWS + 1), (MAX_PAIRS, 10**12)):
+        with pytest.raises(ValueError, match=f"rows, more than the limit of {MAX_ROWS}"):
+            resonance_table(n_max, top)
+    assert len(resonance_table(MAX_ROWS + 1, 1)) == 1
+    assert len(resonance_table(10**3, MAX_ROWS + 1)) == 10**3
 
 
 @pytest.mark.parametrize("g", [math.nan, math.inf, 1e-320])
@@ -185,6 +204,10 @@ def test_gate_config_validation():
         GateConfig(alpha=-1.0)
     with pytest.raises(ValueError, match="window"):
         GateConfig(g=1e-2, sigma=40.0)
+    for n2 in (6.5, 6.0, "6"):
+        with pytest.raises(ValueError, match="resonance counter n2 must be an integer"):
+            GateConfig(n2=n2)
+    assert GateConfig(n2=np.int64(6)).n1 == FAST_CONFIG.n1
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +229,42 @@ def test_encode_decode_roundtrip():
 # running the gate
 # ---------------------------------------------------------------------------
 
+def test_zero_width_schedule_leaves_out_the_exchange_windows():
+    pulsed, instant = cocsign_schedule(FAST_CONFIG), cocsign_schedule(INSTANT_CONFIG)
+    assert [type(ev) for ev in instant] == [type(ev) for ev in pulsed]
+    free = [ev.duration for ev in instant if isinstance(ev, FreeSegment)]
+    assert free == [ev.duration for ev in pulsed if isinstance(ev, FreeSegment)]
+    assert [ev.duration for ev in instant if not isinstance(ev, FreeSegment)] == [0.0] * 4
+    assert schedule_duration(INSTANT_CONFIG) == sum(free)
+    windows = schedule_duration(FAST_CONFIG) - schedule_duration(INSTANT_CONFIG)
+    assert abs(windows - 4.0 * FAST_CONFIG.window) < 1e-9
+
+
+def test_instant_swaps_equal_the_per_state_quarter_cycles():
+    inputs = {label: basis_vector(label) for label in BASIS_LABELS}
+    inputs["uniform"] = uniform_superposition()
+    phases = basis_branch_phases(INSTANT_CONFIG)
+    for label, q in inputs.items():
+        reference, phase = oracles.instant_swap_gate(q, INSTANT_CONFIG)
+        psi = run_gate(q, INSTANT_CONFIG)
+        assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) < 1e-12
+        target = ideal_target_state(q, INSTANT_CONFIG)
+        expected = encode(ideal_cocsign(q), target.space).amplitudes * phase
+        assert np.max(np.abs(target.amplitudes - expected)) < 1e-12
+        if label in BASIS_LABELS:
+            overlap = decode(reference)[BASIS_LABELS.index(label)]
+            expected = overlap / abs(overlap) / phase
+            assert abs(branch_phase(psi, label, INSTANT_CONFIG) - expected) < 1e-12
+            assert abs(phases[label] - expected) < 1e-12
+
+
 def test_instant_swap_branches_carry_conditional_sign():
-    cfg = FAST_CONFIG
-    phase = schedule_phase(cfg, instant_swaps=True)
+    cfg = INSTANT_CONFIG
+    phase = schedule_phase(cfg)
     assert abs(abs(phase) - 1.0) < 1e-12
     signs = {"00": 1.0, "01": -1.0, "10": 1.0, "11": 1.0}
     for label in BASIS_LABELS:
-        psi = run_gate(basis_vector(label), cfg, instant_swaps=True)
+        psi = run_gate(basis_vector(label), cfg)
         out = decode(psi)
         k = BASIS_LABELS.index(label)
         # all weight stays on the input branch
@@ -225,11 +277,11 @@ def test_instant_swap_branches_carry_conditional_sign():
 
 
 def test_instant_swap_branch_phases_are_exact_signs():
-    cfg = FAST_CONFIG
+    cfg = INSTANT_CONFIG
     signs = {"00": 1.0, "01": -1.0, "10": 1.0, "11": 1.0}
     for label in BASIS_LABELS:
-        psi = run_gate(basis_vector(label), cfg, instant_swaps=True)
-        rel = branch_phase(psi, label, cfg, instant_swaps=True)
+        psi = run_gate(basis_vector(label), cfg)
+        rel = branch_phase(psi, label, cfg)
         assert abs(rel - signs[label]) < 1e-9
 
 
@@ -237,10 +289,10 @@ def test_instant_swap_error_tracks_resonance_residual():
     q = uniform_superposition()
     errors = []
     for n1, n2, _ in resonance_table(100, top=3):
-        cfg = dataclasses.replace(FAST_CONFIG, n2=n2)
+        cfg = dataclasses.replace(INSTANT_CONFIG, n2=n2)
         assert cfg.n1 == n1
-        psi = run_gate(q, cfg, instant_swaps=True)
-        target = ideal_target_state(q, cfg, instant_swaps=True)
+        psi = run_gate(q, cfg)
+        target = ideal_target_state(q, cfg)
         a, b = psi.amplitudes, target.amplitudes
         # squared distance minimized over a global phase
         errors.append(float(np.vdot(a, a).real + np.vdot(b, b).real - 2.0 * abs(np.vdot(b, a))))
