@@ -29,26 +29,21 @@ from .evolution import (
 )
 from .gate import (
     GateConfig,
-    TransferWindow,
     basis_branch_phases,
     branch_phase,
     cocsign_matrix,
     cocsign_schedule,
     decode,
-    density,
     encode,
-    find_resonance,
     gate_space,
     ideal_cocsign,
     ideal_target_state,
-    min_transfer_time,
     modular_distance,
     resonance_table,
     run_gate,
     schedule_phase,
     sweep,
     trace_distance,
-    transfer_window_check,
     uniform_superposition,
 )
 from .operators import (

@@ -21,9 +21,20 @@ rank the results, so no per-state object is ever made.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def as_int(value, name: str) -> int:
+    """``operator.index(value)``, so numpy integers pass and floats of
+    integer value do not; ValueError naming ``name`` else.  The one check
+    every study's configuration applies to its counters."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import HilbertSpace, NetworkConfig
+from .basis import HilbertSpace, NetworkConfig, as_int
 from .evolution import NumericalDriftError
 from .operators import build_tc
 
@@ -143,11 +143,12 @@ class DecayConfig:
     ``kappa = None`` picks a photon loss rate of a tenth of the first
     coupling (or 1e-4 with no atoms); ``t_max = None`` observes for 20
     photon lifetimes.  ValueError for a register above ``MAX_ATOMS`` atoms,
-    more than ``MAX_TIMES`` time samples, a coupling or loss rate outside
-    (0, ``MAX_RATE``], a default horizon beyond the float range, or a
-    generator step (the largest rate times the time step) that overflows, or
-    an omega that is not positive and finite or whose diagonal, omega times
-    the register's largest excitation count, overflows."""
+    an n_times that is not an integer (numpy integers pass) or above
+    ``MAX_TIMES``, a coupling or loss rate outside (0, ``MAX_RATE``], a
+    default horizon beyond the float range, or a generator step (the
+    largest rate times the time step) that overflows, or an omega that is
+    not positive and finite or whose diagonal, omega times the register's
+    largest excitation count, overflows."""
 
     couplings: tuple[float, ...] = (1e-3, 1e-3)
     kappa: float | None = None
@@ -159,7 +160,7 @@ class DecayConfig:
     def __post_init__(self):
         if self.kappa is not None and not 0.0 < self.kappa <= MAX_RATE:
             raise ValueError(f"kappa must be positive and finite, at most {MAX_RATE:g}")
-        if not 3 <= self.n_times <= MAX_TIMES:
+        if not 3 <= as_int(self.n_times, "n_times") <= MAX_TIMES:
             raise ValueError(f"need at least three time samples, and at most {MAX_TIMES}")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")

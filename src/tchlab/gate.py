@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HilbertSpace, NetworkConfig
+from .basis import HilbertSpace, NetworkConfig, as_int
 from .evolution import StateVector, apply_propagator, evolve_const, pulsed_propagators, rabi_periods
 from .operators import GaussianPulse, HopSpec, amplitude_for_area, build_tch, jump_operator
 
@@ -52,14 +51,6 @@ MAX_PAIRS = 20_000_000
 # prints and writes about 1.7 kB a row: the limit peaks at about 550 MB, and
 # at about 720 MB with n_max = MAX_PAIRS, as that n_max alone does.
 MAX_ROWS = 300_000
-
-
-def _as_int(value, name: str) -> int:
-    """``operator.index(value)``, so numpy integers pass; ValueError else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +103,8 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
     n2.  ``top`` keeps the first rows (None: all).  A non-integer, an n_max
     above ``MAX_PAIRS`` and more than ``MAX_ROWS`` rows are refused with
     ValueError before anything is allocated."""
-    n_max = _as_int(n_max, "n_max")
-    top = n_max if top is None else _as_int(top, "top")
+    n_max = as_int(n_max, "n_max")
+    top = n_max if top is None else as_int(top, "top")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if top < 0:
@@ -128,15 +119,6 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
     residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
     order = np.argsort(residual, kind="stable")[:top]
     return list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))
-
-
-def find_resonance(g: float, n_max: int) -> tuple[int, int, float]:
-    """Best (n1, n2, residual) with n2 <= n_max.  The residual is in units
-    of the one-excitation Rabi period, so it does not depend on g; g is
-    validated through ``rabi_periods`` because the pair is meaningless
-    without a coupling."""
-    rabi_periods(g)
-    return resonance_table(n_max, top=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +140,9 @@ class GateConfig:
     not an integer (numpy integers pass), for a g whose Rabi period pi/g
     overflows (``rabi_periods``), a sigma so wide that the area-rule
     amplitude is 0, an exchange window 2 PULSE_CUTOFF sigma longer than the
-    free gaps tau1/2, and an omega or g whose largest register frequency,
-    2 omega + 3 g, times the schedule's duration overflows.
+    free gaps tau1/2 (unless ``instant_swaps`` leaves the windows out), and
+    an omega or g whose largest register frequency, 2 omega + 3 g, times the
+    schedule's duration overflows.
     """
 
     g: float = 1e-3
@@ -177,7 +160,7 @@ class GateConfig:
         if self.alpha is not None and not 0.0 <= self.alpha < math.inf:
             raise ValueError("pulse amplitude alpha must be non-negative and finite")
         # the hold's counter becomes a float in its duration and its CSV cell
-        if not 1 <= _as_int(self.n2, "resonance counter n2") <= 2**53:
+        if not 1 <= as_int(self.n2, "resonance counter n2") <= 2**53:
             raise ValueError("resonance counter n2 must be a positive integer of at most 2**53, "
                              "the last a float holds exactly")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
@@ -190,7 +173,7 @@ class GateConfig:
             source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
             raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
                              f"exceeds the limit of {MAX_ALPHA:g}")
-        if self.window > tau1 / 2.0:
+        if not self.instant_swaps and self.window > tau1 / 2.0:
             raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does not "
                              f"fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; reduce sigma")
         duration = schedule_duration(self)
@@ -441,23 +424,24 @@ def _amps(psi) -> np.ndarray:
     return np.asarray(psi, dtype=complex)
 
 
-def density(psi) -> np.ndarray:
-    """Pure-state density matrix |psi><psi|."""
-    a = _amps(psi)
-    return np.outer(a, a.conj())
-
-
-def trace_distance(rho, rho_id) -> float:
-    """tr sqrt((rho - rho_id)^dag (rho - rho_id)): the sum of the absolute
-    eigenvalues of the (Hermitian) difference.  Insensitive to global phase
-    of the underlying states."""
-    rho = np.asarray(rho, dtype=complex)
-    rho_id = np.asarray(rho_id, dtype=complex)
-    if rho.shape != rho_id.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("trace distance needs two square matrices of equal shape")
-    delta = rho - rho_id
-    delta = (delta + delta.conj().T) / 2.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+def trace_distance(psi, psi_id) -> float:
+    """Trace norm of |psi><psi| - |psi_id><psi_id|, insensitive to a global
+    phase of either state.  The difference has rank 2 at most, so with a the
+    state of larger norm and b_perp = b - (<a|b> / ||a||^2) a the part of the
+    other state orthogonal to it, the norm is the closed form
+    2 sqrt(((||a||^2 - ||b||^2) / 2)^2 + ||a||^2 ||b_perp||^2), in which no
+    two large terms cancel (Nielsen and Chuang, section 9.2); two zero
+    vectors are at distance 0."""
+    a, b = _amps(psi), _amps(psi_id)
+    if a.shape != b.shape:
+        raise ValueError("trace distance needs states of equal dimension")
+    na2, nb2 = np.vdot(a, a).real, np.vdot(b, b).real
+    if nb2 > na2:
+        a, b, na2, nb2 = b, a, nb2, na2
+    if na2 == 0.0:
+        return 0.0
+    b_perp = b - (np.vdot(a, b) / na2) * a
+    return float(2.0 * math.hypot((na2 - nb2) / 2.0, math.sqrt(na2) * np.linalg.norm(b_perp)))
 
 
 def modular_distance(psi, psi_id) -> float:
@@ -486,36 +470,5 @@ def sweep(
     # as ideal_target_state, on the register the runs used
     target = encode(ideal_cocsign(q), space).amplitudes * schedule_phase(config)
     return [(alpha, config.sigma, config.n1, config.n2,
-             trace_distance(density(psi), density(target)), modular_distance(psi, target))
+             trace_distance(psi, target), modular_distance(psi, target))
             for alpha, (psi,) in zip(alphas, states)]
-
-
-# ---------------------------------------------------------------------------
-# physical-transfer bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransferWindow:
-    """Shortest admissible exchange time against the gate clock."""
-
-    delta_tau: float
-    ratio: float
-    flag: bool
-
-
-def min_transfer_time(delta_omega_max: float) -> float:
-    """Time-energy bound: an exchange confined to a frequency window of
-    width delta_omega cannot be shorter than 1/delta_omega."""
-    if delta_omega_max <= 0.0:
-        raise ValueError("frequency window must be positive")
-    return 1.0 / delta_omega_max
-
-
-def transfer_window_check(delta_omega_max: float, tau1: float) -> TransferWindow:
-    """Compare the shortest exchange time with the Rabi period; the flag
-    trips when the exchange eats 1e-3 of the period or more."""
-    if tau1 <= 0.0:
-        raise ValueError("tau1 must be positive")
-    delta_tau = min_transfer_time(delta_omega_max)
-    ratio = delta_tau / tau1
-    return TransferWindow(delta_tau=delta_tau, ratio=ratio, flag=ratio >= 1e-3)

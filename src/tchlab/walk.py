@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import as_int
 
 def momentum_values(n: int) -> np.ndarray:
     """The exact momentum spectrum sqrt(n) * (a/n - 1/2), a = 0..n-1."""
@@ -43,13 +44,6 @@ class CouplingNetwork:
     n: int
     diagonal: np.ndarray
     hops: np.recarray
-
-    def to_matrix(self) -> np.ndarray:
-        q, p = self.hops.q, self.hops.p
-        m = np.diag(self.diagonal.astype(complex))
-        m[q, p] = self.hops.amplitude * np.exp(1j * self.hops.phase)
-        m[p, q] = np.conj(m[q, p])
-        return m
 
     def distance_profile(self) -> list[tuple[int, int, float, float]]:
         """Per-separation aggregates (distance, count, mean amplitude,
@@ -118,7 +112,9 @@ MAX_CELLS = 2**23
 class WalkConfig:
     """Walk run parameters.  ``t_max = None`` picks mass/4, early enough
     that the spreading photon has not wrapped around the ring.  ValueError
-    for more than ``MAX_CELLS`` cells (cavities times time samples), or a
+    for a counter (n_cavities, origin, n_times) that is not an integer
+    (numpy integers pass), more than ``MAX_CELLS`` cells (cavities times
+    time samples), or a
     mass or horizon that puts the largest band energy, or its phase at
     t_max, the kernel's phase, or the edge of the kernel's validity band,
     beyond the float range."""
@@ -130,17 +126,17 @@ class WalkConfig:
     n_times: int = 51
 
     def __post_init__(self):
-        if self.n_cavities < 2:
+        if as_int(self.n_cavities, "n_cavities") < 2:
             raise ValueError("need at least two cavities")
         if self.n_cavities % 2:
             raise ValueError("need an even number of cavities (momentum must commute with H)")
         if not 0.0 < self.mass < math.inf:
             raise ValueError("mass must be positive and finite")
-        if self.origin is not None and not 0 <= self.origin < self.n_cavities:
+        if self.origin is not None and not 0 <= as_int(self.origin, "origin") < self.n_cavities:
             raise ValueError("origin cavity out of range")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
-        if self.n_times < 2:
+        if as_int(self.n_times, "n_times") < 2:
             raise ValueError("need at least two time samples")
         cells = self.n_cavities * self.n_times
         if cells > MAX_CELLS:

@@ -20,6 +20,11 @@ for; ``rk4_propagator_loop`` also runs on the forward grid.
 ``instant_swap_gate`` is the reference for the zero-width gate
 (``GateConfig.instant_swaps``): it carries the state itself through each
 exchange's quarter-cycle evolution instead of applying a link propagator.
+``density_trace_distance`` is the reference for the closed form of
+``gate.trace_distance``: the eigenvalues of the difference of the two
+density matrices.  ``min_transfer_time`` and ``transfer_window_check`` are
+the time-energy bound on an exchange, 1/delta_omega, and its ratio to the
+gate clock, checked as a paper statement in ``test_acceptance``.
 
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
@@ -40,8 +45,9 @@ arithmetic.  Tests that pick a basis state by hand look it up there too.
 
 The walk references are the dense Fourier and momentum operators
 (``qft_matrix``, ``momentum_operator``), the free Hamiltonian as the dense
-product F diag(E) F^H (``dense_free_hamiltonian``) and the walk propagated
-by diagonalization (``dense_walk``); the loop references
+product F diag(E) F^H (``dense_free_hamiltonian``), the walk propagated
+by diagonalization (``dense_walk``) and the dense matrix rebuilt from a
+``walk.CouplingNetwork`` hop table (``hop_table_matrix``); the loop references
 (``distance_profile_loop``, ``resonance_table_loop``, ``walk_rows_loop``,
 ``write_csv_loop``) are the per-element forms the vectorized production
 code replaced."""
@@ -51,6 +57,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -340,6 +347,40 @@ def instant_swap_gate(q, config):
     return psi, -np.exp(-2j * config.omega * sum(free))
 
 
+def density_trace_distance(psi, psi_id) -> float:
+    """Trace distance of two states by the density-matrix route: the sum of
+    the absolute eigenvalues of the Hermitian |psi><psi| - |psi_id><psi_id|."""
+    a, b = (np.asarray(getattr(s, "amplitudes", s), dtype=complex) for s in (psi, psi_id))
+    delta = np.outer(a, a.conj()) - np.outer(b, b.conj())
+    return float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2.0))))
+
+
+class TransferWindow(NamedTuple):
+    """Shortest admissible exchange time against the gate clock."""
+
+    delta_tau: float
+    ratio: float
+    flag: bool
+
+
+def min_transfer_time(delta_omega_max: float) -> float:
+    """Time-energy bound: an exchange confined to a frequency window of
+    width delta_omega cannot be shorter than 1/delta_omega."""
+    if delta_omega_max <= 0.0:
+        raise ValueError("frequency window must be positive")
+    return 1.0 / delta_omega_max
+
+
+def transfer_window_check(delta_omega_max: float, tau1: float) -> TransferWindow:
+    """Compare the shortest exchange time with the Rabi period tau1; the
+    flag trips when the exchange eats 1e-3 of the period or more."""
+    if tau1 <= 0.0:
+        raise ValueError("tau1 must be positive")
+    delta_tau = min_transfer_time(delta_omega_max)
+    ratio = delta_tau / tau1
+    return TransferWindow(delta_tau=delta_tau, ratio=ratio, flag=ratio >= 1e-3)
+
+
 def rk4_propagator_loop(h0, pulses, t_start, t_end, dt, mirrored=True):
     """The propagator of the same fourth-order scheme, stepped one step at a
     time on the identity: the sequential form of
@@ -426,6 +467,17 @@ def dense_free_hamiltonian(n: int, mass: float) -> np.ndarray:
     f = qft_matrix(n)
     energies = momentum_values(n) ** 2 / (2.0 * mass)
     return f @ (energies[:, None] * f.conj().T)
+
+
+def hop_table_matrix(network) -> np.ndarray:
+    """The dense one-photon matrix of a ``walk.CouplingNetwork``: its
+    diagonal, amplitude * exp(i phase) at each hop's (q, p) and the
+    conjugate at (p, q)."""
+    hops = network.hops
+    m = np.diag(network.diagonal.astype(complex))
+    m[hops.q, hops.p] = hops.amplitude * np.exp(1j * hops.phase)
+    m[hops.p, hops.q] = np.conj(m[hops.q, hops.p])
+    return m
 
 
 # Cached so that walks from several origins on one ring diagonalize once.

@@ -5,7 +5,7 @@ import pytest
 from oracles import occupations_loop
 
 import tchlab
-from tchlab import HilbertSpace, NetworkConfig
+from tchlab import DecayConfig, HilbertSpace, NetworkConfig, WalkConfig
 
 
 def _rows(config, sector):
@@ -111,3 +111,16 @@ def test_package_exports_names_not_submodules():
     assert "HilbertSpace" in tchlab.__all__
     assert not [n for n in tchlab.__all__ if isinstance(getattr(tchlab, n), types.ModuleType)]
 
+
+@pytest.mark.parametrize("config, field, value", [
+    (WalkConfig, "n_cavities", 64.0),
+    (WalkConfig, "origin", 3.5),
+    (WalkConfig, "n_times", 11.0),
+    (DecayConfig, "n_times", 101.0),
+])
+def test_config_counters_refuse_non_integers(config, field, value):
+    # refused at construction, not as an IndexError or TypeError in the run;
+    # a numpy integer passes
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        config(**{field: value})
+    assert getattr(config(**{field: np.int64(int(value))}), field) == int(value)

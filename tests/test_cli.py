@@ -650,6 +650,27 @@ def test_dark_larger_registers(tmp_path, atoms):
     assert classify["decision"] == "dark"
 
 
+def test_dark_study_does_not_depend_on_the_atom_count(tmp_path):
+    # every pair is a singlet, and the light reference decays as one bright
+    # pair, so each summary float is the 2-atom value within 1e-12 (relative
+    # above magnitude 1, absolute below it), and so is the decision
+    def run(atoms):
+        out = tmp_path / str(atoms)
+        assert main(["dark", "--out-dir", str(out), "--atoms", str(atoms)]) == 0
+        return [json.loads((out / name).read_text()) for name in ("dark_summary.json", "classify.json")]
+
+    summary, classify = run(2)
+    for atoms in range(4, 16, 2):
+        other, other_classify = run(atoms)
+        assert set(other) == set(summary) and other["atoms"] == atoms
+        for key, value in summary.items():
+            if isinstance(value, float):
+                assert abs(other[key] - value) <= 1e-12 * max(1.0, abs(value)), (atoms, key)
+            elif key != "atoms":
+                assert other[key] == value, (atoms, key)
+        assert other_classify["decision"] == classify["decision"], atoms
+
+
 def test_dark_rejects_odd_atom_counts(tmp_path, capsys):
     assert main(["dark", "--out-dir", str(tmp_path), "--atoms", "3"]) == 2
     assert "even" in capsys.readouterr().err

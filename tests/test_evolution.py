@@ -60,6 +60,11 @@ def test_rabi_periods():
     assert abs(tau2 - tau1 / math.sqrt(2.0)) < 1e-12
     with pytest.raises(ValueError):
         rabi_periods(0.0)
+    # 1e-320 is finite, but its Rabi period pi/g is not
+    for g, match in ((math.nan, "positive and finite"), (math.inf, "positive and finite"),
+                     (1e-320, "pi/g beyond the float range")):
+        with pytest.raises(ValueError, match=match):
+            rabi_periods(g)
 
 
 def test_const_evolution_is_unitary_and_composes():

@@ -6,6 +6,7 @@ from oracles import (
     dense_free_hamiltonian,
     dense_walk,
     distance_profile_loop,
+    hop_table_matrix,
     momentum_operator,
     qft_matrix,
     state_index,
@@ -75,7 +76,7 @@ def test_coupling_network_round_trip():
         net = coupling_network(h)
         assert isinstance(net.hops, np.recarray)
         assert net.hops.dtype.names == ("q", "p", "amplitude", "phase")
-        assert np.max(np.abs(net.to_matrix() - h)) < 1e-12
+        assert np.max(np.abs(hop_table_matrix(net) - h)) < 1e-12
         assert all(q < p for q, p, _, _ in net.hops)
         profile = net.distance_profile()
         assert [d for d, _, _, _ in profile] == sorted({p - q for q, p, _, _ in net.hops})
