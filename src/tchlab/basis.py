@@ -39,7 +39,8 @@ def as_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Static description of a cavity network.
+    """Static description of a cavity network.  A counter that is not an
+    integer (numpy integers pass) is refused with ValueError.
 
     Parameters
     ----------
@@ -63,13 +64,13 @@ class NetworkConfig:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.n_cavities < 1:
+        if as_int(self.n_cavities, "n_cavities") < 1:
             raise ValueError("need at least one cavity")
         if len(self.atoms_per_cavity) != self.n_cavities:
             raise ValueError("atoms_per_cavity length must match n_cavities")
-        if any(a < 0 for a in self.atoms_per_cavity):
+        if any(as_int(a, "atoms_per_cavity") < 0 for a in self.atoms_per_cavity):
             raise ValueError("atom counts must be non-negative")
-        if self.max_photons < 1:
+        if as_int(self.max_photons, "max_photons") < 1:
             raise ValueError("max_photons must be at least 1")
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")

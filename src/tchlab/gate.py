@@ -132,17 +132,17 @@ class GateConfig:
     ``n2`` sets the hold, and ``n1`` is its ``paired_n1``.  ``alpha = None``
     selects the pulse-area rule: the Gaussian's integral is fixed to a
     quarter hop cycle (pi/2 in hbar = 1 units), which executes a complete
-    photon swap; either amplitude must be at most ``MAX_ALPHA``.
-    ``dt = None`` selects the default integrator step
+    photon swap.  ``dt = None`` selects the default integrator step
     min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
     ``instant_swaps`` gives every exchange zero width (module docstring).
     ValueError, besides for a parameter out of its range or an n2 that is
     not an integer (numpy integers pass), for a g whose Rabi period pi/g
-    overflows (``rabi_periods``), a sigma so wide that the area-rule
-    amplitude is 0, an exchange window 2 PULSE_CUTOFF sigma longer than the
-    free gaps tau1/2 (unless ``instant_swaps`` leaves the windows out), and
-    an omega or g whose largest register frequency, 2 omega + 3 g, times the
-    schedule's duration overflows.
+    overflows (``rabi_periods``), and an omega or g whose largest register
+    frequency, 2 omega + 3 g, times the schedule's duration overflows.
+    Unless ``instant_swaps`` leaves the pulses out, also for a sigma so wide
+    that the area-rule amplitude is 0, an amplitude above ``MAX_ALPHA``,
+    and an exchange window 2 PULSE_CUTOFF sigma longer than the free gaps
+    tau1/2.
     """
 
     g: float = 1e-3
@@ -167,15 +167,17 @@ class GateConfig:
             raise ValueError("integrator step dt must be a positive finite number")
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
-        if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
-            raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
-        if not self.resolved_alpha <= MAX_ALPHA:
-            source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
-            raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
-                             f"exceeds the limit of {MAX_ALPHA:g}")
-        if not self.instant_swaps and self.window > tau1 / 2.0:
-            raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does not "
-                             f"fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; reduce sigma")
+        if not self.instant_swaps:  # checks on the pulse, which zero-width exchanges do not run
+            if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
+                raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
+            if not self.resolved_alpha <= MAX_ALPHA:
+                source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
+                raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
+                                 f"exceeds the limit of {MAX_ALPHA:g}")
+            if self.window > tau1 / 2.0:
+                raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does "
+                                 f"not fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; "
+                                 "reduce sigma")
         duration = schedule_duration(self)
         if not (2.0 * self.omega + 3.0 * self.g) * duration < math.inf:
             raise ValueError(f"omega {self.omega:g} and g {self.g:g} put the register's phase, "
@@ -302,13 +304,14 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
 
 
 def _exchange_links(
-    config: GateConfig, space: HilbertSpace, h0, dt: float, amplitudes: tuple[float, ...]
+    config: GateConfig, space: HilbertSpace, h0, dt: float | None, amplitudes: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator stacks of the aux<->x and the aux<->y exchange on the
     caller's register sector ``space`` with its H0, one per pulse amplitude
     in the order given, in steps of dt.  Only the aux<->x link is built,
     integrated with the unit-amplitude pulse scaled by each amplitude, or
-    under ``instant_swaps`` exp(-i (pi/2) J) for every amplitude.  The
+    under ``instant_swaps``, which takes no steps and ignores dt,
+    exp(-i (pi/2) J) for every amplitude.  The
     aux<->y link is that link seen through the x<->y swap of basis labels,
     so its stack is the same stack with rows and columns permuted."""
     ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
@@ -351,7 +354,8 @@ def _final_states(config: GateConfig, alphas, inputs) -> tuple[HilbertSpace, lis
     starts = [encode(q, space) for q in inputs]
     groups = {}
     for i, run in enumerate(runs):
-        groups.setdefault(run.resolved_dt, []).append(i)
+        # zero-width exchanges take no steps, and their sigma may leave no step
+        groups.setdefault(None if config.instant_swaps else run.resolved_dt, []).append(i)
     states = [None] * len(runs)
     for dt, members in groups.items():
         x, y = _exchange_links(config, space, h0, dt, tuple(runs[i].resolved_alpha for i in members))

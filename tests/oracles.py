@@ -29,8 +29,11 @@ gate clock, checked as a paper statement in ``test_acceptance``.
 ``dense_emission_survival`` is the reference for the lossy decay path: the
 matrix exponential of the full effective generator, stepped over the time
 grid on the whole sector; the exponential is cached per configuration and
-sector, so the states of one register share it.  ``step_powers_loop`` steps one vector at a time,
-the reference for the doubling that ``darkstates._step_powers`` does, and
+sector, so the states of one register share it.  ``interp_emission_times``
+draws emission times through one ``np.interp`` in draw order, the reference
+for the blocks ``darkstates.sample_emission_times`` sorts.
+``step_powers_loop`` steps one vector at a time, the reference for the
+doubling that ``darkstates._step_powers`` does, and
 ``collective_lowering_loop`` fills the collective lowering operator one
 entry at a time, the dense reference for the matrix-free
 ``darkstates.is_dark``.
@@ -651,6 +654,20 @@ def _dense_decay_step(config, sector):
     space, h_eff = _decay_sector(config, sector)
     times = np.linspace(0.0, config.resolved_t_max, config.n_times)
     return space, scipy.linalg.expm(-1j * h_eff * (times[1] - times[0]))
+
+
+def interp_emission_times(report, n_trials, rng=None):
+    """Inverse-CDF emission draws as one ``np.interp`` over the draws in
+    the order drawn, the censored ones then set to the horizon: the
+    reference for the bucket-ordered blocks of
+    ``darkstates.sample_emission_times``.  Returns (times, censored)."""
+    rng = np.random.default_rng(rng)
+    cdf = np.maximum.accumulate(1.0 - report.survival)
+    u = rng.random(n_trials)
+    times = np.interp(u, cdf, report.times)
+    censored = u > cdf[-1]
+    times[censored] = report.times[-1]
+    return times, censored
 
 
 def step_powers_loop(step, coef, n_steps):

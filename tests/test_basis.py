@@ -124,3 +124,18 @@ def test_config_counters_refuse_non_integers(config, field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         config(**{field: value})
     assert getattr(config(**{field: np.int64(int(value))}), field) == int(value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_cavities", 2.0),
+    ("atoms_per_cavity", (1.0, 1)),
+    ("max_photons", 1.5),
+])
+def test_network_counters_refuse_non_integers(field, value):
+    # refused at construction, not as a TypeError when the space enumerates
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        NetworkConfig(**{"n_cavities": 2, "atoms_per_cavity": (1, 1), field: value})
+    numpy_counters = NetworkConfig(n_cavities=np.int64(2), atoms_per_cavity=(np.int64(1), 1),
+                                   max_photons=np.int64(1))
+    space = HilbertSpace(NetworkConfig(n_cavities=2, atoms_per_cavity=(1, 1), max_photons=1), 1)
+    assert np.array_equal(HilbertSpace(numpy_counters, 1).occupations, space.occupations)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     build_tc_loop,
     collective_lowering_loop,
     dense_emission_survival,
+    interp_emission_times,
     mp_emission_survival,
     occupations_loop,
     state_index,
@@ -533,6 +535,34 @@ def test_sampling_is_deterministic(emission_reports):
     assert a.n_censored == b.n_censored
     with pytest.raises(ValueError):
         sample_emission_times(dark, 0)
+
+
+@st.composite
+def emission_curves(draw):
+    """A report-like (times, survival) pair whose CDF 1 - S never falls: up
+    to 3,000 knots with flat runs, starting at 0 or above, and ending at 1
+    or below, where the draws above the end are censored."""
+    n_knots = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rises = rng.random(n_knots) < draw(st.floats(0.05, 1.0))  # no rise: a flat run
+    cdf = np.cumsum(rng.exponential(size=n_knots) * rises)
+    if cdf[-1] > 0.0:
+        cdf *= draw(st.sampled_from([1.0, 1.0 - 1e-9, 0.7, 0.01])) / cdf[-1]
+    times = np.linspace(0.0, draw(st.floats(1e-3, 1e6)), n_knots)
+    return types.SimpleNamespace(times=times, survival=1.0 - cdf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(emission_curves(),
+       st.sampled_from([1, darkstates._SAMPLE_BLOCK, darkstates._SAMPLE_BLOCK + 1, 50_000]),
+       st.integers(0, 2**64 - 1))
+def test_block_sampling_equals_one_interp_over_the_draws(report, n_trials, seed):
+    # the blocks only reorder np.interp's queries, so every draw is the same
+    # bits as the one-call route's
+    samples = sample_emission_times(report, n_trials, rng=seed)
+    times, censored = interp_emission_times(report, n_trials, rng=seed)
+    assert np.array_equal(samples.times, times)
+    assert np.array_equal(samples.censored, censored)
 
 
 def test_short_windows_censor_draws():

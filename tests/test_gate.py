@@ -182,14 +182,23 @@ def test_schedule_rejects_oversized_window():
 
 
 def test_zero_width_gate_runs_where_pulses_would_not_fit():
-    # the zero-width schedule has no window to fit into the gaps of tau1/2
-    with pytest.raises(ValueError, match="window"):
-        GateConfig(g=1.0, n2=204)
-    config = GateConfig(g=1.0, n2=204, instant_swaps=True)
-    for label in BASIS_LABELS:
-        reference, _ = oracles.instant_swap_gate(basis_vector(label), config)
-        psi = run_gate(basis_vector(label), config)
-        assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) < 1e-12
+    # the pulsed gate is refused, and the zero-width schedule, which runs no
+    # pulse, matches the per-state quarter cycles
+    for fields, refusal in (
+        ({"g": 1.0, "n2": 204}, "window"),  # no window fits into the gaps of tau1/2
+        ({"sigma": 1e-100}, "exceeds the limit"),  # an area-rule amplitude above MAX_ALPHA
+        ({"sigma": 1.7976931348623157e308}, "amplitude at 0"),
+    ):
+        with pytest.raises(ValueError, match=refusal):
+            GateConfig(**fields)
+        config = GateConfig(**fields, instant_swaps=True)
+        phases = basis_branch_phases(config)
+        for label in BASIS_LABELS:
+            reference, phase = oracles.instant_swap_gate(basis_vector(label), config)
+            psi = run_gate(basis_vector(label), config)
+            assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) < 1e-12, (fields, label)
+            overlap = decode(reference)[BASIS_LABELS.index(label)]
+            assert abs(phases[label] - overlap / abs(overlap) / phase) < 1e-12, (fields, label)
 
 
 def test_gate_config_validation():
