@@ -253,9 +253,10 @@ def cmd_dark(args) -> int:
         )
         return EXIT_OK
 
-    # refused before the decays run, as sampling would refuse it after them
-    if not 1 <= args.n_trials <= MAX_TRIALS:
-        print(f"--n-trials must be at least 1 and within the limit of {MAX_TRIALS}",
+    # refused before the decays run, as sampling and classification (which
+    # needs two samples for a spread) would refuse it after them
+    if not 2 <= args.n_trials <= MAX_TRIALS:
+        print(f"--n-trials must be at least 2 and within the limit of {MAX_TRIALS}",
               file=sys.stderr)
         return EXIT_USAGE
     dark_state = singlet_product([(i, i + 1) for i in range(0, args.atoms, 2)])
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=None, help="observation horizon (default 20/kappa)")
     p.add_argument("--n-times", type=int, default=2001, help=f"time samples, at most {MAX_TIMES}")
     p.add_argument("--n-trials", type=int, default=10000,
-                   help=f"sampled emission times, at most {MAX_TRIALS}")
+                   help=f"sampled emission times, at least 2 and at most {MAX_TRIALS}")
     p.add_argument("--detector-error", type=float, default=0.03)
     p.add_argument("--truth", choices=("dark", "light"), default="dark",
                    help="hypothesis the samples are drawn from")

@@ -563,7 +563,9 @@ def sample_emission_times(report: EmissionReport, n_trials: int, rng=None) -> Em
     the CDF never decreases, so a query u takes its value from the one
     interval cdf[j] <= u < cdf[j+1], whichever order it comes in.  The
     draws, and so the generator's stream, are those of one
-    ``rng.random(n_trials)``."""
+    ``rng.random(n_trials)``.  ``n_trials`` is a counter: a float, even of
+    integer value, is refused with ValueError (numpy integers pass)."""
+    n_trials = as_int(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError("need at least one trial")
     if n_trials > MAX_TRIALS:

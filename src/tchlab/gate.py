@@ -18,10 +18,6 @@ gate's intrinsic error and shrinks as larger n2 are allowed.
 
 With the sign convention used here the ideal action is
 |x,y> -> (-1)^((x XOR 1) AND y) |x,y>, i.e. only |01> changes sign.
-
-``GateConfig(instant_swaps=True)`` gives every exchange zero width, the exact
-quarter-cycle map exp(-i (pi/2) J), which separates the resonance-timing
-error from the pulse error.
 """
 
 from __future__ import annotations
@@ -134,15 +130,13 @@ class GateConfig:
     quarter hop cycle (pi/2 in hbar = 1 units), which executes a complete
     photon swap.  ``dt = None`` selects the default integrator step
     min(sigma/50, tau1/200) / max(1, alpha / (2 * area-rule alpha)).
-    ``instant_swaps`` gives every exchange zero width (module docstring).
     ValueError, besides for a parameter out of its range or an n2 that is
     not an integer (numpy integers pass), for a g whose Rabi period pi/g
-    overflows (``rabi_periods``), and an omega or g whose largest register
-    frequency, 2 omega + 3 g, times the schedule's duration overflows.
-    Unless ``instant_swaps`` leaves the pulses out, also for a sigma so wide
-    that the area-rule amplitude is 0, an amplitude above ``MAX_ALPHA``,
-    and an exchange window 2 PULSE_CUTOFF sigma longer than the free gaps
-    tau1/2.
+    overflows (``rabi_periods``), a sigma so wide that the area-rule
+    amplitude is 0, an amplitude above ``MAX_ALPHA``, an exchange window
+    2 PULSE_CUTOFF sigma longer than the free gaps tau1/2, and an omega or g
+    whose largest register frequency, 2 omega + 3 g, times the schedule's
+    duration overflows.
     """
 
     g: float = 1e-3
@@ -151,7 +145,6 @@ class GateConfig:
     n2: int = 6
     omega: float = 1.0
     dt: float | None = None
-    instant_swaps: bool = False
 
     def __post_init__(self):
         tau1 = self.tau1
@@ -167,17 +160,16 @@ class GateConfig:
             raise ValueError("integrator step dt must be a positive finite number")
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
-        if not self.instant_swaps:  # checks on the pulse, which zero-width exchanges do not run
-            if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
-                raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
-            if not self.resolved_alpha <= MAX_ALPHA:
-                source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
-                raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
-                                 f"exceeds the limit of {MAX_ALPHA:g}")
-            if self.window > tau1 / 2.0:
-                raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does "
-                                 f"not fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; "
-                                 "reduce sigma")
+        if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
+            raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
+        if not self.resolved_alpha <= MAX_ALPHA:
+            source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
+            raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
+                             f"exceeds the limit of {MAX_ALPHA:g}")
+        if self.window > tau1 / 2.0:
+            raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does "
+                             f"not fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; "
+                             "reduce sigma")
         duration = schedule_duration(self)
         if not (2.0 * self.omega + 3.0 * self.g) * duration < math.inf:
             raise ValueError(f"omega {self.omega:g} and g {self.g:g} put the register's phase, "
@@ -237,9 +229,8 @@ def cocsign_schedule(config: GateConfig) -> tuple[FreeSegment | ExchangeSegment,
     aux<->y, the hold of 2 n2 tau2, exchange aux<->x, free tau1/2, exchange
     aux<->y, and a trailing free tau1/2 over the whole register.  Every
     exchange centres its pulse in a window of 2 PULSE_CUTOFF sigma, which
-    ``GateConfig`` has checked to fit the free gaps, or of zero width under
-    ``instant_swaps``."""
-    w = 0.0 if config.instant_swaps else config.window
+    ``GateConfig`` has checked to fit the free gaps."""
+    w = config.window
     gap = FreeSegment(config.tau1 / 2.0)
     pulse = GaussianPulse(config.resolved_alpha, center=w / 2.0, sigma=config.sigma,
                           cutoff=PULSE_CUTOFF)
@@ -304,25 +295,18 @@ def _xy_swap(space: HilbertSpace) -> np.ndarray:
 
 
 def _exchange_links(
-    config: GateConfig, space: HilbertSpace, h0, dt: float | None, amplitudes: tuple[float, ...]
+    config: GateConfig, space: HilbertSpace, h0, dt: float, amplitudes: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator stacks of the aux<->x and the aux<->y exchange on the
     caller's register sector ``space`` with its H0, one per pulse amplitude
     in the order given, in steps of dt.  Only the aux<->x link is built,
-    integrated with the unit-amplitude pulse scaled by each amplitude, or
-    under ``instant_swaps``, which takes no steps and ignores dt,
-    exp(-i (pi/2) J) for every amplitude.  The
+    integrated with the unit-amplitude pulse scaled by each amplitude.  The
     aux<->y link is that link seen through the x<->y swap of basis labels,
     so its stack is the same stack with rows and columns permuted."""
     ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
-    if config.instant_swaps:
-        w, v = jump.eigensystem()
-        x_link = np.broadcast_to((v * np.exp(-0.5j * math.pi * w)) @ v.conj().T,
-                                 (len(amplitudes),) + v.shape)
-    else:
-        unit = dataclasses.replace(ev.pulse, amplitude=1.0)
-        x_link = pulsed_propagators(h0, [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
+    unit = dataclasses.replace(ev.pulse, amplitude=1.0)
+    x_link = pulsed_propagators(h0, [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
     swap = _xy_swap(space)
     # C-contiguous like the integrated stack, so that every slice has one
     # memory layout and applying it rounds the same way
@@ -354,8 +338,7 @@ def _final_states(config: GateConfig, alphas, inputs) -> tuple[HilbertSpace, lis
     starts = [encode(q, space) for q in inputs]
     groups = {}
     for i, run in enumerate(runs):
-        # zero-width exchanges take no steps, and their sigma may leave no step
-        groups.setdefault(None if config.instant_swaps else run.resolved_dt, []).append(i)
+        groups.setdefault(run.resolved_dt, []).append(i)
     states = [None] * len(runs)
     for dt, members in groups.items():
         x, y = _exchange_links(config, space, h0, dt, tuple(runs[i].resolved_alpha for i in members))
@@ -369,8 +352,7 @@ def run_gate(q, config: GateConfig) -> StateVector:
 
     Each exchange applies its link's propagator at the config's amplitude
     and step to the carried state, whose norm drift is checked against
-    ``evolution.NORM_TOLERANCE``; under ``config.instant_swaps`` that
-    propagator is the exact quarter-cycle hop map exp(-i (pi/2) J).
+    ``evolution.NORM_TOLERANCE``.
     """
     _, ((psi,),) = _final_states(config, [config.alpha], [q])
     return psi

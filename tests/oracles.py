@@ -17,9 +17,10 @@ takes.  All three step every step of the segment and read the second
 half's envelopes at the first half's times in mirror order
 (``step_times``), the grid the production scheme's transposed half stands
 for; ``rk4_propagator_loop`` also runs on the forward grid.
-``instant_swap_gate`` is the reference for the zero-width gate
-(``GateConfig.instant_swaps``): it carries the state itself through each
-exchange's quarter-cycle evolution instead of applying a link propagator.
+``instant_swap_gate`` is the gate with zero-width exchanges, the model the
+timing-error paper checks run on: it carries the state itself through each
+exchange's quarter-cycle evolution, so that only the resonance mismatch is
+left as error.
 ``density_trace_distance`` is the reference for the closed form of
 ``gate.trace_distance``: the eigenvalues of the difference of the two
 density matrices.  ``min_transfer_time`` and ``transfer_window_check`` are

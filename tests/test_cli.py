@@ -282,11 +282,21 @@ def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args, name):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("args", [["--n-trials", "0"], ["--detector-error", "nan"],
-                                  ["--detector-error", "2"]], ids=" ".join)
-def test_dark_writes_nothing_when_classification_fails(tmp_path, args):
+@pytest.mark.parametrize("args", [["--n-trials", "0"], ["--n-trials", "1"],
+                                  ["--detector-error", "nan"], ["--detector-error", "2"]],
+                         ids=" ".join)
+def test_dark_writes_nothing_when_classification_fails(tmp_path, capsys, monkeypatch, args):
+    if args[0] == "--n-trials":
+        # fewer than the two samples classification needs are refused before
+        # either decay runs
+        def decayed(*args):
+            raise AssertionError("the decay ran")
+
+        monkeypatch.setattr(tchlab.cli, "emission_density", decayed)
     assert main(["dark", "--out-dir", str(tmp_path), *args]) == 2
     assert list(tmp_path.iterdir()) == []
+    if args[0] == "--n-trials":
+        assert "--n-trials must be at least 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_max", ["1e-300", "1e-200"])
@@ -374,7 +384,8 @@ def test_dark_limits_appear_in_the_help(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["dark", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    for phrase in ("at most 18", "at most 1000000", "at most 10000000", "at most 1e+150"):
+    for phrase in ("at most 18", "at most 1000000", "at least 2 and at most 10000000",
+                   "at most 1e+150"):
         assert phrase in text
 
 
@@ -670,6 +681,20 @@ def test_dark_study_does_not_depend_on_the_atom_count(tmp_path):
             elif key != "atoms":
                 assert other[key] == value, (atoms, key)
         assert other_classify["decision"] == classify["decision"], atoms
+
+
+def test_dark_omega_moves_only_its_echo(tmp_path):
+    # the decay drops the diagonal omega times the sector as a global phase,
+    # so omega reaches no number of the study, only the summary's echo of it
+    for omega in ("1", "2.5"):
+        assert main(["dark", "--out-dir", str(tmp_path / omega), "--atoms", "4",
+                     "--omega", omega]) == 0
+    one, other = tmp_path / "1", tmp_path / "2.5"
+    for name in ("emission_density.csv", "classify.json"):
+        assert (one / name).read_bytes() == (other / name).read_bytes(), name
+    summary, other_summary = (json.loads((d / "dark_summary.json").read_text()) for d in (one, other))
+    assert (summary.pop("omega"), other_summary.pop("omega")) == (1.0, 2.5)
+    assert summary == other_summary
 
 
 def test_dark_rejects_odd_atom_counts(tmp_path, capsys):

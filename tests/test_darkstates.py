@@ -225,6 +225,16 @@ def test_sampling_refuses_more_trials_than_its_limit():
         sample_emission_times(report, MAX_TRIALS + 1)
 
 
+def test_sampling_counts_trials_with_an_integer():
+    # the counter check every config applies; numpy integers pass
+    report = emission_density(singlet_product([(0, 1)]), DecayConfig(n_times=11))
+    for n_trials in (5.0, 5.5):
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
+            sample_emission_times(report, n_trials)
+    samples = sample_emission_times(report, np.int64(5), rng=3)
+    assert np.array_equal(samples.times, sample_emission_times(report, 5, rng=3).times)
+
+
 @pytest.fixture(scope="module")
 def emission_reports():
     cfg = DecayConfig(n_times=801)

@@ -31,7 +31,6 @@ from tchlab import (
     rabi_periods,
     resonance_table,
     run_gate,
-    schedule_phase,
     sweep,
     trace_distance,
     uniform_superposition,
@@ -52,7 +51,6 @@ from tchlab.gate import (
 )
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, n2 = 6 (n1 = 4)
-INSTANT_CONFIG = GateConfig(instant_swaps=True)  # the same schedule, zero-width exchanges
 
 
 def basis_vector(label):
@@ -181,26 +179,6 @@ def test_schedule_rejects_oversized_window():
         GateConfig(g=1.0, sigma=0.5)  # 12 sigma > tau1/2
 
 
-def test_zero_width_gate_runs_where_pulses_would_not_fit():
-    # the pulsed gate is refused, and the zero-width schedule, which runs no
-    # pulse, matches the per-state quarter cycles
-    for fields, refusal in (
-        ({"g": 1.0, "n2": 204}, "window"),  # no window fits into the gaps of tau1/2
-        ({"sigma": 1e-100}, "exceeds the limit"),  # an area-rule amplitude above MAX_ALPHA
-        ({"sigma": 1.7976931348623157e308}, "amplitude at 0"),
-    ):
-        with pytest.raises(ValueError, match=refusal):
-            GateConfig(**fields)
-        config = GateConfig(**fields, instant_swaps=True)
-        phases = basis_branch_phases(config)
-        for label in BASIS_LABELS:
-            reference, phase = oracles.instant_swap_gate(basis_vector(label), config)
-            psi = run_gate(basis_vector(label), config)
-            assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) < 1e-12, (fields, label)
-            overlap = decode(reference)[BASIS_LABELS.index(label)]
-            assert abs(phases[label] - overlap / abs(overlap) / phase) < 1e-12, (fields, label)
-
-
 def test_gate_config_validation():
     with pytest.raises(ValueError):
         GateConfig(g=0.0)
@@ -210,6 +188,13 @@ def test_gate_config_validation():
         GateConfig(alpha=-1.0)
     with pytest.raises(ValueError, match="window"):
         GateConfig(g=1e-2, sigma=40.0)
+    for fields, refusal in (
+        ({"g": 1.0, "n2": 204}, "window"),  # no window fits into the gaps of tau1/2
+        ({"sigma": 1e-100}, "exceeds the limit"),  # an area-rule amplitude above MAX_ALPHA
+        ({"sigma": 1.7976931348623157e308}, "amplitude at 0"),
+    ):
+        with pytest.raises(ValueError, match=refusal):
+            GateConfig(**fields)
     for n2 in (6.5, 6.0, "6"):
         with pytest.raises(ValueError, match="resonance counter n2 must be an integer"):
             GateConfig(n2=n2)
@@ -235,42 +220,20 @@ def test_encode_decode_roundtrip():
 # running the gate
 # ---------------------------------------------------------------------------
 
-def test_zero_width_schedule_leaves_out_the_exchange_windows():
-    pulsed, instant = cocsign_schedule(FAST_CONFIG), cocsign_schedule(INSTANT_CONFIG)
-    assert [type(ev) for ev in instant] == [type(ev) for ev in pulsed]
-    free = [ev.duration for ev in instant if isinstance(ev, FreeSegment)]
-    assert free == [ev.duration for ev in pulsed if isinstance(ev, FreeSegment)]
-    assert [ev.duration for ev in instant if not isinstance(ev, FreeSegment)] == [0.0] * 4
-    assert schedule_duration(INSTANT_CONFIG) == sum(free)
-    windows = schedule_duration(FAST_CONFIG) - schedule_duration(INSTANT_CONFIG)
-    assert abs(windows - 4.0 * FAST_CONFIG.window) < 1e-9
-
-
-def test_instant_swaps_equal_the_per_state_quarter_cycles():
-    inputs = {label: basis_vector(label) for label in BASIS_LABELS}
-    inputs["uniform"] = uniform_superposition()
-    phases = basis_branch_phases(INSTANT_CONFIG)
-    for label, q in inputs.items():
-        reference, phase = oracles.instant_swap_gate(q, INSTANT_CONFIG)
-        psi = run_gate(q, INSTANT_CONFIG)
-        assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) < 1e-12
-        target = ideal_target_state(q, INSTANT_CONFIG)
-        expected = encode(ideal_cocsign(q), target.space).amplitudes * phase
-        assert np.max(np.abs(target.amplitudes - expected)) < 1e-12
-        if label in BASIS_LABELS:
-            overlap = decode(reference)[BASIS_LABELS.index(label)]
-            expected = overlap / abs(overlap) / phase
-            assert abs(branch_phase(psi, label, INSTANT_CONFIG) - expected) < 1e-12
-            assert abs(phases[label] - expected) < 1e-12
+def test_schedule_duration_is_the_free_stretches_and_four_windows():
+    schedule = cocsign_schedule(FAST_CONFIG)
+    free = sum(ev.duration for ev in schedule if isinstance(ev, FreeSegment))
+    windows = [ev.duration for ev in schedule if not isinstance(ev, FreeSegment)]
+    assert windows == [FAST_CONFIG.window] * 4
+    assert abs(schedule_duration(FAST_CONFIG) - (free + 4.0 * FAST_CONFIG.window)) < 1e-9
 
 
 def test_instant_swap_branches_carry_conditional_sign():
-    cfg = INSTANT_CONFIG
-    phase = schedule_phase(cfg)
-    assert abs(abs(phase) - 1.0) < 1e-12
+    cfg = FAST_CONFIG  # the oracle reads g, n2 and omega, not the pulse
     signs = {"00": 1.0, "01": -1.0, "10": 1.0, "11": 1.0}
     for label in BASIS_LABELS:
-        psi = run_gate(basis_vector(label), cfg)
+        psi, phase = oracles.instant_swap_gate(basis_vector(label), cfg)
+        assert abs(abs(phase) - 1.0) < 1e-12
         out = decode(psi)
         k = BASIS_LABELS.index(label)
         # all weight stays on the input branch
@@ -283,11 +246,12 @@ def test_instant_swap_branches_carry_conditional_sign():
 
 
 def test_instant_swap_branch_phases_are_exact_signs():
-    cfg = INSTANT_CONFIG
+    cfg = FAST_CONFIG
     signs = {"00": 1.0, "01": -1.0, "10": 1.0, "11": 1.0}
     for label in BASIS_LABELS:
-        psi = run_gate(basis_vector(label), cfg)
-        rel = branch_phase(psi, label, cfg)
+        psi, phase = oracles.instant_swap_gate(basis_vector(label), cfg)
+        overlap = complex(decode(psi)[BASIS_LABELS.index(label)])
+        rel = overlap / abs(overlap) / phase
         assert abs(rel - signs[label]) < 1e-9
 
 
@@ -295,11 +259,10 @@ def test_instant_swap_error_tracks_resonance_residual():
     q = uniform_superposition()
     errors = []
     for n1, n2, _ in resonance_table(100, top=3):
-        cfg = dataclasses.replace(INSTANT_CONFIG, n2=n2)
+        cfg = GateConfig(n2=n2)
         assert cfg.n1 == n1
-        psi = run_gate(q, cfg)
-        target = ideal_target_state(q, cfg)
-        a, b = psi.amplitudes, target.amplitudes
+        psi, phase = oracles.instant_swap_gate(q, cfg)
+        a, b = psi.amplitudes, encode(ideal_cocsign(q), psi.space).amplitudes * phase
         # squared distance minimized over a global phase
         errors.append(float(np.vdot(a, a).real + np.vdot(b, b).real - 2.0 * abs(np.vdot(b, a))))
     # residual order is (45,64) < (4,6) < (16,23); errors must follow
