@@ -222,6 +222,16 @@ def cmd_dark(args) -> int:
     if args.atoms > MAX_ATOMS:  # before the couplings take memory by the atom
         print(f"--atoms {args.atoms} exceeds the limit of {MAX_ATOMS}", file=sys.stderr)
         return EXIT_USAGE
+    # refused before any decay runs and at every atom count, the bare cavity
+    # included, as sampling and classification (which needs two samples for
+    # a spread) would refuse them only after both decays
+    if not 2 <= args.n_trials <= MAX_TRIALS:
+        print(f"--n-trials must be at least 2 and within the limit of {MAX_TRIALS}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if not 0.0 <= args.detector_error <= 1.0:  # NaN compares false
+        print("--detector-error must lie in [0, 1]", file=sys.stderr)
+        return EXIT_USAGE
     couplings = (args.g,) * args.atoms
     config = DecayConfig(
         couplings=couplings,
@@ -253,12 +263,6 @@ def cmd_dark(args) -> int:
         )
         return EXIT_OK
 
-    # refused before the decays run, as sampling and classification (which
-    # needs two samples for a spread) would refuse it after them
-    if not 2 <= args.n_trials <= MAX_TRIALS:
-        print(f"--n-trials must be at least 2 and within the limit of {MAX_TRIALS}",
-              file=sys.stderr)
-        return EXIT_USAGE
     dark_state = singlet_product([(i, i + 1) for i in range(0, args.atoms, 2)])
     light_state = _light_reference(args.atoms)
     dark_report = emission_density(dark_state, config)
@@ -437,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-times", type=int, default=2001, help=f"time samples, at most {MAX_TIMES}")
     p.add_argument("--n-trials", type=int, default=10000,
                    help=f"sampled emission times, at least 2 and at most {MAX_TRIALS}")
-    p.add_argument("--detector-error", type=float, default=0.03)
+    p.add_argument("--detector-error", type=float, default=0.03,
+                   help="flip probability of each sample's evidence, in [0, 1]")
     p.add_argument("--truth", choices=("dark", "light"), default="dark",
                    help="hypothesis the samples are drawn from")
     p.set_defaults(func=cmd_dark)

@@ -5,12 +5,15 @@ would: doubles round-trip exactly and integers below 2**53 print the
 digits of ``str``.  One numpy kernel, ``_cells``, computes those 17 digits
 for a whole float64 column at once (see its docstring for why it is
 exact), and ``format_column``, ``write_csv`` and ``write_grid_csv`` all
-read their cells from it.  Tables are streamed.  A number never needs
-quoting, so only the header is checked for a field that would (``,``,
-``"``, ``\r``, ``\n``, ValueError); a cell that is not a number raises
-TypeError and a row not as wide as the header ValueError, and no file is
-left behind.  JSON summaries are sorted, restricted to plain types and
-finite."""
+read their cells from it.  Tables are streamed as bytes: each block of
+lines is a uint8 frame of cells, separators and line ends, whose 0 bytes
+one ``bytes.translate`` pass drops, written in binary mode after the
+header's UTF-8, so no text layer decodes or re-encodes it.  A number
+never needs quoting, so only the header is checked for a field that would
+(``,``, ``"``, ``\r``, ``\n``, ValueError); a cell that is not a number
+raises TypeError and a row not as wide as the header ValueError, and no
+file is left behind.  JSON summaries are sorted, restricted to plain types
+and finite."""
 
 from __future__ import annotations
 
@@ -190,9 +193,10 @@ def _cells(values) -> np.ndarray:
     return cells
 
 
-def _text(cells) -> str:
-    """The characters of a uint8 slot array, row after row."""
-    return cells[cells != 0].tobytes().decode()
+def _text(cells) -> bytes:
+    """The characters of a uint8 slot array, row after row, as ASCII
+    bytes: one ``bytes.translate`` pass drops the 0 bytes."""
+    return cells.tobytes().translate(None, b"\0")
 
 
 def format_column(values) -> list[str]:
@@ -204,7 +208,7 @@ def format_column(values) -> list[str]:
     for start in range(0, len(x), _COLUMN_BLOCK):
         cells = _cells(x[start:start + _COLUMN_BLOCK])
         cells[:, 0] = ord("\n")
-        column += _text(cells).split("\n")[1:]
+        column += _text(cells).decode().split("\n")[1:]
     return column
 
 
@@ -220,7 +224,7 @@ def _numbers(rows, width: int) -> np.ndarray:
     return table
 
 
-def _lines(table: np.ndarray) -> str:
+def _lines(table: np.ndarray) -> bytes:
     """The CSV lines of a numeric table: a frame of its ``_cells``, each but
     the first after a comma in its byte 0, and the line ends."""
     frame = np.zeros((len(table), table.shape[1] * _CELL + 2), np.uint8)
@@ -232,17 +236,19 @@ def _lines(table: np.ndarray) -> str:
 
 
 def _write_blocks(path, header, blocks) -> Path:
-    """Write the header, refused before any file if a field needs quoting,
-    then each block of lines.  On failure, no file."""
+    """Write the header as UTF-8, refused before any file if a field needs
+    quoting, then each block of lines, as bytes in binary mode.  On failure,
+    no file."""
     line = ",".join(header)
     if line.count(",") != len(header) - 1 or any(c in line for c in '"\r\n'):
         raise ValueError(f"CSV header field needs quoting: {line[:200]!r}")
+    head = (line + "\r\n").encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="")
+    fh = open(path, "wb")
     try:
         with fh:
-            fh.write(line + "\r\n")
+            fh.write(head)
             fh.writelines(blocks)
     except BaseException:
         path.unlink(missing_ok=True)
@@ -263,32 +269,35 @@ def write_grid_csv(path, header, times, sites, values) -> Path:
     time-major, from numeric times and site columns (one per header field
     between the time and re, im, abs, refused as ``write_csv`` refuses
     rows), formatted once.  Each time sample is one block: a uint8 matrix
-    of one row per site, holding the time's cell, the site's cells, the
-    ``_cells`` of re, im and abs and the separators, whose 0 bytes are
-    dropped before it is written.  A block of another width than the sites
+    of one row per site, holding the time's text in a slot as wide as the
+    longest time's, the site's cells, the ``_cells`` of the row-major
+    (site, (re, im, abs)) array and the separators, whose 0 bytes ``_text``
+    drops before it is written.  A block of another width than the sites
     raises TypeError."""
-    stamps = _cells(times)
-    lines = _lines(_numbers(np.transpose(sites), len(header) - 4)).split("\r\n")[:-1]
-    site_cells = np.array([b"," + line.encode() for line in lines], dtype=bytes)
+    stamps = np.array(format_column(times), dtype=bytes)
+    slot = stamps.dtype.itemsize
+    lines = _lines(_numbers(np.transpose(sites), len(header) - 4)).split(b"\r\n")[:-1]
+    site_cells = np.array([b"," + line for line in lines], dtype=bytes)
     width = site_cells.dtype.itemsize
     n_sites = len(site_cells)
-    # one buffer for every block: the time, each site's cells after their
-    # commas, re, im and abs each after a comma in its byte 0, the line end
-    frame = np.zeros((n_sites, _CELL + width + 3 * _CELL + 2), np.uint8)
-    frame[:, _CELL:_CELL + width] = site_cells.view(np.uint8).reshape(n_sites, width)
+    # one buffer for every block: the time's slot, each site's cells after
+    # their commas, re, im and abs each after a comma in its byte 0, the line
+    # end
+    frame = np.zeros((n_sites, slot + width + 3 * _CELL + 2), np.uint8)
+    frame[:, slot:slot + width] = site_cells.view(np.uint8).reshape(n_sites, width)
     frame[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    numbers = frame[:, _CELL + width:-2].reshape(n_sites, 3, _CELL)
+    numbers = frame[:, slot + width:-2].reshape(n_sites, 3, _CELL)
 
     def block(stamp, z):
         z = np.asarray(z)
         if z.shape != (n_sites,):
             raise TypeError(f"a block of shape {z.shape} for {n_sites} sites")
-        frame[:, :_CELL] = stamp
-        cells = _cells(np.stack((z.real, z.imag, np.hypot(z.real, z.imag))))
-        numbers[...] = cells.reshape(3, n_sites, _CELL).transpose(1, 0, 2)
+        frame[:, :slot] = stamp
+        cells = _cells(np.column_stack((z.real, z.imag, np.hypot(z.real, z.imag))))
+        numbers[...] = cells.reshape(n_sites, 3, _CELL)
         numbers[:, :, 0] = ord(",")
         return _text(frame)
-    return _write_blocks(path, header, map(block, stamps, values))
+    return _write_blocks(path, header, map(block, stamps.view(np.uint8).reshape(-1, slot), values))
 
 
 def jsonable(value):

@@ -282,21 +282,27 @@ def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args, name):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("args", [["--n-trials", "0"], ["--n-trials", "1"],
-                                  ["--detector-error", "nan"], ["--detector-error", "2"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("args", [
+    ["--n-trials", "0"], ["--n-trials", "1"],
+    ["--detector-error", "nan"], ["--detector-error", "2"], ["--detector-error", "-0.5"],
+    # the bare cavity classifies nothing, but its flags are checked all the same
+    ["--atoms", "0", "--n-trials", "0"], ["--atoms", "0", "--n-trials", "1"],
+    ["--atoms", "0", "--detector-error", "nan"], ["--atoms", "0", "--detector-error", "5"],
+], ids=" ".join)
 def test_dark_writes_nothing_when_classification_fails(tmp_path, capsys, monkeypatch, args):
-    if args[0] == "--n-trials":
-        # fewer than the two samples classification needs are refused before
-        # either decay runs
-        def decayed(*args):
-            raise AssertionError("the decay ran")
+    # a trial count or flip probability that sampling and classification
+    # would refuse is refused before either decay runs
+    def decayed(*args):
+        raise AssertionError("the decay ran")
 
-        monkeypatch.setattr(tchlab.cli, "emission_density", decayed)
+    monkeypatch.setattr(tchlab.cli, "emission_density", decayed)
     assert main(["dark", "--out-dir", str(tmp_path), *args]) == 2
     assert list(tmp_path.iterdir()) == []
-    if args[0] == "--n-trials":
-        assert "--n-trials must be at least 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if "--n-trials" in args:
+        assert "--n-trials must be at least 2" in err
+    else:
+        assert "--detector-error must lie in [0, 1]" in err
 
 
 @pytest.mark.parametrize("t_max", ["1e-300", "1e-200"])

@@ -233,10 +233,19 @@ def grids(draw):
     return times, positions, re + 1j * im
 
 
+# times of 1, 2, 19, 23 and 24 characters in one grid: every stamp but the
+# longest leaves 0 bytes in its slot
+STAMP_WIDTHS = (np.array([0.0, -0.0, 0.1, 5e-324, -2.2250738585072014e-308]),
+                np.array([1.0, -0.0, 2.5]),
+                np.arange(15.0).reshape(5, 3) - 1j * np.arange(15.0).reshape(5, 3) / 7)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # |z| of the extremes is inf
 @given(grids())
 @example((np.array([0.0, -0.0]), np.array([-0.0, 5e-324]),
           np.array([[-0.0 - 0.0j, 5e-324 + 1j], [-5e-324j, -0.0 + 5e-324j]])))
+@example(STAMP_WIDTHS)
+@example((np.array([0.5]), np.array([-3.0]), np.array([[0.25 - 1j]])))  # one site, one time
 def test_grid_writer_matches_the_per_cell_writer(grid):
     times, positions, values = grid
     with tempfile.TemporaryDirectory() as tmp:
@@ -246,6 +255,20 @@ def test_grid_writer_matches_the_per_cell_writer(grid):
                 for t, row in zip(times, values) for q, (x, z) in enumerate(zip(positions, row))]
         reference = write_csv_loop(Path(tmp) / "loop.csv", GRID_HEADER, rows)
         assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # |z| of the extremes is inf
+@given(grids())
+@example(STAMP_WIDTHS)
+def test_grid_file_holds_no_zero_byte_and_one_crlf_line_per_cell(grid):
+    times, positions, values = grid
+    with tempfile.TemporaryDirectory() as tmp:
+        sites = (np.arange(values.shape[1]), positions)
+        data = write_grid_csv(Path(tmp) / "grid.csv", GRID_HEADER, times, sites, values).read_bytes()
+    assert b"\0" not in data
+    lines = data.split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) - 1 == values.size + 1
+    assert b"\n" not in b"".join(lines) and b"\r" not in b"".join(lines)
 
 
 def test_grid_writer_removes_the_partial_file_when_the_stream_fails(tmp_path):
