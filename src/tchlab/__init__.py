@@ -43,6 +43,7 @@ from .gate import (
     run_gate,
     schedule_phase,
     sweep,
+    sweep_and_branch_phases,
     trace_distance,
     uniform_superposition,
 )

@@ -14,6 +14,7 @@ samples without spread, for which the z-score is written as null).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -39,11 +40,10 @@ from .gate import (
     MAX_PAIRS,
     MAX_ROWS,
     GateConfig,
-    basis_branch_phases,
     hold_duration,
     resonance_table,
     schedule_duration,
-    sweep,
+    sweep_and_branch_phases,
     uniform_superposition,
 )
 from .reports import format_column, write_csv, write_grid_csv, write_json
@@ -94,8 +94,7 @@ def cmd_gate(args) -> int:
         q[BASIS_LABELS.index(args.input)] = 1.0
 
     # every result before the first file, so that a failure leaves none
-    rows = sweep(config, alphas, q=q)
-    phases = basis_branch_phases(config)
+    rows, phases = sweep_and_branch_phases(config, alphas, q=q)
     columns = ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod")
     sweep_path = write_csv(os.path.join(args.out_dir, "gate_sweep.csv"), columns, rows)
 
@@ -383,7 +382,10 @@ def cmd_resonance(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: every default is
+    immutable, so no parse leaves a value for the next one."""
     parser = argparse.ArgumentParser(
         prog="tchlab",
         description="Cavity-network experiments: entangling gate, photon walk, dark states.",
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha-scales",
         type=_float_list,
-        default=[0.5, 0.75, 1.0, 1.25, 1.5],
+        default=(0.5, 0.75, 1.0, 1.25, 1.5),
         help="comma list of multiples of the pulse-area-rule amplitude",
     )
     p.add_argument(

@@ -5,7 +5,11 @@ owns the lossy decay):
 
 - ``evolve_const``: time-independent Hermitian generator, exact matrix
   exponential through the cached spectral decomposition.  This is what makes
-  the very long resonant free-evolution stretches cheap and exact.
+  the very long resonant free-evolution stretches cheap and exact.  It
+  and ``apply_propagator`` also carry a (runs, dim) stack of states at
+  once, by stacked matrix-vector products, which give each row the bits
+  of its state carried alone (a 2-D product of dim x runs would not: gemm
+  and gemv round differently).
 - ``evolve_pulsed``: Hermitian static part plus Gaussian-windowed hop pulses,
   integrated as a propagator with a classic fixed-step fourth-order one-step
   scheme (three generator evaluations per step: start, midpoint twice, end),
@@ -18,9 +22,11 @@ owns the lossy decay):
   coefficients S_p are sums of words in -i H0 and the -i J_k; they are
   formed for a chunk of steps at once by one matrix product per power,
   independently of s, and each scale's R's are multiplied in pairs into one
-  product.  A chunk holds at most ``_STEP_BLOCK`` steps, and on wide blocks
-  few enough that its S_p stacks stay within ``_BLOCK_ENTRIES`` complex
-  entries (4 MiB), whatever the step and the sector.  Every segment is
+  product.  A block on which every pulse letter vanishes has R = S_0 at
+  every scale, so it runs once per call, not once per scale.  A chunk
+  holds at most ``_STEP_BLOCK`` steps, and on wide blocks few enough that
+  its S_p stacks stay within ``_BLOCK_ENTRIES`` complex entries (4 MiB),
+  whatever the step and the sector.  Every segment is
   time-symmetric by precondition (real symmetric letters, every pulse
   centred; ValueError otherwise) and integrates only its first half: step
   n-1-k is taken as the transpose of step k, so the second half's product
@@ -97,11 +103,18 @@ def rabi_periods(g: float) -> tuple[float, float]:
     return tau1, tau1 / math.sqrt(2.0)
 
 
-def evolve_const(h: OperatorMatrix, psi: StateVector, t: float) -> StateVector:
-    """Exact propagation exp(-i H t) |psi> for Hermitian H."""
-    _check_same_space(h, psi)
+def evolve_const(h: OperatorMatrix, psi, t: float):
+    """Exact propagation exp(-i H t) |psi> for Hermitian H, of a StateVector
+    or of each row of a (runs, dim) stack of amplitudes on h's space.  A
+    stack goes through stacked matrix-vector products, which give each row
+    the bits of its StateVector alone (one 2-D product of dim x runs would
+    not: gemm and gemv round differently)."""
+    if isinstance(psi, StateVector):
+        _check_same_space(h, psi)
     w, v = h.eigensystem()
     phases = np.exp(-1j * w * t)
+    if not isinstance(psi, StateVector):
+        return (v @ (phases[:, None] * (v.conj().T @ psi[..., None])))[..., 0]
     amps = v @ (phases * (v.conj().T @ psi.amplitudes))
     return StateVector(psi.space, amps)
 
@@ -200,11 +213,15 @@ def pulsed_propagators(
     one matrix product of the coefficients with the word matrices, which do
     not depend on the scale; each scale then forms its R's as one
     combination of those stacks and multiplies them in adjacent pairs into
-    the chunk product, which left-multiplies its running U.  A scale's
-    propagator does not depend on the other scales of the call.  A chunk
-    takes at most ``_STEP_BLOCK`` steps, and few enough that its five S_p
-    stacks together hold at most ``_BLOCK_ENTRIES`` entries (4 MiB) on the
-    widest block, in one buffer every block reuses, for any dt.  The word
+    the chunk product, which left-multiplies its running U.  A block on
+    which every pulse letter vanishes (decided once per block from the
+    letters) has exact-zero S_p for p >= 1, so its R is S_0, the same bits
+    at every non-negative scale: it forms S_0 alone and runs once per
+    chunk for all scales.  A scale's propagator does not depend on the
+    other scales of the call.  A chunk takes at most ``_STEP_BLOCK`` steps,
+    and few enough that its five S_p stacks together hold at most
+    ``_BLOCK_ENTRIES`` entries (4 MiB) on the widest block, in one buffer
+    every block reuses, for any dt.  The word
     table of a block of b states holds sum_{l<=4} (1 + K)^l matrices of
     b x b for K pulses: 31 for one pulse.
 
@@ -247,14 +264,17 @@ def pulsed_propagators(
     blocks = _invariant_blocks(letters)
     widest = max(map(len, blocks))
     chunk = max(1, min(_STEP_BLOCK, _BLOCK_ENTRIES // (n_powers * widest**2)))
+    # how many S_p each block forms: S_0 alone where no pulse reaches it
+    block_powers = [n_powers if np.any(letters[1:, b[:, None], b]) else 1 for b in blocks]
     tables = []
-    for block in blocks:
+    for block, powers in zip(blocks, block_powers):
         table = _word_matrices(letters[:, block[:, None], block]).reshape(len(words), -1)
         # real views: a real coefficient times a complex entry is two real
         # products, so each S_p stack is one real matrix product
-        tables.append([table[w].view(float) for w in by_power])
-    u = [np.broadcast_to(np.eye(len(b), dtype=complex), (len(scales), len(b), len(b))).copy()
-         for b in blocks]
+        tables.append([table[w].view(float) for w in by_power[:powers]])
+    u = [np.broadcast_to(np.eye(len(b), dtype=complex),
+                         (len(scales) if powers > 1 else 1, len(b), len(b))).copy()
+         for b, powers in zip(blocks, block_powers)]
     # the first ceil(n/2) steps run, and the product after n // 2 of them
     # is kept (the identity for one step): its transpose is the rest
     first_half = [ub.copy() for ub in u]
@@ -267,10 +287,13 @@ def pulsed_propagators(
         coef = _word_coefficients([pulse for _, pulse in pulses], t, h, words)
         coef = [coef[:, w] for w in by_power]
         for block, table, ub in zip(blocks, tables, u):
-            b = len(block)
-            stack = buffer[: n_powers * len(t) * b * b].reshape(n_powers, -1)
-            for p in range(n_powers):
+            b, powers = len(block), len(table)
+            stack = buffer[: powers * len(t) * b * b].reshape(powers, -1)
+            for p in range(powers):
                 np.matmul(coef[p], table[p], out=stack[p].view(float).reshape(len(t), 2 * b * b))
+            if powers == 1:  # pulse-free: one product for every scale
+                ub[0] = _ordered_product(stack[0].reshape(len(t), b, b)) @ ub[0]
+                continue
             for i, s in enumerate(scales):
                 r = (s ** np.arange(n_powers)) @ stack
                 ub[i] = _ordered_product(r.reshape(len(t), b, b)) @ ub[i]
@@ -358,13 +381,28 @@ def _ordered_product(r: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def apply_propagator(u: np.ndarray, psi: StateVector) -> StateVector:
-    """u |psi> for a propagator of a Hermitian generator; NumericalDriftError
-    if the squared norm of psi moves by more than ``NORM_TOLERANCE`` or
-    either norm is not finite."""
-    y = u @ psi.amplitudes
-    norm_in = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-    norm_out = float(np.vdot(y, y).real)
+def apply_propagator(u: np.ndarray, psi):
+    """u |psi> for a propagator of a Hermitian generator and a StateVector,
+    or u[i] |psi[i]> for a stack of propagators and a (runs, dim) stack of
+    amplitudes, by stacked matrix-vector products that give each row the
+    bits of its StateVector alone.  NumericalDriftError if the squared norm
+    of a state moves by more than ``NORM_TOLERANCE`` or either norm is not
+    finite; the rows of a stack are checked in order."""
+    if isinstance(psi, StateVector):
+        y = u @ psi.amplitudes
+        _check_norm_drift(psi.amplitudes, y)
+        return StateVector(psi.space, y)
+    out = (u @ psi[..., None])[..., 0]
+    for before, after in zip(psi, out):
+        _check_norm_drift(before, after)
+    return out
+
+
+def _check_norm_drift(before: np.ndarray, after: np.ndarray) -> None:
+    """NumericalDriftError if the squared norm moves from ``before`` to
+    ``after`` by more than ``NORM_TOLERANCE`` or either is not finite."""
+    norm_in = float(np.vdot(before, before).real)
+    norm_out = float(np.vdot(after, after).real)
     if not math.isfinite(norm_out):
         raise NumericalDriftError(f"squared norm is not finite ({norm_out}) after the propagator")
     if not abs(norm_out - norm_in) <= NORM_TOLERANCE:
@@ -372,4 +410,3 @@ def apply_propagator(u: np.ndarray, psi: StateVector) -> StateVector:
             f"squared norm drifted by {abs(norm_out - norm_in):.3e} "
             f"(tolerance {NORM_TOLERANCE:.3e}); reduce dt"
         )
-    return StateVector(psi.space, y)

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HilbertSpace, NetworkConfig, as_int
-from .evolution import StateVector, apply_propagator, evolve_const, pulsed_propagators, rabi_periods
+from .evolution import (
+    StateVector,
+    apply_propagator,
+    evolve_const,
+    pulsed_propagators,
+    rabi_periods,
+)
 from .operators import GaussianPulse, HopSpec, amplitude_for_area, build_tch, jump_operator
 
 X_CAVITY, Y_CAVITY, AUX_CAVITY = 0, 1, 2
@@ -313,38 +319,45 @@ def _exchange_links(
     return x_link, np.ascontiguousarray(x_link[:, swap[:, None], swap])
 
 
-def _run_schedule(psi: StateVector, h0, config: GateConfig, links) -> StateVector:
-    """Carry a register state through the schedule: free segments exactly
-    under h0, each exchange by its propagator in ``links`` under the
-    norm-drift check of ``apply_propagator``.  ``links`` holds the aux<->x
-    and the aux<->y propagator, so the exchanged qubit cavity (X_CAVITY = 0
-    or Y_CAVITY = 1) indexes it."""
+def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarray]]:
+    """The register, and for each (alpha, inputs) pair of ``runs`` the final
+    states of its two-qubit inputs at that pulse amplitude (None: the area
+    rule), one row each, in the orders given.
+
+    Every run of a call shares one register, one H0 and one schedule, and
+    the runs of each step size one ``_exchange_links`` call over their
+    amplitudes.  The states are carried through the schedule together, as
+    one (states, dim) stack: each free segment is one ``evolve_const`` and
+    each exchange one ``apply_propagator`` with every state's own link,
+    which checks every carried state's norm drift.  On a stack both give
+    each state the bits it gets carried alone, so a state's bits do not
+    depend on the other runs of the call."""
+    configs = [dataclasses.replace(config, alpha=alpha) for alpha, _ in runs]
+    space = gate_space(config)
+    h0 = build_tch(space)
+    # every input encoded at once, as ``encode`` places one
+    qubits = [_as_qubit_pair(q) for _, inputs in runs for q in inputs]
+    psi = np.zeros((len(qubits), space.dim), dtype=complex)
+    psi[:, _code_indices(space)] = np.reshape(qubits, (-1, 4))
+    sizes = [len(inputs) for _, inputs in runs]
+    groups = {}
+    for i, run in enumerate(configs):
+        groups.setdefault(run.resolved_dt, []).append(i)
+    # the aux<->x and aux<->y link of each run, indexed by the exchanged
+    # qubit cavity (X_CAVITY = 0 or Y_CAVITY = 1), then one row per state
+    links = np.empty((2, len(runs), space.dim, space.dim), dtype=complex)
+    for dt, members in groups.items():
+        amplitudes = tuple(configs[i].resolved_alpha for i in members)
+        links[X_CAVITY, members], links[Y_CAVITY, members] = _exchange_links(
+            config, space, h0, dt, amplitudes)
+    links = links[:, np.repeat(np.arange(len(runs)), sizes)]
     for ev in cocsign_schedule(config):
         if isinstance(ev, FreeSegment):
             psi = evolve_const(h0, psi, ev.duration)
         else:
             psi = apply_propagator(links[ev.cavity_b], psi)
-    return psi
-
-
-def _final_states(config: GateConfig, alphas, inputs) -> tuple[HilbertSpace, list]:
-    """The register, and the final states of the two-qubit ``inputs`` at
-    each pulse amplitude of ``alphas`` (None: the area rule), in the orders
-    given.  The runs share one register and one H0, and those of each step
-    size one build of their links."""
-    runs = [dataclasses.replace(config, alpha=alpha) for alpha in alphas]
-    space = gate_space(config)
-    h0 = build_tch(space)
-    starts = [encode(q, space) for q in inputs]
-    groups = {}
-    for i, run in enumerate(runs):
-        groups.setdefault(run.resolved_dt, []).append(i)
-    states = [None] * len(runs)
-    for dt, members in groups.items():
-        x, y = _exchange_links(config, space, h0, dt, tuple(runs[i].resolved_alpha for i in members))
-        for k, i in enumerate(members):
-            states[i] = [_run_schedule(psi, h0, config, (x[k], y[k])) for psi in starts]
-    return space, states
+    edges = np.cumsum([0] + sizes)
+    return space, [psi[first:last] for first, last in zip(edges, edges[1:])]
 
 
 def run_gate(q, config: GateConfig) -> StateVector:
@@ -352,10 +365,11 @@ def run_gate(q, config: GateConfig) -> StateVector:
 
     Each exchange applies its link's propagator at the config's amplitude
     and step to the carried state, whose norm drift is checked against
-    ``evolution.NORM_TOLERANCE``.
+    ``evolution.NORM_TOLERANCE``: ``_final_states`` with one run of one
+    input.
     """
-    _, ((psi,),) = _final_states(config, [config.alpha], [q])
-    return psi
+    space, ((psi,),) = _final_states(config, [(config.alpha, [q])])
+    return StateVector(space, psi)
 
 
 def schedule_phase(config: GateConfig) -> complex:
@@ -394,10 +408,10 @@ def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
 
 def basis_branch_phases(config: GateConfig) -> dict[str, complex]:
     """``branch_phase`` of each basis input after ``run_gate``, by label in
-    BASIS_LABELS order, from four runs on one register, one H0 and one
-    build of the links."""
-    _, (states,) = _final_states(config, [config.alpha], np.eye(4, dtype=complex))
-    return {label: branch_phase(psi, label, config) for label, psi in zip(BASIS_LABELS, states)}
+    BASIS_LABELS order: the four inputs are one run of ``_final_states`` at
+    the config's amplitude, carried as one stack on one register, one H0
+    and one build of the links."""
+    return _sweep_and_phases(config, [], None, phases=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +463,38 @@ def sweep(
 ) -> list[tuple[float, float, int, int, float, float]]:
     """Gate-error curve over pulse amplitude at the config's width and
     resonance pair.  Returns one row (alpha, sigma, n1, n2, d_tr, d_mod) per
-    amplitude, in the order given."""
+    amplitude, in the order given: one run of ``_final_states`` per
+    amplitude, all carried as one stack through one build of the links per
+    step size."""
+    return _sweep_and_phases(config, alphas, q, phases=False)[0]
+
+
+def sweep_and_branch_phases(
+    config: GateConfig, alphas, q=None
+) -> tuple[list[tuple[float, float, int, int, float, float]], dict[str, complex]]:
+    """``sweep(config, alphas, q)`` and ``basis_branch_phases(config)``, the
+    same bits, from one ``_final_states`` call: the area rule's four basis
+    runs join the sweep's in one link build per step size and one carried
+    stack."""
+    return _sweep_and_phases(config, alphas, q, phases=True)
+
+
+def _sweep_and_phases(config: GateConfig, alphas, q, phases: bool):
+    """The sweep rows of ``alphas`` and, if ``phases``, the basis branch
+    phases at the config's amplitude (else None), from one run of the
+    stack."""
     q = _as_qubit_pair(uniform_superposition() if q is None else q)
     alphas = [float(alpha) for alpha in alphas]
-    space, states = _final_states(config, alphas, [q])
+    runs = [(alpha, [q]) for alpha in alphas]
+    if phases:
+        runs.append((config.alpha, np.eye(4, dtype=complex)))
+    space, states = _final_states(config, runs)
     # as ideal_target_state, on the register the runs used
     target = encode(ideal_cocsign(q), space).amplitudes * schedule_phase(config)
-    return [(alpha, config.sigma, config.n1, config.n2,
+    rows = [(alpha, config.sigma, config.n1, config.n2,
              trace_distance(psi, target), modular_distance(psi, target))
             for alpha, (psi,) in zip(alphas, states)]
+    if not phases:
+        return rows, None
+    return rows, {label: branch_phase(StateVector(space, psi), label, config)
+                  for label, psi in zip(BASIS_LABELS, states[-1])}

@@ -20,7 +20,9 @@ for; ``rk4_propagator_loop`` also runs on the forward grid.
 ``instant_swap_gate`` is the gate with zero-width exchanges, the model the
 timing-error paper checks run on: it carries the state itself through each
 exchange's quarter-cycle evolution, so that only the resonance mismatch is
-left as error.
+left as error.  ``run_schedule_loop`` carries one state through the gate
+schedule by ``evolve_const`` and ``apply_propagator``, the per-state
+reference for the stacked runner of ``gate._final_states``.
 ``density_trace_distance`` is the reference for the closed form of
 ``gate.trace_distance``: the eigenvalues of the difference of the two
 density matrices.  ``min_transfer_time`` and ``transfer_window_check`` are
@@ -67,8 +69,17 @@ import numpy as np
 import scipy.linalg
 
 from tchlab.basis import HilbertSpace, NetworkConfig
-from tchlab.evolution import evolve_const, rabi_periods
-from tchlab.gate import AUX_CAVITY, X_CAVITY, Y_CAVITY, encode, gate_space, hold_duration
+from tchlab.evolution import apply_propagator, evolve_const, rabi_periods
+from tchlab.gate import (
+    AUX_CAVITY,
+    X_CAVITY,
+    Y_CAVITY,
+    FreeSegment,
+    cocsign_schedule,
+    encode,
+    gate_space,
+    hold_duration,
+)
 from tchlab.operators import (
     HopSpec,
     build_tc,
@@ -349,6 +360,21 @@ def instant_swap_gate(q, config):
         jump = jump_operator(space, HopSpec(AUX_CAVITY, cavity, amplitude=1.0))
         psi = evolve_const(h0, evolve_const(jump, psi, math.pi / 2.0), duration)
     return psi, -np.exp(-2j * config.omega * sum(free))
+
+
+def run_schedule_loop(psi, h0, config, links):
+    """Carry one register state through the gate schedule on its own: free
+    segments by ``evolve_const`` under h0, each exchange by
+    ``apply_propagator`` with its link under the norm-drift check.
+    ``links`` holds the aux<->x and the aux<->y propagator, indexed by the
+    exchanged qubit cavity.  The per-state reference for the stack that
+    ``gate._final_states`` carries."""
+    for ev in cocsign_schedule(config):
+        if isinstance(ev, FreeSegment):
+            psi = evolve_const(h0, psi, ev.duration)
+        else:
+            psi = apply_propagator(links[ev.cavity_b], psi)
+    return psi
 
 
 def density_trace_distance(psi, psi_id) -> float:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -16,7 +18,14 @@ from hypothesis import strategies as st
 
 import tchlab
 from oracles import walk_rows_loop, write_csv_loop
-from tchlab import GateConfig, WalkConfig, simulate_walk, sweep, uniform_superposition
+from tchlab import (
+    GateConfig,
+    WalkConfig,
+    basis_branch_phases,
+    simulate_walk,
+    sweep,
+    uniform_superposition,
+)
 from tchlab.cli import _light_reference, build_parser, main
 from tchlab.darkstates import (
     MAX_ATOMS,
@@ -124,9 +133,9 @@ def test_a_window_wider_than_the_free_gaps_is_refused_without_a_warning(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
-    # one stack for the sweep's five scales and one for the area rule, which
-    # the four basis-phase runs share
+def test_a_default_gate_run_integrates_one_link_stack(tmp_path, monkeypatch):
+    # one stack for the sweep's five scales and the area rule, which the
+    # four basis-phase runs share: every amplitude shares the default step
     amplitudes = []
 
     def counted(h0, pulses, t_start, t_end, dt, scales):
@@ -135,12 +144,12 @@ def test_a_default_gate_run_integrates_two_link_stacks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tchlab.gate, "pulsed_propagators", counted)
     assert main(["gate", "--out-dir", str(tmp_path)]) == 0
-    assert amplitudes == [5, 1]
+    assert amplitudes == [6]
 
 
-def test_a_default_gate_run_builds_two_registers_and_two_h0(tmp_path, monkeypatch):
-    # the sweep and the branch phases each build one register and its H0,
-    # and their link builds take both instead of building their own
+def test_a_default_gate_run_builds_one_register_and_one_h0(tmp_path, monkeypatch):
+    # the sweep and the branch phases run on one register and its H0, and
+    # the link build takes both instead of building its own
     built = []
 
     def counted(builder):
@@ -152,7 +161,47 @@ def test_a_default_gate_run_builds_two_registers_and_two_h0(tmp_path, monkeypatc
     for name in ("gate_space", "build_tch"):
         monkeypatch.setattr(tchlab.gate, name, counted(getattr(tchlab.gate, name)))
     assert main(["gate", "--out-dir", str(tmp_path)]) == 0
-    assert sorted(built) == ["build_tch"] * 2 + ["gate_space"] * 2
+    assert sorted(built) == ["build_tch", "gate_space"]
+
+
+def test_the_gate_command_writes_the_rows_and_phases_of_the_two_calls(tmp_path):
+    scales = ["0.5", "1", "3"]
+    assert main(["gate", "--out-dir", str(tmp_path), "--input", "10",
+                 "--alpha-scales", ",".join(scales)]) == 0
+    config = GateConfig()
+    q = np.zeros(4, dtype=complex)
+    q[2] = 1.0
+    rows = sweep(config, [float(s) * config.resolved_alpha for s in scales], q=q)
+    reference = write_csv_loop(tmp_path / "loop_gate_sweep.csv",
+                               ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"), rows)
+    assert (tmp_path / "gate_sweep.csv").read_bytes() == reference.read_bytes()
+    summary = json.loads((tmp_path / "gate_summary.json").read_text())
+    written = {label: complex(p["re"], p["im"]) for label, p in summary["basis_branch_phases"].items()}
+    assert written == basis_branch_phases(config)
+
+
+def test_every_main_call_shares_one_parser(capsys):
+    # argparse copies its defaults into each namespace and a default is a
+    # tuple, so no parse can change the next one's values
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["gate"])
+    first.alpha_scales += (9.0,)
+    assert build_parser().parse_args(["gate"]).alpha_scales == (0.5, 0.75, 1.0, 1.25, 1.5)
+    before = build_parser.cache_info()
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["gate", "--help"])
+    after = build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+    shared, fresh = capsys.readouterr().out, _help_text(build_parser.__wrapped__(), "gate")
+    assert shared == fresh + fresh and "--alpha-scales" in fresh
+
+
+def _help_text(parser, command):
+    """What ``command --help`` prints through ``parser``."""
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
+        parser.parse_args([command, "--help"])
+    return out.getvalue()
 
 
 def test_gate_coarse_step_exits_with_drift_code(tmp_path, capsys):

@@ -169,13 +169,14 @@ BLOCK_CASES = {
 }
 
 
-def _record_chunks(monkeypatch):
-    """Length of every stack of step matrices that goes to _ordered_product."""
+def _record_chunks(monkeypatch, shapes=False):
+    """Length of every stack of step matrices that goes to _ordered_product,
+    with the size of its block if ``shapes``."""
     chunks = []
     ordered_product = tchlab.evolution._ordered_product
 
     def recording(r):
-        chunks.append(len(r))
+        chunks.append((len(r), r.shape[1]) if shapes else len(r))
         return ordered_product(r)
 
     monkeypatch.setattr(tchlab.evolution, "_ordered_product", recording)
@@ -307,18 +308,61 @@ def test_rk4_terms_are_closed_under_the_mirror_map():
 def test_a_time_symmetric_segment_runs_half_its_steps(monkeypatch, n_steps):
     """Real symmetric letters and a centred pulse: the second half is the
     transpose of the first, so only ceil(n/2) steps run on each block, the
-    middle one on its own for odd n."""
+    middle one on its own for odd n.  The pulsed 8-state blocks run them
+    once per scale, and the pulse-free 2-state block once per call."""
     h0, pulses, window, alpha, _ = _gate_link_terms()
     dt = window / (n_steps - 0.5)
-    chunks = _record_chunks(monkeypatch)
+    chunks = _record_chunks(monkeypatch, shapes=True)
     u = pulsed_propagators(h0, pulses, 0.0, window, dt, (0.5 * alpha, alpha))
     for s, us in zip((0.5 * alpha, alpha), u):
         reference = oracles.rk4_propagator_loop(h0, _scaled(pulses, s), 0.0, window, dt)
         assert np.max(np.abs(us - reference)) < 1e-12
-    sizes = _block_sizes(h0, pulses)
-    assert sum(chunks) == 2 * len(sizes) * ((n_steps + 1) // 2)
+    assert _block_sizes(h0, pulses) == [8, 8, 2]
+    half = (n_steps + 1) // 2
+    assert sum(n for n, b in chunks if b == 8) == 2 * 2 * half  # two blocks, two scales
+    assert sum(n for n, b in chunks if b == 2) == half  # once for both scales
     if n_steps % 2:
-        assert chunks[-2 * len(sizes):] == [1] * (2 * len(sizes))
+        assert chunks[-5:] == [(1, 8), (1, 8), (1, 8), (1, 8), (1, 2)]
+
+
+def test_a_pulse_free_block_is_the_same_bits_at_every_scale(monkeypatch):
+    """The aux<->x jump vanishes on the register's 2-state block, so that
+    block runs once per chunk, not once per scale, and its entries are the
+    same bits at every scale and in a one-scale call."""
+    h0, pulses, window, alpha, dt = _gate_link_terms()
+    free = _invariant_blocks(np.stack([h0.matrix, pulses[0][0].matrix]))[2]
+    assert len(free) == 2 and not np.any(pulses[0][0].matrix[free[:, None], free])
+    chunks = _record_chunks(monkeypatch, shapes=True)
+    scales = (0.0, 0.5 * alpha, alpha, 3.0 * alpha)
+    u = pulsed_propagators(h0, pulses, 0.0, window, dt, scales)
+    assert sum(n for n, b in chunks if b == 2) == (math.ceil(window / dt) + 1) // 2
+    alone = pulsed_propagators(h0, pulses, 0.0, window, dt, (alpha,))[0]
+    for us in u:
+        assert np.array_equal(us[free[:, None], free], alone[free[:, None], free])
+    # the pulsed blocks do move with the scale
+    assert not np.array_equal(u[0], u[2])
+
+
+def test_stacked_products_round_as_the_per_state_ones():
+    """A (runs, dim) stack carried by stacked matrix-vector products gives
+    each row the bits of the per-state route."""
+    h0, pulses, window, alpha, dt = _gate_link_terms()
+    space = h0.space
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(5, space.dim)) + 1j * rng.normal(size=(5, space.dim))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    free = evolve_const(h0, states, 123.4)
+    links = pulsed_propagators(h0, pulses, 0.0, window, dt, (alpha, alpha, 0.5 * alpha, 0.0, alpha))
+    linked = apply_propagator(links, states)
+    for row, psi in enumerate(states):
+        one = StateVector(space, psi)
+        assert np.array_equal(free[row], evolve_const(h0, one, 123.4).amplitudes)
+        assert np.array_equal(linked[row], apply_propagator(links[row], one).amplitudes)
+    # every row is checked: a link that grows the last row trips the guard
+    grown = links.copy()
+    grown[-1] *= 1.001
+    with pytest.raises(NumericalDriftError, match="squared norm drifted"):
+        apply_propagator(grown, states)
 
 
 @pytest.mark.parametrize("n_steps", [111, 132, 155, 900])

@@ -32,6 +32,7 @@ from tchlab import (
     resonance_table,
     run_gate,
     sweep,
+    sweep_and_branch_phases,
     trace_distance,
     uniform_superposition,
 )
@@ -45,6 +46,7 @@ from tchlab.gate import (
     Y_CAVITY,
     FreeSegment,
     _exchange_links,
+    _final_states,
     _xy_swap,
     branch_phase,
     schedule_duration,
@@ -300,6 +302,40 @@ def test_basis_branch_phases_equal_four_separate_runs(change, monkeypatch):
     for label in BASIS_LABELS:
         expected = branch_phase(run_gate(basis_vector(label), cfg), label, cfg)
         assert phases[label] == expected and type(phases[label]) is type(expected)
+
+
+@pytest.mark.parametrize("change", [{}, {"dt": 0.0099}], ids=["default", "odd-steps"])
+def test_the_stacked_runner_equals_the_per_state_loop(change, monkeypatch):
+    # three amplitudes, each carrying the four basis inputs and the uniform
+    # one, in one stack; each state on its own through evolve_const and
+    # apply_propagator, with its amplitude's link built alone
+    monkeypatch.setattr(tchlab.evolution, "NORM_TOLERANCE", 1.0)
+    cfg = dataclasses.replace(FAST_CONFIG, **change)
+    a0 = cfg.resolved_alpha
+    inputs = [basis_vector(label) for label in BASIS_LABELS] + [uniform_superposition()]
+    alphas = (0.5 * a0, None, 3.0 * a0)
+    space, states = _final_states(cfg, [(alpha, inputs) for alpha in alphas])
+    h0 = build_tch(space)
+    for alpha, stack in zip(alphas, states):
+        run = dataclasses.replace(cfg, alpha=alpha)
+        x, y = _exchange_links(cfg, space, h0, run.resolved_dt, (run.resolved_alpha,))
+        assert stack.shape == (len(inputs), space.dim)
+        for q, psi in zip(inputs, stack):
+            loop = oracles.run_schedule_loop(encode(q, space), h0, cfg, (x[0], y[0]))
+            assert np.array_equal(psi, loop.amplitudes)
+
+
+def test_sweep_and_branch_phases_equal_the_two_calls():
+    a0 = FAST_CONFIG.resolved_alpha
+    alphas = [0.5 * a0, a0, 1.25 * a0, 3.0 * a0]
+    for q in (None, basis_vector("01")):
+        rows, phases = sweep_and_branch_phases(FAST_CONFIG, alphas, q)
+        assert rows == sweep(FAST_CONFIG, alphas, q)
+        assert phases == basis_branch_phases(FAST_CONFIG)
+        assert list(phases) == list(BASIS_LABELS)
+    # no amplitude: the phases alone, and an empty sweep
+    assert sweep_and_branch_phases(FAST_CONFIG, []) == ([], basis_branch_phases(FAST_CONFIG))
+    assert sweep(FAST_CONFIG, []) == []
 
 
 def test_pulse_area_controls_the_gate():
