@@ -155,9 +155,8 @@ def cmd_walk(args) -> int:
     kernel_overlap = float(abs(np.vdot(ker_final, psi_final)) / denom) if denom > 0 else 0.0
 
     mirror = (2 * origin - np.arange(n)) % n
-    reflection_residual = float(
-        np.max(np.abs(np.abs(result.amplitudes) - np.abs(result.amplitudes[:, mirror])))
-    )
+    mag = np.abs(result.amplitudes)
+    reflection_residual = float(np.max(np.abs(mag - mag[:, mirror])))
 
     sites = (np.arange(n), result.positions)
     amp_path = write_grid_csv(

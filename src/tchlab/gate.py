@@ -156,8 +156,7 @@ class GateConfig:
         tau1 = self.tau1
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("pulse sigma must be positive and finite")
-        if self.alpha is not None and not 0.0 <= self.alpha < math.inf:
-            raise ValueError("pulse amplitude alpha must be non-negative and finite")
+        _run_alpha(self, self.alpha)
         # the hold's counter becomes a float in its duration and its CSV cell
         if not 1 <= as_int(self.n2, "resonance counter n2") <= 2**53:
             raise ValueError("resonance counter n2 must be a positive integer of at most 2**53, "
@@ -168,10 +167,6 @@ class GateConfig:
             raise ValueError("omega must be positive and finite")
         if not amplitude_for_area(math.pi / 2.0, self.sigma) > 0.0:
             raise ValueError(f"pulse sigma {self.sigma:g} puts the area-rule amplitude at 0")
-        if not self.resolved_alpha <= MAX_ALPHA:
-            source = "" if self.alpha is not None else f" (the area rule at sigma {self.sigma:g})"
-            raise ValueError(f"pulse amplitude alpha {self.resolved_alpha:g}{source} "
-                             f"exceeds the limit of {MAX_ALPHA:g}")
         if self.window > tau1 / 2.0:
             raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does "
                              f"not fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; "
@@ -192,9 +187,7 @@ class GateConfig:
 
     @property
     def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return amplitude_for_area(math.pi / 2.0, self.sigma)
+        return _run_alpha(self, self.alpha)
 
     @property
     def window(self) -> float:
@@ -202,10 +195,7 @@ class GateConfig:
 
     @property
     def resolved_dt(self) -> float:
-        if self.dt is not None:
-            return self.dt
-        strength = self.resolved_alpha / (2.0 * amplitude_for_area(math.pi / 2.0, self.sigma))
-        return min(self.sigma / 50.0, self.tau1 / 200.0) / max(1.0, strength)
+        return _run_dt(self, self.resolved_alpha)
 
     def network(self) -> NetworkConfig:
         return NetworkConfig(
@@ -215,6 +205,30 @@ class GateConfig:
             max_photons=2,  # the two-excitation sector holds at most two photons per cavity
             omega=self.omega,
         )
+
+
+def _run_alpha(config: GateConfig, alpha) -> float:
+    """The pulse amplitude of a run of ``config`` at alpha, None selecting
+    the area rule: ValueError for one that is negative, not finite or above
+    ``MAX_ALPHA``, as ``GateConfig`` refuses its own."""
+    source = ""
+    if alpha is None:
+        alpha = amplitude_for_area(math.pi / 2.0, config.sigma)
+        source = f" (the area rule at sigma {config.sigma:g})"
+    elif not 0.0 <= alpha < math.inf:
+        raise ValueError("pulse amplitude alpha must be non-negative and finite")
+    if not alpha <= MAX_ALPHA:
+        raise ValueError(f"pulse amplitude alpha {alpha:g}{source} exceeds the limit of {MAX_ALPHA:g}")
+    return alpha
+
+
+def _run_dt(config: GateConfig, alpha: float) -> float:
+    """The integrator step of a run of ``config`` at amplitude alpha: the
+    config's dt, else the default of ``GateConfig``."""
+    if config.dt is not None:
+        return config.dt
+    strength = alpha / (2.0 * amplitude_for_area(math.pi / 2.0, config.sigma))
+    return min(config.sigma / 50.0, config.tau1 / 200.0) / max(1.0, strength)
 
 
 @dataclass(frozen=True)
@@ -322,7 +336,9 @@ def _exchange_links(
 def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarray]]:
     """The register, and for each (alpha, inputs) pair of ``runs`` the final
     states of its two-qubit inputs at that pulse amplitude (None: the area
-    rule), one row each, in the orders given.
+    rule), one row each, in the orders given.  Each run's amplitude and step
+    come from ``config`` (``_run_alpha``, ``_run_dt``), and an amplitude
+    ``GateConfig`` would refuse raises its ValueError before any work.
 
     Every run of a call shares one register, one H0 and one schedule, and
     the runs of each step size one ``_exchange_links`` call over their
@@ -332,7 +348,7 @@ def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarr
     which checks every carried state's norm drift.  On a stack both give
     each state the bits it gets carried alone, so a state's bits do not
     depend on the other runs of the call."""
-    configs = [dataclasses.replace(config, alpha=alpha) for alpha, _ in runs]
+    alphas = [_run_alpha(config, alpha) for alpha, _ in runs]
     space = gate_space(config)
     h0 = build_tch(space)
     # every input encoded at once, as ``encode`` places one
@@ -341,13 +357,13 @@ def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarr
     psi[:, _code_indices(space)] = np.reshape(qubits, (-1, 4))
     sizes = [len(inputs) for _, inputs in runs]
     groups = {}
-    for i, run in enumerate(configs):
-        groups.setdefault(run.resolved_dt, []).append(i)
+    for i, alpha in enumerate(alphas):
+        groups.setdefault(_run_dt(config, alpha), []).append(i)
     # the aux<->x and aux<->y link of each run, indexed by the exchanged
     # qubit cavity (X_CAVITY = 0 or Y_CAVITY = 1), then one row per state
     links = np.empty((2, len(runs), space.dim, space.dim), dtype=complex)
     for dt, members in groups.items():
-        amplitudes = tuple(configs[i].resolved_alpha for i in members)
+        amplitudes = tuple(alphas[i] for i in members)
         links[X_CAVITY, members], links[Y_CAVITY, members] = _exchange_links(
             config, space, h0, dt, amplitudes)
     links = links[:, np.repeat(np.arange(len(runs)), sizes)]

@@ -2,8 +2,8 @@
 
 The CSV writers take numbers and print each as ``format(x, ".17g")``
 would: doubles round-trip exactly and integers below 2**53 print the
-digits of ``str``.  One numpy kernel, ``_cells``, computes those 17 digits
-for a whole float64 column at once (see its docstring for why it is
+digits of ``str``.  One numpy kernel, ``_cells``, prints a whole float64
+column at once into 32-byte cells (see its docstring for why its digits are
 exact), and ``format_column``, ``write_csv`` and ``write_grid_csv`` all
 read their cells from it.  Tables are streamed as bytes: each block of
 lines is a uint8 frame of cells, separators and line ends, whose 0 bytes
@@ -24,47 +24,44 @@ from pathlib import Path
 import numpy as np
 
 
-# A cell of ``_cells`` is _CELL bytes of slots in print order, and a 0 byte
-# is no character.  Byte 0 is left to the caller (a separator).  Each digit
-# has a slot before and one after the point, and the cell's layout keeps one
-# of them or neither, so dropping the 0 bytes prints every notation.  The
-# digit runs and the exponent digits are 4-byte words at word offsets.
-_SIGN = 1
-_ZERO = 2  # the "0" before the point of a fixed value below 1
-_INT = 1  # word offset of 20 bytes: "000", then digit j at byte 7 + j
-_POINT = 24
-_LEAD = slice(25, 28)  # the zeros after the point of a fixed value below 0.1
-_FRAC = 7  # word offset of 20 bytes: "000", then digit j at byte 31 + j
-_EXP = 48  # "e", its sign, then the exponent digits at word offset 13
-_CELL = 56
+# A cell of ``_cells`` is _CELL bytes in print order, four little-endian
+# uint64 words; a 0 byte is no character.  Byte 0 is left to the caller (a
+# separator).  Byte 1 holds the sign, bytes 2 to 6 "0." and zeros of a fixed
+# value below 1, bytes 7 to 23 D's 17 digits, those after the point moved up
+# a byte for it, and bytes 26 to 30 "e", the exponent's sign and digits.
+_CELL = 32
 _COLUMN_BLOCK = 2048  # cells per kernel call of format_column and write_csv: a bounded working set
 
 _FAST_RANGE = (1e-250, 1e250)  # |x| where no product below under- or overflows
 _MARGIN = 2.0**-30  # a fraction this near 1/2 is not trusted; k moves for y this far out
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for 53-bit doubles
-_POW_LO = -240  # the table holds 10**m for m in [_POW_LO, _POW_LO + 510]
-# layouts: fixed notation by k in [-4, 16] and the digit count 1 to 17,
-# then exponent notation by the exponent's sign and the digit count, then 0
-_FIXED_LAYOUTS = 21 * 17
-_ZERO_LAYOUT = _FIXED_LAYOUTS + 2 * 17
-# D's digits before each of its 4-digit words; the first is "000" + D's lead
-_DIGITS_BEFORE = np.array([-3, 1, 5, 9, 13])[:, None]
+_POW_LO = -240  # the tables hold 10**m for m in [_POW_LO, _POW_LO + 510]
+# _eight_digits' steps split each lane's number n into n // 10**j, which is
+# (n * multiplier) >> shift masked to the lane, and the rest moved up half a
+# lane: (n << half) - (n // 10**j) * factor
+_SWAR = ((109951163, 40, None, 32, (10**4 << 32) - 1),  # one lane: no mask
+         (5243, 19, 0x0000007F0000007F, 16, (100 << 16) - 1),
+         (103, 10, 0x000F000F000F000F, 8, (10 << 8) - 1))
+# D's second half, plus its first / 2**64 and _BIAS below any digit, has a
+# float exponent e whose (e + 7) >> 3 counts the second half's bytes up to its
+# last nonzero one, or the first's less 8: D has 9 + that many digits, 0 one.
+_BIAS = 2.0**-66
 
 
 @functools.cache
 def _tables():
-    """Powers of ten, digit words and layouts, built once on first use.
+    """Powers of ten, k's words and the layouts, built once on first use.
 
     Each 10**m is a pair: hi is 10**m correctly rounded to a double, lo the
     correctly rounded rest 10**m - hi, both from Python ints (int to float
     and int / int round correctly, and a division by a power of 2 is
     exact), so hi + lo is 10**m to about 2**-106 relative.  hi comes split
-    into two 26-bit halves for Dekker's product.  The words are the ASCII
-    digits "0000" to "9999" as uint32, so that four digits are one lookup,
-    with each word's count of digits up to its last nonzero one (-99 for
-    "0000").  The exponent words hold |k|'s digits,
-    the hundreds left out below 100.  Each layout is a mask of the bytes it
-    keeps and the literal bytes it adds, as uint64 words."""
+    into two 26-bit halves for Dekker's product.  Beside it, for k = 16 - m:
+    word 3's "e", sign and exponent digits, and 8 (17 notation + 8) + 7,
+    which (e + it) >> 3 turns into D's layout (see _BIAS).  A layout, of a
+    notation (fixed at k in [-4, 16], exponent by its sign) and a digit
+    count, masks the bytes of words 0 to 2 that stay and of words 1 and 2
+    that move up past the point, and adds "0." and zeros, or the point."""
     hi, lo = [], []
     for m in range(_POW_LO, _POW_LO + 511):
         if m >= 0:
@@ -78,42 +75,26 @@ def _tables():
     hi = np.array(hi)
     c = hi * _SPLIT
     hi_top = c - (c - hi)
-
-    word = np.arange(10000, dtype=np.int16)
-    text = np.empty((10000, 4), np.uint8)
-    rest = word
-    for place in range(3, -1, -1):
-        rest, text[:, place] = np.divmod(rest, 10)
-    text += ord("0")
-    words = text.view(np.uint32)[:, 0]
-    trailing_zeros = sum((word % 10**i == 0).astype(np.int16) for i in (1, 2, 3))  # but 0's
-    significant = np.where(word > 0, 4 - trailing_zeros, -99)
-    exponents = np.zeros((400, 4), np.uint8)
-    exponents[:, :3] = text[:400, 1:]
-    exponents[:100, 0] = 0
-
-    # per layout: the digit count, and the last digit before the point
-    layout = np.arange(_ZERO_LAYOUT + 1)
-    n_digits = layout % 17 + 1
-    point = np.where(layout < _FIXED_LAYOUTS, layout // 17 - 4, 0)[:, None]
-    exp = (layout >= _FIXED_LAYOUTS) & (layout < _ZERO_LAYOUT)
-    j = np.arange(17)
-    keep = np.zeros((len(layout), _CELL), bool)
-    keep[:, _SIGN] = True
-    keep[:, 4 * _INT + 3:4 * _INT + 20] = j <= point
-    keep[:, 4 * _FRAC + 3:4 * _FRAC + 20] = (j > point) & (j < n_digits[:, None])
-    keep[:, _EXP + 4:] = exp[:, None]
-    literal = np.zeros((len(layout), _CELL), np.uint8)
-    literal[:, _ZERO] = (point[:, 0] < 0) * ord("0")
-    literal[:, _POINT] = (n_digits > point[:, 0] + 1) * ord(".")
-    literal[:, _LEAD] = (np.arange(3) < -1 - point) * ord("0")
-    literal[exp, _EXP] = ord("e")
-    literal[exp, _EXP + 1] = np.where(layout[exp] < _FIXED_LAYOUTS + 17, ord("+"), ord("-"))
-    keep[-1, _SIGN + 1:] = literal[-1] = 0  # zero: its sign and "0"
-    literal[-1, 4 * _INT + 3] = ord("0")
-    keep = (keep * np.uint8(255)).view(np.uint64)
     powers = np.array((hi, lo, hi_top, hi - hi_top))
-    return powers, words, significant, exponents.view(np.uint32)[:, 0], keep, literal.view(np.uint64)
+
+    k = 16 - np.arange(_POW_LO, _POW_LO + 511)
+    notation = np.where(k < -4, 22, np.minimum(k + 4, 21))
+    exponent = np.array([b"" if -4 <= e < 17 else b"\0\0e%+03d" % e for e in k.tolist()], "S8")
+    scales = np.array((exponent.view(np.int64), 8 * (17 * notation + 8) + 7))
+
+    notation, last = np.divmod(np.arange(23 * 17), 17)  # last: D's last nonzero digit
+    before = np.where(notation < 21, notation - 3, 1)[:, None]  # digits before the point
+    cut = np.where(notation < 4, 17, before[:, 0])[:, None]  # the first digit moved up a byte
+    kept = np.maximum(last[:, None] + 1, before)
+    j = np.arange(17)
+    masks = np.zeros((3, len(notation), _CELL), np.uint8)  # stay, move; literals
+    masks[0, :, 7:24] = (j < np.minimum(kept, cut)) * np.uint8(255)
+    masks[1, :, 7:24] = ((j >= cut) & (j < kept)) * np.uint8(255)
+    lead = np.where(notation < 4, 5 - notation, 0)[:, None]  # "0." and -1 - k zeros
+    masks[2, :, 2:7] = (np.arange(5) < lead) * np.frombuffer(b"0.000", np.uint8)
+    masks[2, :, 7:24] = ((j == cut) & (j <= last[:, None])) * np.uint8(ord("."))
+    words = masks.view(np.int64)
+    return powers, scales, np.concatenate((words[0, :, :3].T, words[1, :, 1:3].T, words[2, :, :3].T))
 
 
 def _fallback(values) -> list[bytes]:
@@ -121,9 +102,22 @@ def _fallback(values) -> list[bytes]:
     return [format(v, ".17g").encode() for v in values.tolist()]
 
 
+def _eight_digits(q) -> np.ndarray:
+    """Each int64 of q in [0, 10**8) as its eight decimal digits, one a byte
+    and the first lowest, in place: the _SWAR steps split it into 4-digit
+    lanes of 32 bits, 2-digit lanes of 16 bits and digit bytes."""
+    for multiplier, shift, lanes, half, factor in _SWAR:
+        quotient = (q * multiplier) >> shift
+        if lanes:
+            quotient &= lanes
+        q <<= half
+        q -= quotient * factor
+    return q
+
+
 def _cells(values) -> np.ndarray:
     """The ``format(x, ".17g")`` text of every element of a float64 column,
-    as an (n, _CELL) uint8 array of slots (see _CELL).
+    as an (n, _CELL) uint8 array of cells (see _CELL).
 
     |x| = D 10**(k-16) with D = round(|x| 10**(16-k)) in [10**16, 10**17]:
     k starts from log10 and moves by one until the scaled value y lies
@@ -134,58 +128,63 @@ def _cells(values) -> np.ndarray:
     and with it the rounding of D (ties to even), is exact unless it lies
     within _MARGIN of 1/2; such values go to ``_fallback``, with every
     non-finite value and every |x| outside _FAST_RANGE but zero, which is
-    written directly.  At a decade edge either k gives the same text: a y
-    just below 10**16 rounds to 10**16 at k, as 10 y rounds to 10**17 at
-    k - 1, and D = 10**17 is 10**16 at k + 1.  D's digits come as 4-digit
-    words (Adams, "Ryu revisited", OOPSLA 2019, prints fixed precision in
-    digit blocks too).  %g prints the digits before the point in fixed
-    notation when -4 <= k < 17, else one digit and an exponent of at least
-    two digits, and drops the fraction's trailing zeros."""
+    written as D = 0 at k = 0.  At a decade edge either k gives the same
+    text: a y just below 10**16 rounds to 10**16 at k, as 10 y rounds to
+    10**17 at k - 1, and D = 10**17 is 10**16 at k + 1.
+
+    D's lead digit and 8-digit halves become words of digit bytes
+    (``_eight_digits``).  The halves' float bit length finds D's last
+    nonzero digit, and with k's notation the layout, whose masks keep the
+    digits up to that one or the point and move those after the point up a
+    byte, across words, every op on contiguous word-major rows.  %g prints
+    the digits before the point in fixed notation when -4 <= k < 17, else
+    one digit and an exponent of at least two digits, and drops the
+    fraction's trailing zeros."""
     x = np.asarray(values, dtype=float).reshape(-1)
-    powers, words, significant, exponents, keep, literal = _tables()
+    powers, scales, layouts = _tables()
     ax = np.abs(x)
     fast = (ax >= _FAST_RANGE[0]) & (ax <= _FAST_RANGE[1])  # NaN compares false
     a = np.where(fast, ax, 1.0)
     c = a * _SPLIT
     a_top = c - (c - a)
     a_low = a - a_top
-    k = np.floor(np.log10(a)).astype(np.int64)
+    m = (16 - _POW_LO) - np.floor(np.log10(a)).astype(np.int64)  # the column of 10**(16-k)
     for attempt in range(3):  # log10 is off by one at most, at a decade edge
-        hi, lo, top, low = np.take(powers, 16 - k - _POW_LO, axis=1)
+        hi, lo, top, low = np.take(powers, m, axis=1)
         p = a * hi
         r = (((a_top * top - p) + a_top * low + a_low * top) + a_low * low) + a * lo
         down, up = (p - 1e16) + r < -_MARGIN, (p - 1e17) + r >= _MARGIN
-        if attempt == 2 or not (down | up).any():
+        outside = down | up
+        if attempt == 2 or not outside.any():
             break
-        k += up
-        k -= down
+        m -= up
+        m += down
     whole = np.floor(r)
     frac = r - whole
-    fast &= ~down & ~up & (np.abs(frac - 0.5) >= _MARGIN)
-    d = np.where(fast, p, 1e16).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    fast &= ~outside & (np.abs(frac - 0.5) >= _MARGIN)
+    d = (p * fast).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     carry = d == 10**17
     d[carry] = 10**16
-    k += carry
+    m -= carry
 
-    top, low = np.divmod(d, 10**8)
-    lead, third = np.divmod(top, 10**4)
-    quads = np.array((*np.divmod(lead, 10**4), third, *np.divmod(low, 10**4)))
-    n_digits = (_DIGITS_BEFORE + np.take(significant, quads)).max(axis=0)
-    layout = np.where((k >= -4) & (k < 17), (k + 4) * 17, _FIXED_LAYOUTS + 17 * (k < 0))
-    layout += n_digits - 1
-    layout[x == 0.0] = _ZERO_LAYOUT
-
-    cells = np.empty((len(x), _CELL), np.uint8)  # no layout keeps a byte left unset
-    wide = cells.view(np.uint32)
-    digits = np.take(words, quads.T)
-    wide[:, _INT:_INT + 5] = digits
-    wide[:, _FRAC:_FRAC + 5] = digits
-    wide[:, _EXP // 4 + 1] = np.take(exponents, np.abs(k))
-    cells[:, _SIGN] = np.signbit(x) * np.uint8(ord("-"))
-    wide = cells.view(np.uint64)
-    wide &= np.take(keep, layout, axis=0)
-    wide |= np.take(literal, layout, axis=0)
-    slow = np.flatnonzero(~fast & (x != 0.0))
+    # word-major rows: the cell's words 0 to 3, then its notation's layout
+    w = np.empty((5, len(x)), np.int64)
+    np.take(scales, m, axis=1, out=w[3:], mode="clip")
+    top = np.divmod(d, 10**8, out=(None, w[2]))[0]
+    np.divmod(top, 10**8, out=(w[0], w[1]))  # the lead digit lands in byte 7
+    digits = _eight_digits(w[:3].reshape(-1))
+    length = np.frexp(w[1] * 2.0**-64 + w[2] + _BIAS)[1]
+    digits += 0x3030303030303030  # ASCII; the layout keeps which bytes print
+    layout = np.take(layouts, (length + w[4]) >> 3, axis=1, mode="clip")
+    move = layout[3:5] & w[1:3]
+    w[:3] &= layout[:3]
+    w[:3] |= layout[5:]
+    w[2:4] |= move >> 56
+    move <<= 8
+    w[1:3] |= move
+    w[0] |= np.signbit(x) * (ord("-") << 8)
+    cells = np.ascontiguousarray(w[:4].T).view(np.uint8)
+    slow = np.flatnonzero((x != 0.0) ^ fast)  # fast values are nonzero
     if len(slow):
         text = np.array(_fallback(x[slow]), dtype=f"S{_CELL - 1}")
         cells[slow, 0] = 0
@@ -194,7 +193,7 @@ def _cells(values) -> np.ndarray:
 
 
 def _text(cells) -> bytes:
-    """The characters of a uint8 slot array, row after row, as ASCII
+    """The characters of a uint8 cell array, row after row, as ASCII
     bytes: one ``bytes.translate`` pass drops the 0 bytes."""
     return cells.tobytes().translate(None, b"\0")
 

@@ -338,6 +338,34 @@ def test_sweep_and_branch_phases_equal_the_two_calls():
     assert sweep(FAST_CONFIG, []) == []
 
 
+@pytest.mark.parametrize("alpha, refusal", [
+    (-1.0, "non-negative and finite"),
+    (math.inf, "non-negative and finite"),
+    (math.nan, "non-negative and finite"),
+    (2.0 * tchlab.gate.MAX_ALPHA, "exceeds the limit"),
+])
+def test_sweep_refuses_an_amplitude_as_the_config_does_before_any_integration(
+        monkeypatch, alpha, refusal):
+    def integrated(*args):
+        raise AssertionError("the link was integrated")
+
+    monkeypatch.setattr(tchlab.gate, "pulsed_propagators", integrated)
+    with pytest.raises(ValueError, match=refusal):
+        GateConfig(alpha=alpha)
+    with pytest.raises(ValueError, match=refusal):
+        sweep(FAST_CONFIG, [FAST_CONFIG.resolved_alpha, alpha])
+
+
+def test_sweep_builds_no_config_per_amplitude(monkeypatch):
+    # each run's step and amplitude are resolved from the one config
+    built = []
+    post_init = GateConfig.__post_init__
+    monkeypatch.setattr(GateConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
+    a0 = FAST_CONFIG.resolved_alpha
+    rows, _ = sweep_and_branch_phases(FAST_CONFIG, [0.5 * a0, 3.0 * a0])
+    assert built == [] and len(rows) == 2
+
+
 def test_pulse_area_controls_the_gate():
     cfg = FAST_CONFIG
     q = uniform_superposition()

@@ -2,6 +2,7 @@ import csv
 import math
 import struct
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,44 @@ def test_power_table_is_correctly_rounded_and_split():
         exact = Fraction(10) ** m
         assert hi == float(exact) and lo == float(exact - Fraction(hi))
         assert top + low == hi and _odd_bits(top) <= 26 and _odd_bits(low) <= 26
+
+
+def _decimal(exponents, n: int) -> str:
+    """The first of a fixed run of n-digit decimals, last digit nonzero, at
+    one of the exponents that is the ``%.17g`` text of its own double."""
+    for k in exponents:
+        for i in range(300):
+            digits = str(10**(n - 1) + (31415926535897932 + 982451653 * i) % (9 * 10**(n - 1)))
+            text = f"{digits[0]}.{digits[1:]}e{k}" if n > 1 else f"{digits}e{k}"
+            printed = format(float(text), ".17g").split("e")[0].replace(".", "")
+            if digits[-1] != "0" and printed.strip("0") == digits:
+                return text
+    raise AssertionError(f"no {n}-digit decimal at the exponents {exponents}")
+
+
+# every layout of the kernel: fixed notation at k = -4 to 16, exponent
+# notation of either sign (two- and three-digit exponents), 1 to 17 digits
+LAYOUT_VALUES = [_decimal([k], n) for k in range(-4, 17) for n in range(1, 18)] + [
+    _decimal(range(k, k + 6), n) for n in range(1, 18) for k in (-23 - 12 * n, 5 + 12 * n)]
+
+
+def test_every_layout_prints_as_format_does():
+    values = [float(text) for text in LAYOUT_VALUES] + [0.0, -0.0]
+    values += [-v for v in values]
+    expected = [format(v, ".17g") for v in values]
+    assert format_column(values) == expected
+    # the decimals cover every notation (k, or the exponent's sign) and digit count
+    layouts = {(k if -4 <= k < 17 else "+-"[k < 0], len(d.as_tuple().digits))
+               for d in map(Decimal, LAYOUT_VALUES) for k in [d.adjusted()]}
+    assert len(layouts) == len(LAYOUT_VALUES) == (21 + 2) * 17
+
+
+def test_eight_digit_split_matches_percent_08d_at_its_edges():
+    edges = sorted({0, 1, 9999, 10000, 99999999}
+                   | {10**j for j in range(8)} | {10**j - 1 for j in range(1, 9)})
+    words = reports._eight_digits(np.array(edges, dtype=np.int64))
+    text = (words.view(np.uint8).reshape(-1, 8) + ord("0")).tobytes()
+    assert text == b"".join(b"%08d" % v for v in edges)
 
 
 @pytest.mark.parametrize("origin", [None, 700])
