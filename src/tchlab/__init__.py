@@ -9,10 +9,12 @@ from .basis import HilbertSpace, NetworkConfig
 from .darkstates import (
     Classification,
     DarknessReport,
+    DarkStudy,
     DecayConfig,
     EmissionReport,
     EmissionSamples,
     classify_dark,
+    dark_study,
     emission_density,
     is_dark,
     sample_emission_times,

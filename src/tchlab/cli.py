@@ -6,6 +6,9 @@ with the free-particle propagator, ``dark`` separates dark from light atomic
 states by photon arrival times, and ``resonance`` ranks the Rabi-counter
 pairs the gate schedule relies on.
 
+Each subcommand parses its flags, makes one library call for its study
+and writes what that call returns.
+
 Exit codes: 0 success, 2 usage error, 3 numerical drift beyond tolerance,
 4 classification attempted but statistically inconclusive (|z| < 3, or
 samples without spread, for which the z-score is written as null).
@@ -21,19 +24,7 @@ import sys
 
 import numpy as np
 
-from .darkstates import (
-    MAX_ATOMS,
-    MAX_RATE,
-    MAX_TIMES,
-    MAX_TRIALS,
-    DecayConfig,
-    classify_dark,
-    emission_density,
-    is_dark,
-    sample_emission_times,
-    singlet_product,
-    triplet_state,
-)
+from .darkstates import MAX_ATOMS, MAX_RATE, MAX_TIMES, MAX_TRIALS, dark_study
 from .evolution import NumericalDriftError, rabi_periods
 from .gate import (
     BASIS_LABELS,
@@ -47,7 +38,7 @@ from .gate import (
     uniform_superposition,
 )
 from .reports import format_column, write_csv, write_grid_csv, write_json
-from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, kernel_band_edge, simulate_walk
+from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, simulate_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,15 +116,6 @@ def cmd_gate(args) -> int:
 # walk
 # ---------------------------------------------------------------------------
 
-def _kernel_band(n: int, origin: int, t: float, mass: float) -> np.ndarray:
-    """Sites whose stationary momentum lies safely inside the band, where
-    the free-particle kernel describes the ring dynamics."""
-    offsets = (np.arange(n) - origin + n // 2) % n - n // 2
-    x = np.abs(offsets) / np.sqrt(n)
-    # keep at least the immediate neighborhood
-    return (x <= kernel_band_edge(n, t, mass)) | (np.abs(offsets) <= 2)
-
-
 def cmd_walk(args) -> int:
     config = WalkConfig(
         n_cavities=args.n_cavities,
@@ -148,16 +130,6 @@ def cmd_walk(args) -> int:
     # every result before the first file, so that a failure leaves none
     n = config.n_cavities
     origin = config.resolved_origin
-    band = _kernel_band(n, origin, float(result.times[-1]), config.mass)
-    psi_final = result.amplitudes[-1, band]
-    ker_final = result.kernel[-1, band]
-    denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
-    kernel_overlap = float(abs(np.vdot(ker_final, psi_final)) / denom) if denom > 0 else 0.0
-
-    mirror = (2 * origin - np.arange(n)) % n
-    mag = np.abs(result.amplitudes)
-    reflection_residual = float(np.max(np.abs(mag - mag[:, mirror])))
-
     sites = (np.arange(n), result.positions)
     amp_path = write_grid_csv(
         os.path.join(args.out_dir, "walk_amplitude.csv"),
@@ -185,8 +157,8 @@ def cmd_walk(args) -> int:
         "ballistic_exponent": exponent,
         "momentum_population_drift": result.momentum_drift,
         "norm_drift": result.norm_drift,
-        "reflection_residual": reflection_residual,
-        "kernel_overlap_final": kernel_overlap,
+        "reflection_residual": result.reflection_residual,
+        "kernel_overlap_final": result.kernel_overlap,
         "n_links": sum(count for _, count, _, _ in result.network_profile),
         "files": {
             "amplitude": os.path.basename(amp_path),
@@ -202,45 +174,15 @@ def cmd_walk(args) -> int:
 # dark
 # ---------------------------------------------------------------------------
 
-def _light_reference(n_atoms: int) -> np.ndarray:
-    """Symmetric pair on atoms (0, 1), singlets on the remaining adjacent
-    pairs: same excitation count as the all-singlet state but optically
-    active."""
-    state = triplet_state()
-    if n_atoms > 2:
-        rest = singlet_product([(i, i + 1) for i in range(0, n_atoms - 2, 2)])
-        state = np.kron(state, rest)
-    return state
-
-
 def cmd_dark(args) -> int:
-    if args.atoms < 0 or args.atoms % 2 != 0:
-        print("--atoms must be zero or an even number", file=sys.stderr)
-        return EXIT_USAGE
-    if args.atoms > MAX_ATOMS:  # before the couplings take memory by the atom
-        print(f"--atoms {args.atoms} exceeds the limit of {MAX_ATOMS}", file=sys.stderr)
-        return EXIT_USAGE
-    # refused before any decay runs and at every atom count, the bare cavity
-    # included, as sampling and classification (which needs two samples for
-    # a spread) would refuse them only after both decays
-    if not 2 <= args.n_trials <= MAX_TRIALS:
-        print(f"--n-trials must be at least 2 and within the limit of {MAX_TRIALS}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not 0.0 <= args.detector_error <= 1.0:  # NaN compares false
-        print("--detector-error must lie in [0, 1]", file=sys.stderr)
-        return EXIT_USAGE
-    couplings = (args.g,) * args.atoms
-    config = DecayConfig(
-        couplings=couplings,
-        kappa=args.kappa,
-        omega=args.omega,
-        n_times=args.n_times,
-        t_max=args.t_max,
-    )
+    study = dark_study(args.atoms, args.g, kappa=args.kappa, omega=args.omega,
+                       t_max=args.t_max, n_times=args.n_times, truth=args.truth,
+                       n_trials=args.n_trials, detector_error=args.detector_error,
+                       rng=args.seed)
+    config = study.dark.config
 
     if args.atoms == 0:
-        report = emission_density(np.array([1.0 + 0.0j]), config)
+        report = study.dark
         write_csv(
             os.path.join(args.out_dir, "emission_density.csv"),
             ("time", "density", "survival"),
@@ -261,27 +203,11 @@ def cmd_dark(args) -> int:
         )
         return EXIT_OK
 
-    dark_state = singlet_product([(i, i + 1) for i in range(0, args.atoms, 2)])
-    light_state = _light_reference(args.atoms)
-    dark_report = emission_density(dark_state, config)
-    light_report = emission_density(light_state, config)
-
-    rng = np.random.default_rng(args.seed)
-    truth_report = dark_report if args.truth == "dark" else light_report
-    samples = sample_emission_times(truth_report, args.n_trials, rng=rng)
-    result = classify_dark(
-        samples,
-        dark_report.mean_emission_time,
-        light_report.mean_emission_time,
-        detector_error=args.detector_error,
-        rng=rng,
-    )
+    dark_report, light_report, dark_check, light_check, result = study
 
     # Samples of zero variance off the threshold score z = +-inf: no spread
     # to measure significance by, so the run is inconclusive and z is null.
     z_score = result.z_score if math.isfinite(result.z_score) else None
-    dark_check = is_dark(dark_state, couplings)
-    light_check = is_dark(light_state, couplings)
     write_csv(
         os.path.join(args.out_dir, "emission_density.csv"),
         ("time", "p_dark", "p_light", "s_dark", "s_light"),
@@ -330,18 +256,10 @@ def cmd_dark(args) -> int:
             "light_mean_emission_time": light_report.mean_emission_time,
         },
     )
-    if z_score is None:
-        print(
-            f"inconclusive: all {args.n_trials} samples are equal, so z is undefined",
-            file=sys.stderr,
-        )
-        return EXIT_INCONCLUSIVE
-    if abs(z_score) < 3.0:
-        print(
-            f"inconclusive: |z| = {abs(z_score):.3g} < 3 "
-            f"with {args.n_trials} trials",
-            file=sys.stderr,
-        )
+    if z_score is None or abs(z_score) < 3.0:
+        why = (f"all {args.n_trials} samples are equal, so z is undefined" if z_score is None
+               else f"|z| = {abs(z_score):.3g} < 3 with {args.n_trials} trials")
+        print(f"inconclusive: {why}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -527,7 +527,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling and classification
+# sampling, classification and the study
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -651,3 +651,67 @@ def classify_dark(
         detector_error=detector_error,
         n_censored=n_censored,
     )
+
+
+def _light_reference(n_atoms: int) -> np.ndarray:
+    """Symmetric pair on atoms (0, 1), singlets on the remaining adjacent
+    pairs: same excitation count as the all-singlet state but optically
+    active."""
+    state = triplet_state()
+    if n_atoms > 2:
+        rest = singlet_product([(i, i + 1) for i in range(0, n_atoms - 2, 2)])
+        state = np.kron(state, rest)
+    return state
+
+
+class DarkStudy(NamedTuple):
+    """The decays of the singlet product and the light reference, their
+    darkness checks and the classification; at zero atoms only ``dark``,
+    the bare cavity's decay."""
+
+    dark: EmissionReport
+    light: EmissionReport | None = None
+    dark_check: DarknessReport | None = None
+    light_check: DarknessReport | None = None
+    classification: Classification | None = None
+
+
+def dark_study(n_atoms: int, g: float = 1e-3, *, kappa=None, omega=1.0, t_max=None,
+               n_times=2001, truth="dark", n_trials=10_000, detector_error=0.03,
+               rng=None) -> DarkStudy:
+    """The dark-state study on ``n_atoms`` atoms, each coupled by ``g`` to
+    one leaky cavity: the decays of the singlet on every adjacent pair and
+    of ``_light_reference``, ``n_trials`` emission times drawn from the
+    decay ``truth`` names, and their classification, with the draws and
+    then the flips from ``default_rng(rng)``.  Every check runs before
+    either decay, zero atoms included: ValueError for an odd, negative or
+    (before the couplings are built) above-``MAX_ATOMS`` ``n_atoms``,
+    ``n_trials`` outside [2, ``MAX_TRIALS``], ``detector_error`` outside
+    [0, 1], NaN included, an unknown ``truth``, or what ``DecayConfig``
+    refuses."""
+    if as_int(n_atoms, "n_atoms") < 0 or n_atoms % 2:
+        raise ValueError(f"n_atoms must be zero or an even number, not {n_atoms}")
+    if n_atoms > MAX_ATOMS:  # before the couplings take memory by the atom
+        raise ValueError(f"{n_atoms} atoms exceed the limit of {MAX_ATOMS}")
+    # classification needs two samples for a spread
+    if not 2 <= as_int(n_trials, "n_trials") <= MAX_TRIALS:
+        raise ValueError(f"n_trials must be at least 2 and within the limit of {MAX_TRIALS}")
+    if not 0.0 <= detector_error <= 1.0:  # NaN compares false
+        raise ValueError("detector_error must lie in [0, 1]")
+    if truth not in ("dark", "light"):
+        raise ValueError(f"truth must be 'dark' or 'light', not {truth!r}")
+    couplings = (g,) * n_atoms
+    config = DecayConfig(couplings=couplings, kappa=kappa, omega=omega, n_times=n_times,
+                         t_max=t_max)
+    if n_atoms == 0:
+        return DarkStudy(emission_density(np.array([1.0 + 0.0j]), config))
+    dark_state = singlet_product([(i, i + 1) for i in range(0, n_atoms, 2)])
+    light_state = _light_reference(n_atoms)
+    dark = emission_density(dark_state, config)
+    light = emission_density(light_state, config)
+    rng = np.random.default_rng(rng)
+    samples = sample_emission_times(dark if truth == "dark" else light, n_trials, rng=rng)
+    result = classify_dark(samples, dark.mean_emission_time, light.mean_emission_time,
+                           detector_error=detector_error, rng=rng)
+    return DarkStudy(dark, light, is_dark(dark_state, couplings),
+                     is_dark(light_state, couplings), result)

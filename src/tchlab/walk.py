@@ -157,7 +157,7 @@ class WalkConfig:
                 < math.inf):
             raise ValueError(f"mass {self.mass:g} over the time step {step:g} puts the kernel "
                              "phase, 2 pi^2 mass n_cavities / step, beyond the float range")
-        # the band the CLI compares the kernel within
+        # the band the walk compares the kernel within
         if not kernel_band_edge(self.n_cavities, self.resolved_t_max, self.mass) < math.inf:
             raise ValueError(f"t_max {self.resolved_t_max:g} over mass {self.mass:g} puts the "
                              "kernel band's edge, 0.4 sqrt(n_cavities) t_max / (2 pi mass), "
@@ -185,6 +185,10 @@ class WalkResult:
     momentum_populations: np.ndarray  # (n_times, N) magnitudes
     momentum_drift: float
     norm_drift: float
+    # largest | |psi(x0 + d)| - |psi(x0 - d)| |, zero by the ring's mirror symmetry
+    reflection_residual: float
+    # |<kernel|psi>| / (|kernel| |psi|) at t_max over the kernel band, 0 if either is 0
+    kernel_overlap: float
     # (separation, n_links, amplitude, phase) per hop distance of the ring
     network_profile: list[tuple[int, int, float, float]] = field(repr=False)
 
@@ -209,14 +213,16 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
     a = np.arange(n)
     energies = momentum_values(n) ** 2 / (2.0 * m)  # p^2 / 2m, in Fourier order
     launch = np.exp(2j * np.pi * (a * origin % n) / n)
-    phases = np.exp(-1j * np.outer(times, energies))
-    amplitudes = np.fft.fft(phases * launch, axis=1) / n
+    amplitudes = np.fft.fft(np.exp(-1j * np.outer(times, energies)) * launch, axis=1) / n
     # the momentum eigenvectors are the columns of A^-1 F, A = diag((-1)^a)
     populations = math.sqrt(n) * np.abs(np.fft.ifft((-1.0) ** a * amplitudes, axis=1))
     momentum_drift = float(np.max(np.abs(populations - populations[0])))
 
     positions = a / math.sqrt(n)
-    prob = np.abs(amplitudes) ** 2
+    mag = np.abs(amplitudes)
+    prob = mag**2
+    mirror = (2 * origin - a) % n
+    reflection_residual = float(np.max(np.abs(mag - mag[:, mirror])))
     norm_drift = float(np.max(np.abs(prob.sum(axis=1) - 1.0)))
     mean = prob @ positions
     variances = prob @ positions**2 - mean**2
@@ -230,6 +236,14 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
             kernel[i] = band_sign * feynman_kernel(
                 positions - x0, t, 2.0 * math.pi**2 * m
             )
+
+    # the kernel band: sites within kernel_band_edge, and the origin's neighbors
+    offsets = np.abs((a - origin + n // 2) % n - n // 2)
+    band = (offsets / np.sqrt(n) <= kernel_band_edge(n, float(times[-1]), m)) | (offsets <= 2)
+    psi_final = amplitudes[-1, band]
+    ker_final = kernel[-1, band]
+    denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
+    kernel_overlap = float(abs(np.vdot(ker_final, psi_final)) / denom) if denom > 0 else 0.0
 
     # the n - d hops at separation d all equal the first-row entry c[d];
     # separations are kept under coupling_network's default tolerance
@@ -250,6 +264,8 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
         momentum_populations=populations,
         momentum_drift=momentum_drift,
         norm_drift=norm_drift,
+        reflection_residual=reflection_residual,
+        kernel_overlap=kernel_overlap,
         network_profile=profile,
     )
 

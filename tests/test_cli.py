@@ -26,12 +26,14 @@ from tchlab import (
     sweep,
     uniform_superposition,
 )
-from tchlab.cli import _light_reference, build_parser, main
+from tchlab.cli import build_parser, main
 from tchlab.darkstates import (
     MAX_ATOMS,
     MAX_TIMES,
     MAX_TRIALS,
     DecayConfig,
+    _light_reference,
+    dark_study,
     emission_density,
     singlet_product,
 )
@@ -281,6 +283,10 @@ def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass):
                                ("separation", "n_links", "mean_amplitude", "mean_phase"),
                                result.network_profile)
     assert (tmp_path / "network.csv").read_bytes() == reference.read_bytes()
+    # the summary holds the walk's own scalars, unchanged
+    summary = json.loads((tmp_path / "walk_summary.json").read_text())
+    assert summary["reflection_residual"] == result.reflection_residual
+    assert summary["kernel_overlap_final"] == result.kernel_overlap
 
 
 def test_gate_and_dark_csvs_match_the_row_at_a_time_writer(dark_dir, tmp_path):
@@ -344,14 +350,15 @@ def test_dark_writes_nothing_when_classification_fails(tmp_path, capsys, monkeyp
     def decayed(*args):
         raise AssertionError("the decay ran")
 
-    monkeypatch.setattr(tchlab.cli, "emission_density", decayed)
+    monkeypatch.setattr(tchlab.darkstates, "_lossy_propagation", decayed)
     assert main(["dark", "--out-dir", str(tmp_path), *args]) == 2
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
+    assert "Traceback" not in err
     if "--n-trials" in args:
-        assert "--n-trials must be at least 2" in err
+        assert "n_trials must be at least 2" in err
     else:
-        assert "--detector-error must lie in [0, 1]" in err
+        assert "detector_error must lie in [0, 1]" in err
 
 
 @pytest.mark.parametrize("t_max", ["1e-300", "1e-200"])
@@ -523,7 +530,7 @@ OVERFLOWING_CASES = [
     (["gate", "--n2", "1" + "0" * 400], 2, "counter n2"),
     # past 2**53 a float no longer holds every counter (nor its CSV cell)
     (["gate", "--n2", str(2**53 + 1)], 2, "counter n2"),
-    (["dark", "--atoms", "1000000000000"], 2, "--atoms"),
+    (["dark", "--atoms", "1000000000000"], 2, "atoms exceed the limit of 18"),
     # a step of 1e11 radians: its Pade squarings round the survival by 8e-5
     (["dark", "--atoms", "2", "--g", "1e12", "--kappa", "1", "--n-times", "201"], 3, "squarings"),
 ]
@@ -750,6 +757,47 @@ def test_dark_omega_moves_only_its_echo(tmp_path):
     summary, other_summary = (json.loads((d / "dark_summary.json").read_text()) for d in (one, other))
     assert (summary.pop("omega"), other_summary.pop("omega")) == (1.0, 2.5)
     assert summary == other_summary
+
+
+@pytest.mark.parametrize("truth", ["dark", "light"])
+@pytest.mark.parametrize("atoms", [0, 2, 4])
+def test_dark_writes_exactly_what_dark_study_returns(tmp_path, atoms, truth):
+    # the CLI's defaults are dark_study's, and its files hold the study's
+    # numbers and decision unchanged: every float read back compares ==
+    assert main(["dark", "--out-dir", str(tmp_path), "--atoms", str(atoms),
+                 "--truth", truth]) == 0
+    study = dark_study(atoms, truth=truth, rng=0)
+    summary = json.loads((tmp_path / "dark_summary.json").read_text())
+    _, rows = _read_csv(tmp_path / "emission_density.csv")
+    dark, light, dark_check, light_check, result = study
+    config = dark.config
+    assert (summary["kappa"], summary["t_max"]) == (config.resolved_kappa, config.resolved_t_max)
+    if atoms == 0:
+        assert study[1:] == (None,) * 4
+        assert not (tmp_path / "classify.json").exists()
+        expected = {"escape_probability": dark.escape_probability,
+                    "mean_emission_time": dark.mean_emission_time}
+        columns = (dark.times, dark.density, dark.survival)
+    else:
+        expected = {
+            "dark_absorption_residual": dark_check.absorption_residual,
+            "light_absorption_residual": light_check.absorption_residual,
+            "dark_is_dark": dark_check.is_dark,
+            "light_is_dark": light_check.is_dark,
+            "dark_escape_probability": dark.escape_probability,
+            "light_escape_probability": light.escape_probability,
+            "dark_mean_emission_time": dark.mean_emission_time,
+            "light_mean_emission_time": light.mean_emission_time,
+        }
+        columns = (dark.times, dark.density, light.density, dark.survival, light.survival)
+        classify = json.loads((tmp_path / "classify.json").read_text())
+        assert classify["decision"] == result.decision == truth
+        for key in ("z_score", "n_trials", "n_censored", "sample_mean", "threshold",
+                    "dark_mean", "light_mean", "detector_error"):
+            assert classify[key] == getattr(result, key), key
+    for key, value in expected.items():
+        assert summary[key] == value, key
+    assert [[float(cell) for cell in row] for row in rows] == np.column_stack(columns).tolist()
 
 
 def test_dark_rejects_odd_atom_counts(tmp_path, capsys):

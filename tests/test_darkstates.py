@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -233,6 +234,63 @@ def test_sampling_counts_trials_with_an_integer():
             sample_emission_times(report, n_trials)
     samples = sample_emission_times(report, np.int64(5), rng=3)
     assert np.array_equal(samples.times, sample_emission_times(report, 5, rng=3).times)
+
+
+# (atom counts, arguments, the refusal's words): each argument dark_study
+# refuses, at the bare cavity and at a register alike
+DARK_STUDY_REFUSALS = [
+    ((0,), {"n_atoms": 3}, "zero or an even number"),
+    ((0,), {"n_atoms": -2}, "zero or an even number"),
+    ((0,), {"n_atoms": 2.0}, "n_atoms must be an integer"),
+    ((0,), {"n_atoms": 20}, "limit of 18"),
+    ((0,), {"n_atoms": 10**12}, "atoms exceed the limit of 18"),
+] + [((atoms,), kwargs, message) for atoms in (0, 2) for kwargs, message in (
+    ({"n_trials": 0}, "n_trials must be at least 2"),
+    ({"n_trials": 1}, "n_trials must be at least 2"),
+    ({"n_trials": MAX_TRIALS + 1}, f"limit of {MAX_TRIALS}"),
+    ({"n_trials": 10.0}, "n_trials must be an integer"),
+    ({"detector_error": math.nan}, r"detector_error must lie in \[0, 1\]"),
+    ({"detector_error": 5.0}, r"detector_error must lie in \[0, 1\]"),
+    ({"detector_error": -0.5}, r"detector_error must lie in \[0, 1\]"),
+    ({"truth": "grey"}, "truth must be"),
+    ({"kappa": math.inf}, "kappa must be"),
+)]
+
+
+@pytest.mark.parametrize("atoms, kwargs, message", DARK_STUDY_REFUSALS,
+                         ids=[f"{a[0]}-{k}" for a, k, _ in DARK_STUDY_REFUSALS])
+def test_dark_study_refuses_before_either_decay(monkeypatch, atoms, kwargs, message):
+    def decayed(*args):
+        raise AssertionError("the decay ran")
+
+    monkeypatch.setattr(darkstates, "_lossy_propagation", decayed)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            darkstates.dark_study(**{"n_atoms": atoms[0], **kwargs})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_dark_study_looks_its_steps_up_on_the_module(monkeypatch):
+    # wrapping a module attribute reaches every call the study makes, as the
+    # benchmark's tracer does
+    calls = []
+    for name in ("emission_density", "sample_emission_times", "classify_dark", "is_dark"):
+        def counted(*args, _fn=getattr(darkstates, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(darkstates, name, counted)
+    study = darkstates.dark_study(2, n_times=101, n_trials=50, rng=1)
+    assert sorted(calls) == sorted(["emission_density"] * 2 + ["sample_emission_times",
+                                    "classify_dark"] + ["is_dark"] * 2)
+    assert study.classification.n_trials == 50
+    calls.clear()
+    assert darkstates.dark_study(0, n_times=101).light is None
+    assert calls == ["emission_density"]
 
 
 @pytest.fixture(scope="module")

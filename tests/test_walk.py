@@ -196,6 +196,16 @@ def test_simulated_walk_conserves_everything():
         np.abs(np.abs(result.amplitudes) - np.abs(result.amplitudes[:, mirror]))
     )
     assert refl < 1e-8
+    assert refl == result.reflection_residual  # bit for bit
+    # the overlap with the kernel inside its validity band
+    offsets = (np.arange(n) - origin + n // 2) % n - n // 2
+    t = result.times[-1]
+    edge = tchlab.walk.kernel_band_edge(n, t, 1.0)
+    band = (np.abs(offsets) / math.sqrt(n) <= edge) | (np.abs(offsets) <= 2)
+    psi, ker = result.amplitudes[-1, band], result.kernel[-1, band]
+    overlap = abs(np.vdot(ker, psi)) / (np.linalg.norm(psi) * np.linalg.norm(ker))
+    assert overlap == result.kernel_overlap
+    assert 0.9 < result.kernel_overlap < 1.0
 
 
 # Default origin, an off-centre origin and a non-unit mass on each ring;
@@ -215,6 +225,11 @@ def test_walk_matches_dense_diagonalization(n, origin, mass):
     assert np.max(np.abs(result.amplitudes - amplitudes)) < 1e-12
     assert np.max(np.abs(result.momentum_populations - populations)) < 1e-11
     assert np.max(np.abs(result.variances - variances)) < 1e-11
+    # the residual is of the magnitudes, which off the middle of a small ring
+    # differs from that of the probabilities
+    mag = np.abs(result.amplitudes)
+    mirror = (2 * config.resolved_origin - np.arange(n)) % n
+    assert result.reflection_residual == np.max(np.abs(mag - mag[:, mirror]))
 
 
 def test_ballistic_spreading_exponent():
