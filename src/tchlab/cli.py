@@ -124,6 +124,9 @@ def cmd_walk(args) -> int:
         t_max=args.t_max,
         n_times=args.n_times,
     )
+    # the fit needs two positive times: refused before the walk, not after
+    if config.n_times < 3:
+        raise ValueError("need at least two positive-time variance samples")
     result = simulate_walk(config)
     exponent = ballistic_exponent(result.times, result.variances)
 
@@ -353,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"register size, zero or even, at most {MAX_ATOMS}")
     p.add_argument("--g", type=float, default=1e-3,
                    help=f"atom-cavity coupling, at most {MAX_RATE:g}")
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--omega", type=float, default=1.0,
+                   help="frequency; a global phase of the decay, so it changes no computed number")
     p.add_argument("--kappa", type=float, default=None,
                    help=f"photon loss rate (default g/10), at most {MAX_RATE:g}")
     p.add_argument("--t-max", type=float, default=None, help="observation horizon (default 20/kappa)")

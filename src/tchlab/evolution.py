@@ -6,10 +6,10 @@ owns the lossy decay):
 - ``evolve_const``: time-independent Hermitian generator, exact matrix
   exponential through the cached spectral decomposition.  This is what makes
   the very long resonant free-evolution stretches cheap and exact.  It
-  and ``apply_propagator`` also carry a (runs, dim) stack of states at
-  once, by stacked matrix-vector products, which give each row the bits
-  of its state carried alone (a 2-D product of dim x runs would not: gemm
-  and gemv round differently).
+  and ``apply_propagator`` carry a (runs, dim) stack of states, a
+  StateVector as a one-row stack, by stacked matrix-vector products, which
+  give each row the same bits whatever the other rows (a 2-D product of
+  dim x runs would not: gemm and gemv round differently).
 - ``evolve_pulsed``: Hermitian static part plus Gaussian-windowed hop pulses,
   integrated as a propagator with a classic fixed-step fourth-order one-step
   scheme (three generator evaluations per step: start, midpoint twice, end),
@@ -104,19 +104,18 @@ def rabi_periods(g: float) -> tuple[float, float]:
 
 
 def evolve_const(h: OperatorMatrix, psi, t: float):
-    """Exact propagation exp(-i H t) |psi> for Hermitian H, of a StateVector
-    or of each row of a (runs, dim) stack of amplitudes on h's space.  A
-    stack goes through stacked matrix-vector products, which give each row
-    the bits of its StateVector alone (one 2-D product of dim x runs would
+    """Exact propagation exp(-i H t) |psi> for Hermitian H, of each row of a
+    (runs, dim) stack of amplitudes on h's space, or of a StateVector on it
+    as a one-row stack.  Stacked matrix-vector products give each row the
+    same bits whatever the other rows (one 2-D product of dim x runs would
     not: gemm and gemv round differently)."""
-    if isinstance(psi, StateVector):
+    if single := isinstance(psi, StateVector):
         _check_same_space(h, psi)
     w, v = h.eigensystem()
     phases = np.exp(-1j * w * t)
-    if not isinstance(psi, StateVector):
-        return (v @ (phases[:, None] * (v.conj().T @ psi[..., None])))[..., 0]
-    amps = v @ (phases * (v.conj().T @ psi.amplitudes))
-    return StateVector(psi.space, amps)
+    rows = psi.amplitudes[None] if single else psi
+    out = (v @ (phases[:, None] * (v.conj().T @ rows[..., None])))[..., 0]
+    return StateVector(psi.space, out[0]) if single else out
 
 
 def evolve_pulsed(
@@ -382,20 +381,18 @@ def _ordered_product(r: np.ndarray) -> np.ndarray:
 
 
 def apply_propagator(u: np.ndarray, psi):
-    """u |psi> for a propagator of a Hermitian generator and a StateVector,
-    or u[i] |psi[i]> for a stack of propagators and a (runs, dim) stack of
-    amplitudes, by stacked matrix-vector products that give each row the
-    bits of its StateVector alone.  NumericalDriftError if the squared norm
-    of a state moves by more than ``NORM_TOLERANCE`` or either norm is not
-    finite; the rows of a stack are checked in order."""
-    if isinstance(psi, StateVector):
-        y = u @ psi.amplitudes
-        _check_norm_drift(psi.amplitudes, y)
-        return StateVector(psi.space, y)
-    out = (u @ psi[..., None])[..., 0]
-    for before, after in zip(psi, out):
+    """u[i] |psi[i]> for a stack of propagators of Hermitian generators and
+    a (runs, dim) stack of amplitudes, or u |psi> for one and a StateVector
+    as a one-row stack, by stacked matrix-vector products that give each
+    row the same bits whatever the other rows.  NumericalDriftError if the
+    squared norm of a state moves by more than ``NORM_TOLERANCE`` or either
+    norm is not finite; the rows are checked in order."""
+    single = isinstance(psi, StateVector)
+    rows = psi.amplitudes[None] if single else psi
+    out = (u @ rows[..., None])[..., 0]
+    for before, after in zip(rows, out):
         _check_norm_drift(before, after)
-    return out
+    return StateVector(psi.space, out[0]) if single else out
 
 
 def _check_norm_drift(before: np.ndarray, after: np.ndarray) -> None:

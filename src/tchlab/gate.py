@@ -171,6 +171,7 @@ class GateConfig:
             raise ValueError(f"exchange window {self.window:.3g} at sigma {self.sigma:g} does "
                              f"not fit the free gaps of {tau1 / 2.0:.3g} at g {self.g:g}; "
                              "reduce sigma")
+        object.__setattr__(self, "_schedule", cocsign_schedule(self))  # what every run reads
         duration = schedule_duration(self)
         if not (2.0 * self.omega + 3.0 * self.g) * duration < math.inf:
             raise ValueError(f"omega {self.omega:g} and g {self.g:g} put the register's phase, "
@@ -260,8 +261,8 @@ def cocsign_schedule(config: GateConfig) -> tuple[FreeSegment | ExchangeSegment,
 
 
 def schedule_duration(config: GateConfig) -> float:
-    """The schedule's segment durations summed in schedule order."""
-    return sum(ev.duration for ev in cocsign_schedule(config))
+    """The segment durations of the config's one schedule summed in schedule order."""
+    return sum(ev.duration for ev in config._schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def _exchange_links(
     integrated with the unit-amplitude pulse scaled by each amplitude.  The
     aux<->y link is that link seen through the x<->y swap of basis labels,
     so its stack is the same stack with rows and columns permuted."""
-    ev = cocsign_schedule(config)[0]  # the first aux<->x exchange
+    ev = config._schedule[0]  # the first aux<->x exchange
     jump = jump_operator(space, HopSpec(ev.cavity_a, ev.cavity_b, amplitude=1.0))
     unit = dataclasses.replace(ev.pulse, amplitude=1.0)
     x_link = pulsed_propagators(h0, [(jump, unit)], 0.0, ev.duration, dt, amplitudes)
@@ -367,7 +368,7 @@ def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarr
         links[X_CAVITY, members], links[Y_CAVITY, members] = _exchange_links(
             config, space, h0, dt, amplitudes)
     links = links[:, np.repeat(np.arange(len(runs)), sizes)]
-    for ev in cocsign_schedule(config):
+    for ev in config._schedule:
         if isinstance(ev, FreeSegment):
             psi = evolve_const(h0, psi, ev.duration)
         else:

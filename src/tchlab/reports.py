@@ -300,8 +300,8 @@ def write_grid_csv(path, header, times, sites, values) -> Path:
 
 
 def jsonable(value):
-    """Recursively coerce numpy scalars/arrays and complex numbers into
-    JSON-friendly structures (complex -> {"re": ..., "im": ...})."""
+    """Recursively coerce numpy scalars/arrays and complex numbers into JSON
+    structures (complex -> {"re": ..., "im": ...}); other values pass as is."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -316,15 +316,13 @@ def jsonable(value):
         return float(value)
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
-    if value is None or isinstance(value, str):
-        return value
-    return str(value)
+    return value
 
 
 def write_json(path, payload) -> Path:
     """Write ``payload`` as sorted JSON.  NaN and infinities are not JSON:
-    they raise ValueError before the file is opened, so no partial file is
-    left behind."""
+    they raise ValueError, and a value of a type JSON has no form for
+    TypeError, before the file is opened, so no partial file is left."""
     text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,9 +20,12 @@ for; ``rk4_propagator_loop`` also runs on the forward grid.
 ``instant_swap_gate`` is the gate with zero-width exchanges, the model the
 timing-error paper checks run on: it carries the state itself through each
 exchange's quarter-cycle evolution, so that only the resonance mismatch is
-left as error.  ``run_schedule_loop`` carries one state through the gate
-schedule by ``evolve_const`` and ``apply_propagator``, the per-state
-reference for the stacked runner of ``gate._final_states``.
+left as error.  ``evolve_const_state`` and ``apply_propagator_state`` are
+the per-state products, v (exp(-i w t) * (v^H psi)) and u psi, the
+references for the stacked rows of ``evolution.evolve_const`` and
+``evolution.apply_propagator``; ``run_schedule_loop`` carries one state
+through the gate schedule by them, the per-state reference for the stacked
+runner of ``gate._final_states``.
 ``density_trace_distance`` is the reference for the closed form of
 ``gate.trace_distance``: the eigenvalues of the difference of the two
 density matrices.  ``min_transfer_time`` and ``transfer_window_check`` are
@@ -69,7 +72,8 @@ import numpy as np
 import scipy.linalg
 
 from tchlab.basis import HilbertSpace, NetworkConfig
-from tchlab.evolution import apply_propagator, evolve_const, rabi_periods
+import tchlab.evolution
+from tchlab.evolution import NumericalDriftError, StateVector, rabi_periods
 from tchlab.gate import (
     AUX_CAVITY,
     X_CAVITY,
@@ -347,10 +351,10 @@ def instant_swap_gate(q, config):
     """The gate with zero-width exchanges on an encoded two-qubit state:
     aux<->x, tau1/2, aux<->y, the hold of 2 n2 tau2, aux<->x, tau1/2,
     aux<->y, tau1/2, each exchange as the state's own evolution
-    evolve_const(J, psi, pi/2) under its unit-amplitude jump operator J and
-    each free stretch as evolve_const(H0, psi, duration).  Returns the final
-    state and the schedule phase -exp(-2 i omega T), with T the free
-    durations alone, summed in schedule order."""
+    evolve_const_state(J, psi, pi/2) under its unit-amplitude jump operator J
+    and each free stretch as evolve_const_state(H0, psi, duration).  Returns
+    the final state and the schedule phase -exp(-2 i omega T), with T the
+    free durations alone, summed in schedule order."""
     space = gate_space(config)
     h0 = build_tch(space)
     gap = rabi_periods(config.g)[0] / 2.0
@@ -358,22 +362,40 @@ def instant_swap_gate(q, config):
     psi = encode(q, space)
     for cavity, duration in zip((X_CAVITY, Y_CAVITY, X_CAVITY, Y_CAVITY), free):
         jump = jump_operator(space, HopSpec(AUX_CAVITY, cavity, amplitude=1.0))
-        psi = evolve_const(h0, evolve_const(jump, psi, math.pi / 2.0), duration)
+        psi = evolve_const_state(h0, evolve_const_state(jump, psi, math.pi / 2.0), duration)
     return psi, -np.exp(-2j * config.omega * sum(free))
+
+
+def evolve_const_state(h, psi, t):
+    """exp(-i H t) |psi> for one StateVector by per-state matrix-vector
+    products through h's eigensystem, v (exp(-i w t) * (v^H psi))."""
+    w, v = h.eigensystem()
+    return StateVector(psi.space, v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes)))
+
+
+def apply_propagator_state(u, psi):
+    """u |psi> for one StateVector by a per-state matrix-vector product;
+    NumericalDriftError if the squared norm moves by more than
+    ``evolution.NORM_TOLERANCE`` (read at the call) or is not finite."""
+    y = u @ psi.amplitudes
+    drift = abs(np.vdot(y, y).real - np.vdot(psi.amplitudes, psi.amplitudes).real)
+    if not drift <= tchlab.evolution.NORM_TOLERANCE:  # NaN fails too
+        raise NumericalDriftError(f"squared norm drifted by {drift:.3e}")
+    return StateVector(psi.space, y)
 
 
 def run_schedule_loop(psi, h0, config, links):
     """Carry one register state through the gate schedule on its own: free
-    segments by ``evolve_const`` under h0, each exchange by
-    ``apply_propagator`` with its link under the norm-drift check.
+    segments by ``evolve_const_state`` under h0, each exchange by
+    ``apply_propagator_state`` with its link under the norm-drift check.
     ``links`` holds the aux<->x and the aux<->y propagator, indexed by the
     exchanged qubit cavity.  The per-state reference for the stack that
     ``gate._final_states`` carries."""
     for ev in cocsign_schedule(config):
         if isinstance(ev, FreeSegment):
-            psi = evolve_const(h0, psi, ev.duration)
+            psi = evolve_const_state(h0, psi, ev.duration)
         else:
-            psi = apply_propagator(links[ev.cavity_b], psi)
+            psi = apply_propagator_state(links[ev.cavity_b], psi)
     return psi
 
 

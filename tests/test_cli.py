@@ -166,6 +166,21 @@ def test_a_default_gate_run_builds_one_register_and_one_h0(tmp_path, monkeypatch
     assert sorted(built) == ["build_tch", "gate_space"]
 
 
+def test_a_default_gate_run_builds_one_schedule(tmp_path, monkeypatch):
+    # the config keeps the schedule its duration check builds, and the
+    # links, the carried stack, the phases and the summary read that one
+    built = []
+    schedule = tchlab.gate.cocsign_schedule
+
+    def counted(config):
+        built.append(config)
+        return schedule(config)
+
+    monkeypatch.setattr(tchlab.gate, "cocsign_schedule", counted)
+    assert main(["gate", "--out-dir", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
 def test_the_gate_command_writes_the_rows_and_phases_of_the_two_calls(tmp_path):
     scales = ["0.5", "1", "3"]
     assert main(["gate", "--out-dir", str(tmp_path), "--input", "10",
@@ -470,6 +485,8 @@ def test_dark_on_a_growing_step_exponential_exits_with_drift_code(tmp_path, g):
 BUDGET_CASES = [
     (["walk", "--n-cavities", "1000000000"], "limit of 8388608"),
     (["walk", "--n-times", "1000000000", "--n-cavities", "2"], "limit of 8388608"),
+    # two times leave the ballistic fit one positive time, refused before the walk
+    (["walk", "--n-cavities", "1048576", "--n-times", "2"], "two positive-time variance samples"),
     (["resonance", "--n-max", "1000000000"], "limit of 20000000"),
     (["resonance", "--n-max", "20000001"], "limit of 20000000"),
     (["resonance", "--n-max", "20000000", "--top", "20000000"], f"limit of {MAX_ROWS}"),
@@ -479,7 +496,7 @@ BUDGET_CASES = [
 @pytest.mark.parametrize("args, limit", BUDGET_CASES,
                          ids=[" ".join(args) for args, _ in BUDGET_CASES])
 def test_walk_and_resonance_budgets_refuse_before_allocating(tmp_path, capsys, args, limit):
-    # each refused run would need tens of gigabytes or more
+    # each refused run would need hundreds of megabytes or more
     tracemalloc.start()
     try:
         code = main([*args, "--out-dir", str(tmp_path)])

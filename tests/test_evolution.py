@@ -345,7 +345,8 @@ def test_a_pulse_free_block_is_the_same_bits_at_every_scale(monkeypatch):
 
 def test_stacked_products_round_as_the_per_state_ones():
     """A (runs, dim) stack carried by stacked matrix-vector products gives
-    each row the bits of the per-state route."""
+    each row the bits of the per-state products of the oracles, and a
+    StateVector, carried as a one-row stack, the bits of its row."""
     h0, pulses, window, alpha, dt = _gate_link_terms()
     space = h0.space
     rng = np.random.default_rng(5)
@@ -356,13 +357,21 @@ def test_stacked_products_round_as_the_per_state_ones():
     linked = apply_propagator(links, states)
     for row, psi in enumerate(states):
         one = StateVector(space, psi)
-        assert np.array_equal(free[row], evolve_const(h0, one, 123.4).amplitudes)
-        assert np.array_equal(linked[row], apply_propagator(links[row], one).amplitudes)
-    # every row is checked: a link that grows the last row trips the guard
+        assert np.array_equal(free[row], oracles.evolve_const_state(h0, one, 123.4).amplitudes)
+        assert np.array_equal(linked[row], oracles.apply_propagator_state(links[row], one).amplitudes)
+        const, applied = evolve_const(h0, one, 123.4), apply_propagator(links[row], one)
+        assert isinstance(const, StateVector) and const.space is space
+        assert isinstance(applied, StateVector) and applied.space is space
+        assert np.array_equal(const.amplitudes, free[row])
+        assert np.array_equal(applied.amplitudes, linked[row])
+    # every row is checked: a link that grows the last row trips the guard,
+    # and so does that link on the last row carried alone
     grown = links.copy()
     grown[-1] *= 1.001
     with pytest.raises(NumericalDriftError, match="squared norm drifted"):
         apply_propagator(grown, states)
+    with pytest.raises(NumericalDriftError, match="squared norm drifted"):
+        apply_propagator(grown[-1], StateVector(space, states[-1]))
 
 
 @pytest.mark.parametrize("n_steps", [111, 132, 155, 900])

@@ -202,10 +202,11 @@ def test_csv_file_round_trips_every_cell(rows):
     assert data.count(b"\n") == data.count(b"\r\n") == len(rows) + 1
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, object()])
 def test_json_rejects_non_finite_floats_before_writing(tmp_path, value):
+    # an object JSON has no form for is refused too, not written as its repr
     path = tmp_path / "out" / "summary.json"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError if isinstance(value, float) else TypeError):
         write_json(path, {"ok": 1.0, "nested": [{"bad": value}]})
     assert not path.exists()
 
