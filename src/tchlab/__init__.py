@@ -31,7 +31,6 @@ from .evolution import (
 )
 from .gate import (
     GateConfig,
-    basis_branch_phases,
     branch_phase,
     cocsign_matrix,
     cocsign_schedule,
@@ -39,13 +38,11 @@ from .gate import (
     encode,
     gate_space,
     ideal_cocsign,
-    ideal_target_state,
     modular_distance,
     resonance_table,
     run_gate,
     schedule_phase,
     sweep,
-    sweep_and_branch_phases,
     trace_distance,
     uniform_superposition,
 )

@@ -34,11 +34,11 @@ from .gate import (
     hold_duration,
     resonance_table,
     schedule_duration,
-    sweep_and_branch_phases,
+    sweep,
     uniform_superposition,
 )
 from .reports import format_column, write_csv, write_grid_csv, write_json
-from .walk import MAX_CELLS, WalkConfig, ballistic_exponent, simulate_walk
+from .walk import MAX_CELLS, WalkConfig, simulate_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,7 +85,7 @@ def cmd_gate(args) -> int:
         q[BASIS_LABELS.index(args.input)] = 1.0
 
     # every result before the first file, so that a failure leaves none
-    rows, phases = sweep_and_branch_phases(config, alphas, q=q)
+    rows, phases = sweep(config, alphas, q=q)
     columns = ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod")
     sweep_path = write_csv(os.path.join(args.out_dir, "gate_sweep.csv"), columns, rows)
 
@@ -124,11 +124,7 @@ def cmd_walk(args) -> int:
         t_max=args.t_max,
         n_times=args.n_times,
     )
-    # the fit needs two positive times: refused before the walk, not after
-    if config.n_times < 3:
-        raise ValueError("need at least two positive-time variance samples")
     result = simulate_walk(config)
-    exponent = ballistic_exponent(result.times, result.variances)
 
     # every result before the first file, so that a failure leaves none
     n = config.n_cavities
@@ -157,7 +153,7 @@ def cmd_walk(args) -> int:
         "origin": origin,
         "t_max": config.resolved_t_max,
         "n_times": config.n_times,
-        "ballistic_exponent": exponent,
+        "ballistic_exponent": result.ballistic_exponent,
         "momentum_population_drift": result.momentum_drift,
         "norm_drift": result.norm_drift,
         "reflection_residual": result.reflection_residual,

@@ -401,16 +401,6 @@ def schedule_phase(config: GateConfig) -> complex:
     return -np.exp(-2j * config.omega * schedule_duration(config))
 
 
-def ideal_target_state(q, config: GateConfig) -> StateVector:
-    """The encoded ideal gate output, carrying the schedule's deterministic
-    global phase so that raw (phase-sensitive) distances measure genuine
-    error."""
-    space = gate_space(config)
-    target = encode(ideal_cocsign(q), space)
-    target.amplitudes *= schedule_phase(config)
-    return target
-
-
 def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
     """Phase of the surviving encoded component for a basis input, relative
     to the schedule's deterministic global phase.  Near +1 for inputs the
@@ -421,14 +411,6 @@ def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
     if abs(overlap) < 1e-9:
         raise ValueError("no surviving weight on the encoded branch")
     return overlap / abs(overlap) / schedule_phase(config)
-
-
-def basis_branch_phases(config: GateConfig) -> dict[str, complex]:
-    """``branch_phase`` of each basis input after ``run_gate``, by label in
-    BASIS_LABELS order: the four inputs are one run of ``_final_states`` at
-    the config's amplitude, carried as one stack on one register, one H0
-    and one build of the links."""
-    return _sweep_and_phases(config, [], None, phases=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -477,41 +459,24 @@ def modular_distance(psi, psi_id) -> float:
 
 def sweep(
     config: GateConfig, alphas, q=None
-) -> list[tuple[float, float, int, int, float, float]]:
-    """Gate-error curve over pulse amplitude at the config's width and
-    resonance pair.  Returns one row (alpha, sigma, n1, n2, d_tr, d_mod) per
-    amplitude, in the order given: one run of ``_final_states`` per
-    amplitude, all carried as one stack through one build of the links per
-    step size."""
-    return _sweep_and_phases(config, alphas, q, phases=False)[0]
-
-
-def sweep_and_branch_phases(
-    config: GateConfig, alphas, q=None
 ) -> tuple[list[tuple[float, float, int, int, float, float]], dict[str, complex]]:
-    """``sweep(config, alphas, q)`` and ``basis_branch_phases(config)``, the
-    same bits, from one ``_final_states`` call: the area rule's four basis
-    runs join the sweep's in one link build per step size and one carried
-    stack."""
-    return _sweep_and_phases(config, alphas, q, phases=True)
+    """Gate-error curve over pulse amplitude at the config's width and
+    resonance pair, and the basis branch phases at the config's amplitude.
 
-
-def _sweep_and_phases(config: GateConfig, alphas, q, phases: bool):
-    """The sweep rows of ``alphas`` and, if ``phases``, the basis branch
-    phases at the config's amplitude (else None), from one run of the
-    stack."""
+    Returns the rows, one (alpha, sigma, n1, n2, d_tr, d_mod) per amplitude
+    in the order given, and ``branch_phase`` of each basis input by label in
+    BASIS_LABELS order.  The distances are taken to the encoded ideal
+    output times ``schedule_phase``, so that raw (phase-sensitive) distances
+    measure genuine error.  One run of ``_final_states``: each amplitude's
+    input and the four basis inputs are carried as one stack through one
+    build of the links per step size."""
     q = _as_qubit_pair(uniform_superposition() if q is None else q)
     alphas = [float(alpha) for alpha in alphas]
-    runs = [(alpha, [q]) for alpha in alphas]
-    if phases:
-        runs.append((config.alpha, np.eye(4, dtype=complex)))
+    runs = [(alpha, [q]) for alpha in alphas] + [(config.alpha, np.eye(4, dtype=complex))]
     space, states = _final_states(config, runs)
-    # as ideal_target_state, on the register the runs used
     target = encode(ideal_cocsign(q), space).amplitudes * schedule_phase(config)
     rows = [(alpha, config.sigma, config.n1, config.n2,
              trace_distance(psi, target), modular_distance(psi, target))
             for alpha, (psi,) in zip(alphas, states)]
-    if not phases:
-        return rows, None
     return rows, {label: branch_phase(StateVector(space, psi), label, config)
                   for label, psi in zip(BASIS_LABELS, states[-1])}

@@ -113,11 +113,11 @@ class WalkConfig:
     """Walk run parameters.  ``t_max = None`` picks mass/4, early enough
     that the spreading photon has not wrapped around the ring.  ValueError
     for a counter (n_cavities, origin, n_times) that is not an integer
-    (numpy integers pass), more than ``MAX_CELLS`` cells (cavities times
-    time samples), or a
-    mass or horizon that puts the largest band energy, or its phase at
-    t_max, the kernel's phase, or the edge of the kernel's validity band,
-    beyond the float range."""
+    (numpy integers pass), fewer than 3 time samples (the fit needs two
+    after t = 0), more than ``MAX_CELLS`` cells (cavities times time
+    samples), or a mass or horizon that puts the largest band energy, or
+    its phase at t_max, the kernel's phase, or the edge of the kernel's
+    validity band, beyond the float range."""
 
     n_cavities: int = 128
     mass: float = 1.0
@@ -136,8 +136,9 @@ class WalkConfig:
             raise ValueError("origin cavity out of range")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
-        if as_int(self.n_times, "n_times") < 2:
-            raise ValueError("need at least two time samples")
+        # ballistic_exponent fits the samples after t = 0
+        if as_int(self.n_times, "n_times") < 3:
+            raise ValueError("need at least two positive-time variance samples")
         cells = self.n_cavities * self.n_times
         if cells > MAX_CELLS:
             raise ValueError(f"{self.n_cavities} cavities at {self.n_times} times make {cells} "
@@ -189,6 +190,8 @@ class WalkResult:
     reflection_residual: float
     # |<kernel|psi>| / (|kernel| |psi|) at t_max over the kernel band, 0 if either is 0
     kernel_overlap: float
+    # log-log slope of the variances after t = 0; 2 means ballistic spreading
+    ballistic_exponent: float
     # (separation, n_links, amplitude, phase) per hop distance of the ring
     network_profile: list[tuple[int, int, float, float]] = field(repr=False)
 
@@ -198,7 +201,9 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
     Hamiltonian and tabulate everything the comparisons need: amplitudes,
     lattice-matched kernel values at the same points (see feynman_kernel for
     the unit conversion), position variance, and momentum-basis populations
-    (conserved because momentum commutes with the generator).
+    (conserved because momentum commutes with the generator), and the
+    variance's ``ballistic_exponent``, whose ValueError (fewer than two
+    positive variances, as when they underflow) ends the walk.
 
     The kernel describes the dynamics where the stationary momentum lies
     inside the band, |x - x0| < (sqrt(N)/2) t / (2 pi m); outside that cone
@@ -266,6 +271,7 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
         norm_drift=norm_drift,
         reflection_residual=reflection_residual,
         kernel_overlap=kernel_overlap,
+        ballistic_exponent=ballistic_exponent(times, variances),
         network_profile=profile,
     )
 

@@ -25,7 +25,9 @@ the per-state products, v (exp(-i w t) * (v^H psi)) and u psi, the
 references for the stacked rows of ``evolution.evolve_const`` and
 ``evolution.apply_propagator``; ``run_schedule_loop`` carries one state
 through the gate schedule by them, the per-state reference for the stacked
-runner of ``gate._final_states``.
+runner of ``gate._final_states``.  ``ideal_target_state`` is the encoded
+ideal output times ``gate.schedule_phase``, the target ``gate.sweep``
+measures its rows against.
 ``density_trace_distance`` is the reference for the closed form of
 ``gate.trace_distance``: the eigenvalues of the difference of the two
 density matrices.  ``min_transfer_time`` and ``transfer_window_check`` are
@@ -83,6 +85,8 @@ from tchlab.gate import (
     encode,
     gate_space,
     hold_duration,
+    ideal_cocsign,
+    schedule_phase,
 )
 from tchlab.operators import (
     HopSpec,
@@ -397,6 +401,13 @@ def run_schedule_loop(psi, h0, config, links):
         else:
             psi = apply_propagator_state(links[ev.cavity_b], psi)
     return psi
+
+
+def ideal_target_state(q, config) -> StateVector:
+    """The encoded ideal gate output times the schedule's global phase: the
+    reference target of the rows ``gate.sweep`` writes."""
+    target = encode(ideal_cocsign(q), gate_space(config))
+    return StateVector(target.space, target.amplitudes * schedule_phase(config))
 
 
 def density_trace_distance(psi, psi_id) -> float:

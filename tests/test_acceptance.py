@@ -25,7 +25,6 @@ from tchlab import (
     classify_dark,
     emission_density,
     evolve_const,
-    ideal_target_state,
     jump_operator,
     modular_distance,
     momentum_values,
@@ -112,7 +111,7 @@ def test_entangling_gate_hits_contract_error():
     config = GateConfig(n2=64)
     q = uniform_superposition()
     psi = run_gate(q, config)
-    target = ideal_target_state(q, config)
+    target = oracles.ideal_target_state(q, config)
     d_mod = modular_distance(psi, target)
     _report(
         "pulsed conditional-sign gate error stays within 0.2 on the uniform input",

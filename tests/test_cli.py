@@ -21,7 +21,6 @@ from oracles import walk_rows_loop, write_csv_loop
 from tchlab import (
     GateConfig,
     WalkConfig,
-    basis_branch_phases,
     simulate_walk,
     sweep,
     uniform_superposition,
@@ -91,7 +90,7 @@ def test_gate_csv_round_trips_floats_exactly(gate_dir):
     _, rows = _read_csv(gate_dir / "gate_sweep.csv")
     config = GateConfig()
     alphas = [0.5 * config.resolved_alpha, 1.0 * config.resolved_alpha]
-    expected = sweep(config, alphas, q=uniform_superposition())
+    expected, _ = sweep(config, alphas, q=uniform_superposition())
     assert len(rows) == len(expected)
     for row, exp in zip(rows, expected):
         for cell, value in zip(row, exp):
@@ -188,13 +187,13 @@ def test_the_gate_command_writes_the_rows_and_phases_of_the_two_calls(tmp_path):
     config = GateConfig()
     q = np.zeros(4, dtype=complex)
     q[2] = 1.0
-    rows = sweep(config, [float(s) * config.resolved_alpha for s in scales], q=q)
+    rows, phases = sweep(config, [float(s) * config.resolved_alpha for s in scales], q=q)
     reference = write_csv_loop(tmp_path / "loop_gate_sweep.csv",
                                ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"), rows)
     assert (tmp_path / "gate_sweep.csv").read_bytes() == reference.read_bytes()
     summary = json.loads((tmp_path / "gate_summary.json").read_text())
     written = {label: complex(p["re"], p["im"]) for label, p in summary["basis_branch_phases"].items()}
-    assert written == basis_branch_phases(config)
+    assert written == phases
 
 
 def test_every_main_call_shares_one_parser(capsys):
@@ -308,7 +307,7 @@ def test_gate_and_dark_csvs_match_the_row_at_a_time_writer(dark_dir, tmp_path):
     assert main(["gate", "--out-dir", str(tmp_path)]) == 0
     config = GateConfig()
     scales = build_parser().parse_args(["gate"]).alpha_scales
-    rows = sweep(config, [s * config.resolved_alpha for s in scales], q=uniform_superposition())
+    rows, _ = sweep(config, [s * config.resolved_alpha for s in scales], q=uniform_superposition())
     reference = write_csv_loop(tmp_path / "loop_gate_sweep.csv",
                                ("alpha", "sigma", "n1", "n2", "d_tr", "d_mod"), rows)
     assert (tmp_path / "gate_sweep.csv").read_bytes() == reference.read_bytes()

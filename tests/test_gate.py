@@ -16,7 +16,6 @@ from tchlab import (
     NetworkConfig,
     NumericalDriftError,
     StateVector,
-    basis_branch_phases,
     build_tch,
     cocsign_matrix,
     cocsign_schedule,
@@ -25,14 +24,12 @@ from tchlab import (
     evolve_const,
     gate_space,
     ideal_cocsign,
-    ideal_target_state,
     jump_operator,
     modular_distance,
     rabi_periods,
     resonance_table,
     run_gate,
     sweep,
-    sweep_and_branch_phases,
     trace_distance,
     uniform_superposition,
 )
@@ -277,7 +274,7 @@ def test_pulsed_gate_on_uniform_input():
     q = uniform_superposition()
     psi = run_gate(q, cfg)
     assert abs(psi.norm() - 1.0) < 1e-7
-    target = ideal_target_state(q, cfg)
+    target = oracles.ideal_target_state(q, cfg)
     assert modular_distance(psi, target) < 0.01
     assert trace_distance(psi, target) < 0.15
 
@@ -294,14 +291,19 @@ def test_pulsed_branch_phases():
 @pytest.mark.parametrize("change", [{}, {"dt": 0.0099}, {"alpha": 3.0 * FAST_CONFIG.resolved_alpha}],
                          ids=["default", "odd-steps", "strong"])
 def test_basis_branch_phases_equal_four_separate_runs(change, monkeypatch):
-    # one register, one H0 and one link build give the same bits as four runs
+    # one register, one H0 and one link build give the same bits as four
+    # runs, with no amplitude swept or beside the sweep's own runs
     monkeypatch.setattr(tchlab.evolution, "NORM_TOLERANCE", 1.0)
     cfg = dataclasses.replace(FAST_CONFIG, **change)
-    phases = basis_branch_phases(cfg)
+    rows, phases = sweep(cfg, [])
+    assert rows == []
     assert list(phases) == list(BASIS_LABELS)
     for label in BASIS_LABELS:
         expected = branch_phase(run_gate(basis_vector(label), cfg), label, cfg)
         assert phases[label] == expected and type(phases[label]) is type(expected)
+    a0 = cfg.resolved_alpha
+    for q in (None, basis_vector("01")):
+        assert sweep(cfg, [0.5 * a0, a0, 3.0 * a0], q)[1] == phases
 
 
 @pytest.mark.parametrize("change", [{}, {"dt": 0.0099}], ids=["default", "odd-steps"])
@@ -323,19 +325,6 @@ def test_the_stacked_runner_equals_the_per_state_loop(change, monkeypatch):
         for q, psi in zip(inputs, stack):
             loop = oracles.run_schedule_loop(encode(q, space), h0, cfg, (x[0], y[0]))
             assert np.array_equal(psi, loop.amplitudes)
-
-
-def test_sweep_and_branch_phases_equal_the_two_calls():
-    a0 = FAST_CONFIG.resolved_alpha
-    alphas = [0.5 * a0, a0, 1.25 * a0, 3.0 * a0]
-    for q in (None, basis_vector("01")):
-        rows, phases = sweep_and_branch_phases(FAST_CONFIG, alphas, q)
-        assert rows == sweep(FAST_CONFIG, alphas, q)
-        assert phases == basis_branch_phases(FAST_CONFIG)
-        assert list(phases) == list(BASIS_LABELS)
-    # no amplitude: the phases alone, and an empty sweep
-    assert sweep_and_branch_phases(FAST_CONFIG, []) == ([], basis_branch_phases(FAST_CONFIG))
-    assert sweep(FAST_CONFIG, []) == []
 
 
 @pytest.mark.parametrize("alpha, refusal", [
@@ -362,7 +351,7 @@ def test_sweep_builds_no_config_per_amplitude(monkeypatch):
     post_init = GateConfig.__post_init__
     monkeypatch.setattr(GateConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
     a0 = FAST_CONFIG.resolved_alpha
-    rows, _ = sweep_and_branch_phases(FAST_CONFIG, [0.5 * a0, 3.0 * a0])
+    rows, _ = sweep(FAST_CONFIG, [0.5 * a0, 3.0 * a0])
     assert built == [] and len(rows) == 2
 
 
@@ -374,7 +363,7 @@ def test_pulse_area_controls_the_gate():
     for scale in (0.0, 1.0, 2.0, 3.0):
         c = dataclasses.replace(cfg, alpha=scale * a0)
         psi = run_gate(q, c)
-        errors[scale] = modular_distance(psi, ideal_target_state(q, c))
+        errors[scale] = modular_distance(psi, oracles.ideal_target_state(q, c))
     assert errors[1.0] < 0.01  # complete swaps
     assert errors[0.0] > 1.0  # no swaps at all
     assert errors[2.0] > 1.0  # full cycles put photons back with a stray sign
@@ -441,9 +430,9 @@ def test_runs_share_links_whatever_the_fields_the_links_do_not_read():
     # do not change as they are
     a0 = FAST_CONFIG.resolved_alpha
     alphas = (0.5 * a0, a0)
-    reference = sweep(FAST_CONFIG, alphas)
+    reference, _ = sweep(FAST_CONFIG, alphas)
     for change in ({"n2": 7}, {"alpha": 0.5 * a0}):
-        rows = sweep(dataclasses.replace(FAST_CONFIG, **change), alphas)
+        rows, _ = sweep(dataclasses.replace(FAST_CONFIG, **change), alphas)
         if "n2" not in change:
             assert rows == reference
 
@@ -539,19 +528,19 @@ def test_sweep_grid_and_thread_determinism():
     cfg = FAST_CONFIG
     a0 = cfg.resolved_alpha
     alphas = [0.9 * a0, a0, 1.1 * a0]
-    rows = sweep(cfg, alphas)
-    assert sweep(cfg, alphas) == rows
+    rows, _ = sweep(cfg, alphas)
+    assert sweep(cfg, alphas)[0] == rows
     assert [r[0] for r in rows] == alphas
     best = min(rows, key=lambda r: r[5])
     assert best[0] == a0
-    # a one-amplitude sweep equals run_gate against ideal_target_state, bit
-    # for bit
+    # a one-amplitude sweep equals run_gate against the reference target,
+    # bit for bit
     q = uniform_superposition()
     for alpha in alphas:
         c = dataclasses.replace(cfg, alpha=alpha)
-        psi, target = run_gate(q, c), ideal_target_state(q, c)
+        psi, target = run_gate(q, c), oracles.ideal_target_state(q, c)
         distances = (trace_distance(psi, target), modular_distance(psi, target))
-        assert sweep(cfg, [alpha], q=q)[0][4:] == distances
+        assert sweep(cfg, [alpha], q=q)[0][0][4:] == distances
 
 
 def test_sweep_rows_do_not_depend_on_their_companions():
@@ -559,14 +548,14 @@ def test_sweep_rows_do_not_depend_on_their_companions():
     # the same bits whichever other amplitudes share its build
     cfg = FAST_CONFIG
     a = cfg.resolved_alpha
-    alone = sweep(cfg, [a])[0]
+    alone = sweep(cfg, [a])[0][0]
     for alphas in (
         [0.9 * a, a],
         [0.5 * a, 0.9 * a, a, 1.1 * a, 1.5 * a],
         [0.25 * a, 0.5 * a, 0.75 * a, a, 1.25 * a, 1.5 * a, 2.0 * a],
     ):
-        assert sweep(cfg, alphas)[alphas.index(a)] == alone
-    assert sweep(cfg, [0.9 * a, a, 1.1 * a])[0] == sweep(cfg, [0.9 * a])[0]
+        assert sweep(cfg, alphas)[0][alphas.index(a)] == alone
+    assert sweep(cfg, [0.9 * a, a, 1.1 * a])[0][0] == sweep(cfg, [0.9 * a])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +611,11 @@ def test_trace_distance_matches_the_density_matrix_route():
     # each sweep row's d_tr against the density matrices of its own states
     a = FAST_CONFIG.resolved_alpha
     q = uniform_superposition()
-    for alpha, _, _, _, d_tr, _ in sweep(FAST_CONFIG, [0.9 * a, a, 1.1 * a], q=q):
+    rows, _ = sweep(FAST_CONFIG, [0.9 * a, a, 1.1 * a], q=q)
+    for alpha, _, _, _, d_tr, _ in rows:
         config = dataclasses.replace(FAST_CONFIG, alpha=alpha)
-        reference = oracles.density_trace_distance(run_gate(q, config), ideal_target_state(q, config))
+        reference = oracles.density_trace_distance(run_gate(q, config),
+                                                   oracles.ideal_target_state(q, config))
         assert abs(d_tr - reference) <= 1e-13 * reference
 
 

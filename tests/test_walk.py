@@ -90,7 +90,7 @@ def test_coupling_network_round_trip():
 def test_free_hamiltonian_matches_dense_fourier_product(n, mass):
     # the walk's free Hamiltonian is the circulant of its hop profile: every
     # entry at separation d = (p - q) mod n of the dense product is c[d]
-    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=2)).network_profile
+    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=3)).network_profile
     row = np.zeros(n, dtype=complex)
     for d, count, r, phi in profile:
         assert count == n - d
@@ -148,7 +148,7 @@ def test_network_realized_as_cavity_hamiltonian():
 @pytest.mark.parametrize("mass", [1.0, 0.3, 2.5])
 def test_walk_profile_matches_the_dense_network_read(n, mass):
     # read from the circulant's first row, against the N x N matrix's hop table
-    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=2)).network_profile
+    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=3)).network_profile
     net = coupling_network(dense_free_hamiltonian(n, mass))
     reference = net.distance_profile()
     assert [row[:2] for row in profile] == [row[:2] for row in reference]
@@ -183,6 +183,8 @@ def test_walk_config_defaults_and_validation():
         WalkConfig(t_max=-1.0)
     with pytest.raises(ValueError):
         WalkConfig(n_times=1)
+    with pytest.raises(ValueError, match="two positive-time variance samples"):
+        WalkConfig(n_times=2)  # the fit needs two samples after t = 0
 
 
 def test_simulated_walk_conserves_everything():
@@ -236,6 +238,7 @@ def test_ballistic_spreading_exponent():
     result = simulate_walk(WalkConfig(n_cavities=128))
     slope = ballistic_exponent(result.times, result.variances)
     assert abs(slope - 2.0) < 0.05
+    assert result.ballistic_exponent == slope  # bit for bit
 
 
 def test_kernel_matches_dynamics_in_band():
