@@ -270,9 +270,11 @@ def cmd_dark(args) -> int:
 def cmd_resonance(args) -> int:
     tau1, tau2 = rabi_periods(args.g)
     rows = resonance_table(args.n_max, top=args.top)
+    with np.errstate(over="ignore"):  # a hold past the float range is inf, which write_json refuses
+        holds = hold_duration(args.g, np.array([n2 for _, n2, _ in rows])).tolist()
     table = [
-        {"n1": n1, "n2": n2, "residual": residual, "hold_duration": hold_duration(args.g, n2)}
-        for n1, n2, residual in rows
+        {"n1": n1, "n2": n2, "residual": residual, "hold_duration": hold}
+        for (n1, n2, residual), hold in zip(rows, holds)
     ]
     print(f"{'n1':>5} {'n2':>5} {'residual':>24} {'hold_duration':>24}")
     residuals = format_column([row["residual"] for row in table])

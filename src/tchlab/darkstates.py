@@ -687,8 +687,8 @@ def dark_study(n_atoms: int, g: float = 1e-3, *, kappa=None, omega=1.0, t_max=No
     either decay, zero atoms included: ValueError for an odd, negative or
     (before the couplings are built) above-``MAX_ATOMS`` ``n_atoms``,
     ``n_trials`` outside [2, ``MAX_TRIALS``], ``detector_error`` outside
-    [0, 1], NaN included, an unknown ``truth``, or what ``DecayConfig``
-    refuses."""
+    [0, 1], NaN included, an unknown ``truth``, an ``rng`` (a negative seed)
+    that ``default_rng`` refuses, or what ``DecayConfig`` refuses."""
     if as_int(n_atoms, "n_atoms") < 0 or n_atoms % 2:
         raise ValueError(f"n_atoms must be zero or an even number, not {n_atoms}")
     if n_atoms > MAX_ATOMS:  # before the couplings take memory by the atom
@@ -700,6 +700,10 @@ def dark_study(n_atoms: int, g: float = 1e-3, *, kappa=None, omega=1.0, t_max=No
         raise ValueError("detector_error must lie in [0, 1]")
     if truth not in ("dark", "light"):
         raise ValueError(f"truth must be 'dark' or 'light', not {truth!r}")
+    try:
+        generator = np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"rng must be a seed or generator default_rng takes, not {rng!r}") from exc
     couplings = (g,) * n_atoms
     config = DecayConfig(couplings=couplings, kappa=kappa, omega=omega, n_times=n_times,
                          t_max=t_max)
@@ -709,9 +713,8 @@ def dark_study(n_atoms: int, g: float = 1e-3, *, kappa=None, omega=1.0, t_max=No
     light_state = _light_reference(n_atoms)
     dark = emission_density(dark_state, config)
     light = emission_density(light_state, config)
-    rng = np.random.default_rng(rng)
-    samples = sample_emission_times(dark if truth == "dark" else light, n_trials, rng=rng)
+    samples = sample_emission_times(dark if truth == "dark" else light, n_trials, rng=generator)
     result = classify_dark(samples, dark.mean_emission_time, light.mean_emission_time,
-                           detector_error=detector_error, rng=rng)
+                           detector_error=detector_error, rng=generator)
     return DarkStudy(dark, light, is_dark(dark_state, couplings),
                      is_dark(light_state, couplings), result)

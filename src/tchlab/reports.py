@@ -299,31 +299,26 @@ def write_grid_csv(path, header, times, sites, values) -> Path:
     return _write_blocks(path, header, map(block, stamps.view(np.uint8).reshape(-1, slot), values))
 
 
-def jsonable(value):
-    """Recursively coerce numpy scalars/arrays and complex numbers into JSON
-    structures (complex -> {"re": ..., "im": ...}); other values pass as is."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+def _plain(value):
+    """``json.dumps``' hook for a value it has no form for: a numpy bool,
+    integer or float scalar as the Python one, an array as its ``tolist``,
+    a complex number as {"re": ..., "im": ...}, and TypeError otherwise."""
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
+        return value.tolist()
+    if isinstance(value, (np.bool_, np.integer)):
+        return value.item()
+    if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, payload) -> Path:
     """Write ``payload`` as sorted JSON.  NaN and infinities are not JSON:
     they raise ValueError, and a value of a type JSON has no form for
     TypeError, before the file is opened, so no partial file is left."""
-    text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

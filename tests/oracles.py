@@ -61,7 +61,9 @@ by diagonalization (``dense_walk``) and the dense matrix rebuilt from a
 ``walk.CouplingNetwork`` hop table (``hop_table_matrix``); the loop references
 (``distance_profile_loop``, ``resonance_table_loop``, ``walk_rows_loop``,
 ``write_csv_loop``) are the per-element forms the vectorized production
-code replaced."""
+code replaced.  ``jsonable`` copies a summary into plain JSON types before
+``json.dumps`` walks it, the reference for the ``default=`` hook of
+``reports.write_json``."""
 
 from __future__ import annotations
 
@@ -625,6 +627,26 @@ def write_csv_loop(path, header, rows):
                 for v in row
             ])
     return path
+
+
+def jsonable(value):
+    """Recursively coerce numpy scalars/arrays and complex numbers into JSON
+    structures (complex -> {"re": ..., "im": ...}); other values pass as is."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": float(value.real), "im": float(value.imag)}
+    return value
 
 
 def resonance_table_loop(n_max: int, top=None):

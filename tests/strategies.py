@@ -3,7 +3,8 @@ whose full product space stays small enough for the Kronecker oracles."""
 
 from hypothesis import strategies as st
 
-from tchlab import HilbertSpace, HopSpec, NetworkConfig
+from tchlab.basis import HilbertSpace, NetworkConfig
+from tchlab.operators import HopSpec
 
 MAX_ATOMS = 3  # with 3 cavities at 2 photons the product space is 27 * 2**3
 

@@ -11,34 +11,26 @@ import time
 import numpy as np
 
 import oracles
-from tchlab import (
+from tchlab.basis import HilbertSpace, NetworkConfig
+from tchlab.darkstates import (
     DecayConfig,
-    GateConfig,
-    HilbertSpace,
-    HopSpec,
-    NetworkConfig,
-    StateVector,
-    WalkConfig,
-    ballistic_exponent,
-    build_tc,
-    build_tch,
     classify_dark,
     emission_density,
-    evolve_const,
-    jump_operator,
+    sample_emission_times,
+    singlet_product,
+    triplet_state,
+)
+from tchlab.evolution import StateVector, evolve_const, rabi_periods
+from tchlab.gate import (
+    GateConfig,
     modular_distance,
-    momentum_values,
-    photon_number_operator,
-    rabi_periods,
     resonance_table,
     run_gate,
-    sample_emission_times,
-    simulate_walk,
-    singlet_product,
     trace_distance,
-    triplet_state,
     uniform_superposition,
 )
+from tchlab.operators import HopSpec, build_tc, build_tch, jump_operator, photon_number_operator
+from tchlab.walk import WalkConfig, ballistic_exponent, momentum_values, simulate_walk
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -17,15 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tchlab
-from oracles import walk_rows_loop, write_csv_loop
-from tchlab import (
-    GateConfig,
-    WalkConfig,
-    simulate_walk,
-    sweep,
-    uniform_superposition,
-)
+from oracles import jsonable, walk_rows_loop, write_csv_loop
 from tchlab.cli import build_parser, main
+from tchlab.reports import write_json
 from tchlab.darkstates import (
     MAX_ATOMS,
     MAX_TIMES,
@@ -36,8 +30,15 @@ from tchlab.darkstates import (
     emission_density,
     singlet_product,
 )
-from tchlab.gate import MAX_PAIRS, MAX_ROWS
-from tchlab.walk import MAX_CELLS
+from tchlab.gate import (
+    MAX_PAIRS,
+    MAX_ROWS,
+    GateConfig,
+    hold_duration,
+    sweep,
+    uniform_superposition,
+)
+from tchlab.walk import MAX_CELLS, WalkConfig, simulate_walk
 from tchlab.evolution import pulsed_propagators
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
@@ -357,10 +358,11 @@ def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args, name):
     # the bare cavity classifies nothing, but its flags are checked all the same
     ["--atoms", "0", "--n-trials", "0"], ["--atoms", "0", "--n-trials", "1"],
     ["--atoms", "0", "--detector-error", "nan"], ["--atoms", "0", "--detector-error", "5"],
+    ["--seed", "-1"], ["--atoms", "0", "--seed", "-1"],
 ], ids=" ".join)
 def test_dark_writes_nothing_when_classification_fails(tmp_path, capsys, monkeypatch, args):
-    # a trial count or flip probability that sampling and classification
-    # would refuse is refused before either decay runs
+    # a trial count, flip probability or seed that sampling and
+    # classification would refuse is refused before either decay runs
     def decayed(*args):
         raise AssertionError("the decay ran")
 
@@ -371,6 +373,8 @@ def test_dark_writes_nothing_when_classification_fails(tmp_path, capsys, monkeyp
     assert "Traceback" not in err
     if "--n-trials" in args:
         assert "n_trials must be at least 2" in err
+    elif "--seed" in args:
+        assert "rng must be a seed" in err
     else:
         assert "detector_error must lie in [0, 1]" in err
 
@@ -549,6 +553,9 @@ OVERFLOWING_CASES = [
     (["dark", "--atoms", "1000000000000"], 2, "atoms exceed the limit of 18"),
     # a step of 1e11 radians: its Pade squarings round the survival by 8e-5
     (["dark", "--atoms", "2", "--g", "1e12", "--kappa", "1", "--n-times", "201"], 3, "squarings"),
+    # hold durations past the float range are inf, which the summary refuses
+    # after the table is printed, with no overflow warning on the way
+    (["resonance", "--g", "1e-306", "--n-max", "1000", "--top", "1000"], 2, "not JSON compliant"),
 ]
 
 
@@ -839,6 +846,48 @@ def test_resonance_lists_each_hold_counter_once(tmp_path, capsys):
     rows = json.loads((tmp_path / "resonance_summary.json").read_text())["rows"]
     assert len(rows) == len({row["n2"] for row in rows}) == 100
     assert len(capsys.readouterr().out.splitlines()) == 101  # header + rows
+
+
+@pytest.mark.parametrize("g", ["0.001", "0.37", "1e300"])
+def test_resonance_takes_every_hold_from_one_call(tmp_path, monkeypatch, g):
+    # one array call, with the bits of one scalar call per row
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hold_duration(*args)
+
+    monkeypatch.setattr(tchlab.cli, "hold_duration", counted)
+    assert main(["resonance", "--out-dir", str(tmp_path), "--g", g, "--n-max", "500",
+                 "--top", "500"]) == 0
+    rows = json.loads((tmp_path / "resonance_summary.json").read_text())["rows"]
+    assert len(calls) == 1
+    assert [row["hold_duration"] for row in rows] == [
+        hold_duration(float(g), row["n2"]) for row in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--alpha-scales", "0.5,1"],
+    ["walk", "--n-cavities", "8"],
+    ["dark", "--atoms", "0", "--n-times", "101"],
+    ["dark", "--atoms", "2", "--n-times", "101", "--n-trials", "50"],
+    ["resonance", "--n-max", "50", "--top", "5"],
+], ids=" ".join)
+def test_every_summary_is_the_text_of_its_plain_copy(tmp_path, monkeypatch, argv):
+    # each file write_json writes holds what json.dumps writes for the
+    # plain-typed copy of its payload
+    written = []
+
+    def recorded(path, payload):
+        written.append((path, payload))
+        return write_json(path, payload)
+
+    monkeypatch.setattr(tchlab.cli, "write_json", recorded)
+    assert main([*argv, "--out-dir", str(tmp_path)]) in (0, 4)
+    assert written
+    for path, payload in written:
+        text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+        assert Path(path).read_bytes() == (text + "\n").encode()
 
 
 def test_resonance_with_no_rows(tmp_path):

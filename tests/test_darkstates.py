@@ -23,21 +23,23 @@ from oracles import (
 
 import tchlab
 import tchlab.darkstates as darkstates
-from tchlab import (
+from tchlab.basis import HilbertSpace, NetworkConfig
+from tchlab.darkstates import (
+    MAX_ATOMS,
+    MAX_RATE,
+    MAX_TIMES,
+    MAX_TRIALS,
     DecayConfig,
-    HilbertSpace,
-    NetworkConfig,
-    NumericalDriftError,
-    build_tc,
+    _collective_products,
     classify_dark,
     emission_density,
     is_dark,
     sample_emission_times,
     singlet_product,
-    photon_number_operator,
     triplet_state,
 )
-from tchlab.darkstates import MAX_ATOMS, MAX_RATE, MAX_TIMES, MAX_TRIALS, _collective_products
+from tchlab.evolution import NumericalDriftError
+from tchlab.operators import build_tc, photon_number_operator
 
 
 def test_singlet_has_zero_absorption():
@@ -254,6 +256,8 @@ DARK_STUDY_REFUSALS = [
     ({"detector_error": -0.5}, r"detector_error must lie in \[0, 1\]"),
     ({"truth": "grey"}, "truth must be"),
     ({"kappa": math.inf}, "kappa must be"),
+    ({"rng": -1}, "rng must be a seed"),
+    ({"rng": 1.5}, "rng must be a seed"),
 )]
 
 
@@ -438,7 +442,7 @@ def test_fourteen_atom_decay_builds_no_sector_matrix(bright):
     state = "np.kron(triplet_state(), singlets(12))" if bright else "singlets(14)"
     basis_dim, closure_bound, peak_kb = _fresh_process_run(
         "import numpy as np\n"
-        "from tchlab import DecayConfig, emission_density, singlet_product, triplet_state\n"
+        "from tchlab.darkstates import DecayConfig, emission_density, singlet_product, triplet_state\n"
         "def singlets(n):\n"
         "    return singlet_product([(i, i + 1) for i in range(0, n, 2)])\n"
         f"report = emission_density({state}, DecayConfig(couplings=(1e-3,) * 14))\n"
@@ -485,7 +489,7 @@ def test_generic_twelve_atom_decay_runs_in_two_spans():
     widths, basis_dim, closure_bound, peak_kb = _fresh_process_run(
         "import numpy as np\n"
         "import tchlab.darkstates as darkstates\n"
-        "from tchlab import DecayConfig, emission_density\n"
+        "from tchlab.darkstates import DecayConfig, emission_density\n"
         "widths = []\n"
         "reachable = darkstates._reachable_basis\n"
         "def counted(*args):\n"
@@ -507,7 +511,7 @@ def test_generic_decay_does_not_depend_on_the_blas_thread_count():
     # a BLAS matrix-vector product may split the 3,302-state sector across
     # threads and round by their count; the two interpreters run side by side
     src = str(Path(tchlab.__file__).resolve().parent.parent)
-    code = ("from tchlab import DecayConfig, emission_density\n"
+    code = ("from tchlab.darkstates import DecayConfig, emission_density\n"
             "import numpy as np\n"
             + inspect.getsource(_generic_register) +
             "report = emission_density(*_generic_register(12, t_max=4000.0, n_times=201))\n"

@@ -7,25 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tchlab import (
-    EvolutionSettings,
-    GaussianPulse,
-    HilbertSpace,
-    HopSpec,
-    NetworkConfig,
-    NumericalDriftError,
-    StateVector,
-    build_tc,
-    build_tch,
-    evolve_const,
-    evolve_pulsed,
-    jump_operator,
-    photon_number_operator,
-    rabi_periods,
-)
 import tchlab.darkstates
 import tchlab.evolution
 from oracles import step_powers_loop
+from tchlab.basis import HilbertSpace, NetworkConfig
 from tchlab.darkstates import _expm, _lossy_propagation, _reachable_basis, _step_powers
 from tchlab.gate import GateConfig, cocsign_schedule, gate_space
 from tchlab.evolution import (
@@ -33,9 +18,23 @@ from tchlab.evolution import (
     _BLOCK_ENTRIES,
     _RK4_TERMS,
     _STEP_BLOCK,
+    EvolutionSettings,
+    NumericalDriftError,
+    StateVector,
     _invariant_blocks,
     apply_propagator,
+    evolve_const,
+    evolve_pulsed,
     pulsed_propagators,
+    rabi_periods,
+)
+from tchlab.operators import (
+    GaussianPulse,
+    HopSpec,
+    build_tc,
+    build_tch,
+    jump_operator,
+    photon_number_operator,
 )
 
 import oracles

@@ -9,31 +9,8 @@ from hypothesis import strategies as st
 import oracles
 import tchlab.evolution
 import tchlab.gate
-from tchlab import (
-    GateConfig,
-    HilbertSpace,
-    HopSpec,
-    NetworkConfig,
-    NumericalDriftError,
-    StateVector,
-    build_tch,
-    cocsign_matrix,
-    cocsign_schedule,
-    decode,
-    encode,
-    evolve_const,
-    gate_space,
-    ideal_cocsign,
-    jump_operator,
-    modular_distance,
-    rabi_periods,
-    resonance_table,
-    run_gate,
-    sweep,
-    trace_distance,
-    uniform_superposition,
-)
-from tchlab.evolution import pulsed_propagators
+from tchlab.basis import HilbertSpace, NetworkConfig
+from tchlab.evolution import NumericalDriftError, pulsed_propagators, rabi_periods
 from tchlab.gate import (
     AUX_CAVITY,
     BASIS_LABELS,
@@ -42,12 +19,26 @@ from tchlab.gate import (
     X_CAVITY,
     Y_CAVITY,
     FreeSegment,
+    GateConfig,
     _exchange_links,
     _final_states,
     _xy_swap,
     branch_phase,
+    cocsign_matrix,
+    cocsign_schedule,
+    decode,
+    encode,
+    gate_space,
+    ideal_cocsign,
+    modular_distance,
+    resonance_table,
+    run_gate,
     schedule_duration,
+    sweep,
+    trace_distance,
+    uniform_superposition,
 )
+from tchlab.operators import HopSpec, build_tch, jump_operator
 
 FAST_CONFIG = GateConfig()  # g=1e-3, sigma=0.5, n2 = 6 (n1 = 4)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from tchlab import (
+from tchlab.basis import HilbertSpace, NetworkConfig
+from tchlab.darkstates import singlet_product
+from tchlab.operators import (
     GaussianPulse,
-    HilbertSpace,
     HopSpec,
-    NetworkConfig,
     OperatorMatrix,
     amplitude_for_area,
     build_tc,
@@ -16,7 +16,6 @@ from tchlab import (
     jump_operator,
     photon_number_operator,
     pulse_value,
-    singlet_product,
 )
 
 import oracles

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import struct
 import tempfile
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import write_csv_loop
-from tchlab import WalkConfig, simulate_walk, reports
+from oracles import jsonable, write_csv_loop
+from tchlab import reports
 from tchlab.reports import format_column, write_csv, write_grid_csv, write_json
+from tchlab.walk import WalkConfig, simulate_walk
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # integers are exact as doubles up to 2**53; np.float64 must format like a float
@@ -202,13 +204,47 @@ def test_csv_file_round_trips_every_cell(rows):
     assert data.count(b"\n") == data.count(b"\r\n") == len(rows) + 1
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, object()])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, object(),
+                                   np.float32("nan"), complex(1.0, math.inf),
+                                   np.array([1.0, -math.inf]), {1j}])
 def test_json_rejects_non_finite_floats_before_writing(tmp_path, value):
     # an object JSON has no form for is refused too, not written as its repr
     path = tmp_path / "out" / "summary.json"
-    with pytest.raises(ValueError if isinstance(value, float) else TypeError):
+    numbers = (float, np.floating, complex, np.ndarray)
+    with pytest.raises(ValueError if isinstance(value, numbers) else TypeError):
         write_json(path, {"ok": 1.0, "nested": [{"bad": value}]})
     assert not path.exists()
+
+
+# every kind of value a summary holds: plain and numpy scalars, complex
+# numbers, arrays, tuples and nested lists and dicts
+_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+json_payloads = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4), finite, st.integers(-2**63, 2**63 - 1),
+        st.booleans().map(np.bool_), st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.integers(-2**31, 2**31 - 1).map(np.int32), finite.map(np.float64),
+        st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+        _complex, _complex.map(np.complex128),
+        st.complex_numbers(width=64, allow_nan=False, allow_infinity=False).map(np.complex64),
+        st.lists(finite, max_size=3).map(np.array), st.lists(_complex, max_size=3).map(np.array),
+    ),
+    lambda children: st.one_of(st.lists(children, max_size=3), st.tuples(children, children),
+                               st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=12,
+)
+
+
+@given(json_payloads)
+@example({"phases": {"00": 1 + 0j, "11": np.complex128(-1 + 1e-8j)}, "grid": np.eye(2),
+          "best": (np.int64(4), np.float64(0.1)), "dark": np.bool_(True)})
+def test_json_writer_writes_the_text_of_the_plain_copy(payload):
+    # the default= hook writes what json.dumps writes for the plain-typed
+    # copy of the payload, byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "summary.json", payload)
+        expected = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+        assert path.read_bytes() == (expected + "\n").encode()
 
 
 def test_csv_writer_consumes_a_one_pass_generator(tmp_path):

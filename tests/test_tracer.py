@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from tchlab import WalkConfig, reports, simulate_walk
+from tchlab import reports
+from tchlab.walk import WalkConfig, simulate_walk
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

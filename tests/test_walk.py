@@ -13,13 +13,11 @@ from oracles import (
 )
 
 import tchlab.walk
-from tchlab import (
-    HilbertSpace,
-    HopSpec,
-    NetworkConfig,
+from tchlab.basis import HilbertSpace, NetworkConfig
+from tchlab.operators import HopSpec, build_tch
+from tchlab.walk import (
     WalkConfig,
     ballistic_exponent,
-    build_tch,
     coupling_network,
     feynman_kernel,
     momentum_values,
