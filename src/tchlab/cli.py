@@ -270,8 +270,14 @@ def cmd_dark(args) -> int:
 def cmd_resonance(args) -> int:
     tau1, tau2 = rabi_periods(args.g)
     rows = resonance_table(args.n_max, top=args.top)
-    with np.errstate(over="ignore"):  # a hold past the float range is inf, which write_json refuses
-        holds = hold_duration(args.g, np.array([n2 for _, n2, _ in rows])).tolist()
+    n2s = np.array([n2 for _, n2, _ in rows])
+    with np.errstate(over="ignore"):  # a hold past the float range is inf, refused below
+        holds = hold_duration(args.g, n2s)
+    if not np.all(np.isfinite(holds)):
+        longest = int(np.argmax(n2s))
+        raise ValueError(f"g {args.g:g} puts the hold 2 n2 tau2 of the listed n2 {n2s[longest]} "
+                         f"at {holds[longest]:g}, beyond the float range")
+    holds = holds.tolist()
     table = [
         {"n1": n1, "n2": n2, "residual": residual, "hold_duration": hold}
         for (n1, n2, residual), hold in zip(rows, holds)

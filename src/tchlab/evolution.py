@@ -6,10 +6,10 @@ owns the lossy decay):
 - ``evolve_const``: time-independent Hermitian generator, exact matrix
   exponential through the cached spectral decomposition.  This is what makes
   the very long resonant free-evolution stretches cheap and exact.  It
-  and ``apply_propagator`` carry a (runs, dim) stack of states, a
-  StateVector as a one-row stack, by stacked matrix-vector products, which
-  give each row the same bits whatever the other rows (a 2-D product of
-  dim x runs would not: gemm and gemv round differently).
+  and ``apply_propagator`` carry a (runs, dim) stack of amplitude rows on
+  the caller's sector, by stacked matrix-vector products, which give each
+  row the same bits whatever the other rows (a 2-D product of dim x runs
+  would not: gemm and gemv round differently).
 - ``evolve_pulsed``: Hermitian static part plus Gaussian-windowed hop pulses,
   integrated as a propagator with a classic fixed-step fourth-order one-step
   scheme (three generator evaluations per step: start, midpoint twice, end),
@@ -55,27 +55,6 @@ NORM_TOLERANCE = 1e-8
 
 
 @dataclass
-class StateVector:
-    """Complex amplitudes over the basis of one sector."""
-
-    space: object
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.space.dim,):
-            raise ValueError(
-                f"amplitude shape {self.amplitudes.shape} does not match "
-                f"space dim {self.space.dim}"
-            )
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
 class EvolutionSettings:
     """Fixed-step integrator controls for the pulsed route."""
 
@@ -84,11 +63,6 @@ class EvolutionSettings:
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-
-
-def _check_same_space(op: OperatorMatrix, psi: StateVector) -> None:
-    if (op.space.config, op.space.sector) != (psi.space.config, psi.space.sector):
-        raise ValueError("operator and state live on different spaces")
 
 
 def rabi_periods(g: float) -> tuple[float, float]:
@@ -103,32 +77,28 @@ def rabi_periods(g: float) -> tuple[float, float]:
     return tau1, tau1 / math.sqrt(2.0)
 
 
-def evolve_const(h: OperatorMatrix, psi, t: float):
+def evolve_const(h: OperatorMatrix, psi: np.ndarray, t: float) -> np.ndarray:
     """Exact propagation exp(-i H t) |psi> for Hermitian H, of each row of a
-    (runs, dim) stack of amplitudes on h's space, or of a StateVector on it
-    as a one-row stack.  Stacked matrix-vector products give each row the
-    same bits whatever the other rows (one 2-D product of dim x runs would
-    not: gemm and gemv round differently)."""
-    if single := isinstance(psi, StateVector):
-        _check_same_space(h, psi)
+    (runs, dim) stack of amplitudes on h's space.  Stacked matrix-vector
+    products give each row the same bits whatever the other rows (one 2-D
+    product of dim x runs would not: gemm and gemv round differently)."""
     w, v = h.eigensystem()
     phases = np.exp(-1j * w * t)
-    rows = psi.amplitudes[None] if single else psi
-    out = (v @ (phases[:, None] * (v.conj().T @ rows[..., None])))[..., 0]
-    return StateVector(psi.space, out[0]) if single else out
+    return (v @ (phases[:, None] * (v.conj().T @ psi[..., None])))[..., 0]
 
 
 def evolve_pulsed(
     h0: OperatorMatrix,
     pulses,
-    psi: StateVector,
+    psi: np.ndarray,
     t_start: float,
     t_end: float,
     settings: EvolutionSettings | None = None,
-) -> StateVector:
+) -> np.ndarray:
     """Integrate i d|psi>/dt = (H0 + sum_k nu_k(t) J_k) |psi> over
-    [t_start, t_end] with a fixed-step fourth-order scheme whose second half
-    mirrors its first (``pulsed_propagators``).
+    [t_start, t_end] for each row of a (runs, dim) stack of amplitudes, with
+    a fixed-step fourth-order scheme whose second half mirrors its first
+    (``pulsed_propagators``).
 
     ``pulses`` is a sequence of (jump operator, Gaussian envelope) pairs; the
     jump operators should be built with unit amplitude so the envelopes alone
@@ -141,10 +111,8 @@ def evolve_pulsed(
     ``NORM_TOLERANCE`` (the generator is Hermitian, so any drift is
     integrator error).
     """
-    _check_same_space(h0, psi)
     pulses = list(pulses)
-    for op, pulse in pulses:
-        _check_same_space(op, psi)
+    for _, pulse in pulses:
         if not isinstance(pulse, GaussianPulse):
             raise TypeError("each pulse must pair an operator with a GaussianPulse")
     if t_end < t_start:
@@ -380,19 +348,17 @@ def _ordered_product(r: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def apply_propagator(u: np.ndarray, psi):
+def apply_propagator(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """u[i] |psi[i]> for a stack of propagators of Hermitian generators and
-    a (runs, dim) stack of amplitudes, or u |psi> for one and a StateVector
-    as a one-row stack, by stacked matrix-vector products that give each
-    row the same bits whatever the other rows.  NumericalDriftError if the
-    squared norm of a state moves by more than ``NORM_TOLERANCE`` or either
-    norm is not finite; the rows are checked in order."""
-    single = isinstance(psi, StateVector)
-    rows = psi.amplitudes[None] if single else psi
-    out = (u @ rows[..., None])[..., 0]
-    for before, after in zip(rows, out):
+    a (runs, dim) stack of amplitudes, or u |psi[i]> for one propagator, by
+    stacked matrix-vector products that give each row the same bits
+    whatever the other rows.  NumericalDriftError if the squared norm of a
+    state moves by more than ``NORM_TOLERANCE`` or either norm is not
+    finite; the rows are checked in order."""
+    out = (u @ psi[..., None])[..., 0]
+    for before, after in zip(psi, out):
         _check_norm_drift(before, after)
-    return StateVector(psi.space, out[0]) if single else out
+    return out
 
 
 def _check_norm_drift(before: np.ndarray, after: np.ndarray) -> None:

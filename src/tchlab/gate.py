@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HilbertSpace, NetworkConfig, as_int
-from .evolution import (
-    StateVector,
-    apply_propagator,
-    evolve_const,
-    pulsed_propagators,
-    rabi_periods,
-)
+from .evolution import apply_propagator, evolve_const, pulsed_propagators, rabi_periods
 from .operators import GaussianPulse, HopSpec, amplitude_for_area, build_tch, jump_operator
 
 X_CAVITY, Y_CAVITY, AUX_CAVITY = 0, 1, 2
@@ -46,12 +40,12 @@ PULSE_CUTOFF = 6.0  # envelope truncation, in sigmas; window width is twice this
 MAX_ALPHA = 1e75
 # Work budget of resonance_table: ranked (n1, n2) pairs, one per n2, so an
 # n_max above it is refused before anything is allocated.  On 2 cores with
-# numpy 2.4 `tchlab resonance` peaks at about 36 bytes a pair, about 720 MB
+# numpy 2.4 `tchlab resonance` peaks at about 32 bytes a pair, about 640 MB
 # at the limit with the default --top.
 MAX_PAIRS = 20_000_000
 # Work budget of resonance_table's rows, min(top, n_max).  `tchlab resonance`
 # prints and writes about 1.7 kB a row: the limit peaks at about 550 MB, and
-# at about 720 MB with n_max = MAX_PAIRS, as that n_max alone does.
+# at about what n_max = MAX_PAIRS takes alone.
 MAX_ROWS = 300_000
 
 
@@ -99,6 +93,24 @@ def hold_duration(g: float, n2) -> float:
     return 2.0 * n2 * rabi_periods(g)[1]
 
 
+def resonance_residual(n2: np.ndarray) -> np.ndarray:
+    """The mismatch |sqrt(2) n2 - 2 n1 - 1/2| of each int64 n2 and its
+    ``paired_n1``, in one-excitation periods, as |8 n2^2 - (4 n1 + 1)^2| /
+    (2 (2 sqrt(2) n2 + 4 n1 + 1)): the difference times its conjugate sum
+    over that sum.  The numerator is an exact integer (below 2**63 up to
+    ``MAX_PAIRS``), so no two terms of size sqrt(2) n2 cancel.  Computed in
+    place, so that at most four arrays of n2's length are alive at once."""
+    m = 4 * paired_n1(n2).astype(np.int64) + 1
+    num = np.square(n2)
+    num *= 8
+    num -= np.square(m)
+    np.abs(num, out=num)
+    den = math.sqrt(8.0) * n2
+    den += m
+    den *= 2.0
+    return np.divide(num, den, out=den)
+
+
 def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, float]]:
     """One row (n1, n2, residual) for every n2 up to n_max, with n1 its
     ``paired_n1``, ranked by the mismatch in one-excitation periods, then by
@@ -117,10 +129,10 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
         raise ValueError(f"n_max {n_max} and top {top} list {min(top, n_max)} rows, "
                          f"more than the limit of {MAX_ROWS}")
     n2 = np.arange(1, n_max + 1)
-    n1 = paired_n1(n2).astype(np.int64)
-    residual = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
+    residual = resonance_residual(n2)
     order = np.argsort(residual, kind="stable")[:top]
-    return list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))
+    n1 = paired_n1(n2[order]).astype(np.int64)
+    return list(zip(n1.tolist(), n2[order].tolist(), residual[order].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +294,21 @@ def _code_indices(space: HilbertSpace) -> np.ndarray:
     return space.rank([[x, y, 0, 1 - x, 1 - y, 0] for x, y in np.ndindex(2, 2)])
 
 
-def encode(q, space: HilbertSpace) -> StateVector:
-    """Embed two-qubit amplitudes into the register sector."""
-    q = _as_qubit_pair(q)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[_code_indices(space)] = q
-    return StateVector(space, amps)
+def encode(q, space: HilbertSpace) -> np.ndarray:
+    """Embed two-qubit amplitudes into the register sector: one row of four
+    gives one (dim,) row, a (runs, 4) stack one (runs, dim) stack."""
+    q = np.asarray(q, dtype=complex)
+    rows = [_as_qubit_pair(row) for row in q] if q.ndim == 2 else [_as_qubit_pair(q)]
+    psi = np.zeros((len(rows), space.dim), dtype=complex)
+    psi[:, _code_indices(space)] = np.reshape(rows, (-1, 4))
+    return psi if q.ndim == 2 else psi[0]
 
 
-def decode(psi: StateVector) -> np.ndarray:
-    """Project a register state back onto the four encoded basis states.
-    The result is not renormalized; missing weight is leakage."""
-    return psi.amplitudes[_code_indices(psi.space)]
+def decode(psi: np.ndarray, space: HilbertSpace) -> np.ndarray:
+    """Project register states, one row or a stack of rows, back onto the
+    four encoded basis states.  The result is not renormalized; missing
+    weight is leakage."""
+    return psi[..., _code_indices(space)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +367,7 @@ def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarr
     alphas = [_run_alpha(config, alpha) for alpha, _ in runs]
     space = gate_space(config)
     h0 = build_tch(space)
-    # every input encoded at once, as ``encode`` places one
-    qubits = [_as_qubit_pair(q) for _, inputs in runs for q in inputs]
-    psi = np.zeros((len(qubits), space.dim), dtype=complex)
-    psi[:, _code_indices(space)] = np.reshape(qubits, (-1, 4))
+    psi = encode([q for _, inputs in runs for q in inputs], space)
     sizes = [len(inputs) for _, inputs in runs]
     groups = {}
     for i, alpha in enumerate(alphas):
@@ -377,16 +389,17 @@ def _final_states(config: GateConfig, runs) -> tuple[HilbertSpace, list[np.ndarr
     return space, [psi[first:last] for first, last in zip(edges, edges[1:])]
 
 
-def run_gate(q, config: GateConfig) -> StateVector:
-    """Evolve an encoded two-qubit state through the full schedule.
+def run_gate(q, config: GateConfig) -> np.ndarray:
+    """Evolve an encoded two-qubit state through the full schedule to its
+    final (dim,) row on ``gate_space(config)``.
 
     Each exchange applies its link's propagator at the config's amplitude
     and step to the carried state, whose norm drift is checked against
     ``evolution.NORM_TOLERANCE``: ``_final_states`` with one run of one
     input.
     """
-    space, ((psi,),) = _final_states(config, [(config.alpha, [q])])
-    return StateVector(space, psi)
+    _, ((psi,),) = _final_states(config, [(config.alpha, [q])])
+    return psi
 
 
 def schedule_phase(config: GateConfig) -> complex:
@@ -401,13 +414,14 @@ def schedule_phase(config: GateConfig) -> complex:
     return -np.exp(-2j * config.omega * schedule_duration(config))
 
 
-def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
-    """Phase of the surviving encoded component for a basis input, relative
-    to the schedule's deterministic global phase.  Near +1 for inputs the
-    gate leaves alone, near -1 for the flipped branch."""
+def branch_phase(code: np.ndarray, label: str, config: GateConfig) -> complex:
+    """Phase of the surviving encoded component for a basis input, from the
+    four ``decode``d amplitudes of its final state, relative to the
+    schedule's deterministic global phase.  Near +1 for inputs the gate
+    leaves alone, near -1 for the flipped branch."""
     if label not in BASIS_LABELS:
         raise ValueError(f"label must be one of {BASIS_LABELS}")
-    overlap = complex(decode(psi)[BASIS_LABELS.index(label)])
+    overlap = complex(code[BASIS_LABELS.index(label)])
     if abs(overlap) < 1e-9:
         raise ValueError("no surviving weight on the encoded branch")
     return overlap / abs(overlap) / schedule_phase(config)
@@ -417,12 +431,6 @@ def branch_phase(psi: StateVector, label: str, config: GateConfig) -> complex:
 # distances
 # ---------------------------------------------------------------------------
 
-def _amps(psi) -> np.ndarray:
-    if isinstance(psi, StateVector):
-        return psi.amplitudes
-    return np.asarray(psi, dtype=complex)
-
-
 def trace_distance(psi, psi_id) -> float:
     """Trace norm of |psi><psi| - |psi_id><psi_id|, insensitive to a global
     phase of either state.  The difference has rank 2 at most, so with a the
@@ -431,7 +439,7 @@ def trace_distance(psi, psi_id) -> float:
     2 sqrt(((||a||^2 - ||b||^2) / 2)^2 + ||a||^2 ||b_perp||^2), in which no
     two large terms cancel (Nielsen and Chuang, section 9.2); two zero
     vectors are at distance 0."""
-    a, b = _amps(psi), _amps(psi_id)
+    a, b = np.asarray(psi, dtype=complex), np.asarray(psi_id, dtype=complex)
     if a.shape != b.shape:
         raise ValueError("trace distance needs states of equal dimension")
     na2, nb2 = np.vdot(a, a).real, np.vdot(b, b).real
@@ -446,7 +454,7 @@ def trace_distance(psi, psi_id) -> float:
 def modular_distance(psi, psi_id) -> float:
     """Squared amplitude distance ||psi - psi_id||^2, taken raw: a global
     phase between the states shows up in full (maximum 4 for unit vectors)."""
-    a, b = _amps(psi), _amps(psi_id)
+    a, b = np.asarray(psi, dtype=complex), np.asarray(psi_id, dtype=complex)
     if a.shape != b.shape:
         raise ValueError("modular distance needs states of equal dimension")
     d = a - b
@@ -474,9 +482,9 @@ def sweep(
     alphas = [float(alpha) for alpha in alphas]
     runs = [(alpha, [q]) for alpha in alphas] + [(config.alpha, np.eye(4, dtype=complex))]
     space, states = _final_states(config, runs)
-    target = encode(ideal_cocsign(q), space).amplitudes * schedule_phase(config)
+    target = encode(ideal_cocsign(q), space) * schedule_phase(config)
     rows = [(alpha, config.sigma, config.n1, config.n2,
              trace_distance(psi, target), modular_distance(psi, target))
             for alpha, (psi,) in zip(alphas, states)]
-    return rows, {label: branch_phase(StateVector(space, psi), label, config)
-                  for label, psi in zip(BASIS_LABELS, states[-1])}
+    return rows, {label: branch_phase(code, label, config)
+                  for label, code in zip(BASIS_LABELS, decode(states[-1], space))}

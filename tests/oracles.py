@@ -77,7 +77,7 @@ import scipy.linalg
 
 from tchlab.basis import HilbertSpace, NetworkConfig
 import tchlab.evolution
-from tchlab.evolution import NumericalDriftError, StateVector, rabi_periods
+from tchlab.evolution import NumericalDriftError, rabi_periods
 from tchlab.gate import (
     AUX_CAVITY,
     X_CAVITY,
@@ -359,8 +359,9 @@ def instant_swap_gate(q, config):
     aux<->y, tau1/2, each exchange as the state's own evolution
     evolve_const_state(J, psi, pi/2) under its unit-amplitude jump operator J
     and each free stretch as evolve_const_state(H0, psi, duration).  Returns
-    the final state and the schedule phase -exp(-2 i omega T), with T the
-    free durations alone, summed in schedule order."""
+    the final state, a row on ``gate_space(config)``, and the schedule phase
+    -exp(-2 i omega T), with T the free durations alone, summed in schedule
+    order."""
     space = gate_space(config)
     h0 = build_tch(space)
     gap = rabi_periods(config.g)[0] / 2.0
@@ -373,30 +374,31 @@ def instant_swap_gate(q, config):
 
 
 def evolve_const_state(h, psi, t):
-    """exp(-i H t) |psi> for one StateVector by per-state matrix-vector
-    products through h's eigensystem, v (exp(-i w t) * (v^H psi))."""
+    """exp(-i H t) |psi> for one (dim,) amplitude row by per-state
+    matrix-vector products through h's eigensystem,
+    v (exp(-i w t) * (v^H psi))."""
     w, v = h.eigensystem()
-    return StateVector(psi.space, v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes)))
+    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
 
 
 def apply_propagator_state(u, psi):
-    """u |psi> for one StateVector by a per-state matrix-vector product;
-    NumericalDriftError if the squared norm moves by more than
+    """u |psi> for one (dim,) amplitude row by a per-state matrix-vector
+    product; NumericalDriftError if the squared norm moves by more than
     ``evolution.NORM_TOLERANCE`` (read at the call) or is not finite."""
-    y = u @ psi.amplitudes
-    drift = abs(np.vdot(y, y).real - np.vdot(psi.amplitudes, psi.amplitudes).real)
+    y = u @ psi
+    drift = abs(np.vdot(y, y).real - np.vdot(psi, psi).real)
     if not drift <= tchlab.evolution.NORM_TOLERANCE:  # NaN fails too
         raise NumericalDriftError(f"squared norm drifted by {drift:.3e}")
-    return StateVector(psi.space, y)
+    return y
 
 
 def run_schedule_loop(psi, h0, config, links):
-    """Carry one register state through the gate schedule on its own: free
-    segments by ``evolve_const_state`` under h0, each exchange by
-    ``apply_propagator_state`` with its link under the norm-drift check.
-    ``links`` holds the aux<->x and the aux<->y propagator, indexed by the
-    exchanged qubit cavity.  The per-state reference for the stack that
-    ``gate._final_states`` carries."""
+    """Carry one register state, a (dim,) amplitude row, through the gate
+    schedule on its own: free segments by ``evolve_const_state`` under h0,
+    each exchange by ``apply_propagator_state`` with its link under the
+    norm-drift check.  ``links`` holds the aux<->x and the aux<->y
+    propagator, indexed by the exchanged qubit cavity.  The per-state
+    reference for the stack that ``gate._final_states`` carries."""
     for ev in cocsign_schedule(config):
         if isinstance(ev, FreeSegment):
             psi = evolve_const_state(h0, psi, ev.duration)
@@ -405,17 +407,16 @@ def run_schedule_loop(psi, h0, config, links):
     return psi
 
 
-def ideal_target_state(q, config) -> StateVector:
+def ideal_target_state(q, config) -> np.ndarray:
     """The encoded ideal gate output times the schedule's global phase: the
     reference target of the rows ``gate.sweep`` writes."""
-    target = encode(ideal_cocsign(q), gate_space(config))
-    return StateVector(target.space, target.amplitudes * schedule_phase(config))
+    return encode(ideal_cocsign(q), gate_space(config)) * schedule_phase(config)
 
 
 def density_trace_distance(psi, psi_id) -> float:
     """Trace distance of two states by the density-matrix route: the sum of
     the absolute eigenvalues of the Hermitian |psi><psi| - |psi_id><psi_id|."""
-    a, b = (np.asarray(getattr(s, "amplitudes", s), dtype=complex) for s in (psi, psi_id))
+    a, b = (np.asarray(s, dtype=complex) for s in (psi, psi_id))
     delta = np.outer(a, a.conj()) - np.outer(b, b.conj())
     return float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2.0))))
 
@@ -652,13 +653,17 @@ def jsonable(value):
 def resonance_table_loop(n_max: int, top=None):
     """One (n1, n2, residual) tuple per n2 up to n_max, sorted by
     (residual, n2).  Its n1 is found by brute force, not by a rounding rule:
-    the argmin of the residual over every n1 up to n_max on the full
-    n_max x n_max grid."""
+    the argmin of the mismatch over every n1 up to n_max on the full
+    n_max x n_max grid.  Its residual is that pair's cancellation-free
+    |8 n2^2 - (4 n1 + 1)^2| / (2 (2 sqrt(2) n2 + 4 n1 + 1)), one Python
+    float operation at a time."""
     n1 = np.arange(1, n_max + 1)[:, None]
     n2 = np.arange(1, n_max + 1)
-    grid = np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5)
-    best = np.argmin(grid, axis=0)
-    rows = [(int(best[k]) + 1, int(n2[k]), float(grid[best[k], k])) for k in range(n_max)]
+    best = np.argmin(np.abs(2.0 * n2 / math.sqrt(2.0) - 2.0 * n1 - 0.5), axis=0) + 1
+    rows = []
+    for a, b in zip(best.tolist(), n2.tolist()):
+        m = 4 * a + 1
+        rows.append((a, b, abs(8 * b * b - m * m) / (2.0 * (math.sqrt(8.0) * b + m))))
     rows.sort(key=lambda r: (r[2], r[1]))
     return rows if top is None else rows[:top]
 

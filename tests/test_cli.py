@@ -553,9 +553,11 @@ OVERFLOWING_CASES = [
     (["dark", "--atoms", "1000000000000"], 2, "atoms exceed the limit of 18"),
     # a step of 1e11 radians: its Pade squarings round the survival by 8e-5
     (["dark", "--atoms", "2", "--g", "1e12", "--kappa", "1", "--n-times", "201"], 3, "squarings"),
-    # hold durations past the float range are inf, which the summary refuses
-    # after the table is printed, with no overflow warning on the way
-    (["resonance", "--g", "1e-306", "--n-max", "1000", "--top", "1000"], 2, "not JSON compliant"),
+    # hold durations past the float range are inf: refused, naming the
+    # largest listed n2, before the table is printed, with no overflow
+    # warning on the way
+    (["resonance", "--g", "1e-306", "--n-max", "1000", "--top", "1000"], 2,
+     "the listed n2 1000 at inf"),
 ]
 
 
@@ -565,8 +567,9 @@ OVERFLOWING_CASES = [
 def test_overflowing_gate_and_walk_parameters_end_in_a_documented_code(
         tmp_path, capsys, args, code, name):
     assert main([*args, "--out-dir", str(tmp_path)]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert name in err and "Traceback" not in err
+    assert out == ""
     assert list(tmp_path.iterdir()) == []
 
 
