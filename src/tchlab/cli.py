@@ -37,7 +37,7 @@ from .gate import (
     sweep,
     uniform_superposition,
 )
-from .reports import format_column, write_csv, write_grid_csv, write_json
+from .reports import format_column, grid_writer, write_csv, write_json
 from .walk import MAX_CELLS, WalkConfig, simulate_walk
 
 EXIT_OK = 0
@@ -124,33 +124,26 @@ def cmd_walk(args) -> int:
         t_max=args.t_max,
         n_times=args.n_times,
     )
-    result = simulate_walk(config)
-
-    # every result before the first file, so that a failure leaves none
     n = config.n_cavities
-    origin = config.resolved_origin
-    sites = (np.arange(n), result.positions)
-    amp_path = write_grid_csv(
-        os.path.join(args.out_dir, "walk_amplitude.csv"),
-        ("time", "cavity", "position", "re_amplitude", "im_amplitude", "abs_amplitude"),
-        result.times, sites, result.amplitudes,
-    )
-    kernel_path = write_grid_csv(
-        os.path.join(args.out_dir, "kernel.csv"),
-        ("time", "cavity", "position", "re_kernel", "im_kernel", "abs_kernel"),
-        result.times, sites, result.kernel,
-    )
+    sites = (np.arange(n), config.positions)
+    paths = [os.path.join(args.out_dir, name) for name in ("walk_amplitude.csv", "kernel.csv")]
+    headers = [("time", "cavity", "position", f"re_{v}", f"im_{v}", f"abs_{v}")
+               for v in ("amplitude", "kernel")]
+    # the walk streams both grids to the writer block by block; if the walk
+    # or its fit fails, the writer removes them
+    with grid_writer(paths, headers, config.times, sites) as write:
+        result = simulate_walk(config, write=write)
+    del write  # and with it the grids' frame and work rows
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
         ("separation", "n_links", "mean_amplitude", "mean_phase"),
         result.network_profile,
     )
-
     summary = {
         "command": "walk",
         "n_cavities": n,
         "mass": config.mass,
-        "origin": origin,
+        "origin": config.resolved_origin,
         "t_max": config.resolved_t_max,
         "n_times": config.n_times,
         "ballistic_exponent": result.ballistic_exponent,
@@ -160,8 +153,8 @@ def cmd_walk(args) -> int:
         "kernel_overlap_final": result.kernel_overlap,
         "n_links": sum(count for _, count, _, _ in result.network_profile),
         "files": {
-            "amplitude": os.path.basename(amp_path),
-            "kernel": os.path.basename(kernel_path),
+            "amplitude": os.path.basename(paths[0]),
+            "kernel": os.path.basename(paths[1]),
             "network": os.path.basename(net_path),
         },
     }

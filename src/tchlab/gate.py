@@ -39,13 +39,16 @@ PULSE_CUTOFF = 6.0  # envelope truncation, in sigmas; window width is twice this
 # power, which stays below 1e300
 MAX_ALPHA = 1e75
 # Work budget of resonance_table: ranked (n1, n2) pairs, one per n2, so an
-# n_max above it is refused before anything is allocated.  On 2 cores with
-# numpy 2.4 `tchlab resonance` peaks at about 32 bytes a pair, about 640 MB
-# at the limit with the default --top.
+# n_max above it is refused before anything is allocated.  A time budget:
+# the ranking keeps a running top over chunks of n2, so its peak follows
+# --top and not n_max.  On 2 cores with numpy 2.4 `tchlab resonance` takes
+# about 0.5 s at the limit with the default --top, and peaks at 35 MB.
 MAX_PAIRS = 20_000_000
+# n2 per chunk of resonance_table's ranking, or --top if that is larger
+_RANK_CHUNK = 2**16
 # Work budget of resonance_table's rows, min(top, n_max).  `tchlab resonance`
-# prints and writes about 1.7 kB a row: the limit peaks at about 550 MB, and
-# at about what n_max = MAX_PAIRS takes alone.
+# prints and writes about 1.7 kB a row: the limit peaks at about 510 MB with
+# n_max at MAX_PAIRS.
 MAX_ROWS = 300_000
 
 
@@ -116,7 +119,13 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
     ``paired_n1``, ranked by the mismatch in one-excitation periods, then by
     n2.  ``top`` keeps the first rows (None: all).  A non-integer, an n_max
     above ``MAX_PAIRS`` and more than ``MAX_ROWS`` rows are refused with
-    ValueError before anything is allocated."""
+    ValueError before anything is allocated.
+
+    n2 is ranked in chunks of ``_RANK_CHUNK``, or of ``top`` if that is
+    larger.  Each chunk joins the kept rows, in n2 order, and before the
+    next chunk only the rows whose residual is at most the top-th smallest
+    stay, ties included, so the one stable sort of the kept rows at the end
+    gives the order of one stable sort of every row."""
     n_max = as_int(n_max, "n_max")
     top = n_max if top is None else as_int(top, "top")
     if n_max < 1:
@@ -128,8 +137,18 @@ def resonance_table(n_max: int, top: int | None = None) -> list[tuple[int, int, 
     if min(top, n_max) > MAX_ROWS:
         raise ValueError(f"n_max {n_max} and top {top} list {min(top, n_max)} rows, "
                          f"more than the limit of {MAX_ROWS}")
-    n2 = np.arange(1, n_max + 1)
-    residual = resonance_residual(n2)
+    if top == 0:
+        return []
+    chunk = max(_RANK_CHUNK, top)
+    n2 = np.empty(0, np.int64)
+    residual = np.empty(0)
+    for start in range(1, n_max + 1, chunk):
+        fresh = np.arange(start, min(start + chunk, n_max + 1))
+        n2 = np.concatenate((n2, fresh))
+        residual = np.concatenate((residual, resonance_residual(fresh)))
+        if len(residual) > top and start + chunk <= n_max:  # another chunk comes
+            keep = residual <= np.partition(residual, top - 1)[top - 1]
+            n2, residual = n2[keep], residual[keep]
     order = np.argsort(residual, kind="stable")[:top]
     n1 = paired_n1(n2[order]).astype(np.int64)
     return list(zip(n1.tolist(), n2[order].tolist(), residual[order].tolist()))

@@ -6,9 +6,9 @@ digits of ``str``.  One numpy kernel, ``_cells``, prints a whole float64
 column at once into 32-byte cells (see its docstring for why its digits are
 exact), and ``format_column``, ``write_csv`` and ``write_grid_csv`` all
 read their cells from it.  Tables are streamed as bytes: each block of
-lines is a uint8 frame of cells, separators and line ends, whose 0 bytes
-one ``bytes.translate`` pass drops, written in binary mode after the
-header's UTF-8, so no text layer decodes or re-encodes it.  A number
+lines is a frame of int64 words holding cells, separators and line ends,
+whose 0 bytes one ``translate`` pass drops, written in binary mode after
+the header's UTF-8, so no text layer decodes or re-encodes it.  A number
 never needs quoting, so only the header is checked for a field that would
 (``,``, ``"``, ``\r``, ``\n``, ValueError); a cell that is not a number
 raises TypeError and a row not as wide as the header ValueError, and no
@@ -17,7 +17,9 @@ and finite."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -25,11 +27,14 @@ import numpy as np
 
 
 # A cell of ``_cells`` is _CELL bytes in print order, four little-endian
-# uint64 words; a 0 byte is no character.  Byte 0 is left to the caller (a
-# separator).  Byte 1 holds the sign, bytes 2 to 6 "0." and zeros of a fixed
+# uint64 words; a 0 byte is no character.  Byte 0 holds the caller's
+# separator.  Byte 1 holds the sign, bytes 2 to 6 "0." and zeros of a fixed
 # value below 1, bytes 7 to 23 D's 17 digits, those after the point moved up
 # a byte for it, and bytes 26 to 30 "e", the exponent's sign and digits.
 _CELL = 32
+_WORDS = _CELL // 8
+_WORK_ROWS = 13  # _cells' work rows: the words, a layout index and the layout's 8 rows
+_LINE_END = np.frombuffer(b"\r\n".ljust(8, b"\0"), np.int64)[0]  # the word that ends a line
 _COLUMN_BLOCK = 2048  # cells per kernel call of format_column and write_csv: a bounded working set
 
 _FAST_RANGE = (1e-250, 1e250)  # |x| where no product below under- or overflows
@@ -102,22 +107,29 @@ def _fallback(values) -> list[bytes]:
     return [format(v, ".17g").encode() for v in values.tolist()]
 
 
-def _eight_digits(q) -> np.ndarray:
+def _eight_digits(q, quotient=None) -> np.ndarray:
     """Each int64 of q in [0, 10**8) as its eight decimal digits, one a byte
     and the first lowest, in place: the _SWAR steps split it into 4-digit
-    lanes of 32 bits, 2-digit lanes of 16 bits and digit bytes."""
+    lanes of 32 bits, 2-digit lanes of 16 bits and digit bytes.  The
+    quotients go to ``quotient``, an int64 array of q's shape, if given."""
+    quotient = np.empty_like(q) if quotient is None else quotient
     for multiplier, shift, lanes, half, factor in _SWAR:
-        quotient = (q * multiplier) >> shift
+        np.multiply(q, multiplier, out=quotient)
+        quotient >>= shift
         if lanes:
             quotient &= lanes
         q <<= half
-        q -= quotient * factor
+        quotient *= factor
+        q -= quotient
     return q
 
 
-def _cells(values) -> np.ndarray:
+def _cells(values, sep: int = 0, out=None) -> np.ndarray:
     """The ``format(x, ".17g")`` text of every element of a float64 column,
-    as an (n, _CELL) uint8 array of cells (see _CELL).
+    as a (4, n) int64 array of word rows: column j holds cell j's four
+    words (see _CELL), with the byte ``sep`` in byte 0: the first rows of
+    a (_WORK_ROWS, n) work array, which ``out``, a C-ordered one, provides
+    in place of a new one.
 
     |x| = D 10**(k-16) with D = round(|x| 10**(16-k)) in [10**16, 10**17]:
     k starts from log10 and moves by one until the scaled value y lies
@@ -132,70 +144,97 @@ def _cells(values) -> np.ndarray:
     text: a y just below 10**16 rounds to 10**16 at k, as 10 y rounds to
     10**17 at k - 1, and D = 10**17 is 10**16 at k + 1.
 
-    D's lead digit and 8-digit halves become words of digit bytes
-    (``_eight_digits``).  The halves' float bit length finds D's last
-    nonzero digit, and with k's notation the layout, whose masks keep the
-    digits up to that one or the point and move those after the point up a
-    byte, across words, every op on contiguous word-major rows.  %g prints
+    D's lead digit goes to byte 7 of word 0 and its 8-digit halves become
+    words of digit bytes (``_eight_digits``).  The halves' float bit length
+    finds D's last nonzero digit, and with k's notation the layout, whose
+    masks keep the digits up to that one or the point and move those after
+    the point up a byte, across words, every op on contiguous word-major
+    rows.  Every step writes into the work rows, so a call allocates only a
+    few small temporaries beside them.  %g prints
     the digits before the point in fixed notation when -4 <= k < 17, else
     one digit and an exponent of at least two digits, and drops the
     fraction's trailing zeros."""
     x = np.asarray(values, dtype=float).reshape(-1)
     powers, scales, layouts = _tables()
-    ax = np.abs(x)
-    fast = (ax >= _FAST_RANGE[0]) & (ax <= _FAST_RANGE[1])  # NaN compares false
-    a = np.where(fast, ax, 1.0)
-    c = a * _SPLIT
-    a_top = c - (c - a)
-    a_low = a - a_top
-    m = (16 - _POW_LO) - np.floor(np.log10(a)).astype(np.int64)  # the column of 10**(16-k)
+    w = np.empty((_WORK_ROWS, len(x)), np.int64) if out is None else out
+    # the scaling runs in place, on w's rows read as doubles: |x|, its two
+    # halves, p, r, the four powers and a spare; then k's column m and D
+    f = w.view(np.float64)
+    a, a_top, a_low, p, r, spare = f[0], f[1], f[2], f[3], f[4], f[9]
+    m, d = w[10], w[11]
+    np.abs(x, out=a)
+    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])  # NaN compares false
+    np.copyto(a, 1.0, where=~fast)
+    np.multiply(a, _SPLIT, out=a_top)
+    np.subtract(a_top, a, out=a_low)
+    a_top -= a_low
+    np.subtract(a, a_top, out=a_low)
+    m[:] = np.floor(np.log10(a, out=spare), out=spare)
+    np.subtract(16 - _POW_LO, m, out=m)  # the column of 10**(16-k)
     for attempt in range(3):  # log10 is off by one at most, at a decade edge
-        hi, lo, top, low = np.take(powers, m, axis=1)
-        p = a * hi
-        r = (((a_top * top - p) + a_top * low + a_low * top) + a_low * low) + a * lo
-        down, up = (p - 1e16) + r < -_MARGIN, (p - 1e17) + r >= _MARGIN
+        hi, lo, top, low = np.take(powers, m, axis=1, out=f[5:9], mode="clip")
+        np.multiply(a, hi, out=p)
+        np.multiply(a_top, top, out=r)
+        r -= p
+        r += np.multiply(a_top, low, out=spare)
+        r += np.multiply(a_low, top, out=spare)
+        r += np.multiply(a_low, low, out=spare)
+        r += np.multiply(a, lo, out=spare)
+        np.subtract(p, 1e16, out=spare)
+        down = (spare + r) < -_MARGIN
+        np.subtract(p, 1e17, out=spare)
+        up = (spare + r) >= _MARGIN
         outside = down | up
         if attempt == 2 or not outside.any():
             break
         m -= up
         m += down
-    whole = np.floor(r)
-    frac = r - whole
+    whole = np.floor(r, out=spare)
+    frac = np.subtract(r, whole, out=r)
     fast &= ~outside & (np.abs(frac - 0.5) >= _MARGIN)
-    d = (p * fast).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    p *= fast
+    d[:] = p
+    w[12] = whole
+    d += w[12]
+    d += frac > 0.5
     carry = d == 10**17
     d[carry] = 10**16
     m -= carry
 
-    # word-major rows: the cell's words 0 to 3, then its notation's layout
-    w = np.empty((5, len(x)), np.int64)
-    np.take(scales, m, axis=1, out=w[3:], mode="clip")
-    top = np.divmod(d, 10**8, out=(None, w[2]))[0]
-    np.divmod(top, 10**8, out=(w[0], w[1]))  # the lead digit lands in byte 7
-    digits = _eight_digits(w[:3].reshape(-1))
-    length = np.frexp(w[1] * 2.0**-64 + w[2] + _BIAS)[1]
-    digits += 0x3030303030303030  # ASCII; the layout keeps which bytes print
-    layout = np.take(layouts, (length + w[4]) >> 3, axis=1, mode="clip")
-    move = layout[3:5] & w[1:3]
+    # word-major rows: the cell's words 0 to 3, its layout's index, its layout
+    np.take(scales, m, axis=1, out=w[3:5], mode="clip")
+    top = np.divmod(d, 10**8, out=(w[5], w[2]))[0]
+    np.divmod(top, 10**8, out=(w[0], w[1]))
+    w[0] <<= 56  # the lead digit, below 10, in byte 7
+    _eight_digits(w[1:3].reshape(-1), w[5:7].reshape(-1))
+    bits = np.multiply(w[1], 2.0**-64, out=f[6])
+    bits += w[2]
+    bits += _BIAS
+    length = np.frexp(bits, out=(bits, None))[1]
+    w[:3] += 0x3030303030303030  # ASCII; the layout keeps which bytes print
+    layout = np.take(layouts, (length + w[4]) >> 3, axis=1, mode="clip", out=w[5:])
+    move = np.bitwise_and(layout[3:5], w[1:3], out=layout[3:5])
     w[:3] &= layout[:3]
     w[:3] |= layout[5:]
-    w[2:4] |= move >> 56
+    w[2:4] |= np.right_shift(move, 56, out=layout[:2])
     move <<= 8
     w[1:3] |= move
-    w[0] |= np.signbit(x) * (ord("-") << 8)
-    cells = np.ascontiguousarray(w[:4].T).view(np.uint8)
+    w[0] |= sep
+    np.bitwise_or(w[0], ord("-") << 8, out=w[0], where=np.signbit(x))
     slow = np.flatnonzero((x != 0.0) ^ fast)  # fast values are nonzero
     if len(slow):
+        cells = np.zeros((len(slow), _CELL), np.uint8)
+        cells[:, 0] = sep
         text = np.array(_fallback(x[slow]), dtype=f"S{_CELL - 1}")
-        cells[slow, 0] = 0
-        cells[slow, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
-    return cells
+        cells[:, 1:] = text.view(np.uint8).reshape(-1, _CELL - 1)
+        w[:4, slow] = cells.view(np.int64).T
+    return w[:4]
 
 
-def _text(cells) -> bytes:
-    """The characters of a uint8 cell array, row after row, as ASCII
-    bytes: one ``bytes.translate`` pass drops the 0 bytes."""
-    return cells.tobytes().translate(None, b"\0")
+def _text(frame) -> bytes:
+    """The characters of an array's bytes, in C order, as ASCII bytes: one
+    ``bytes.translate`` pass drops the 0 bytes."""
+    return frame.tobytes().translate(None, b"\0")
 
 
 def format_column(values) -> list[str]:
@@ -205,9 +244,8 @@ def format_column(values) -> list[str]:
     x = np.asarray(values, dtype=float).reshape(-1)
     column = []
     for start in range(0, len(x), _COLUMN_BLOCK):
-        cells = _cells(x[start:start + _COLUMN_BLOCK])
-        cells[:, 0] = ord("\n")
-        column += _text(cells).decode().split("\n")[1:]
+        words = _cells(x[start:start + _COLUMN_BLOCK], ord("\n"))
+        column += _text(words.T).decode().split("\n")[1:]
     return column
 
 
@@ -224,79 +262,135 @@ def _numbers(rows, width: int) -> np.ndarray:
 
 
 def _lines(table: np.ndarray) -> bytes:
-    """The CSV lines of a numeric table: a frame of its ``_cells``, each but
-    the first after a comma in its byte 0, and the line ends."""
-    frame = np.zeros((len(table), table.shape[1] * _CELL + 2), np.uint8)
-    cells = frame[:, :-2].reshape(len(table), table.shape[1], _CELL)
-    cells[...] = _cells(table).reshape(cells.shape)
-    cells[:, 1:, 0] = ord(",")
-    frame[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    """The CSV lines of a numeric table: a frame of int64 words holding its
+    ``_cells``, each after a comma in its byte 0 but the first of a line,
+    and a line-end word."""
+    rows, width = table.shape
+    frame = np.empty((rows, width * _WORDS + 1), np.int64)
+    cells = frame[:, :-1].reshape(rows, width, _WORDS)
+    cells[...] = _cells(table, ord(",")).reshape(_WORDS, rows, width).transpose(1, 2, 0)
+    cells[:, :1, 0] ^= ord(",")
+    frame[:, -1] = _LINE_END
     return _text(frame)
 
 
-def _write_blocks(path, header, blocks) -> Path:
-    """Write the header as UTF-8, refused before any file if a field needs
-    quoting, then each block of lines, as bytes in binary mode.  On failure,
-    no file."""
+@contextlib.contextmanager
+def _csv_file(path, header):
+    """A file opened in binary mode that holds the header as UTF-8, refused
+    before any file if a field needs quoting.  If the with block raises,
+    the file is removed, and so are the directories made for it."""
     line = ",".join(header)
     if line.count(",") != len(header) - 1 or any(c in line for c in '"\r\n'):
         raise ValueError(f"CSV header field needs quoting: {line[:200]!r}")
     head = (line + "\r\n").encode()
     path = Path(path)
+    made = list(itertools.takewhile(lambda folder: not folder.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "wb")
     try:
-        with fh:
+        with open(path, "wb") as fh:
             fh.write(head)
-            fh.writelines(blocks)
+            yield fh
     except BaseException:
         path.unlink(missing_ok=True)
+        for folder in made:  # deepest first, up to one that holds another file
+            try:
+                folder.rmdir()
+            except OSError:
+                break
         raise
-    return path
 
 
 def write_csv(path, header, rows) -> Path:
     """Write ``header`` and then ``rows`` of numbers, consumed once by
-    iteration, as ``_lines`` in blocks of at most _COLUMN_BLOCK cells."""
+    iteration, as ``_lines`` in blocks of at most _COLUMN_BLOCK cells (see
+    ``_csv_file``)."""
     table = _numbers(list(rows), len(header))
     step = max(1, _COLUMN_BLOCK // len(header))
-    return _write_blocks(path, header, map(_lines, np.split(table, range(step, len(table), step))))
+    with _csv_file(path, header) as fh:
+        fh.writelines(map(_lines, np.split(table, range(step, len(table), step))))
+    return Path(path)
 
 
-def write_grid_csv(path, header, times, sites, values) -> Path:
-    """Rows (time, *site cells, re, im, abs) of a complex (time x site) grid,
-    time-major, from numeric times and site columns (one per header field
-    between the time and re, im, abs, refused as ``write_csv`` refuses
-    rows), formatted once.  Each time sample is one block: a uint8 matrix
-    of one row per site, holding the time's text in a slot as wide as the
-    longest time's, the site's cells, the ``_cells`` of the row-major
-    (site, (re, im, abs)) array and the separators, whose 0 bytes ``_text``
-    drops before it is written.  A block of another width than the sites
-    raises TypeError."""
+def _grid_rows(header, times, sites):
+    """The time stamps of a grid, as rows of bytes in a slot as wide as the
+    longest, and the function that prints one time's row of the grid.
+
+    The site columns are formatted once.  Every row is printed into one
+    frame of int64 words, a row per site: the time's slot, the site's cells
+    after their commas, 0 bytes up to a word edge, the re, im and abs cells
+    and a line-end word.  The ``_cells`` of the row's re, im and abs, one
+    column in that order, are assigned into it transposed, each after a
+    comma in its byte 0, and one ``bytearray.translate`` pass over the
+    frame's own bytes drops the 0 bytes.  The frame, the column and the
+    kernel's work rows are allocated once."""
     stamps = np.array(format_column(times), dtype=bytes)
     slot = stamps.dtype.itemsize
     lines = _lines(_numbers(np.transpose(sites), len(header) - 4)).split(b"\r\n")[:-1]
     site_cells = np.array([b"," + line for line in lines], dtype=bytes)
     width = site_cells.dtype.itemsize
     n_sites = len(site_cells)
-    # one buffer for every block: the time's slot, each site's cells after
-    # their commas, re, im and abs each after a comma in its byte 0, the line
-    # end
-    frame = np.zeros((n_sites, slot + width + 3 * _CELL + 2), np.uint8)
-    frame[:, slot:slot + width] = site_cells.view(np.uint8).reshape(n_sites, width)
-    frame[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    numbers = frame[:, slot + width:-2].reshape(n_sites, 3, _CELL)
+    lead = -(-(slot + width) // 8)  # the words before the numbers
+    shape = (n_sites, lead + 3 * _WORDS + 1)
+    buffer = bytearray(8 * shape[0] * shape[1])
+    frame = np.frombuffer(buffer, np.int64).reshape(shape)
+    text = frame.view(np.uint8)
+    text[:, slot:slot + width] = site_cells.view(np.uint8).reshape(n_sites, width)
+    frame[:, -1] = _LINE_END
+    numbers = frame[:, lead:-1].reshape(n_sites, 3, _WORDS)
+    column = np.empty((3, n_sites))
+    work = np.empty((_WORK_ROWS, 3 * n_sites), np.int64)
 
-    def block(stamp, z):
+    def row(stamp, z):
         z = np.asarray(z)
         if z.shape != (n_sites,):
-            raise TypeError(f"a block of shape {z.shape} for {n_sites} sites")
-        frame[:, :slot] = stamp
-        cells = _cells(np.column_stack((z.real, z.imag, np.hypot(z.real, z.imag))))
-        numbers[...] = cells.reshape(n_sites, 3, _CELL)
-        numbers[:, :, 0] = ord(",")
-        return _text(frame)
-    return _write_blocks(path, header, map(block, stamps.view(np.uint8).reshape(-1, slot), values))
+            raise TypeError(f"a row of shape {z.shape} for {n_sites} sites")
+        text[:, :slot] = stamp
+        column[0] = z.real
+        column[1] = z.imag
+        np.hypot(z.real, z.imag, out=column[2])
+        words = _cells(column, ord(","), out=work)
+        numbers[...] = words.reshape(_WORDS, 3, n_sites).transpose(2, 1, 0)
+        return buffer.translate(None, b"\0")
+    return stamps.view(np.uint8).reshape(-1, slot), row
+
+
+def write_grid_csv(path, header, times, sites, values) -> Path:
+    """Rows (time, *site cells, re, im, abs) of a complex (time x site) grid,
+    time-major, from numeric times and site columns (one per header field
+    between the time and re, im, abs, refused as ``write_csv`` refuses
+    rows) and ``values``, an iterable of one row of sites per time: the
+    one-file ``grid_writer``.  A row of another width than the sites raises
+    TypeError."""
+    with grid_writer([path], [header], times, sites) as write:
+        for z in values:
+            write(z)
+    return Path(path)
+
+
+@contextlib.contextmanager
+def grid_writer(paths, headers, times, sites):
+    """Files of ``write_grid_csv``, one per path and header, on the same
+    times and site columns, fed one time at a time: yields a function that
+    takes the next time's row of sites for each file, in order, and writes
+    each as one block of lines through one frame (see ``_grid_rows``).  A
+    row past the last time raises ValueError, and headers of different
+    widths are refused before any file.  If the with block raises, every
+    file is removed (see ``_csv_file``)."""
+    if len({len(header) for header in headers}) != 1:
+        raise ValueError("grid headers of different widths")
+    stamps, row = _grid_rows(headers[0], times, sites)
+    pending = iter(stamps)
+    with contextlib.ExitStack() as files:
+        handles = [files.enter_context(_csv_file(path, header))
+                   for path, header in zip(paths, headers, strict=True)]
+
+        def write(*rows):
+            stamp = next(pending, None)
+            if stamp is None:
+                raise ValueError(f"a row past the grid's {len(stamps)} times")
+            for fh, z in zip(handles, rows, strict=True):
+                fh.write(row(stamp, z))
+        yield write
 
 
 def _plain(value):

@@ -21,8 +21,9 @@ their dense forms are the references in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +103,11 @@ def kernel_band_edge(n: int, t: float, mass: float) -> float:
 
 
 # Work budget, refused before anything is allocated: n_cavities x n_times
-# cells.  On 2 cores with numpy 2.4 the CLI peaks at about 84 bytes a cell:
-# 2**23 cells (131,072 cavities at 64 times) peak at about 730 MB and write
-# 1.8 GB of CSV, and 65,536 cavities at 51 times at about 300 MB.
+# cells, which bounds the run's time and CSV size.  The CLI streams the walk
+# a block of time rows at a time, so its peak grows with n_cavities only:
+# on 2 cores with numpy 2.4, about 1.1 kB a cavity above the interpreter's
+# 31 MB.  At the limit, 131,072 cavities at 64 times peak at 166 MB and
+# write 1.8 GB of CSV in 11 s; 65,536 cavities at 51 times peak at 99 MB.
 MAX_CELLS = 2**23
 
 
@@ -172,6 +175,16 @@ class WalkConfig:
     def resolved_t_max(self) -> float:
         return self.mass / 4.0 if self.t_max is None else self.t_max
 
+    @property
+    def times(self) -> np.ndarray:
+        """The n_times sample times, evenly from 0 to resolved_t_max."""
+        return np.linspace(0.0, self.resolved_t_max, self.n_times)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The cavity positions x_q = q / sqrt(N), in cavity order."""
+        return np.arange(self.n_cavities) / math.sqrt(self.n_cavities)
+
 
 @dataclass
 class WalkResult:
@@ -180,10 +193,10 @@ class WalkResult:
     config: WalkConfig
     times: np.ndarray
     positions: np.ndarray  # x_q = q / sqrt(N), cavity order
-    amplitudes: np.ndarray  # (n_times, N) complex, cavity order
-    kernel: np.ndarray  # (n_times, N) complex, lattice-matched; zero at t = 0
+    amplitudes: np.ndarray | None  # (n_times, N) complex, cavity order; None if streamed
+    kernel: np.ndarray | None  # (n_times, N) complex, lattice-matched; zero at t = 0
     variances: np.ndarray
-    momentum_populations: np.ndarray  # (n_times, N) magnitudes
+    momentum_populations: np.ndarray | None  # (n_times, N) magnitudes
     momentum_drift: float
     norm_drift: float
     # largest | |psi(x0 + d)| - |psi(x0 - d)| |, zero by the ring's mirror symmetry
@@ -192,96 +205,211 @@ class WalkResult:
     kernel_overlap: float
     # log-log slope of the variances after t = 0; 2 means ballistic spreading
     ballistic_exponent: float
-    # (separation, n_links, amplitude, phase) per hop distance of the ring
-    network_profile: list[tuple[int, int, float, float]] = field(repr=False)
+
+    @functools.cached_property
+    def network_profile(self) -> list[tuple[int, int, float, float]]:
+        """(separation, n_links, amplitude, phase) per hop distance of the
+        ring (``ring_profile``), read on first use, so a streamed walk does
+        not hold it beside its grid buffers."""
+        return ring_profile(self.config)
 
 
-def simulate_walk(config: WalkConfig) -> WalkResult:
+# Cells of a walk block, about: four time rows of the benchmark's
+# 1024-cavity ring
+_BLOCK_CELLS = 4096
+
+
+class WalkStream:
+    """The walk of one config, computed a few time rows at a time.
+
+    Iterating yields one (rows, amplitudes, kernel, populations) block at a
+    time: ``rows`` a slice of ``times`` and three (rows, N) arrays (see
+    WalkResult) in buffers that the next block overwrites, so the peak does
+    not grow with the number of times.  As it runs, the stream keeps
+    ``momentum_drift``, ``norm_drift``, ``reflection_residual`` and
+    ``variances`` (one per time) up to date, and sets ``kernel_overlap``
+    with the last block.
+
+    A block starts at a multiple of 4 rows, holds about _BLOCK_CELLS cells
+    in a multiple of 4 rows, and the last one ends at the last time with at
+    least two rows.  So every variance row goes through the same kernel of
+    the BLAS matrix-vector product as in one product over every time on one
+    thread (OpenBLAS computes its rows in groups of 4, and one row alone
+    goes to a dot product), and the variances do not depend on the block
+    size or the BLAS thread count.
+
+    H = F diag(E) F^H with F[q, a] = exp(-2 pi i q a / n) / sqrt(n), so the
+    photon leaving the origin is F exp(-i E t) F^H e_origin: one FFT per
+    time.  The momentum eigenvectors are the columns of A^-1 F,
+    A = diag((-1)^a).  Every buffer is allocated once and filled in place."""
+
+    def __init__(self, config: WalkConfig):
+        n, m = config.n_cavities, config.mass
+        origin = config.resolved_origin
+        self.config = config
+        self.times = config.times
+        self.positions = config.positions
+        a = np.arange(n)
+        self._energies = momentum_values(n) ** 2 / (2.0 * m)  # p^2 / 2m, in Fourier order
+        self._launch = np.exp(2j * np.pi * (a * origin % n) / n)
+        self._alternating = (-1.0) ** a
+        self._mirror = (2 * origin - a) % n
+        self._squares = self.positions**2
+        # feynman_kernel's phase numerator at the lattice-matched mass, and the
+        # exact alternating sign from centering the momentum band at zero
+        self._phase = 1j * (2.0 * math.pi**2 * m) * (self.positions - self.positions[origin])**2
+        self._band_sign = np.exp(-1j * np.pi * (a - origin))
+        # the kernel band: sites within kernel_band_edge, and the origin's neighbors
+        offsets = np.abs((a - origin + n // 2) % n - n // 2)
+        edge = kernel_band_edge(n, float(self.times[-1]), m)
+        self._band = (offsets / np.sqrt(n) <= edge) | (offsets <= 2)
+        self.variances = np.empty(config.n_times)
+        self.momentum_drift = self.norm_drift = self.reflection_residual = 0.0
+        self.kernel_overlap = 0.0
+        step = 4 * max(1, _BLOCK_CELLS // (4 * n))
+        bounds = list(range(0, config.n_times, step)) + [config.n_times]
+        if bounds[-1] - bounds[-2] < 2:
+            del bounds[-2]  # a last row alone joins the block before it
+        self._bounds = bounds
+        rows = max(np.diff(bounds))
+        self._work = np.empty((rows, n), complex)
+        self._amplitudes = np.empty((rows, n), complex)
+        self._kernel = np.empty((rows, n), complex)
+        self._populations = np.empty((rows, n))
+        self._mag = np.empty((rows, n))
+        self._scratch = np.empty((rows, n))
+        self._means = np.empty(rows)
+        self._first = np.empty(n)
+
+    def __iter__(self):
+        n = self.config.n_cavities
+        self.momentum_drift = self.norm_drift = self.reflection_residual = 0.0
+        for start, stop in zip(self._bounds[:-1], self._bounds[1:]):
+            k = stop - start
+            t = self.times[start:stop]
+            work, scratch = self._work[:k], self._scratch[:k]
+            amplitudes, populations = self._amplitudes[:k], self._populations[:k]
+            phases = np.multiply(t[:, None], self._energies, out=populations)  # E t, for now
+            np.multiply(-1j, phases, out=work)
+            np.exp(work, out=work)
+            np.multiply(work, self._launch, out=work)
+            np.fft.fft(work, axis=1, out=amplitudes)
+            np.divide(amplitudes, n, out=amplitudes)
+            np.multiply(self._alternating, amplitudes, out=work)
+            np.fft.ifft(work, axis=1, out=work)
+            np.abs(work, out=populations)
+            np.multiply(math.sqrt(n), populations, out=populations)
+            if start == 0:
+                self._first[:] = populations[0]
+            drift = np.abs(np.subtract(populations, self._first, out=scratch), out=scratch)
+            self.momentum_drift = max(self.momentum_drift, float(np.max(drift)))
+
+            mag = np.abs(amplitudes, out=self._mag[:k])
+            np.take(mag, self._mirror, axis=1, out=scratch)
+            np.subtract(mag, scratch, out=scratch)
+            self.reflection_residual = max(self.reflection_residual,
+                                           float(np.max(np.abs(scratch, out=scratch))))
+            prob = np.square(mag, out=mag)
+            sums = np.sum(prob, axis=1, out=self._means[:k])
+            sums -= 1.0
+            self.norm_drift = max(self.norm_drift, float(np.max(np.abs(sums, out=sums))))
+            means = np.matmul(prob, self.positions, out=self._means[:k])
+            variances = np.matmul(prob, self._squares, out=self.variances[start:stop])
+            variances -= np.square(means, out=means)
+
+            kernel = self._kernel[:k]
+            for row, time in zip(kernel, t):
+                if time > 0.0:  # feynman_kernel's steps, in place
+                    np.divide(self._phase, time, out=row)
+                    np.exp(row, out=row)
+                    np.multiply(time ** -0.5, row, out=row)
+                    np.multiply(self._band_sign, row, out=row)
+                else:
+                    row[:] = 0.0
+            if stop == self.config.n_times:
+                psi_final = amplitudes[-1, self._band]
+                ker_final = kernel[-1, self._band]
+                denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
+                self.kernel_overlap = (float(abs(np.vdot(ker_final, psi_final)) / denom)
+                                       if denom > 0 else 0.0)
+            yield slice(start, stop), amplitudes, kernel, populations
+
+
+def ring_profile(config: WalkConfig) -> list[tuple[int, int, float, float]]:
+    """(separation, n_links, amplitude, phase) per hop distance of the walk's
+    ring: the n - d hops at separation d all equal the first-row entry c[d]
+    of the circulant, c = ifft(band energies); separations are kept under
+    coupling_network's default tolerance."""
+    n = config.n_cavities
+    row = np.fft.ifft(momentum_values(n) ** 2 / (2.0 * config.mass))
+    sep = np.flatnonzero(np.abs(row[1:]) > 1e-12) + 1
+    links = row[sep]
+    return list(zip(
+        sep.tolist(), (n - sep).tolist(), np.abs(links).tolist(), np.angle(links).tolist()
+    ))
+
+
+def simulate_walk(config: WalkConfig, write=None) -> WalkResult:
     """Spread one photon from the origin cavity under the free-particle
     Hamiltonian and tabulate everything the comparisons need: amplitudes,
     lattice-matched kernel values at the same points (see feynman_kernel for
     the unit conversion), position variance, and momentum-basis populations
     (conserved because momentum commutes with the generator), and the
     variance's ``ballistic_exponent``, whose ValueError (fewer than two
-    positive variances, as when they underflow) ends the walk.
+    positive variances, as when they underflow) ends the walk.  The blocks
+    of a ``WalkStream``, stacked; with ``write``, the walk is streamed
+    instead: each time's rows of amplitudes and kernel go to
+    write(amplitudes, kernel) as their block is computed, and the result
+    holds no grids (its amplitudes, kernel and momentum_populations are
+    None).
 
     The kernel describes the dynamics where the stationary momentum lies
     inside the band, |x - x0| < (sqrt(N)/2) t / (2 pi m); outside that cone
     propagation is bandwidth-limited and the comparison is not meaningful."""
-    n = config.n_cavities
-    m = config.mass
-    origin = config.resolved_origin
-    times = np.linspace(0.0, config.resolved_t_max, config.n_times)
-
-    # H = F diag(E) F^H with F[q, a] = exp(-2 pi i q a / n) / sqrt(n), so the
-    # photon leaving the origin is F exp(-i E t) F^H e_origin: one FFT per time
-    a = np.arange(n)
-    energies = momentum_values(n) ** 2 / (2.0 * m)  # p^2 / 2m, in Fourier order
-    launch = np.exp(2j * np.pi * (a * origin % n) / n)
-    amplitudes = np.fft.fft(np.exp(-1j * np.outer(times, energies)) * launch, axis=1) / n
-    # the momentum eigenvectors are the columns of A^-1 F, A = diag((-1)^a)
-    populations = math.sqrt(n) * np.abs(np.fft.ifft((-1.0) ** a * amplitudes, axis=1))
-    momentum_drift = float(np.max(np.abs(populations - populations[0])))
-
-    positions = a / math.sqrt(n)
-    mag = np.abs(amplitudes)
-    prob = mag**2
-    mirror = (2 * origin - a) % n
-    reflection_residual = float(np.max(np.abs(mag - mag[:, mirror])))
-    norm_drift = float(np.max(np.abs(prob.sum(axis=1) - 1.0)))
-    mean = prob @ positions
-    variances = prob @ positions**2 - mean**2
-
-    x0 = positions[origin]
-    # exact alternating sign from centering the momentum band at zero
-    band_sign = np.exp(-1j * np.pi * (a - origin))
-    kernel = np.zeros((len(times), n), dtype=complex)
-    for i, t in enumerate(times):
-        if t > 0.0:
-            kernel[i] = band_sign * feynman_kernel(
-                positions - x0, t, 2.0 * math.pi**2 * m
-            )
-
-    # the kernel band: sites within kernel_band_edge, and the origin's neighbors
-    offsets = np.abs((a - origin + n // 2) % n - n // 2)
-    band = (offsets / np.sqrt(n) <= kernel_band_edge(n, float(times[-1]), m)) | (offsets <= 2)
-    psi_final = amplitudes[-1, band]
-    ker_final = kernel[-1, band]
-    denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
-    kernel_overlap = float(abs(np.vdot(ker_final, psi_final)) / denom) if denom > 0 else 0.0
-
-    # the n - d hops at separation d all equal the first-row entry c[d];
-    # separations are kept under coupling_network's default tolerance
-    row = np.fft.ifft(energies)
-    sep = np.flatnonzero(np.abs(row[1:]) > 1e-12) + 1
-    links = row[sep]
-    profile = list(zip(
-        sep.tolist(), (n - sep).tolist(), np.abs(links).tolist(), np.angle(links).tolist()
-    ))
-
+    stream = WalkStream(config)
+    amplitudes = kernel = populations = None
+    if write is None:
+        shape = (config.n_times, config.n_cavities)
+        amplitudes, kernel, populations = (np.empty(shape, complex), np.empty(shape, complex),
+                                           np.empty(shape))
+    for rows, amp, ker, pop in stream:
+        if write is None:
+            amplitudes[rows], kernel[rows], populations[rows] = amp, ker, pop
+        else:
+            for row in zip(amp, ker):
+                write(*row)
     return WalkResult(
         config=config,
-        times=times,
-        positions=positions,
+        times=stream.times,
+        positions=stream.positions,
         amplitudes=amplitudes,
         kernel=kernel,
-        variances=variances,
+        variances=stream.variances,
         momentum_populations=populations,
-        momentum_drift=momentum_drift,
-        norm_drift=norm_drift,
-        reflection_residual=reflection_residual,
-        kernel_overlap=kernel_overlap,
-        ballistic_exponent=ballistic_exponent(times, variances),
-        network_profile=profile,
+        momentum_drift=stream.momentum_drift,
+        norm_drift=stream.norm_drift,
+        reflection_residual=stream.reflection_residual,
+        kernel_overlap=stream.kernel_overlap,
+        ballistic_exponent=ballistic_exponent(stream.times, stream.variances),
     )
 
 
 def ballistic_exponent(times, variances) -> float:
-    """Log-log slope of variance growth; 2 means ballistic spreading."""
+    """Log-log slope of variance growth; 2 means ballistic spreading.  The
+    least-squares slope over the samples with positive time and variance,
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2) of x = log t and
+    y = log variance: ValueError for fewer than two such samples, or for
+    samples all at one time."""
     times = np.asarray(times, dtype=float)
     variances = np.asarray(variances, dtype=float)
     mask = (times > 0.0) & (variances > 0.0)
     if mask.sum() < 2:
         raise ValueError("need at least two positive-time variance samples")
-    slope, _ = np.polyfit(np.log(times[mask]), np.log(variances[mask]), 1)
-    return float(slope)
+    x = np.log(times[mask])
+    y = np.log(variances[mask])
+    x -= x.mean()
+    y -= y.mean()
+    spread = np.sum(x * x)
+    if not spread > 0.0:
+        raise ValueError("need variance samples at two different times")
+    return float(np.sum(x * y) / spread)

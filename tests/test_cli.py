@@ -17,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tchlab
+import tchlab.walk
 from oracles import jsonable, walk_rows_loop, write_csv_loop
+from peaks import fresh_process_run, needs_vmhwm
 from tchlab.cli import build_parser, main
-from tchlab.reports import write_json
+from tchlab.reports import write_csv, write_grid_csv, write_json
 from tchlab.darkstates import (
     MAX_ATOMS,
     MAX_TIMES,
@@ -302,6 +304,107 @@ def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass):
     summary = json.loads((tmp_path / "walk_summary.json").read_text())
     assert summary["reflection_residual"] == result.reflection_residual
     assert summary["kernel_overlap_final"] == result.kernel_overlap
+
+
+WALK_HEADERS = {
+    name: ("time", "cavity", "position", f"re_{v}", f"im_{v}", f"abs_{v}")
+    for name, v in (("walk_amplitude.csv", "amplitude"), ("kernel.csv", "kernel"))
+}
+
+
+@pytest.mark.parametrize("args", [["--n-cavities", "64"],
+                                  ["--n-cavities", "1024", "--origin", "600"],
+                                  ["--n-times", "50"]], ids=" ".join)
+def test_the_streamed_walk_writes_what_simulate_walk_holds(tmp_path, args):
+    # the CLI writes the grids block by block as the walk runs; every file
+    # equals the whole result of simulate_walk through the library writers
+    assert main(["walk", *args, "--out-dir", str(tmp_path / "cli")]) == 0
+    flags = build_parser().parse_args(["walk", *args])
+    config = WalkConfig(n_cavities=flags.n_cavities, mass=flags.mass, origin=flags.origin,
+                        t_max=flags.t_max, n_times=flags.n_times)
+    result = simulate_walk(config)
+    ref = tmp_path / "ref"
+    sites = (np.arange(config.n_cavities), result.positions)
+    for (name, header), values in zip(WALK_HEADERS.items(), (result.amplitudes, result.kernel)):
+        write_grid_csv(ref / name, header, result.times, sites, values)
+    write_csv(ref / "network.csv", ("separation", "n_links", "mean_amplitude", "mean_phase"),
+              result.network_profile)
+    write_json(ref / "walk_summary.json", {
+        "command": "walk",
+        "n_cavities": config.n_cavities,
+        "mass": config.mass,
+        "origin": config.resolved_origin,
+        "t_max": config.resolved_t_max,
+        "n_times": config.n_times,
+        "ballistic_exponent": result.ballistic_exponent,
+        "momentum_population_drift": result.momentum_drift,
+        "norm_drift": result.norm_drift,
+        "reflection_residual": result.reflection_residual,
+        "kernel_overlap_final": result.kernel_overlap,
+        "n_links": sum(count for _, count, _, _ in result.network_profile),
+        "files": {"amplitude": "walk_amplitude.csv", "kernel": "kernel.csv",
+                  "network": "network.csv"},
+    })
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(
+        p.name for p in ref.iterdir())
+    for path in ref.iterdir():
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (RuntimeError, None)])
+def test_a_walk_that_fails_partway_through_the_stream_leaves_no_file(
+        tmp_path, monkeypatch, error, code):
+    # the fourth block raises after twelve time rows of each grid went out
+    blocks = tchlab.walk.WalkStream.__iter__
+
+    def failing(self):
+        for i, block in enumerate(blocks(self)):
+            if i == 3:
+                raise error("the stream broke")
+            yield block
+
+    monkeypatch.setattr(tchlab.walk.WalkStream, "__iter__", failing)
+    args = ["walk", "--n-cavities", "1024", "--out-dir", str(tmp_path / "walk")]
+    if code is None:
+        with pytest.raises(error, match="the stream broke"):
+            main(args)
+    else:
+        assert main(args) == code
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_walk_whose_fit_fails_after_the_stream_leaves_no_file(tmp_path, capsys):
+    # the variances underflow, so the fit refuses them after both grids
+    # were written in full
+    assert main(["walk", "--t-max", "1e-300", "--out-dir", str(tmp_path / "walk")]) == 2
+    assert "two positive-time variance samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_vmhwm
+def test_the_walk_peak_does_not_grow_with_the_time_grid():
+    # 8192 cavities at 51 and at 401 times: the grids were held whole, 33 and
+    # 263 MB of complex amplitudes, and are now streamed in blocks of four rows
+    peaks = [int(fresh_process_run(
+        "import tempfile\n"
+        "from tchlab.cli import main\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        f"    assert main(['walk', '--n-cavities', '8192', '--n-times', '{n_times}', "
+        "'--out-dir', out]) == 0\n"
+    )[0]) for n_times in (51, 401)]
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, peaks
+
+
+@needs_vmhwm
+def test_the_resonance_ranking_peak_follows_top_not_n_max():
+    # one full argsort of 5,000,000 residuals peaked at about 182 MB
+    peak_kb, = fresh_process_run(
+        "import contextlib, io, tempfile\n"
+        "from tchlab.cli import main\n"
+        "with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['resonance', '--n-max', '5000000', '--out-dir', out]) == 0\n"
+    )
+    assert int(peak_kb) < 60 * 1024
 
 
 def test_gate_and_dark_csvs_match_the_row_at_a_time_writer(dark_dir, tmp_path):

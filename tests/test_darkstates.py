@@ -20,6 +20,7 @@ from oracles import (
     occupations_loop,
     state_index,
 )
+from peaks import fresh_process_run, needs_vmhwm
 
 import tchlab
 import tchlab.darkstates as darkstates
@@ -418,29 +419,13 @@ def test_the_decay_runs_the_gauged_lossy_generator(kind, monkeypatch):
         assert psi0.shape == (space.dim,) and np.array_equal(psi0, part)
 
 
-def _fresh_process_run(body):
-    """The words ``body`` prints, run in a fresh process that then prints
-    its own peak resident size (VmHWM, in kB; ru_maxrss would also count
-    this process's size at the fork)."""
-    src = str(Path(tchlab.__file__).resolve().parent.parent)
-    code = body + (
-        "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
-        "print(status)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+@needs_vmhwm
 @pytest.mark.parametrize("bright", [False, True], ids=["singlet", "bright"])
 def test_fourteen_atom_decay_builds_no_sector_matrix(bright):
     # the 14-atom decay sector holds 12,911 states: one dense complex matrix
     # on it would take 12,911^2 * 16 bytes, about 2.7 GB
     state = "np.kron(triplet_state(), singlets(12))" if bright else "singlets(14)"
-    basis_dim, closure_bound, peak_kb = _fresh_process_run(
+    basis_dim, closure_bound, peak_kb = fresh_process_run(
         "import numpy as np\n"
         "from tchlab.darkstates import DecayConfig, emission_density, singlet_product, triplet_state\n"
         "def singlets(n):\n"
@@ -481,12 +466,12 @@ def test_generic_register_decays_in_restarted_krylov_spans():
     assert report.closure_bound <= 1e-10
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+@needs_vmhwm
 def test_generic_twelve_atom_decay_runs_in_two_spans():
     # one dense complex matrix on the 3,302-state sector takes 174 MB, and a
     # dense matrix exponential holds about a dozen of them; the real and the
     # imaginary part of the start each run in two spans of 60 vectors
-    widths, basis_dim, closure_bound, peak_kb = _fresh_process_run(
+    widths, basis_dim, closure_bound, peak_kb = fresh_process_run(
         "import numpy as np\n"
         "import tchlab.darkstates as darkstates\n"
         "from tchlab.darkstates import DecayConfig, emission_density\n"

@@ -108,6 +108,35 @@ def test_resonance_table_matches_tuple_sort():
             assert resonance_table(n_max, top) == expected[:top], (n_max, top)
 
 
+def test_chunked_ranking_is_one_stable_sort_of_every_row(monkeypatch):
+    # every n_max up to 3000, each at a random chunk size and top, against
+    # one stable argsort of every residual
+    rng = np.random.default_rng(7)
+    n2 = np.arange(1, 3001)
+    residual = tchlab.gate.resonance_residual(n2)
+    n1 = tchlab.gate.paired_n1(n2).astype(np.int64)
+    for n_max in range(1, 3001):
+        chunk, top = int(rng.integers(1, 3001)), int(rng.choice([1, 2, 3, 17, n_max]))
+        monkeypatch.setattr(tchlab.gate, "_RANK_CHUNK", chunk)
+        order = np.argsort(residual[:n_max], kind="stable")[:top]
+        expected = list(zip(n1[order].tolist(), n2[order].tolist(), residual[order].tolist()))
+        assert resonance_table(n_max, top) == expected, (n_max, chunk, top)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+def test_chunked_ranking_breaks_ties_to_the_smaller_n2(monkeypatch, chunk):
+    # residuals rounded to one of four values: ties at every chunk edge
+    residual = tchlab.gate.resonance_residual
+    monkeypatch.setattr(tchlab.gate, "resonance_residual", lambda n2: np.round(residual(n2), 1))
+    monkeypatch.setattr(tchlab.gate, "_RANK_CHUNK", chunk)
+    rounded = np.round(residual(np.arange(1, 301)), 1)
+    for n_max in (1, 7, 64, 65, 300):
+        order = np.argsort(rounded[:n_max], kind="stable")
+        for top in (1, 3, 10, n_max):
+            rows = resonance_table(n_max, top)
+            assert [row[1] for row in rows] == (order[:top] + 1).tolist(), (n_max, top)
+
+
 def test_resonance_table_at_benchmark_size():
     rows = resonance_table(1000, 3)
     assert rows == oracles.resonance_table_loop(1000, 3)

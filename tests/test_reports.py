@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import jsonable, write_csv_loop
 from tchlab import reports
-from tchlab.reports import format_column, write_csv, write_grid_csv, write_json
+from tchlab.reports import format_column, grid_writer, write_csv, write_grid_csv, write_json
 from tchlab.walk import WalkConfig, simulate_walk
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -358,6 +358,30 @@ def test_grid_writer_removes_the_partial_file_when_the_stream_fails(tmp_path):
     with pytest.raises(RuntimeError, match="stream broke"):
         write_grid_csv(path, GRID_HEADER, np.arange(60.0), sites, values())
     assert not path.exists()
+
+
+def test_grid_writer_feeds_several_files_and_removes_them_when_the_block_fails(tmp_path):
+    times, sites = np.arange(3.0), (np.arange(4), np.arange(4.0) / 2)
+    values = np.arange(12.0).reshape(3, 4) * (1 - 0.5j)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    headers = [GRID_HEADER, GRID_HEADER[:3] + ("x", "y", "z")]
+    with grid_writer(paths, headers, times, sites) as write:
+        for z in values:
+            write(z, -z)
+    for path, grid in zip(paths, (values, -values)):
+        reference = write_grid_csv(tmp_path / "ref.csv", GRID_HEADER, times, sites, grid)
+        assert path.read_bytes().split(b"\r\n")[1:] == reference.read_bytes().split(b"\r\n")[1:]
+    assert paths[1].read_bytes().startswith(b"time,cavity,position,x,y,z\r\n")
+    # a row past the last time raises, and neither file is left
+    out = tmp_path / "new" / "dir"
+    with pytest.raises(ValueError, match="past the grid's 3 times"):
+        with grid_writer([out / "a.csv", out / "b.csv"], [GRID_HEADER] * 2, times, sites) as write:
+            for z in np.ones((4, 4)):
+                write(z, z)
+    assert not (tmp_path / "new").exists()
+    with pytest.raises(ValueError, match="different widths"):
+        with grid_writer(paths, [GRID_HEADER, GRID_HEADER[:5]], times, sites):
+            pass
 
 
 @pytest.mark.parametrize("sites, error", [

@@ -232,6 +232,49 @@ def test_walk_matches_dense_diagonalization(n, origin, mass):
     assert result.reflection_residual == np.max(np.abs(mag - mag[:, mirror]))
 
 
+@pytest.mark.parametrize("n, n_times", [(2, 1000), (64, 51), (1024, 3), (1024, 5), (1024, 50),
+                                        (1024, 51), (8192, 401)])
+def test_walk_blocks_start_on_a_row_multiple_of_four(n, n_times):
+    # OpenBLAS runs a matrix-vector product's rows in groups of 4 and one row
+    # alone as a dot product: aligned blocks of two rows or more put every
+    # variance row through the kernel of one product over every time
+    stream = tchlab.walk.WalkStream(WalkConfig(n_cavities=n, n_times=n_times))
+    bounds = stream._bounds
+    assert bounds[0] == 0 and bounds[-1] == n_times
+    assert all(start % 4 == 0 for start in bounds[:-1])
+    assert min(np.diff(bounds)) >= 2
+    assert max(np.diff(bounds)) <= max(4, tchlab.walk._BLOCK_CELLS // n) + 1
+
+
+@pytest.mark.parametrize("cells", [8, 1024, 4096, 10**6])
+def test_walk_blocks_of_any_size_make_the_same_walk(monkeypatch, cells):
+    # the stream's running values against one block holding every time
+    config = WalkConfig(n_cavities=64, origin=20, mass=0.7, n_times=23)
+    monkeypatch.setattr(tchlab.walk, "_BLOCK_CELLS", 10**9)
+    whole = simulate_walk(config)
+    monkeypatch.setattr(tchlab.walk, "_BLOCK_CELLS", cells)
+    blocked = simulate_walk(config)
+    for name in ("amplitudes", "kernel", "momentum_populations"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+    for name in ("momentum_drift", "norm_drift", "reflection_residual", "kernel_overlap"):
+        assert getattr(blocked, name) == getattr(whole, name), name
+    assert np.allclose(blocked.variances, whole.variances, rtol=1e-13, atol=0.0)
+
+
+def test_a_streamed_walk_hands_over_the_rows_it_would_hold():
+    config = WalkConfig(n_cavities=64, origin=9, mass=1.3, n_times=13)
+    held = simulate_walk(config)
+    rows = []
+    streamed = simulate_walk(config, write=lambda *row: rows.append([z.copy() for z in row]))
+    assert streamed.amplitudes is streamed.kernel is streamed.momentum_populations is None
+    assert np.array_equal([amp for amp, _ in rows], held.amplitudes)
+    assert np.array_equal([ker for _, ker in rows], held.kernel)
+    assert np.array_equal(streamed.variances, held.variances)
+    for name in ("momentum_drift", "norm_drift", "reflection_residual", "kernel_overlap",
+                 "ballistic_exponent", "network_profile"):
+        assert getattr(streamed, name) == getattr(held, name), name
+
+
 def test_ballistic_spreading_exponent():
     result = simulate_walk(WalkConfig(n_cavities=128))
     slope = ballistic_exponent(result.times, result.variances)
@@ -253,6 +296,16 @@ def test_kernel_matches_dynamics_in_band():
     overlap = abs(np.vdot(ker, psi)) / (np.linalg.norm(ker) * np.linalg.norm(psi))
     assert overlap > 0.98
     assert np.max(np.abs(result.kernel[0])) == 0.0  # undefined at t = 0
+
+
+def test_streamed_kernel_is_the_feynman_kernel_bit_for_bit():
+    # the stream runs feynman_kernel's steps in place, on its own buffers
+    config = WalkConfig(n_cavities=128, origin=40, mass=0.6, n_times=9)
+    result = simulate_walk(config)
+    x = result.positions - result.positions[40]
+    band_sign = np.exp(-1j * np.pi * (np.arange(128) - 40))
+    for t, row in zip(result.times[1:], result.kernel[1:]):
+        assert np.array_equal(row, band_sign * feynman_kernel(x, t, 2.0 * math.pi**2 * 0.6))
 
 
 def test_kernel_domain_errors():
@@ -277,3 +330,14 @@ def test_kernel_and_band_refuse_non_finite_values(value):
 def test_ballistic_exponent_needs_data():
     with pytest.raises(ValueError):
         ballistic_exponent([0.0], [0.0])
+    with pytest.raises(ValueError, match="two different times"):
+        ballistic_exponent([1.0, 1.0], [2.0, 3.0])
+
+
+def test_ballistic_exponent_is_the_least_squares_slope():
+    # exact on a power law, and polyfit's slope on a noisy one
+    t = np.linspace(0.0, 3.0, 31)
+    assert ballistic_exponent(t, 5.0 * t**2) == pytest.approx(2.0, rel=1e-14)
+    noisy = t**1.7 * np.exp(np.random.default_rng(3).normal(0.0, 0.1, t.size))
+    slope = np.polyfit(np.log(t[1:]), np.log(noisy[1:]), 1)[0]
+    assert ballistic_exponent(t, noisy) == pytest.approx(slope, rel=1e-12)
