@@ -38,7 +38,7 @@ from .gate import (
     uniform_superposition,
 )
 from .reports import format_column, grid_writer, write_csv, write_json
-from .walk import MAX_CELLS, WalkConfig, simulate_walk
+from .walk import MAX_CELLS, WalkConfig, ring_profile, simulate_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,12 +132,13 @@ def cmd_walk(args) -> int:
     # the walk streams both grids to the writer block by block; if the walk
     # or its fit fails, the writer removes them
     with grid_writer(paths, headers, config.times, sites) as write:
-        result = simulate_walk(config, write=write)
+        result = simulate_walk(config, write)
     del write  # and with it the grids' frame and work rows
+    profile = ring_profile(config)
     net_path = write_csv(
         os.path.join(args.out_dir, "network.csv"),
         ("separation", "n_links", "mean_amplitude", "mean_phase"),
-        result.network_profile,
+        profile,
     )
     summary = {
         "command": "walk",
@@ -151,7 +152,7 @@ def cmd_walk(args) -> int:
         "norm_drift": result.norm_drift,
         "reflection_residual": result.reflection_residual,
         "kernel_overlap_final": result.kernel_overlap,
-        "n_links": sum(count for _, count, _, _ in result.network_profile),
+        "n_links": sum(count for _, count, _, _ in profile),
         "files": {
             "amplitude": os.path.basename(paths[0]),
             "kernel": os.path.basename(paths[1]),

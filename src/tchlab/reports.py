@@ -4,11 +4,14 @@ The CSV writers take numbers and print each as ``format(x, ".17g")``
 would: doubles round-trip exactly and integers below 2**53 print the
 digits of ``str``.  One numpy kernel, ``_cells``, prints a whole float64
 column at once into 32-byte cells (see its docstring for why its digits are
-exact), and ``format_column``, ``write_csv`` and ``write_grid_csv`` all
-read their cells from it.  Tables are streamed as bytes: each block of
-lines is a frame of int64 words holding cells, separators and line ends,
-whose 0 bytes one ``translate`` pass drops, written in binary mode after
-the header's UTF-8, so no text layer decodes or re-encodes it.  A number
+exact), and ``format_column``, ``write_csv`` and ``grid_writer`` all
+read their cells from it.  A complex (time x site) grid has one writer,
+``grid_writer``, fed one time's row at a time, so no grid is held whole
+and a grid left short of its times is refused.  Tables are streamed as
+bytes: each block of lines is a frame of int64 words holding cells,
+separators and line ends, whose 0 bytes one ``translate`` pass drops,
+written in binary mode after the header's UTF-8, so no text layer decodes
+or re-encodes it.  A number
 never needs quoting, so only the header is checked for a field that would
 (``,``, ``"``, ``\r``, ``\n``, ValueError); a cell that is not a number
 raises TypeError and a row not as wide as the header ValueError, and no
@@ -311,21 +314,34 @@ def write_csv(path, header, rows) -> Path:
     return Path(path)
 
 
-def _grid_rows(header, times, sites):
-    """The time stamps of a grid, as rows of bytes in a slot as wide as the
-    longest, and the function that prints one time's row of the grid.
+@contextlib.contextmanager
+def grid_writer(paths, headers, times, sites):
+    """Files of rows (time, *site cells, re, im, abs) of complex (time x site)
+    grids, time-major, one per path and header, on the same numeric times
+    and site columns (one per header field between the time and re, im,
+    abs, refused as ``write_csv`` refuses rows), fed one time at a time:
+    yields a function that takes the next time's row of sites for each
+    file, in order, and writes each as one block of lines.  A row of
+    another width than the sites raises TypeError.  A row past the last
+    time raises ValueError, and so does a with block that ends before
+    every time has its row.  Headers of different widths are refused
+    before any file.  If the with block raises, every file is removed, and
+    so are the directories made for them (see ``_csv_file``).
 
     The site columns are formatted once.  Every row is printed into one
-    frame of int64 words, a row per site: the time's slot, the site's cells
-    after their commas, 0 bytes up to a word edge, the re, im and abs cells
-    and a line-end word.  The ``_cells`` of the row's re, im and abs, one
-    column in that order, are assigned into it transposed, each after a
-    comma in its byte 0, and one ``bytearray.translate`` pass over the
-    frame's own bytes drops the 0 bytes.  The frame, the column and the
-    kernel's work rows are allocated once."""
+    frame of int64 words, a row per site: the time's slot, as wide as the
+    longest time stamp, the site's cells after their commas, 0 bytes up to
+    a word edge, the re, im and abs cells and a line-end word.  The
+    ``_cells`` of the row's re, im and abs, one column in that order, are
+    assigned into it transposed, each after a comma in its byte 0, and one
+    ``bytearray.translate`` pass over the frame's own bytes drops the 0
+    bytes.  The frame, the column and the kernel's work rows are allocated
+    once."""
+    if len({len(header) for header in headers}) != 1:
+        raise ValueError("grid headers of different widths")
     stamps = np.array(format_column(times), dtype=bytes)
     slot = stamps.dtype.itemsize
-    lines = _lines(_numbers(np.transpose(sites), len(header) - 4)).split(b"\r\n")[:-1]
+    lines = _lines(_numbers(np.transpose(sites), len(headers[0]) - 4)).split(b"\r\n")[:-1]
     site_cells = np.array([b"," + line for line in lines], dtype=bytes)
     width = site_cells.dtype.itemsize
     n_sites = len(site_cells)
@@ -339,47 +355,7 @@ def _grid_rows(header, times, sites):
     numbers = frame[:, lead:-1].reshape(n_sites, 3, _WORDS)
     column = np.empty((3, n_sites))
     work = np.empty((_WORK_ROWS, 3 * n_sites), np.int64)
-
-    def row(stamp, z):
-        z = np.asarray(z)
-        if z.shape != (n_sites,):
-            raise TypeError(f"a row of shape {z.shape} for {n_sites} sites")
-        text[:, :slot] = stamp
-        column[0] = z.real
-        column[1] = z.imag
-        np.hypot(z.real, z.imag, out=column[2])
-        words = _cells(column, ord(","), out=work)
-        numbers[...] = words.reshape(_WORDS, 3, n_sites).transpose(2, 1, 0)
-        return buffer.translate(None, b"\0")
-    return stamps.view(np.uint8).reshape(-1, slot), row
-
-
-def write_grid_csv(path, header, times, sites, values) -> Path:
-    """Rows (time, *site cells, re, im, abs) of a complex (time x site) grid,
-    time-major, from numeric times and site columns (one per header field
-    between the time and re, im, abs, refused as ``write_csv`` refuses
-    rows) and ``values``, an iterable of one row of sites per time: the
-    one-file ``grid_writer``.  A row of another width than the sites raises
-    TypeError."""
-    with grid_writer([path], [header], times, sites) as write:
-        for z in values:
-            write(z)
-    return Path(path)
-
-
-@contextlib.contextmanager
-def grid_writer(paths, headers, times, sites):
-    """Files of ``write_grid_csv``, one per path and header, on the same
-    times and site columns, fed one time at a time: yields a function that
-    takes the next time's row of sites for each file, in order, and writes
-    each as one block of lines through one frame (see ``_grid_rows``).  A
-    row past the last time raises ValueError, and headers of different
-    widths are refused before any file.  If the with block raises, every
-    file is removed (see ``_csv_file``)."""
-    if len({len(header) for header in headers}) != 1:
-        raise ValueError("grid headers of different widths")
-    stamps, row = _grid_rows(headers[0], times, sites)
-    pending = iter(stamps)
+    pending = iter(stamps.view(np.uint8).reshape(-1, slot))
     with contextlib.ExitStack() as files:
         handles = [files.enter_context(_csv_file(path, header))
                    for path, header in zip(paths, headers, strict=True)]
@@ -388,9 +364,22 @@ def grid_writer(paths, headers, times, sites):
             stamp = next(pending, None)
             if stamp is None:
                 raise ValueError(f"a row past the grid's {len(stamps)} times")
+            text[:, :slot] = stamp
             for fh, z in zip(handles, rows, strict=True):
-                fh.write(row(stamp, z))
+                z = np.asarray(z)
+                if z.shape != (n_sites,):
+                    raise TypeError(f"a row of shape {z.shape} for {n_sites} sites")
+                column[0] = z.real
+                column[1] = z.imag
+                np.hypot(z.real, z.imag, out=column[2])
+                words = _cells(column, ord(","), out=work)
+                numbers[...] = words.reshape(_WORDS, 3, n_sites).transpose(2, 1, 0)
+                fh.write(buffer.translate(None, b"\0"))
         yield write
+        missing = sum(1 for _ in pending)
+        if missing:
+            raise ValueError(f"{len(stamps) - missing} of the grid's {len(stamps)} time rows "
+                             "written")
 
 
 def _plain(value):

@@ -21,7 +21,6 @@ their dense forms are the references in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +84,7 @@ def feynman_kernel(x, t: float, mass: float):
     phases 2 pi q a / N, plain exp(-i E t) time phases), the stationary-phase
     limit of the ring dynamics for particle mass m carries the curvature of
     ``mass = 2 pi^2 m`` in this parametrization, times an exact alternating
-    sign from centering the momentum band; ``simulate_walk`` stores that
+    sign from centering the momentum band; ``WalkStream`` computes that
     matched form."""
     if not 0.0 < t < math.inf:
         raise ValueError("the kernel is defined for positive finite t only")
@@ -188,15 +187,10 @@ class WalkConfig:
 
 @dataclass
 class WalkResult:
-    """Simulated single-photon spread plus the analytic comparisons."""
+    """The walk's conservation checks and analytic comparisons."""
 
     config: WalkConfig
-    times: np.ndarray
-    positions: np.ndarray  # x_q = q / sqrt(N), cavity order
-    amplitudes: np.ndarray | None  # (n_times, N) complex, cavity order; None if streamed
-    kernel: np.ndarray | None  # (n_times, N) complex, lattice-matched; zero at t = 0
-    variances: np.ndarray
-    momentum_populations: np.ndarray | None  # (n_times, N) magnitudes
+    variances: np.ndarray  # position variance per time
     momentum_drift: float
     norm_drift: float
     # largest | |psi(x0 + d)| - |psi(x0 - d)| |, zero by the ring's mirror symmetry
@@ -205,13 +199,6 @@ class WalkResult:
     kernel_overlap: float
     # log-log slope of the variances after t = 0; 2 means ballistic spreading
     ballistic_exponent: float
-
-    @functools.cached_property
-    def network_profile(self) -> list[tuple[int, int, float, float]]:
-        """(separation, n_links, amplitude, phase) per hop distance of the
-        ring (``ring_profile``), read on first use, so a streamed walk does
-        not hold it beside its grid buffers."""
-        return ring_profile(self.config)
 
 
 # Cells of a walk block, about: four time rows of the benchmark's
@@ -222,13 +209,14 @@ _BLOCK_CELLS = 4096
 class WalkStream:
     """The walk of one config, computed a few time rows at a time.
 
-    Iterating yields one (rows, amplitudes, kernel, populations) block at a
-    time: ``rows`` a slice of ``times`` and three (rows, N) arrays (see
-    WalkResult) in buffers that the next block overwrites, so the peak does
-    not grow with the number of times.  As it runs, the stream keeps
-    ``momentum_drift``, ``norm_drift``, ``reflection_residual`` and
-    ``variances`` (one per time) up to date, and sets ``kernel_overlap``
-    with the last block.
+    Iterating yields one (amplitudes, kernel, populations) block of the next
+    time rows at a time, three (rows, N) arrays in cavity order: the complex
+    amplitudes, the lattice-matched kernel (zero at t = 0) and the
+    momentum-basis magnitudes, in buffers that the next block overwrites,
+    so the peak does not grow with the number of times.  As it runs, the
+    stream keeps ``momentum_drift``, ``norm_drift``, ``reflection_residual``
+    and ``variances`` (one per time) up to date, and sets
+    ``kernel_overlap`` with the last block.
 
     A block starts at a multiple of 4 rows, holds about _BLOCK_CELLS cells
     in a multiple of 4 rows, and the last one ends at the last time with at
@@ -248,16 +236,16 @@ class WalkStream:
         origin = config.resolved_origin
         self.config = config
         self.times = config.times
-        self.positions = config.positions
+        self._positions = positions = config.positions
         a = np.arange(n)
         self._energies = momentum_values(n) ** 2 / (2.0 * m)  # p^2 / 2m, in Fourier order
         self._launch = np.exp(2j * np.pi * (a * origin % n) / n)
         self._alternating = (-1.0) ** a
         self._mirror = (2 * origin - a) % n
-        self._squares = self.positions**2
+        self._squares = positions**2
         # feynman_kernel's phase numerator at the lattice-matched mass, and the
         # exact alternating sign from centering the momentum band at zero
-        self._phase = 1j * (2.0 * math.pi**2 * m) * (self.positions - self.positions[origin])**2
+        self._phase = 1j * (2.0 * math.pi**2 * m) * (positions - positions[origin])**2
         self._band_sign = np.exp(-1j * np.pi * (a - origin))
         # the kernel band: sites within kernel_band_edge, and the origin's neighbors
         offsets = np.abs((a - origin + n // 2) % n - n // 2)
@@ -313,7 +301,7 @@ class WalkStream:
             sums = np.sum(prob, axis=1, out=self._means[:k])
             sums -= 1.0
             self.norm_drift = max(self.norm_drift, float(np.max(np.abs(sums, out=sums))))
-            means = np.matmul(prob, self.positions, out=self._means[:k])
+            means = np.matmul(prob, self._positions, out=self._means[:k])
             variances = np.matmul(prob, self._squares, out=self.variances[start:stop])
             variances -= np.square(means, out=means)
 
@@ -332,7 +320,7 @@ class WalkStream:
                 denom = np.linalg.norm(psi_final) * np.linalg.norm(ker_final)
                 self.kernel_overlap = (float(abs(np.vdot(ker_final, psi_final)) / denom)
                                        if denom > 0 else 0.0)
-            yield slice(start, stop), amplitudes, kernel, populations
+            yield amplitudes, kernel, populations
 
 
 def ring_profile(config: WalkConfig) -> list[tuple[int, int, float, float]]:
@@ -349,43 +337,28 @@ def ring_profile(config: WalkConfig) -> list[tuple[int, int, float, float]]:
     ))
 
 
-def simulate_walk(config: WalkConfig, write=None) -> WalkResult:
+def simulate_walk(config: WalkConfig, write) -> WalkResult:
     """Spread one photon from the origin cavity under the free-particle
-    Hamiltonian and tabulate everything the comparisons need: amplitudes,
-    lattice-matched kernel values at the same points (see feynman_kernel for
-    the unit conversion), position variance, and momentum-basis populations
-    (conserved because momentum commutes with the generator), and the
-    variance's ``ballistic_exponent``, whose ValueError (fewer than two
-    positive variances, as when they underflow) ends the walk.  The blocks
-    of a ``WalkStream``, stacked; with ``write``, the walk is streamed
-    instead: each time's rows of amplitudes and kernel go to
-    write(amplitudes, kernel) as their block is computed, and the result
-    holds no grids (its amplitudes, kernel and momentum_populations are
-    None).
+    Hamiltonian, streamed: the blocks of a ``WalkStream`` go to
+    write(amplitudes, kernel) one time's rows at a time, as each block is
+    computed (amplitudes and lattice-matched kernel values at the same
+    points; see feynman_kernel for the unit conversion).  The result holds
+    the stream's position variances and conservation checks (momentum-basis
+    populations are conserved because momentum commutes with the
+    generator), and the variance's ``ballistic_exponent``, whose ValueError
+    (fewer than two positive variances, as when they underflow) ends the
+    walk after its last row.
 
     The kernel describes the dynamics where the stationary momentum lies
     inside the band, |x - x0| < (sqrt(N)/2) t / (2 pi m); outside that cone
     propagation is bandwidth-limited and the comparison is not meaningful."""
     stream = WalkStream(config)
-    amplitudes = kernel = populations = None
-    if write is None:
-        shape = (config.n_times, config.n_cavities)
-        amplitudes, kernel, populations = (np.empty(shape, complex), np.empty(shape, complex),
-                                           np.empty(shape))
-    for rows, amp, ker, pop in stream:
-        if write is None:
-            amplitudes[rows], kernel[rows], populations[rows] = amp, ker, pop
-        else:
-            for row in zip(amp, ker):
-                write(*row)
+    for amplitudes, kernel, _ in stream:
+        for row in zip(amplitudes, kernel):
+            write(*row)
     return WalkResult(
         config=config,
-        times=stream.times,
-        positions=stream.positions,
-        amplitudes=amplitudes,
-        kernel=kernel,
         variances=stream.variances,
-        momentum_populations=populations,
         momentum_drift=stream.momentum_drift,
         norm_drift=stream.norm_drift,
         reflection_residual=stream.reflection_residual,

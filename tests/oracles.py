@@ -58,7 +58,9 @@ The walk references are the dense Fourier and momentum operators
 (``qft_matrix``, ``momentum_operator``), the free Hamiltonian as the dense
 product F diag(E) F^H (``dense_free_hamiltonian``), the walk propagated
 by diagonalization (``dense_walk``) and the dense matrix rebuilt from a
-``walk.CouplingNetwork`` hop table (``hop_table_matrix``); the loop references
+``walk.CouplingNetwork`` hop table (``hop_table_matrix``).  ``walk_grids``
+stacks a walk's streamed blocks into the whole grids that the library
+never holds, for the tests that read them.  The loop references
 (``distance_profile_loop``, ``resonance_table_loop``, ``walk_rows_loop``,
 ``write_csv_loop``) are the per-element forms the vectorized production
 code replaced.  ``jsonable`` copies a summary into plain JSON types before
@@ -98,7 +100,7 @@ from tchlab.operators import (
     photon_number_operator,
     pulse_value,
 )
-from tchlab.walk import momentum_values
+from tchlab.walk import WalkStream, momentum_values
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 ATOM_NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -600,16 +602,25 @@ def distance_profile_loop(hops):
     return out
 
 
-def walk_rows_loop(result):
+def walk_grids(config):
+    """The walk's whole (times x sites) amplitude, kernel and momentum
+    population grids: copies of every block of a ``walk.WalkStream``,
+    stacked in time order."""
+    blocks = [[grid.copy() for grid in block] for block in WalkStream(config)]
+    return tuple(np.concatenate(grid) for grid in zip(*blocks))
+
+
+def walk_rows_loop(config, amplitudes, kernel):
     """The walk CSV rows cell by cell: (time, cavity, position, re, im, abs)
-    tuples for the amplitudes and for the kernel, time-major."""
+    tuples for the amplitude grid and for the kernel grid, time-major."""
     amp_rows = []
     kernel_rows = []
-    for i, t in enumerate(result.times):
-        for q in range(result.config.n_cavities):
-            a = result.amplitudes[i, q]
-            k = result.kernel[i, q]
-            x = result.positions[q]
+    positions = config.positions
+    for i, t in enumerate(config.times):
+        for q in range(config.n_cavities):
+            a = amplitudes[i, q]
+            k = kernel[i, q]
+            x = positions[q]
             amp_rows.append((t, q, x, a.real, a.imag, abs(a)))
             kernel_rows.append((t, q, x, k.real, k.imag, abs(k)))
     return amp_rows, kernel_rows

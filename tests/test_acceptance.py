@@ -153,8 +153,9 @@ def test_lattice_walk_contract():
         spectrum = max(
             spectrum, float(np.max(np.abs(w - np.sort(momentum_values(n)))))
         )
-    result = simulate_walk(WalkConfig(n_cavities=128))
-    slope = ballistic_exponent(result.times, result.variances)
+    config = WalkConfig(n_cavities=128)
+    result = simulate_walk(config, lambda *rows: None)
+    slope = ballistic_exponent(config.times, result.variances)
     elapsed = time.perf_counter() - start
     _report(
         "discrete Fourier transform is unitary to 1e-10",

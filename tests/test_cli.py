@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import tchlab
 import tchlab.walk
-from oracles import jsonable, walk_rows_loop, write_csv_loop
+from oracles import jsonable, walk_grids, walk_rows_loop, write_csv_loop
 from peaks import fresh_process_run, needs_vmhwm
 from tchlab.cli import build_parser, main
-from tchlab.reports import write_csv, write_grid_csv, write_json
+from tchlab.reports import write_json
 from tchlab.darkstates import (
     MAX_ATOMS,
     MAX_TIMES,
@@ -40,7 +40,7 @@ from tchlab.gate import (
     sweep,
     uniform_superposition,
 )
-from tchlab.walk import MAX_CELLS, WalkConfig, simulate_walk
+from tchlab.walk import MAX_CELLS, WalkConfig, ring_profile, simulate_walk
 from tchlab.evolution import pulsed_propagators
 
 GATE_ARGS = ["--alpha-scales", "0.5,1.0"]
@@ -276,72 +276,53 @@ def test_walk_runs_are_byte_identical(walk_dir, tmp_path):
         assert (walk_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+# (n_cavities, origin, mass, n_times): the default origin, an off-centre one
+# and a non-unit mass on two rings, the benchmark's walk-ring shape, a
+# 64-cavity ring, and a time grid whose last block is not a multiple of 4
 WALK_CSV_CASES = [
-    (n, origin, mass)
+    (n, origin, mass, 51)
     for n in (8, 128)
     for origin, mass in ((None, 1.0), (n // 8 + 1, 1.0), (None, 2.5))
-] + [(1024, 700, 1.0)]  # the benchmark's walk-ring shape
+] + [(1024, 700, 1.0, 51), (64, None, 1.0, 51), (128, None, 1.0, 50)]
 
 
-@pytest.mark.parametrize("n, origin, mass", WALK_CSV_CASES)
-def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass):
-    args = ["walk", "--out-dir", str(tmp_path), "--n-cavities", str(n), "--mass", str(mass)]
+@pytest.mark.parametrize("n, origin, mass, n_times", WALK_CSV_CASES, ids=[
+    "-".join(map(str, case if case[3] != 51 else case[:3])) for case in WALK_CSV_CASES])
+def test_walk_csvs_match_the_per_cell_writer(tmp_path, n, origin, mass, n_times):
+    # the CLI streams the grids block by block as the walk runs; every file
+    # equals the csv-module writer's, cell by cell, over the stacked blocks
+    args = ["walk", "--out-dir", str(tmp_path / "cli"), "--n-cavities", str(n),
+            "--mass", str(mass), "--n-times", str(n_times)]
     if origin is not None:
         args += ["--origin", str(origin)]
     assert main(args) == 0
-    result = simulate_walk(WalkConfig(n_cavities=n, mass=mass, origin=origin))
-    amp_rows, kernel_rows = walk_rows_loop(result)
+    config = WalkConfig(n_cavities=n, mass=mass, origin=origin, n_times=n_times)
+    amplitudes, kernel, _ = walk_grids(config)
+    amp_rows, kernel_rows = walk_rows_loop(config, amplitudes, kernel)
+    ref = tmp_path / "ref"
+    ref.mkdir()
     for name, values, rows in (("walk_amplitude.csv", "amplitude", amp_rows),
                                ("kernel.csv", "kernel", kernel_rows)):
         header = ("time", "cavity", "position", f"re_{values}", f"im_{values}", f"abs_{values}")
-        reference = write_csv_loop(tmp_path / f"loop_{name}", header, rows)
-        assert (tmp_path / name).read_bytes() == reference.read_bytes()
-    reference = write_csv_loop(tmp_path / "loop_network.csv",
-                               ("separation", "n_links", "mean_amplitude", "mean_phase"),
-                               result.network_profile)
-    assert (tmp_path / "network.csv").read_bytes() == reference.read_bytes()
+        write_csv_loop(ref / name, header, rows)
+    profile = ring_profile(config)
+    write_csv_loop(ref / "network.csv",
+                   ("separation", "n_links", "mean_amplitude", "mean_phase"), profile)
     # the summary holds the walk's own scalars, unchanged
-    summary = json.loads((tmp_path / "walk_summary.json").read_text())
-    assert summary["reflection_residual"] == result.reflection_residual
-    assert summary["kernel_overlap_final"] == result.kernel_overlap
-
-
-WALK_HEADERS = {
-    name: ("time", "cavity", "position", f"re_{v}", f"im_{v}", f"abs_{v}")
-    for name, v in (("walk_amplitude.csv", "amplitude"), ("kernel.csv", "kernel"))
-}
-
-
-@pytest.mark.parametrize("args", [["--n-cavities", "64"],
-                                  ["--n-cavities", "1024", "--origin", "600"],
-                                  ["--n-times", "50"]], ids=" ".join)
-def test_the_streamed_walk_writes_what_simulate_walk_holds(tmp_path, args):
-    # the CLI writes the grids block by block as the walk runs; every file
-    # equals the whole result of simulate_walk through the library writers
-    assert main(["walk", *args, "--out-dir", str(tmp_path / "cli")]) == 0
-    flags = build_parser().parse_args(["walk", *args])
-    config = WalkConfig(n_cavities=flags.n_cavities, mass=flags.mass, origin=flags.origin,
-                        t_max=flags.t_max, n_times=flags.n_times)
-    result = simulate_walk(config)
-    ref = tmp_path / "ref"
-    sites = (np.arange(config.n_cavities), result.positions)
-    for (name, header), values in zip(WALK_HEADERS.items(), (result.amplitudes, result.kernel)):
-        write_grid_csv(ref / name, header, result.times, sites, values)
-    write_csv(ref / "network.csv", ("separation", "n_links", "mean_amplitude", "mean_phase"),
-              result.network_profile)
+    result = simulate_walk(config, lambda *rows: None)
     write_json(ref / "walk_summary.json", {
         "command": "walk",
-        "n_cavities": config.n_cavities,
-        "mass": config.mass,
+        "n_cavities": n,
+        "mass": mass,
         "origin": config.resolved_origin,
         "t_max": config.resolved_t_max,
-        "n_times": config.n_times,
+        "n_times": n_times,
         "ballistic_exponent": result.ballistic_exponent,
         "momentum_population_drift": result.momentum_drift,
         "norm_drift": result.norm_drift,
         "reflection_residual": result.reflection_residual,
         "kernel_overlap_final": result.kernel_overlap,
-        "n_links": sum(count for _, count, _, _ in result.network_profile),
+        "n_links": sum(count for _, count, _, _ in profile),
         "files": {"amplitude": "walk_amplitude.csv", "kernel": "kernel.csv",
                   "network": "network.csv"},
     })

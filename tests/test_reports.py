@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import jsonable, write_csv_loop
+from oracles import jsonable, walk_grids, write_csv_loop
 from tchlab import reports
-from tchlab.reports import format_column, grid_writer, write_csv, write_grid_csv, write_json
-from tchlab.walk import WalkConfig, simulate_walk
+from tchlab.reports import format_column, grid_writer, write_csv, write_json
+from tchlab.walk import WalkConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # integers are exact as doubles up to 2**53; np.float64 must format like a float
@@ -166,10 +166,11 @@ def test_the_walk_grid_never_takes_the_fallback(tmp_path, monkeypatch, origin):
 
     fallback = reports._fallback
     monkeypatch.setattr(reports, "_fallback", counted)
-    result = simulate_walk(WalkConfig(n_cavities=1024, origin=origin))
-    sites = (np.arange(1024), result.positions)
-    for name, values in (("amplitude", result.amplitudes), ("kernel", result.kernel)):
-        write_grid_csv(tmp_path / f"{name}.csv", GRID_HEADER, result.times, sites, values)
+    config = WalkConfig(n_cavities=1024, origin=origin)
+    amplitudes, kernel, _ = walk_grids(config)
+    sites = (np.arange(1024), config.positions)
+    for name, values in (("amplitude", amplitudes), ("kernel", kernel)):
+        _write_grid(tmp_path / f"{name}.csv", GRID_HEADER, config.times, sites, values)
     assert slow == []
     # the count sees the fallback when it is taken: NaN and an exact tie
     tie = (2**17 + 1) / 2**17
@@ -290,6 +291,14 @@ def test_csv_row_not_as_wide_as_the_header_is_refused_without_a_file(tmp_path, r
 
 
 GRID_HEADER = ("time", "cavity", "position", "re", "im", "abs")
+
+
+def _write_grid(path, header, times, sites, values):
+    """One grid file through ``grid_writer``, a row of ``values`` per time."""
+    with grid_writer([path], [header], times, sites) as write:
+        for z in values:
+            write(z)
+    return Path(path)
 # signed zeros, subnormals and the extremes next to ordinary values
 grid_entries = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -326,7 +335,7 @@ def test_grid_writer_matches_the_per_cell_writer(grid):
     times, positions, values = grid
     with tempfile.TemporaryDirectory() as tmp:
         sites = (np.arange(values.shape[1]), positions)
-        path = write_grid_csv(Path(tmp) / "grid.csv", GRID_HEADER, times, sites, values)
+        path = _write_grid(Path(tmp) / "grid.csv", GRID_HEADER, times, sites, values)
         rows = [(t, q, x, z.real, z.imag, abs(z))
                 for t, row in zip(times, values) for q, (x, z) in enumerate(zip(positions, row))]
         reference = write_csv_loop(Path(tmp) / "loop.csv", GRID_HEADER, rows)
@@ -340,7 +349,7 @@ def test_grid_file_holds_no_zero_byte_and_one_crlf_line_per_cell(grid):
     times, positions, values = grid
     with tempfile.TemporaryDirectory() as tmp:
         sites = (np.arange(values.shape[1]), positions)
-        data = write_grid_csv(Path(tmp) / "grid.csv", GRID_HEADER, times, sites, values).read_bytes()
+        data = _write_grid(Path(tmp) / "grid.csv", GRID_HEADER, times, sites, values).read_bytes()
     assert b"\0" not in data
     lines = data.split(b"\r\n")
     assert lines[-1] == b"" and len(lines) - 1 == values.size + 1
@@ -356,7 +365,7 @@ def test_grid_writer_removes_the_partial_file_when_the_stream_fails(tmp_path):
 
     path = tmp_path / "grid.csv"
     with pytest.raises(RuntimeError, match="stream broke"):
-        write_grid_csv(path, GRID_HEADER, np.arange(60.0), sites, values())
+        _write_grid(path, GRID_HEADER, np.arange(60.0), sites, values())
     assert not path.exists()
 
 
@@ -369,7 +378,7 @@ def test_grid_writer_feeds_several_files_and_removes_them_when_the_block_fails(t
         for z in values:
             write(z, -z)
     for path, grid in zip(paths, (values, -values)):
-        reference = write_grid_csv(tmp_path / "ref.csv", GRID_HEADER, times, sites, grid)
+        reference = _write_grid(tmp_path / "ref.csv", GRID_HEADER, times, sites, grid)
         assert path.read_bytes().split(b"\r\n")[1:] == reference.read_bytes().split(b"\r\n")[1:]
     assert paths[1].read_bytes().startswith(b"time,cavity,position,x,y,z\r\n")
     # a row past the last time raises, and neither file is left
@@ -378,6 +387,11 @@ def test_grid_writer_feeds_several_files_and_removes_them_when_the_block_fails(t
         with grid_writer([out / "a.csv", out / "b.csv"], [GRID_HEADER] * 2, times, sites) as write:
             for z in np.ones((4, 4)):
                 write(z, z)
+    assert not (tmp_path / "new").exists()
+    # so does a block that ends before every time has its row
+    with pytest.raises(ValueError, match="1 of the grid's 3 time rows written"):
+        with grid_writer([out / "a.csv", out / "b.csv"], [GRID_HEADER] * 2, times, sites) as write:
+            write(values[0], values[0])
     assert not (tmp_path / "new").exists()
     with pytest.raises(ValueError, match="different widths"):
         with grid_writer(paths, [GRID_HEADER, GRID_HEADER[:5]], times, sites):
@@ -395,12 +409,12 @@ def test_grid_site_columns_that_are_not_numbers_or_do_not_fit_are_refused_withou
         tmp_path, sites, error):
     path = tmp_path / "grid.csv"
     with pytest.raises(error):
-        write_grid_csv(path, GRID_HEADER, [0.0], sites, np.ones((1, 2), complex))
+        _write_grid(path, GRID_HEADER, [0.0], sites, np.ones((1, 2), complex))
     assert not path.exists()
 
 
 def test_grid_with_fewer_sites_than_columns_is_refused_without_a_file(tmp_path):
     path = tmp_path / "grid.csv"
     with pytest.raises(TypeError):
-        write_grid_csv(path, GRID_HEADER, [0.0], ([0], [0.0]), np.ones((1, 2), complex))
+        _write_grid(path, GRID_HEADER, [0.0], ([0], [0.0]), np.ones((1, 2), complex))
     assert not path.exists()

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from tchlab import reports
-from tchlab.walk import WalkConfig, simulate_walk
+from tchlab.walk import WalkConfig, ring_profile
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -49,9 +49,8 @@ def test_traced_csv_writer_counts_rows_and_bytes(tmp_path):
     # size after the call; the writer must consume rows through it
     tracer = TRACER.Tracer("contract")
     write_csv = tracer.wrap("reports.write_csv", reports.write_csv, TRACER._csv_rows)
-    result = simulate_walk(WalkConfig(n_cavities=16, n_times=3))
     header = ("separation", "n_links", "mean_amplitude", "mean_phase")
-    rows = iter(result.network_profile)  # as ``tchlab walk``, through a one-pass iterator
+    rows = iter(ring_profile(WalkConfig(n_cavities=16, n_times=3)))  # through a one-pass iterator
     path = write_csv(tmp_path / "network.csv", header, rows)
     metrics = TRACER.layer_metrics(tracer.spans)
     assert metrics["reports.write_csv.calls"] == 1

@@ -10,6 +10,7 @@ from oracles import (
     momentum_operator,
     qft_matrix,
     state_index,
+    walk_grids,
 )
 
 import tchlab.walk
@@ -21,8 +22,13 @@ from tchlab.walk import (
     coupling_network,
     feynman_kernel,
     momentum_values,
+    ring_profile,
     simulate_walk,
 )
+
+
+def _discard(*rows):
+    """A walk's ``write`` that keeps no grid row."""
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -88,7 +94,7 @@ def test_coupling_network_round_trip():
 def test_free_hamiltonian_matches_dense_fourier_product(n, mass):
     # the walk's free Hamiltonian is the circulant of its hop profile: every
     # entry at separation d = (p - q) mod n of the dense product is c[d]
-    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=3)).network_profile
+    profile = ring_profile(WalkConfig(n_cavities=n, mass=mass, n_times=3))
     row = np.zeros(n, dtype=complex)
     for d, count, r, phi in profile:
         assert count == n - d
@@ -146,7 +152,7 @@ def test_network_realized_as_cavity_hamiltonian():
 @pytest.mark.parametrize("mass", [1.0, 0.3, 2.5])
 def test_walk_profile_matches_the_dense_network_read(n, mass):
     # read from the circulant's first row, against the N x N matrix's hop table
-    profile = simulate_walk(WalkConfig(n_cavities=n, mass=mass, n_times=3)).network_profile
+    profile = ring_profile(WalkConfig(n_cavities=n, mass=mass, n_times=3))
     net = coupling_network(dense_free_hamiltonian(n, mass))
     reference = net.distance_profile()
     assert [row[:2] for row in profile] == [row[:2] for row in reference]
@@ -158,11 +164,12 @@ def test_walk_profile_matches_the_dense_network_read(n, mass):
 
 def test_walk_builds_no_dense_network(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("simulate_walk must not build the N x N network")
+        raise AssertionError("the walk must not build the N x N network")
 
     monkeypatch.setattr(tchlab.walk, "coupling_network", refuse)
-    result = simulate_walk(WalkConfig(n_cavities=64, n_times=3))
-    assert [row[0] for row in result.network_profile] == list(range(1, 64))
+    config = WalkConfig(n_cavities=64, n_times=3)
+    simulate_walk(config, _discard)
+    assert [row[0] for row in ring_profile(config)] == list(range(1, 64))
 
 
 def test_walk_config_defaults_and_validation():
@@ -186,23 +193,23 @@ def test_walk_config_defaults_and_validation():
 
 
 def test_simulated_walk_conserves_everything():
-    result = simulate_walk(WalkConfig(n_cavities=128))
+    config = WalkConfig(n_cavities=128)
+    result = simulate_walk(config, _discard)
+    amplitudes, kernel, _ = walk_grids(config)
     assert result.norm_drift < 1e-10
     assert result.momentum_drift < 1e-10
     assert abs(result.variances[0]) < 1e-12  # starts localized
     n, origin = 128, 64
     mirror = (2 * origin - np.arange(n)) % n
-    refl = np.max(
-        np.abs(np.abs(result.amplitudes) - np.abs(result.amplitudes[:, mirror]))
-    )
+    refl = np.max(np.abs(np.abs(amplitudes) - np.abs(amplitudes[:, mirror])))
     assert refl < 1e-8
     assert refl == result.reflection_residual  # bit for bit
     # the overlap with the kernel inside its validity band
     offsets = (np.arange(n) - origin + n // 2) % n - n // 2
-    t = result.times[-1]
+    t = config.times[-1]
     edge = tchlab.walk.kernel_band_edge(n, t, 1.0)
     band = (np.abs(offsets) / math.sqrt(n) <= edge) | (np.abs(offsets) <= 2)
-    psi, ker = result.amplitudes[-1, band], result.kernel[-1, band]
+    psi, ker = amplitudes[-1, band], kernel[-1, band]
     overlap = abs(np.vdot(ker, psi)) / (np.linalg.norm(psi) * np.linalg.norm(ker))
     assert overlap == result.kernel_overlap
     assert 0.9 < result.kernel_overlap < 1.0
@@ -220,14 +227,15 @@ WALK_CASES = [
 @pytest.mark.parametrize("n, origin, mass", WALK_CASES)
 def test_walk_matches_dense_diagonalization(n, origin, mass):
     config = WalkConfig(n_cavities=n, origin=origin, mass=mass, n_times=11)
-    result = simulate_walk(config)
-    amplitudes, populations, variances = dense_walk(config)
-    assert np.max(np.abs(result.amplitudes - amplitudes)) < 1e-12
-    assert np.max(np.abs(result.momentum_populations - populations)) < 1e-11
+    result = simulate_walk(config, _discard)
+    amplitudes, _, populations = walk_grids(config)
+    dense_amplitudes, dense_populations, variances = dense_walk(config)
+    assert np.max(np.abs(amplitudes - dense_amplitudes)) < 1e-12
+    assert np.max(np.abs(populations - dense_populations)) < 1e-11
     assert np.max(np.abs(result.variances - variances)) < 1e-11
     # the residual is of the magnitudes, which off the middle of a small ring
     # differs from that of the probabilities
-    mag = np.abs(result.amplitudes)
+    mag = np.abs(amplitudes)
     mirror = (2 * config.resolved_origin - np.arange(n)) % n
     assert result.reflection_residual == np.max(np.abs(mag - mag[:, mirror]))
 
@@ -251,33 +259,38 @@ def test_walk_blocks_of_any_size_make_the_same_walk(monkeypatch, cells):
     # the stream's running values against one block holding every time
     config = WalkConfig(n_cavities=64, origin=20, mass=0.7, n_times=23)
     monkeypatch.setattr(tchlab.walk, "_BLOCK_CELLS", 10**9)
-    whole = simulate_walk(config)
+    whole, whole_grids = simulate_walk(config, _discard), walk_grids(config)
     monkeypatch.setattr(tchlab.walk, "_BLOCK_CELLS", cells)
-    blocked = simulate_walk(config)
-    for name in ("amplitudes", "kernel", "momentum_populations"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+    blocked, blocked_grids = simulate_walk(config, _discard), walk_grids(config)
+    for name, grid, reference in zip(("amplitudes", "kernel", "populations"),
+                                     blocked_grids, whole_grids):
+        assert np.array_equal(grid, reference), name
     for name in ("momentum_drift", "norm_drift", "reflection_residual", "kernel_overlap"):
         assert getattr(blocked, name) == getattr(whole, name), name
     assert np.allclose(blocked.variances, whole.variances, rtol=1e-13, atol=0.0)
 
 
 def test_a_streamed_walk_hands_over_the_rows_it_would_hold():
+    # every time's row of both grids, in order, as the stream's blocks hold them
     config = WalkConfig(n_cavities=64, origin=9, mass=1.3, n_times=13)
-    held = simulate_walk(config)
+    amplitudes, kernel, _ = walk_grids(config)
     rows = []
-    streamed = simulate_walk(config, write=lambda *row: rows.append([z.copy() for z in row]))
-    assert streamed.amplitudes is streamed.kernel is streamed.momentum_populations is None
-    assert np.array_equal([amp for amp, _ in rows], held.amplitudes)
-    assert np.array_equal([ker for _, ker in rows], held.kernel)
-    assert np.array_equal(streamed.variances, held.variances)
-    for name in ("momentum_drift", "norm_drift", "reflection_residual", "kernel_overlap",
-                 "ballistic_exponent", "network_profile"):
-        assert getattr(streamed, name) == getattr(held, name), name
+    result = simulate_walk(config, lambda *row: rows.append([z.copy() for z in row]))
+    assert np.array_equal([amp for amp, _ in rows], amplitudes)
+    assert np.array_equal([ker for _, ker in rows], kernel)
+    stream = tchlab.walk.WalkStream(config)
+    for _ in stream:
+        pass
+    assert np.array_equal(result.variances, stream.variances)
+    for name in ("momentum_drift", "norm_drift", "reflection_residual", "kernel_overlap"):
+        assert getattr(result, name) == getattr(stream, name), name
+    assert result.ballistic_exponent == ballistic_exponent(config.times, stream.variances)
 
 
 def test_ballistic_spreading_exponent():
-    result = simulate_walk(WalkConfig(n_cavities=128))
-    slope = ballistic_exponent(result.times, result.variances)
+    config = WalkConfig(n_cavities=128)
+    result = simulate_walk(config, _discard)
+    slope = ballistic_exponent(config.times, result.variances)
     assert abs(slope - 2.0) < 0.05
     assert result.ballistic_exponent == slope  # bit for bit
 
@@ -286,25 +299,26 @@ def test_kernel_matches_dynamics_in_band():
     # phases agree with the free propagator where the stationary momentum
     # stays inside the band
     t_max = 2.0
-    result = simulate_walk(WalkConfig(n_cavities=128, t_max=t_max, n_times=3))
+    config = WalkConfig(n_cavities=128, t_max=t_max, n_times=3)
+    amplitudes, kernel, _ = walk_grids(config)
     n, origin = 128, 64
-    x = result.positions - result.positions[origin]
+    x = config.positions - config.positions[origin]
     x_lim = 0.8 * (math.sqrt(n) / 2.0) * t_max / (2.0 * math.pi)
     band = np.abs(x) <= x_lim
-    psi = result.amplitudes[-1, band]
-    ker = result.kernel[-1, band]
+    psi = amplitudes[-1, band]
+    ker = kernel[-1, band]
     overlap = abs(np.vdot(ker, psi)) / (np.linalg.norm(ker) * np.linalg.norm(psi))
     assert overlap > 0.98
-    assert np.max(np.abs(result.kernel[0])) == 0.0  # undefined at t = 0
+    assert np.max(np.abs(kernel[0])) == 0.0  # undefined at t = 0
 
 
 def test_streamed_kernel_is_the_feynman_kernel_bit_for_bit():
     # the stream runs feynman_kernel's steps in place, on its own buffers
     config = WalkConfig(n_cavities=128, origin=40, mass=0.6, n_times=9)
-    result = simulate_walk(config)
-    x = result.positions - result.positions[40]
+    _, kernel, _ = walk_grids(config)
+    x = config.positions - config.positions[40]
     band_sign = np.exp(-1j * np.pi * (np.arange(128) - 40))
-    for t, row in zip(result.times[1:], result.kernel[1:]):
+    for t, row in zip(config.times[1:], kernel[1:]):
         assert np.array_equal(row, band_sign * feynman_kernel(x, t, 2.0 * math.pi**2 * 0.6))
 
 
